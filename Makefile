@@ -3,12 +3,19 @@
 
 GO ?= go
 
-.PHONY: all build test race lint bench bench-batch bench-sim bench-serve bench-fleet bench-dse chaos trace serve-smoke fleet-smoke dse-smoke fmt
+.PHONY: all build bench-build test race lint bench bench-batch bench-sim bench-serve bench-fleet bench-dse chaos trace serve-smoke fleet-smoke dse-smoke fmt
 
 all: lint build test
 
 build:
 	$(GO) build ./...
+
+# The benchmark spine (benchmark/) is a Go module of its own, so the root
+# `go build ./...` never compiles it; this proves it still builds and vets
+# against internal/host and internal/serve as they are now (-o /dev/null: a
+# bare build of its one main package would drop a binary into benchmark/).
+bench-build:
+	cd benchmark && $(GO) build -o /dev/null ./... && $(GO) vet ./...
 
 test:
 	$(GO) test ./...
@@ -35,10 +42,11 @@ lint:
 bench:
 	$(GO) test -run=NONE -bench=BenchmarkDSE -benchtime=1x ./...
 
-# Batched-inference throughput: serial per-image Infer vs the RunBatch engine
-# on a 16-image LeNet-5 batch. Writes BENCH_batch.json (wall-clock ns/image
-# and allocs/image for both paths, plus the modeled serial-vs-batch speedup);
-# CI uploads it as a non-blocking artifact.
+# Batched-inference throughput: RunBatch at one worker with depth-1 rings (the
+# serial host structure) vs the worker pool with double buffering on a
+# 16-image LeNet-5 batch. Writes BENCH_batch.json (wall-clock ns/image and
+# allocs/image for both rows, plus the modeled serial-vs-batch speedup); CI
+# uploads it as a non-blocking artifact.
 bench-batch:
 	$(GO) run ./cmd/fpgacnn bench-batch -o BENCH_batch.json
 	$(GO) test -run=NONE -bench=BenchmarkBatchThroughput -benchtime=1x .

@@ -60,6 +60,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/nn"
 	"repro/internal/relay"
+	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/tensor"
 	"repro/internal/topi"
@@ -169,41 +170,29 @@ func usage() {
   bench-fleet [-seed S] [-o F]`)
 }
 
-// buildRunner resolves a network/board to a traced-run closure: pipelined
-// for LeNet-5 (the thesis's channel pipeline), folded for everything else.
+// buildRunner resolves a network/board to a traced-run closure over the
+// deployment serve.BuildDeployment picks for it (pipelined for LeNet-5, the
+// thesis's channel pipeline; folded for everything else).
 func buildRunner(net, boardName string, concurrent, profiling bool) (func(n int, tc *trace.Collector) (*host.RunResult, error), error) {
 	board, err := fpga.ByName(boardName)
 	if err != nil {
 		return nil, err
 	}
-	g, err := nn.ByName(net)
+	dep, _, err := serve.BuildDeployment(net, board)
 	if err != nil {
 		return nil, err
 	}
-	layers, err := relay.Lower(g)
-	if err != nil {
-		return nil, err
-	}
-	if net == "lenet5" {
-		p, err := host.BuildPipelined(layers, host.PipeTVMAutorun, board, aoc.DefaultOptions)
-		if err != nil {
-			return nil, err
-		}
+	switch d := dep.(type) {
+	case *host.Pipelined:
 		return func(n int, tc *trace.Collector) (*host.RunResult, error) {
-			return p.RunTraced(n, concurrent, profiling, tc)
+			return d.RunTraced(n, concurrent, profiling, tc)
+		}, nil
+	case *host.Folded:
+		return func(n int, tc *trace.Collector) (*host.RunResult, error) {
+			return d.RunTraced(n, profiling, tc)
 		}, nil
 	}
-	cfg, err := bench.FoldedConfigFor(net, board)
-	if err != nil {
-		return nil, err
-	}
-	f, err := host.BuildFolded(layers, cfg, board, aoc.DefaultOptions)
-	if err != nil {
-		return nil, err
-	}
-	return func(n int, tc *trace.Collector) (*host.RunResult, error) {
-		return f.RunTraced(n, profiling, tc)
-	}, nil
+	return nil, fmt.Errorf("fpgacnn: no timed runner for deployment %T", dep)
 }
 
 // printRunResult reports a timed run with the map-keyed sections (time by
@@ -298,27 +287,15 @@ func execFlag(fs *flag.FlagSet) func() error {
 	}
 }
 
-// batchDeployment is the surface the batch engine exposes on both deployment
-// shapes (pipelined and folded).
-type batchDeployment interface {
-	Infer(*tensor.Tensor) (*tensor.Tensor, error)
-	RunBatch([]*tensor.Tensor, host.BatchOptions) (*host.BatchResult, error)
-}
-
-// buildBatchDeployment resolves a network/board to a deployment that supports
-// RunBatch, plus a deterministic input set of the requested size: MNIST
-// digits for LeNet-5, seeded random images of the network's input shape
-// otherwise.
-func buildBatchDeployment(net, boardName string, n int) (batchDeployment, []*tensor.Tensor, error) {
+// buildBatchDeployment builds the deployment for net on the named board plus
+// a deterministic input set of the requested size: MNIST digits for LeNet-5,
+// seeded random images of the network's input shape otherwise.
+func buildBatchDeployment(net, boardName string, n int) (serve.Deployment, []*tensor.Tensor, error) {
 	board, err := fpga.ByName(boardName)
 	if err != nil {
 		return nil, nil, err
 	}
-	g, err := nn.ByName(net)
-	if err != nil {
-		return nil, nil, err
-	}
-	layers, err := relay.Lower(g)
+	dep, layers, err := serve.BuildDeployment(net, board)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -330,22 +307,7 @@ func buildBatchDeployment(net, boardName string, n int) (batchDeployment, []*ten
 			inputs[i] = nn.RandomImage(uint64(i+1), layers[0].InShape...)
 		}
 	}
-	if net == "lenet5" {
-		p, err := host.BuildPipelined(layers, host.PipeTVMAutorun, board, aoc.DefaultOptions)
-		if err != nil {
-			return nil, nil, err
-		}
-		return p, inputs, nil
-	}
-	cfg, err := bench.FoldedConfigFor(net, board)
-	if err != nil {
-		return nil, nil, err
-	}
-	f, err := host.BuildFolded(layers, cfg, board, aoc.DefaultOptions)
-	if err != nil {
-		return nil, nil, err
-	}
-	return f, inputs, nil
+	return dep, inputs, nil
 }
 
 // printBatchResult summarizes one RunBatch: modeled device time, throughput,
@@ -445,9 +407,10 @@ func finishObservability(tc *trace.Collector, traceOut string, metrics bool) err
 }
 
 // batchBenchReport is the BENCH_batch.json schema: wall-clock host throughput
-// of the serial per-image path vs the batch engine over the same images, plus
-// the modeled device-side figures from the simulated run. CI uploads this as
-// a non-blocking artifact (see .github/workflows/ci.yml).
+// of the batch engine at one worker with depth-1 rings (the serial host
+// structure) vs at -workers with double buffering over the same images, plus
+// the modeled device-side figures of the same two runs. CI uploads this as a
+// non-blocking artifact (see .github/workflows/ci.yml).
 type batchBenchReport struct {
 	Net     string `json:"net"`
 	Board   string `json:"board"`
@@ -463,10 +426,9 @@ type batchBenchReport struct {
 		AllocsPerImage float64 `json:"allocs_per_image"`
 		ImagesPerSec   float64 `json:"images_per_sec"`
 	} `json:"batch_engine"`
-	SpeedupX    float64 `json:"speedup_images_per_sec_x"`
-	AllocRatioX float64 `json:"alloc_reduction_x"`
+	SpeedupX float64 `json:"speedup_images_per_sec_x"`
 	// Modeled figures come from the simulated runtime clock: ModeledSerial is
-	// a single-stream depth-1 run (the seed host structure), Modeled is the
+	// the single-stream depth-1 run (the seed host structure), Modeled is the
 	// batch engine's worker pool with double buffering. Their ratio isolates
 	// the host-architecture win from host-CPU effects, the way the thesis
 	// reports its concurrent-queue speedups.
@@ -482,10 +444,10 @@ type batchBenchReport struct {
 	ModeledSpeedupX float64 `json:"modeled_speedup_x"`
 }
 
-// runBenchBatch measures wall-clock serial-vs-batch host throughput with
-// testing.Benchmark and writes the JSON report. The serial baseline is the
-// seed per-image Infer path (fresh machine, closures recompiled per image);
-// the batch path is RunBatch over the same inputs.
+// runBenchBatch measures wall-clock serial-vs-batch host throughput and
+// writes the JSON report. Both rows are RunBatch over the same inputs on the
+// same warm sessions: the serial row at one worker with depth-1 rings, the
+// batch row at -workers with double buffering.
 func runBenchBatch(args []string) error {
 	fs := flag.NewFlagSet("bench-batch", flag.ContinueOnError)
 	net := fs.String("net", "lenet5", "network (see fpgacnn list)")
@@ -511,7 +473,7 @@ func runBenchBatch(args []string) error {
 		return err
 	}
 	// Steady-state measurement, symmetric for both paths: one warmup pass
-	// (arena compile, pool fill), then `reps` timed passes over the batch
+	// (session compile, pool fill), then `reps` timed passes over the batch
 	// with allocation counts from the runtime's malloc counter.
 	const reps = 3
 	measure := func(pass func() error) (nsPerImage, allocsPerImage float64, err error) {
@@ -532,33 +494,20 @@ func runBenchBatch(args []string) error {
 		images := float64(*batch * reps)
 		return float64(dt.Nanoseconds()) / images, float64(after.Mallocs-before.Mallocs) / images, nil
 	}
-	serialNs, serialAllocs, err := measure(func() error {
-		for _, in := range inputs {
-			if _, err := dep.Infer(in); err != nil {
-				return err
-			}
-		}
-		return nil
+	var modeledSerial, modeled *host.BatchResult
+	serialNs, serialAllocs, err := measure(func() (err error) {
+		modeledSerial, err = dep.RunBatch(inputs, host.BatchOptions{Workers: 1, NoDoubleBuffer: true})
+		return err
 	})
 	if err != nil {
 		return fmt.Errorf("serial baseline: %w", err)
 	}
-	var modeled *host.BatchResult
-	batchNs, batchAllocs, err := measure(func() error {
-		res, err := dep.RunBatch(inputs, host.BatchOptions{Workers: *workers})
-		if err == nil {
-			modeled = res
-		}
+	batchNs, batchAllocs, err := measure(func() (err error) {
+		modeled, err = dep.RunBatch(inputs, host.BatchOptions{Workers: *workers})
 		return err
 	})
 	if err != nil {
 		return fmt.Errorf("batch engine: %w", err)
-	}
-	// Modeled single-stream baseline: one worker, depth-1 rings — the seed
-	// host structure on the simulated clock.
-	modeledSerial, err := dep.RunBatch(inputs, host.BatchOptions{Workers: 1, NoDoubleBuffer: true})
-	if err != nil {
-		return err
 	}
 	rep := batchBenchReport{Net: *net, Board: *boardName, Batch: *batch, Workers: modeled.Workers}
 	rep.Serial.NsPerImage = serialNs
@@ -569,9 +518,6 @@ func runBenchBatch(args []string) error {
 	rep.Batched.ImagesPerSec = 1e9 / rep.Batched.NsPerImage
 	if rep.Batched.NsPerImage > 0 {
 		rep.SpeedupX = rep.Serial.NsPerImage / rep.Batched.NsPerImage
-	}
-	if rep.Batched.AllocsPerImage > 0 {
-		rep.AllocRatioX = rep.Serial.AllocsPerImage / rep.Batched.AllocsPerImage
 	}
 	rep.ModeledSerial.US = modeledSerial.ModeledUS
 	rep.ModeledSerial.ImagesPerSec = modeledSerial.ImagesPerSec
@@ -586,11 +532,11 @@ func runBenchBatch(args []string) error {
 		return err
 	}
 	buf = append(buf, '\n')
-	fmt.Printf("%s batch=%d workers=%d: serial %.2f ms/image (%.0f allocs), batch %.2f ms/image (%.0f allocs): %.1fx faster, %.1fx fewer allocs, %.1fx modeled\n",
+	fmt.Printf("%s batch=%d workers=%d: serial %.2f ms/image (%.0f allocs), batch %.2f ms/image (%.0f allocs): %.1fx faster, %.1fx modeled\n",
 		*net, *batch, rep.Workers,
 		rep.Serial.NsPerImage/1e6, rep.Serial.AllocsPerImage,
 		rep.Batched.NsPerImage/1e6, rep.Batched.AllocsPerImage,
-		rep.SpeedupX, rep.AllocRatioX, rep.ModeledSpeedupX)
+		rep.SpeedupX, rep.ModeledSpeedupX)
 	if *out == "-" {
 		_, err = os.Stdout.Write(buf)
 		return err
@@ -732,7 +678,7 @@ func runBenchSim(args []string) error {
 			m.SetStats(st)
 			c.binds(m)
 			// Warm run: compile outside the measured loop so the numbers are
-			// steady-state execution, the regime RunBatch arenas run in.
+			// steady-state execution, the regime warm host sessions run in.
 			if err := m.Run(c.kern, c.scalars); err != nil {
 				return fmt.Errorf("%s/%s: %w", c.name, tier, err)
 			}

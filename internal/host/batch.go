@@ -1,9 +1,9 @@
 package host
 
 // Batched, parallel inference: RunBatch streams N images through a bounded
-// worker pool. Each worker owns (a) a warm functional arena (arena.go) that
-// produces the actual outputs, and (b) its own simulated device context whose
-// modeled time reflects double-buffered H2D/D2H transfer/compute overlap —
+// worker pool. Each worker owns (a) a warm functional session (session.go)
+// that produces the actual outputs, and (b) its own simulated device context
+// whose modeled time reflects double-buffered H2D/D2H transfer/compute overlap —
 // the thesis's concurrent-queue optimization applied across images instead of
 // across layers. Images are striped statically (image i → worker i mod K), so
 // outputs, modeled time per worker, and the per-image fault ledgers are all
@@ -18,9 +18,6 @@ import (
 
 	"repro/internal/clrt"
 	"repro/internal/fault"
-	"repro/internal/ir"
-	"repro/internal/relay"
-	"repro/internal/sim"
 	"repro/internal/tensor"
 	"repro/internal/trace"
 )
@@ -78,220 +75,15 @@ type BatchResult struct {
 	Retries int
 }
 
-// timedBatch is one worker's device model: a programmed context with
-// parameters uploaded (outside the measured window), transfer queues, and a
-// closure enqueuing one image's kernels between a pair of ring buffers.
-type timedBatch struct {
-	ctx           *clrt.Context
-	writeQ, readQ *clrt.Queue
-	inBytes       int
-	outBytes      int
-	setupEvents   int
-	// enqueue enqueues the image's kernels reading devIn and writing devOut,
-	// wrapping every device call in try for fault retry.
-	enqueue func(devIn, devOut *clrt.Buffer, try tryFn) error
-}
-
-// tryFn wraps one device command in bounded retry-with-backoff.
-type tryFn func(op func() (*clrt.Event, error)) (*clrt.Event, error)
-
 // RunBatch classifies a batch of images on a pipelined deployment. See
 // BatchOptions/BatchResult; outputs are bit-identical to sequential Infer.
 func (p *Pipelined) RunBatch(inputs []*tensor.Tensor, opt BatchOptions) (*BatchResult, error) {
-	return runBatch(inputs, opt, &p.arenas, &p.simStats, p.NewArena, p.newTimedBatch)
+	return runBatch(p, inputs, opt)
 }
 
 // RunBatch classifies a batch of images on a folded deployment.
 func (f *Folded) RunBatch(inputs []*tensor.Tensor, opt BatchOptions) (*BatchResult, error) {
-	return runBatch(inputs, opt, &f.arenas, &f.simStats, f.NewArena, f.newTimedBatch)
-}
-
-// newTimedBatch programs one worker device for a pipelined deployment.
-// Kernels get one queue each (concurrent execution, §4.8); host-side
-// transfers run on dedicated write/read queues so ring-buffer hazards — not
-// queue order — decide what serializes.
-func (p *Pipelined) newTimedBatch() (*timedBatch, error) {
-	if err := p.Design.Err(); err != nil {
-		return nil, err
-	}
-	ctx, err := clrt.NewContext(p.Design)
-	if err != nil {
-		return nil, err
-	}
-	bufs := map[*ir.Buffer]*clrt.Buffer{}
-	devBuf := func(b *ir.Buffer) *clrt.Buffer {
-		if d, ok := bufs[b]; ok {
-			return d
-		}
-		sz, _ := b.ConstLen()
-		d := ctx.NewBuffer(b.Name, int(sz)*4)
-		bufs[b] = d
-		return d
-	}
-	setup := ctx.NewQueue()
-	for _, st := range p.stages {
-		if st.op.Weights != nil {
-			if _, err := setup.EnqueueWrite(devBuf(st.op.Weights), st.layer.W.Bytes()); err != nil {
-				return nil, err
-			}
-		}
-		if st.op.Bias != nil {
-			if _, err := setup.EnqueueWrite(devBuf(st.op.Bias), st.layer.B.Bytes()); err != nil {
-				return nil, err
-			}
-		}
-	}
-	ctx.Finish()
-
-	tb := &timedBatch{ctx: ctx, setupEvents: len(ctx.Events())}
-	tb.writeQ, tb.readQ = ctx.NewQueue(), ctx.NewQueue()
-	queues := map[string]*clrt.Queue{}
-	queueFor := func(name string) *clrt.Queue {
-		if q, ok := queues[name]; ok {
-			return q
-		}
-		q := ctx.NewQueue()
-		queues[name] = q
-		return q
-	}
-	tb.inBytes, tb.outBytes = 4, 4
-	for _, d := range p.inShape {
-		tb.inBytes *= d
-	}
-	for _, d := range p.outShape {
-		tb.outBytes *= d
-	}
-	tb.enqueue = func(devIn, devOut *clrt.Buffer, try tryFn) error {
-		for _, st := range p.stages {
-			if st.op.Kernel.Autorun {
-				continue
-			}
-			call := clrt.KernelCall{Name: st.op.Kernel.Name}
-			if st.op.In != nil {
-				if st.layer.In < 0 {
-					call.Reads = append(call.Reads, devIn)
-				} else {
-					call.Reads = append(call.Reads, devBuf(p.stages[st.layer.In].op.Out))
-				}
-			}
-			for _, b := range []*ir.Buffer{st.op.Weights, st.op.Bias} {
-				if b != nil {
-					call.Reads = append(call.Reads, devBuf(b))
-				}
-			}
-			for _, b := range st.op.Scratches {
-				call.Writes = append(call.Writes, devBuf(b))
-			}
-			if st.op.Out != nil {
-				if st.op.Out == p.outBuf {
-					call.Writes = append(call.Writes, devOut)
-				} else {
-					call.Writes = append(call.Writes, devBuf(st.op.Out))
-				}
-			}
-			q := queueFor(call.Name)
-			if _, err := try(func() (*clrt.Event, error) { return q.EnqueueKernel(call) }); err != nil {
-				return fmt.Errorf("kernel %s: %w", call.Name, err)
-			}
-		}
-		return nil
-	}
-	return tb, nil
-}
-
-// newTimedBatch programs one worker device for a folded deployment: a single
-// kernel queue (folded kernels time-multiplex one datapath, §4.11) plus
-// dedicated transfer queues and persistent activation/scratch buffers.
-func (f *Folded) newTimedBatch() (*timedBatch, error) {
-	if err := f.Design.Err(); err != nil {
-		return nil, err
-	}
-	ctx, err := clrt.NewContext(f.Design)
-	if err != nil {
-		return nil, err
-	}
-	setup := ctx.NewQueue()
-	outBufs := make([]*clrt.Buffer, len(f.Layers))
-	actOf := func(idx int) *clrt.Buffer {
-		if outBufs[idx] == nil {
-			outBufs[idx] = ctx.NewBuffer(fmt.Sprintf("act%d", idx), f.outBytes[idx])
-		}
-		return outBufs[idx]
-	}
-	wBufs := map[*relay.Layer]*clrt.Buffer{}
-	bBufs := map[*relay.Layer]*clrt.Buffer{}
-	for _, inv := range f.plan {
-		if inv.layer.W != nil && inv.op.Weights != nil && wBufs[inv.layer] == nil {
-			b := ctx.NewBuffer(inv.layer.Name+"_w", inv.layer.W.Bytes())
-			wBufs[inv.layer] = b
-			if _, err := setup.EnqueueWrite(b, inv.layer.W.Bytes()); err != nil {
-				return nil, err
-			}
-		}
-		if inv.layer.B != nil && inv.op.Bias != nil && bBufs[inv.layer] == nil {
-			b := ctx.NewBuffer(inv.layer.Name+"_b", inv.layer.B.Bytes())
-			bBufs[inv.layer] = b
-			if _, err := setup.EnqueueWrite(b, inv.layer.B.Bytes()); err != nil {
-				return nil, err
-			}
-		}
-	}
-	scratchBufs := map[*ir.Buffer]*clrt.Buffer{}
-	for _, inv := range f.plan {
-		for _, sc := range inv.op.Scratches {
-			if n, ok := sc.ConstLen(); ok && scratchBufs[sc] == nil {
-				scratchBufs[sc] = ctx.NewBuffer(sc.Name, int(n)*4)
-			}
-		}
-	}
-	ctx.Finish()
-
-	tb := &timedBatch{ctx: ctx, setupEvents: len(ctx.Events())}
-	tb.writeQ, tb.readQ = ctx.NewQueue(), ctx.NewQueue()
-	kq := ctx.NewQueue()
-	tb.inBytes, tb.outBytes = 4, 4
-	for _, d := range f.inShape {
-		tb.inBytes *= d
-	}
-	for _, d := range f.outShape {
-		tb.outBytes *= d
-	}
-	last := f.plan[len(f.plan)-1]
-	tb.enqueue = func(devIn, devOut *clrt.Buffer, try tryFn) error {
-		devAct := func(idx int) *clrt.Buffer {
-			if idx < 0 {
-				return devIn
-			}
-			if idx == last.outIdx {
-				return devOut
-			}
-			return actOf(idx)
-		}
-		for _, inv := range f.plan {
-			call := clrt.KernelCall{Name: inv.kernel.Name, Bindings: inv.bindings,
-				Reads: []*clrt.Buffer{devAct(inv.inIdx)}}
-			if b := wBufs[inv.layer]; b != nil {
-				call.Reads = append(call.Reads, b)
-			}
-			if b := bBufs[inv.layer]; b != nil {
-				call.Reads = append(call.Reads, b)
-			}
-			if inv.skipIdx >= 0 || (inv.layer.HasSkip && inv.skipIdx == -1) {
-				call.Reads = append(call.Reads, devAct(inv.skipIdx))
-			}
-			for _, sc := range inv.op.Scratches {
-				if b := scratchBufs[sc]; b != nil {
-					call.Writes = append(call.Writes, b)
-				}
-			}
-			call.Writes = append(call.Writes, devAct(inv.outIdx))
-			if _, err := try(func() (*clrt.Event, error) { return kq.EnqueueKernel(call) }); err != nil {
-				return fmt.Errorf("kernel %s (layer %s): %w", call.Name, inv.layer.Name, err)
-			}
-		}
-		return nil
-	}
-	return tb, nil
+	return runBatch(f, inputs, opt)
 }
 
 // wstat is one worker's contribution to the batch result.
@@ -304,10 +96,7 @@ type wstat struct {
 	err     error
 }
 
-func runBatch(inputs []*tensor.Tensor, opt BatchOptions, cache *arenaCache,
-	simStats *sim.ExecStats, newArena func(*sim.BufPool) inferFn,
-	newTimed func() (*timedBatch, error)) (*BatchResult, error) {
-
+func runBatch(sh shape, inputs []*tensor.Tensor, opt BatchOptions) (*BatchResult, error) {
 	n := len(inputs)
 	res := &BatchResult{Images: n}
 	if n == 0 {
@@ -334,7 +123,7 @@ func runBatch(inputs []*tensor.Tensor, opt BatchOptions, cache *arenaCache,
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			stats[w] = runBatchWorker(w, workers, inputs, outputs, ledgers, opt, cctx, cache, newArena, newTimed)
+			stats[w] = runBatchWorker(sh, w, workers, inputs, outputs, ledgers, opt, cctx)
 		}(w)
 	}
 	wg.Wait()
@@ -377,60 +166,50 @@ func runBatch(inputs []*tensor.Tensor, opt BatchOptions, cache *arenaCache,
 		tc.Metrics().Gauge("host.batch.workers").Set(float64(workers))
 		tc.Metrics().Gauge("host.batch.images_per_sec").Set(res.ImagesPerSec)
 		tc.Metrics().Gauge("host.batch.overlap_ratio").Set(res.Overlap.Ratio)
-		publishSimStats(tc.Metrics(), simStats.Snapshot())
+		publishSimStats(tc.Metrics(), sh.state().SimStats())
 	}
 	return res, nil
 }
 
 // runBatchWorker drives the images striped to one worker: functional results
-// through a warm arena, modeled time through a software-pipelined enqueue
-// loop (write i → kernels i → read i-1) over depth-2 buffer rings, bounded
-// retry on transient injected faults, and a per-image injector whose ledger
-// is collected as soon as the image's last command has been enqueued.
-func runBatchWorker(w, workers int, inputs, outputs []*tensor.Tensor, ledgers [][]fault.Record,
-	opt BatchOptions, cctx context.Context, cache *arenaCache,
-	newArena func(*sim.BufPool) inferFn, newTimed func() (*timedBatch, error)) wstat {
+// through a warm session, modeled time on the worker's own device through a
+// software-pipelined enqueue loop (write i → kernels i → read i-1) over
+// depth-2 buffer rings, bounded retry on transient injected faults, and a
+// per-image injector whose ledger is collected as soon as the image's last
+// command has been enqueued. Host-side transfers run on dedicated write/read
+// queues so ring-buffer hazards — not queue order — decide what serializes.
+func runBatchWorker(sh shape, w, workers int, inputs, outputs []*tensor.Tensor, ledgers [][]fault.Record,
+	opt BatchOptions, cctx context.Context) (st wstat) {
 
-	st := wstat{}
-	maxRetries := opt.MaxRetries
-	if maxRetries == 0 {
-		maxRetries = 3
-	}
-	backoff0 := opt.BackoffUS
-	if backoff0 == 0 {
-		backoff0 = 50
-	}
 	depth := 2
 	if opt.NoDoubleBuffer {
 		depth = 1
 	}
-
-	infer := cache.checkout(newArena)
-	defer cache.checkin(infer)
-	tb, err := newTimed()
+	cache := &sh.state().sessions
+	sess, err := cache.checkout(sh)
 	if err != nil {
 		st.err = err
 		return st
 	}
-	start := tb.ctx.ElapsedUS()
-	inRing := tb.ctx.NewBufferRing("batch_in", tb.inBytes, depth)
-	outRing := tb.ctx.NewBufferRing("batch_out", tb.outBytes, depth)
-
-	try := func(op func() (*clrt.Event, error)) (*clrt.Event, error) {
-		backoff := backoff0
-		for attempt := 0; ; attempt++ {
-			ev, err := op()
-			if err == nil {
-				return ev, nil
-			}
-			if !fault.IsTransient(err) || attempt >= maxRetries {
-				return ev, fmt.Errorf("after %d attempt(s): %w", attempt+1, err)
-			}
-			st.retries++
-			tb.ctx.AdvanceHost(backoff)
-			backoff *= 2
-		}
+	defer cache.checkin(sess)
+	ctx, err := clrt.NewContext(sh.design()) // refuses an unsynthesizable design
+	if err != nil {
+		st.err = err
+		return st
 	}
+	ctrl := RunControl{MaxRetries: opt.MaxRetries, BackoffUS: opt.BackoffUS}.withDefaults()
+	r := &retrier{ctx: ctx, ctrl: ctrl, retries: &st.retries}
+	// Parameters upload outside the measured window, with no injector armed.
+	prog, err := sh.program(ctx, true, r.try)
+	if err != nil {
+		st.err = err
+		return st
+	}
+	setupEvents := len(ctx.Events())
+	writeQ, readQ := ctx.NewQueue(), ctx.NewQueue()
+	start := ctx.ElapsedUS()
+	inRing := ctx.NewBufferRing("batch_in", prog.inBytes, depth)
+	outRing := ctx.NewBufferRing("batch_out", prog.outBytes, depth)
 
 	// pending is an image whose D2H read is deferred one iteration so it can
 	// overlap the next image's kernels (the software pipeline's drain stage).
@@ -441,8 +220,8 @@ func runBatchWorker(w, workers int, inputs, outputs []*tensor.Tensor, ledgers []
 		write *clrt.Event
 	}
 	flush := func(p *pending) error {
-		tb.ctx.Injector = p.inj
-		rev, err := try(func() (*clrt.Event, error) { return tb.readQ.EnqueueRead(p.buf, tb.outBytes) })
+		ctx.Injector = p.inj
+		rev, err := r.try(func() (*clrt.Event, error) { return readQ.EnqueueRead(p.buf, prog.outBytes) })
 		if err != nil {
 			return fmt.Errorf("image %d output read: %w", p.img, err)
 		}
@@ -471,7 +250,7 @@ func runBatchWorker(w, workers int, inputs, outputs []*tensor.Tensor, ledgers []
 			return st
 		default:
 		}
-		out, err := infer(inputs[img])
+		out, err := sess.run(inputs[img], nil)
 		if err != nil {
 			st.err = fmt.Errorf("image %d: %w", img, err)
 			return st
@@ -482,14 +261,14 @@ func runBatchWorker(w, workers int, inputs, outputs []*tensor.Tensor, ledgers []
 		if opt.FaultRate > 0 {
 			inj = fault.NewInjector(opt.FaultSeed+int64(img)+1, opt.FaultRate)
 		}
-		tb.ctx.Injector = inj
+		ctx.Injector = inj
 		devIn, devOut := inRing.Next(), outRing.Next()
-		wev, err := try(func() (*clrt.Event, error) { return tb.writeQ.EnqueueWrite(devIn, tb.inBytes) })
+		wev, err := r.try(func() (*clrt.Event, error) { return writeQ.EnqueueWrite(devIn, prog.inBytes) })
 		if err != nil {
 			st.err = fmt.Errorf("image %d input write: %w", img, err)
 			return st
 		}
-		if err := tb.enqueue(devIn, devOut, try); err != nil {
+		if err := prog.enqueueImage(devIn, devOut); err != nil {
 			st.err = fmt.Errorf("image %d: %w", img, err)
 			return st
 		}
@@ -508,9 +287,9 @@ func runBatchWorker(w, workers int, inputs, outputs []*tensor.Tensor, ledgers []
 			return st
 		}
 	}
-	tb.ctx.Finish()
-	st.elapsed = tb.ctx.ElapsedUS() - start
-	st.overlap = tb.ctx.OverlapSince(start)
-	st.events = tb.ctx.Events()[tb.setupEvents:]
+	ctx.Finish()
+	st.elapsed = ctx.ElapsedUS() - start
+	st.overlap = ctx.OverlapSince(start)
+	st.events = ctx.Events()[setupEvents:]
 	return st
 }

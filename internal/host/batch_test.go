@@ -3,6 +3,9 @@ package host
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/aoc"
@@ -35,19 +38,21 @@ func bitEqual(t *testing.T, tag string, got, want *tensor.Tensor) {
 	}
 }
 
+// batchDeployment is the surface the property tests drive on both shapes.
+type batchDeployment interface {
+	shape
+	Infer(*tensor.Tensor) (*tensor.Tensor, error)
+	RunBatch([]*tensor.Tensor, BatchOptions) (*BatchResult, error)
+	DumpActivations(*tensor.Tensor) ([]*tensor.Tensor, error)
+}
+
 // batchDeployments builds the three deployment shapes the batch engine must
 // serve: a channel/autorun pipeline, a plain buffered pipeline, and a folded
 // plan with parameterized kernels.
-func batchDeployments(t *testing.T) map[string]interface {
-	Infer(*tensor.Tensor) (*tensor.Tensor, error)
-	RunBatch([]*tensor.Tensor, BatchOptions) (*BatchResult, error)
-} {
+func batchDeployments(t *testing.T) map[string]batchDeployment {
 	t.Helper()
 	layers := lenetLayers(t)
-	out := map[string]interface {
-		Infer(*tensor.Tensor) (*tensor.Tensor, error)
-		RunBatch([]*tensor.Tensor, BatchOptions) (*BatchResult, error)
-	}{}
+	out := map[string]batchDeployment{}
 	for _, v := range []PipeVariant{PipeTVMAutorun, PipeBase} {
 		p, err := BuildPipelined(layers, v, fpga.S10SX, aoc.DefaultOptions)
 		if err != nil {
@@ -63,20 +68,46 @@ func batchDeployments(t *testing.T) map[string]interface {
 	return out
 }
 
+// coldInfer is the independent oracle now that Infer itself is warm: a
+// fresh, unpooled session per image — the same code on cold state (new
+// machine, nothing compiled, plain make()d buffers, empty FIFOs).
+func coldInfer(t *testing.T, sh shape, in *tensor.Tensor) *tensor.Tensor {
+	t.Helper()
+	s, err := sh.newSession(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := s.run(in, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func coldInferAll(t *testing.T, sh shape, inputs []*tensor.Tensor) []*tensor.Tensor {
+	t.Helper()
+	want := make([]*tensor.Tensor, len(inputs))
+	for i, in := range inputs {
+		want[i] = coldInfer(t, sh, in)
+	}
+	return want
+}
+
 // TestRunBatchMatchesSequential is the batch/serial equivalence property
-// test: for every deployment shape and worker count, RunBatch outputs must be
-// bit-identical to N sequential Infer calls.
+// test: for every deployment shape and worker count, RunBatch outputs and N
+// sequential (warm) Infer calls must both be bit-identical to the cold
+// reference.
 func TestRunBatchMatchesSequential(t *testing.T) {
 	const n = 12
 	inputs := batchInputs(n)
 	for name, dep := range batchDeployments(t) {
-		want := make([]*tensor.Tensor, n)
+		want := coldInferAll(t, dep, inputs)
 		for i, in := range inputs {
-			w, err := dep.Infer(in)
+			got, err := dep.Infer(in)
 			if err != nil {
 				t.Fatalf("%s: sequential image %d: %v", name, i, err)
 			}
-			want[i] = w
+			bitEqual(t, name+" warm Infer vs cold session", got, want[i])
 		}
 		for _, workers := range []int{1, 2, 8} {
 			res, err := dep.RunBatch(inputs, BatchOptions{Workers: workers})
@@ -96,6 +127,145 @@ func TestRunBatchMatchesSequential(t *testing.T) {
 	}
 }
 
+// ledgerString renders the attribution invariants of a batch fault ledger:
+// image, kind and per-image sequence. Op is excluded — it names the physical
+// ring slot, which depends on the worker striping.
+func ledgerString(faults []BatchFault) string {
+	var b strings.Builder
+	for _, bf := range faults {
+		fmt.Fprintf(&b, "%d:%s:%d ", bf.Image, bf.Record.Kind, bf.Record.Seq)
+	}
+	return b.String()
+}
+
+// TestInferMatchesSessionUnderFaults is the Infer-equals-session property
+// under fault injection: with Infer and RunBatch workers drawing from one
+// session cache, every output — warm Infer before, between and after faulted
+// batches, and every batch output at workers {1,2,8} — is bit-identical to
+// the cold reference, and the per-image fault ledger, retry count and
+// single-worker modeled time are exactly the ones the twelve hand-copied
+// loops produced before they were folded into one session and one device
+// program per shape.
+func TestInferMatchesSessionUnderFaults(t *testing.T) {
+	const n = 12
+	inputs := batchInputs(n)
+	golden := map[string]struct {
+		ledger    string
+		retries   int
+		modeledUS float64 // Workers: 1
+	}{
+		"pipelined-TVM-Autorun": {"0:enqueue-fail:1 0:kernel-stall:2 1:kernel-stall:1 1:kernel-stall:2 2:enqueue-fail:1 2:kernel-stall:2 3:transfer-corrupt:1 3:kernel-stall:2 4:enqueue-fail:1 5:kernel-stall:1 6:enqueue-fail:1 7:kernel-stall:1 8:enqueue-fail:1 8:transfer-corrupt:2 9:kernel-stall:1 9:transfer-corrupt:2 10:enqueue-fail:1 10:enqueue-fail:2 11:kernel-stall:1 11:enqueue-fail:2 ",
+			11, 15069.760687937214},
+		"pipelined-Base": {"0:enqueue-fail:1 0:kernel-stall:2 1:kernel-stall:1 1:kernel-stall:2 2:enqueue-fail:1 2:kernel-stall:2 2:transfer-corrupt:3 3:transfer-corrupt:1 3:kernel-stall:2 3:enqueue-fail:3 4:enqueue-fail:1 4:enqueue-fail:2 5:kernel-stall:1 5:enqueue-fail:2 6:enqueue-fail:1 6:enqueue-fail:2 7:kernel-stall:1 7:enqueue-fail:2 8:enqueue-fail:1 8:enqueue-fail:2 9:kernel-stall:1 9:enqueue-fail:2 10:enqueue-fail:1 10:enqueue-fail:2 11:kernel-stall:1 11:enqueue-fail:2 ",
+			17, 175337.48954849658},
+		"folded": {"0:enqueue-fail:1 0:kernel-stall:2 1:kernel-stall:1 1:kernel-stall:2 2:enqueue-fail:1 2:kernel-stall:2 3:transfer-corrupt:1 3:kernel-stall:2 3:transfer-corrupt:3 4:enqueue-fail:1 4:transfer-corrupt:2 5:kernel-stall:1 5:transfer-corrupt:2 6:enqueue-fail:1 6:enqueue-fail:2 7:kernel-stall:1 7:enqueue-fail:2 8:enqueue-fail:1 8:enqueue-fail:2 9:kernel-stall:1 9:enqueue-fail:2 10:enqueue-fail:1 10:enqueue-fail:2 11:kernel-stall:1 11:enqueue-fail:2 ",
+			16, 26473.702115431795},
+	}
+	for name, dep := range batchDeployments(t) {
+		want := coldInferAll(t, dep, inputs)
+		checkInfer := func(when string) {
+			for i, in := range inputs {
+				got, err := dep.Infer(in)
+				if err != nil {
+					t.Fatalf("%s: Infer %s: image %d: %v", name, when, i, err)
+				}
+				bitEqual(t, name+" Infer "+when, got, want[i])
+			}
+		}
+		checkInfer("before any batch")
+		for _, workers := range []int{1, 2, 8} {
+			res, err := dep.RunBatch(inputs, BatchOptions{Workers: workers, FaultSeed: 5, FaultRate: 0.1, MaxRetries: 8})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", name, workers, err)
+			}
+			for i := range inputs {
+				bitEqual(t, name+" faulted batch", res.Outputs[i], want[i])
+			}
+			g := golden[name]
+			if got := ledgerString(res.Faults); got != g.ledger {
+				t.Errorf("%s workers=%d: per-image ledger drifted:\n got %s\nwant %s", name, workers, got, g.ledger)
+			}
+			if res.Retries != g.retries {
+				t.Errorf("%s workers=%d: %d retries, want %d", name, workers, res.Retries, g.retries)
+			}
+			if workers == 1 && res.ModeledUS != g.modeledUS {
+				t.Errorf("%s: modeled time %v us, want %v", name, res.ModeledUS, g.modeledUS)
+			}
+			checkInfer(fmt.Sprintf("after the workers=%d batch", workers))
+		}
+	}
+}
+
+// TestWarmSessionsStopRecompiling: after one warm-up call, further Infer and
+// DumpActivations calls reuse the deployment's warm session — no kernel is
+// compiled again (CacheMisses) and no loop is re-analysed into the fallback
+// tier (FallbackLoops). Before sessions, every call built cold machines and
+// both counters grew per call.
+func TestWarmSessionsStopRecompiling(t *testing.T) {
+	in := nn.Digit(4)
+	for name, dep := range batchDeployments(t) {
+		call := func() {
+			if _, err := dep.Infer(in); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if name == "pipelined-TVM-Autorun" {
+				return // channelized: no per-layer dump
+			}
+			if _, err := dep.DumpActivations(in); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		call()
+		warm := dep.state().SimStats()
+		if warm.CacheMisses == 0 {
+			t.Fatalf("%s: warm-up compiled nothing: %+v", name, warm)
+		}
+		for i := 0; i < 5; i++ {
+			call()
+		}
+		after := dep.state().SimStats()
+		if after.CacheMisses != warm.CacheMisses || after.FallbackLoops != warm.FallbackLoops {
+			t.Errorf("%s: recompiled after warm-up: misses %d -> %d, fallback loops %d -> %d",
+				name, warm.CacheMisses, after.CacheMisses, warm.FallbackLoops, after.FallbackLoops)
+		}
+		if after.CacheHits <= warm.CacheHits {
+			t.Errorf("%s: warm calls did not hit the kernel cache (%d -> %d)", name, warm.CacheHits, after.CacheHits)
+		}
+	}
+}
+
+// TestConcurrentInfer: concurrent Infer calls on one deployment each get a
+// session of their own and stay bit-identical to the cold reference (run
+// under the race detector by `make race`).
+func TestConcurrentInfer(t *testing.T) {
+	inputs := batchInputs(4)
+	for name, dep := range batchDeployments(t) {
+		want := coldInferAll(t, dep, inputs)
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for r := 0; r < 3; r++ {
+					i := (g + r) % len(inputs)
+					got, err := dep.Infer(inputs[i])
+					if err != nil {
+						t.Errorf("%s: goroutine %d: %v", name, g, err)
+						return
+					}
+					for j := range want[i].Data {
+						if got.Data[j] != want[i].Data[j] {
+							t.Errorf("%s: goroutine %d image %d elem %d: %v != %v", name, g, i, j, got.Data[j], want[i].Data[j])
+							return
+						}
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+	}
+}
+
 // TestRunBatchFaultLedgerDeterministic checks the fault-attribution property:
 // under injection, outputs stay bit-identical to fault-free sequential runs
 // (transient faults are absorbed by retry) and the per-image fault ledger is
@@ -108,12 +278,7 @@ func TestRunBatchFaultLedgerDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	inputs := batchInputs(n)
-	want := make([]*tensor.Tensor, n)
-	for i, in := range inputs {
-		if want[i], err = p.Infer(in); err != nil {
-			t.Fatal(err)
-		}
-	}
+	want := coldInferAll(t, p, inputs)
 	opts := BatchOptions{FaultSeed: 42, FaultRate: 0.04, MaxRetries: 8}
 	var ref *BatchResult
 	for _, workers := range []int{1, 2, 8} {

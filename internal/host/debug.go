@@ -3,9 +3,7 @@ package host
 import (
 	"fmt"
 
-	"repro/internal/ir"
 	"repro/internal/relay"
-	"repro/internal/sim"
 	"repro/internal/tensor"
 )
 
@@ -15,7 +13,7 @@ import (
 // after a functional run.
 
 // TopologyError reports a stage whose input references a stage that does not
-// strictly precede it. The dump binds each stage's input to its producer's
+// strictly precede it. A session binds each stage's input to its producer's
 // output buffer in stage order; a forward (or self) reference would silently
 // bind zeros — the consumer would run before its producer ever wrote — so it
 // is rejected up front as a typed error the caller can match with errors.As.
@@ -40,94 +38,26 @@ func (p *Pipelined) DumpActivations(input *tensor.Tensor) ([]*tensor.Tensor, err
 	if p.Variant >= PipeChannels {
 		return nil, fmt.Errorf("host: %s streams activations through channels; use a buffered bitstream (Base/Unrolling) for per-layer dumps", p.Variant)
 	}
-	m := sim.NewMachine()
-	m.SetStats(&p.simStats)
-	for _, st := range p.stages {
-		bindStageTensors(m, st)
-		// Idempotent: when two stages share an Out buffer, the first bind
-		// wins — re-binding would orphan the slice the earlier stage (and any
-		// consumer aliasing it) already holds.
-		if st.op.Out != nil && m.Buffer(st.op.Out) == nil {
-			n, _ := st.op.Out.ConstLen()
-			m.Bind(st.op.Out, make([]float32, n))
-		}
-	}
-	var kernels []*ir.Kernel
-	for i, st := range p.stages {
-		if st.op.In != nil {
-			switch {
-			case st.layer.In < 0:
-				m.Bind(st.op.In, input.Data)
-			case st.layer.In >= i:
-				return nil, &TopologyError{Stage: st.layer.Name, Index: i, In: st.layer.In}
-			default:
-				m.Bind(st.op.In, m.Buffer(p.stages[st.layer.In].op.Out))
-			}
-		}
-		kernels = append(kernels, st.op.Kernel)
-	}
-	if err := m.RunGraph(kernels, nil); err != nil {
-		return nil, err
-	}
-	out := make([]*tensor.Tensor, len(p.stages))
-	for i, st := range p.stages {
-		out[i] = tensor.FromData(m.Buffer(st.op.Out), st.layer.OutShape...)
-	}
-	return out, nil
+	return dumpActivations(p, p.Layers, input)
 }
 
 // DumpActivations returns every layer's output feature map from a folded
 // run (folded activations always live in global memory, so every bitstream
 // supports the dump).
 func (f *Folded) DumpActivations(input *tensor.Tensor) ([]*tensor.Tensor, error) {
-	outs := make([][]float32, len(f.Layers))
-	get := func(idx int) []float32 {
-		if idx < 0 {
-			return input.Data
-		}
-		return outs[idx]
+	return dumpActivations(f, f.Layers, input)
+}
+
+// dumpActivations is an ordinary session run with a tap that copies each
+// layer's feature map out of the session.
+func dumpActivations(sh shape, layers []*relay.Layer, input *tensor.Tensor) ([]*tensor.Tensor, error) {
+	acts := make([]*tensor.Tensor, len(layers))
+	_, err := infer(sh, input, func(i int, act []float32) {
+		acts[i] = tensor.New(layers[i].OutShape...)
+		copy(acts[i].Data, act)
+	})
+	if err != nil {
+		return nil, err
 	}
-	for _, inv := range f.plan {
-		m := sim.NewMachine()
-		m.SetStats(&f.simStats)
-		op, l := inv.op, inv.layer
-		if op.In != nil {
-			m.Bind(op.In, get(inv.inIdx))
-		}
-		if op.Weights != nil {
-			m.Bind(op.Weights, l.W.Data)
-		}
-		if op.Bias != nil {
-			m.Bind(op.Bias, l.B.Data)
-		}
-		if op.Skip != nil {
-			m.Bind(op.Skip, get(inv.skipIdx))
-		}
-		for _, sc := range op.Scratches {
-			if n, ok := sc.ConstLen(); ok {
-				m.Bind(sc, make([]float32, n))
-			}
-		}
-		buf := outs[inv.outIdx]
-		if buf == nil {
-			buf = make([]float32, f.outBytes[inv.outIdx]/4)
-		}
-		m.Bind(op.Out, buf)
-		if err := m.Run(inv.kernel, inv.bindings); err != nil {
-			return nil, fmt.Errorf("host: dump at layer %s: %w", l.Name, err)
-		}
-		outs[inv.outIdx] = buf
-	}
-	res := make([]*tensor.Tensor, len(f.Layers))
-	for i, l := range f.Layers {
-		src := i
-		if l.Kind == relay.KFlatten {
-			src = f.outIdxOf[i]
-		}
-		if outs[src] == nil {
-			continue
-		}
-		res[i] = tensor.FromData(outs[src], l.OutShape...)
-	}
-	return res, nil
+	return acts, nil
 }

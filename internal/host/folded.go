@@ -69,23 +69,14 @@ type Folded struct {
 	Layers []*relay.Layer
 	Config FoldedConfig
 
+	engine
 	plan     []*invocation
 	inShape  []int
 	outShape []int
 	// outBytes[i] is the byte size of layer i's output buffer.
 	outBytes []int
 	outIdxOf map[int]int // layer index -> buffer-producing layer index (flatten aliasing)
-
-	// arenas caches warm batch-worker execution state across RunBatch calls.
-	arenas arenaCache
-	// simStats accumulates execution-tier counters across every sim machine
-	// this deployment creates (Infer, DumpActivations, batch arenas).
-	simStats sim.ExecStats
 }
-
-// SimStats returns the cumulative execution-tier counters (compile cache,
-// vectorized vs fallback loops, guard bailouts) for this deployment.
-func (f *Folded) SimStats() sim.StatsSnapshot { return f.simStats.Snapshot() }
 
 // BuildFolded generates the kernel set and execution plan for a network.
 func BuildFolded(layers []*relay.Layer, cfg FoldedConfig, board *fpga.Board, opts aoc.Options) (*Folded, error) {
@@ -124,11 +115,7 @@ func BuildFoldedCached(layers []*relay.Layer, cfg FoldedConfig, board *fpga.Boar
 
 	f.outBytes = make([]int, len(layers))
 	for i, l := range layers {
-		n := 4
-		for _, d := range l.OutShape {
-			n *= d
-		}
-		f.outBytes[i] = n
+		f.outBytes[i] = shapeBytes(l.OutShape)
 	}
 
 	// Parameterized kernel groups, or per-layer naive kernels.
@@ -171,14 +158,8 @@ func BuildFoldedCached(layers []*relay.Layer, cfg FoldedConfig, board *fpga.Boar
 			off := 0
 			for _, srcIdx := range l.Ins {
 				src := bufOf(srcIdx)
-				var partLen int
-				if src < 0 {
-					partLen = 4
-					for _, d := range f.inShape {
-						partLen *= d
-					}
-					partLen /= 4
-				} else {
+				partLen := shapeBytes(f.inShape) / 4
+				if src >= 0 {
 					partLen = f.outBytes[src] / 4
 				}
 				bind, err := g.cp.Bind(partLen, off, total)
@@ -383,50 +364,175 @@ func opClass(l *relay.Layer) string {
 	return l.Kind.String()
 }
 
-// Infer runs the folded plan functionally on the IR interpreter (practical
-// for small networks; the large networks are verified per-kernel and via
-// the relay reference executor).
-func (f *Folded) Infer(input *tensor.Tensor) (*tensor.Tensor, error) {
+// newSession binds the folded plan to a fresh machine. One machine executes
+// the whole plan, so each parameterized kernel compiles once per session;
+// per-invocation buffer arguments are rebound the way the host passes new
+// cl_mem arguments to the same kernel.
+func (f *Folded) newSession(pool *sim.BufPool) (*session, error) {
+	m := f.newMachine(pool)
 	outs := make([][]float32, len(f.Layers))
-	get := func(idx int) []float32 {
-		if idx < 0 {
-			return input.Data
-		}
-		return outs[idx]
-	}
+	scratch := map[*ir.Buffer][]float32{}
 	for _, inv := range f.plan {
-		m := sim.NewMachine()
-		m.SetStats(&f.simStats)
-		op, l := inv.op, inv.layer
-		if op.In != nil {
-			m.Bind(op.In, get(inv.inIdx))
+		if outs[inv.outIdx] == nil {
+			outs[inv.outIdx] = m.Grab(f.outBytes[inv.outIdx] / 4)
 		}
-		if op.Weights != nil {
-			m.Bind(op.Weights, l.W.Data)
-		}
-		if op.Bias != nil {
-			m.Bind(op.Bias, l.B.Data)
-		}
-		if op.Skip != nil {
-			m.Bind(op.Skip, get(inv.skipIdx))
-		}
-		for _, sc := range op.Scratches {
-			if n, ok := sc.ConstLen(); ok {
-				m.Bind(sc, make([]float32, n))
+		for _, sc := range inv.op.Scratches {
+			if n, ok := sc.ConstLen(); ok && scratch[sc] == nil {
+				scratch[sc] = m.Grab(int(n))
 			}
 		}
-		out := outs[inv.outIdx]
-		if out == nil {
-			out = make([]float32, f.outBytes[inv.outIdx]/4)
-		}
-		m.Bind(op.Out, out)
-		if err := m.Run(inv.kernel, inv.bindings); err != nil {
-			return nil, fmt.Errorf("host: layer %s: %w", l.Name, err)
-		}
-		outs[inv.outIdx] = out
 	}
-	last := f.plan[len(f.plan)-1]
-	return tensor.FromData(outs[last.outIdx], f.outShape...), nil
+	image := func(input []float32, tap tapFn) ([]float32, error) {
+		for _, o := range outs {
+			clear(o)
+		}
+		act := func(idx int) []float32 {
+			if idx < 0 {
+				return input
+			}
+			return outs[idx]
+		}
+		for _, inv := range f.plan {
+			op, l := inv.op, inv.layer
+			if op.In != nil {
+				m.Bind(op.In, act(inv.inIdx))
+			}
+			if op.Weights != nil {
+				m.Bind(op.Weights, l.W.Data)
+			}
+			if op.Bias != nil {
+				m.Bind(op.Bias, l.B.Data)
+			}
+			if op.Skip != nil {
+				m.Bind(op.Skip, act(inv.skipIdx))
+			}
+			for _, sc := range op.Scratches {
+				if s := scratch[sc]; s != nil {
+					// Zeroed per invocation, not per image: the same op
+					// serves many layers, and a cold machine would hand each
+					// of them a fresh slice.
+					clear(s)
+					m.Bind(sc, s)
+				}
+			}
+			m.Bind(op.Out, outs[inv.outIdx])
+			if err := m.Run(inv.kernel, inv.bindings); err != nil {
+				return nil, fmt.Errorf("host: layer %s: %w", l.Name, err)
+			}
+		}
+		if tap != nil {
+			for i, l := range f.Layers {
+				src := i
+				if l.Kind == relay.KFlatten {
+					src = f.outIdxOf[i]
+				}
+				if outs[src] != nil {
+					tap(i, outs[src])
+				}
+			}
+		}
+		return outs[f.plan[len(f.plan)-1].outIdx], nil
+	}
+	return &session{m: m, outShape: f.outShape, image: image}, nil
+}
+
+// program loads the folded plan onto ctx: one activation buffer per layer,
+// one persistent scratch buffer per kernel scratchpad, every layer's
+// parameters uploaded once, and a single command queue for setup and
+// execution alike — folded kernels time-multiplex one datapath, so concurrent
+// queues do not apply (§4.11) and the flag is ignored.
+func (f *Folded) program(ctx *clrt.Context, _ bool, try tryFn) (*program, error) {
+	q := ctx.NewQueue()
+	acts := make([]*clrt.Buffer, len(f.Layers))
+	params := map[*tensor.Tensor]*clrt.Buffer{}
+	scratch := map[*ir.Buffer]*clrt.Buffer{}
+	// One closure serves every upload (and, below, every kernel launch): a
+	// literal at each try call would be heap-allocated per command.
+	var (
+		param *clrt.Buffer
+		bytes int
+	)
+	upload := func() (*clrt.Event, error) { return q.EnqueueWrite(param, bytes) }
+	for _, inv := range f.plan {
+		if acts[inv.outIdx] == nil {
+			acts[inv.outIdx] = ctx.NewBuffer(fmt.Sprintf("act%d", inv.outIdx), f.outBytes[inv.outIdx])
+		}
+		for _, sc := range inv.op.Scratches {
+			if n, ok := sc.ConstLen(); ok && scratch[sc] == nil {
+				scratch[sc] = ctx.NewBuffer(sc.Name, int(n)*4)
+			}
+		}
+		for _, pb := range []struct {
+			arg    *ir.Buffer
+			t      *tensor.Tensor
+			suffix string
+		}{{inv.op.Weights, inv.layer.W, "_w"}, {inv.op.Bias, inv.layer.B, "_b"}} {
+			if pb.arg == nil || pb.t == nil || params[pb.t] != nil {
+				continue
+			}
+			param, bytes = ctx.NewBuffer(inv.layer.Name+pb.suffix, pb.t.Bytes()), pb.t.Bytes()
+			params[pb.t] = param
+			if _, err := try(upload); err != nil {
+				return nil, fmt.Errorf("parameter upload %s: %w", inv.layer.Name, err)
+			}
+		}
+	}
+	ctx.Finish()
+
+	queue := func() *clrt.Queue { return q }
+	last := f.plan[len(f.plan)-1].outIdx
+	prog := &program{
+		in: ctx.NewBuffer("input", shapeBytes(f.inShape)), out: acts[last],
+		inBytes: shapeBytes(f.inShape), outBytes: shapeBytes(f.outShape),
+		writeQ: queue, readQ: queue,
+	}
+	var call clrt.KernelCall
+	launch := func() (*clrt.Event, error) { return q.EnqueueKernel(call) }
+	prog.enqueueImage = func(devIn, devOut *clrt.Buffer) error {
+		act := func(idx int) *clrt.Buffer {
+			switch {
+			case idx < 0:
+				return devIn
+			case idx == last:
+				return devOut
+			}
+			return acts[idx]
+		}
+		for _, inv := range f.plan {
+			call = clrt.KernelCall{Name: inv.kernel.Name, Bindings: inv.bindings,
+				Reads: append(call.Reads[:0], act(inv.inIdx)), Writes: call.Writes[:0]}
+			if inv.op.Weights != nil && inv.layer.W != nil {
+				call.Reads = append(call.Reads, params[inv.layer.W])
+			}
+			if inv.op.Bias != nil && inv.layer.B != nil {
+				call.Reads = append(call.Reads, params[inv.layer.B])
+			}
+			if inv.layer.HasSkip {
+				call.Reads = append(call.Reads, act(inv.skipIdx))
+			}
+			for _, sc := range inv.op.Scratches {
+				if b := scratch[sc]; b != nil {
+					call.Writes = append(call.Writes, b)
+				}
+			}
+			call.Writes = append(call.Writes, act(inv.outIdx))
+			if _, err := try(launch); err != nil {
+				return fmt.Errorf("kernel %s (layer %s): %w", call.Name, inv.layer.Name, err)
+			}
+		}
+		return nil
+	}
+	return prog, nil
+}
+
+func (f *Folded) design() *aoc.Design { return f.Design }
+
+// Infer runs one image functionally on a warm session and returns the
+// network output in a freshly allocated tensor the caller owns (practical
+// for small networks; the large networks are verified per-kernel and via the
+// relay reference executor). Safe for concurrent use.
+func (f *Folded) Infer(input *tensor.Tensor) (*tensor.Tensor, error) {
+	return infer(f, input, nil)
 }
 
 // Run simulates classifying n images on a single command queue (concurrent
@@ -438,110 +544,8 @@ func (f *Folded) Run(n int, profiling bool) (*RunResult, error) {
 // RunTraced is Run with structured tracing (see Pipelined.RunTraced); a nil
 // collector disables it.
 func (f *Folded) RunTraced(n int, profiling bool, tc *trace.Collector) (*RunResult, error) {
-	if err := f.Design.Err(); err != nil {
-		return nil, err
-	}
-	ctx, err := clrt.NewContext(f.Design)
-	if err != nil {
-		return nil, err
-	}
-	ctx.Profiling = profiling
-	q := ctx.NewQueue()
-
-	inBytes := 4
-	for _, d := range f.inShape {
-		inBytes *= d
-	}
-	input := ctx.NewBuffer("input", inBytes)
-	outBufs := make([]*clrt.Buffer, len(f.Layers))
-	devOut := func(idx int) *clrt.Buffer {
-		if outBufs[idx] == nil {
-			outBufs[idx] = ctx.NewBuffer(fmt.Sprintf("act%d", idx), f.outBytes[idx])
-		}
-		return outBufs[idx]
-	}
-	devIn := func(idx int) *clrt.Buffer {
-		if idx < 0 {
-			return input
-		}
-		return devOut(idx)
-	}
-
-	// Parameters once at startup.
-	weightBufs := map[*relay.Layer]*clrt.Buffer{}
-	biasBufs := map[*relay.Layer]*clrt.Buffer{}
-	for _, inv := range f.plan {
-		if inv.layer.W != nil && inv.op.Weights != nil {
-			b := ctx.NewBuffer(inv.layer.Name+"_w", inv.layer.W.Bytes())
-			weightBufs[inv.layer] = b
-			if _, err := q.EnqueueWrite(b, inv.layer.W.Bytes()); err != nil {
-				return nil, err
-			}
-		}
-		if inv.layer.B != nil && inv.op.Bias != nil {
-			b := ctx.NewBuffer(inv.layer.Name+"_b", inv.layer.B.Bytes())
-			biasBufs[inv.layer] = b
-			if _, err := q.EnqueueWrite(b, inv.layer.B.Bytes()); err != nil {
-				return nil, err
-			}
-		}
-	}
-	ctx.Finish()
-
-	outBytes := 4
-	for _, d := range f.outShape {
-		outBytes *= d
-	}
-	start := ctx.ElapsedUS()
-	imgRanges := make([][2]int, 0, n)
-	for img := 0; img < n; img++ {
-		evLo := len(ctx.Events())
-		if _, err := q.EnqueueWrite(input, inBytes); err != nil {
-			return nil, err
-		}
-		for _, inv := range f.plan {
-			call := clrt.KernelCall{Name: inv.kernel.Name, Bindings: inv.bindings,
-				Reads: []*clrt.Buffer{devIn(inv.inIdx)}}
-			if b := weightBufs[inv.layer]; b != nil {
-				call.Reads = append(call.Reads, b)
-			}
-			if b := biasBufs[inv.layer]; b != nil {
-				call.Reads = append(call.Reads, b)
-			}
-			if inv.skipIdx >= 0 || (inv.layer.HasSkip && inv.skipIdx == -1) {
-				call.Reads = append(call.Reads, devIn(inv.skipIdx))
-			}
-			for _, sc := range inv.op.Scratches {
-				if nn, ok := sc.ConstLen(); ok {
-					call.Writes = append(call.Writes, ctx.NewBuffer(sc.Name, int(nn)*4))
-				}
-			}
-			call.Writes = append(call.Writes, devOut(inv.outIdx))
-			if _, err := q.EnqueueKernel(call); err != nil {
-				return nil, err
-			}
-		}
-		last := f.plan[len(f.plan)-1]
-		if _, err := q.EnqueueRead(devOut(last.outIdx), outBytes); err != nil {
-			return nil, err
-		}
-		imgRanges = append(imgRanges, [2]int{evLo, len(ctx.Events())})
-	}
-	ctx.Finish()
-	elapsed := ctx.ElapsedUS() - start
-	res := &RunResult{
-		Images:      n,
-		ElapsedUS:   elapsed,
-		FPS:         float64(n) / elapsed * 1e6,
-		Breakdown:   ctx.Breakdown(),
-		PerKernelUS: ctx.BreakdownByName(),
-		Timeline:    ctx.TimelineSince(72, start),
-	}
-	collectRunTrace(tc, ctx, imgRanges, start, res)
-	if tc != nil {
-		publishSimStats(tc.Metrics(), f.simStats.Snapshot())
-	}
-	return res, nil
+	res, _, err := runResilient(f, n, false, profiling, RunControl{Trace: tc})
+	return res, err
 }
 
 // ForwardTimeUS returns the modeled time of one forward pass: per-invocation

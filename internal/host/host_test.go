@@ -7,10 +7,8 @@ import (
 
 	"repro/internal/aoc"
 	"repro/internal/fpga"
-	"repro/internal/ir"
 	"repro/internal/nn"
 	"repro/internal/relay"
-	"repro/internal/sim"
 	"repro/internal/tensor"
 	"repro/internal/topi"
 )
@@ -326,18 +324,14 @@ func TestChannelDepthsMatchPeakOccupancy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := sim.NewMachine()
-	var kernels []*ir.Kernel
-	for _, st := range p.stages {
-		bindStageTensors(m, st)
-		kernels = append(kernels, st.op.Kernel)
-	}
-	m.Bind(p.inBuf, nn.Digit(1).Data)
-	out := tensor.New(10)
-	m.Bind(p.outBuf, out.Data)
-	if err := m.RunGraph(kernels, nil); err != nil {
+	sess, err := p.newSession(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := sess.run(nn.Digit(1), nil); err != nil {
+		t.Fatal(err)
+	}
+	m, kernels := sess.m, p.KernelSet()
 	checked := 0
 	for _, k := range kernels {
 		_, writes := k.Channels()

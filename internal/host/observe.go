@@ -20,16 +20,11 @@ import (
 // per queue (via trace.AddEvents), a host "phases" track with the setup and
 // measured windows, and an "images" track with one span per image built from
 // the event index ranges captured during enqueueing. startUS is the
-// simulated time the measured window began. Safe on a nil collector.
-func collectRunTrace(tc *trace.Collector, ctx *clrt.Context, imgRanges [][2]int, startUS float64, res *RunResult) {
-	collectRunTraceAt(tc, ctx, imgRanges, startUS, res, 0)
-}
-
-// collectRunTraceAt is collectRunTrace on a shifted clock: offsetUS places
-// the run on the global trace timeline. Degradation-ladder rungs each run in
-// a fresh context starting at 0, so the ladder passes the cumulative time of
-// the rungs before them.
-func collectRunTraceAt(tc *trace.Collector, ctx *clrt.Context, imgRanges [][2]int, startUS float64, res *RunResult, offsetUS float64) {
+// simulated time the measured window began; offsetUS places the run on the
+// global trace timeline (degradation-ladder rungs each run in a fresh context
+// starting at 0, so the ladder passes the cumulative time of the rungs before
+// them). Safe on a nil collector.
+func collectRunTrace(tc *trace.Collector, ctx *clrt.Context, imgRanges [][2]int, startUS float64, res *RunResult, offsetUS float64) {
 	if tc == nil {
 		return
 	}
@@ -71,7 +66,7 @@ func collectResilientTrace(ctrl RunControl, ctx *clrt.Context, inj *fault.Inject
 		return
 	}
 	if res != nil {
-		collectRunTraceAt(tc, ctx, imgRanges, startUS, res, ctrl.TraceOffsetUS)
+		collectRunTrace(tc, ctx, imgRanges, startUS, res, ctrl.TraceOffsetUS)
 	} else {
 		tc.AddEvents(ctx.Events(), ctx.ElapsedUS(), ctrl.TraceOffsetUS)
 	}
@@ -84,10 +79,12 @@ func collectResilientTrace(ctrl RunControl, ctx *clrt.Context, inj *fault.Inject
 }
 
 // publishSimStats mirrors the functional simulator's execution-tier counters
-// into the metrics registry under the sim.* namespace. Deployment stats are
-// cumulative, so counters are raised to the snapshot value rather than
-// blindly incremented — publishing after every run (ladder rungs, repeated
-// RunBatch calls on one deployment) stays correct. Safe on a nil registry.
+// into the metrics registry under the sim.* namespace. Only paths that ran
+// kernels functionally publish (RunBatch); the per-image timed drivers model
+// time without executing anything. Deployment stats are cumulative, so
+// counters are raised to the snapshot value rather than blindly incremented —
+// repeated RunBatch calls on one deployment stay correct. Safe on a nil
+// registry.
 func publishSimStats(reg *trace.Registry, s sim.StatsSnapshot) {
 	set := func(name string, v int64) {
 		c := reg.Counter(name)

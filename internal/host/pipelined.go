@@ -92,22 +92,13 @@ type Pipelined struct {
 	Design  *aoc.Design
 	Layers  []*relay.Layer
 
+	engine
 	stages   []*stage
 	inBuf    *ir.Buffer // network input (first kernel's global input)
 	outBuf   *ir.Buffer // network output
 	inShape  []int
 	outShape []int
-
-	// arenas caches warm batch-worker execution state across RunBatch calls.
-	arenas arenaCache
-	// simStats accumulates execution-tier counters across every sim machine
-	// this deployment creates (Infer, DumpActivations, batch arenas).
-	simStats sim.ExecStats
 }
-
-// SimStats returns the cumulative execution-tier counters (compile cache,
-// vectorized vs fallback loops, guard bailouts) for this deployment.
-func (p *Pipelined) SimStats() sim.StatsSnapshot { return p.simStats.Snapshot() }
 
 // BuildPipelined generates one kernel per layer according to the variant
 // and compiles the design for the board.
@@ -250,58 +241,184 @@ func applyHandUnroll(op *topi.Op, l *relay.Layer) error {
 	return nil
 }
 
-// Infer runs the pipeline functionally on the IR interpreter and returns the
-// network output (the host program's verification path). In buffered
-// variants the consumer's input buffer aliases the producer's output, as the
-// host program passes the same cl_mem to both kernels.
-func (p *Pipelined) Infer(input *tensor.Tensor) (*tensor.Tensor, error) {
-	m := sim.NewMachine()
-	m.SetStats(&p.simStats)
-	// First pass: outputs and parameters.
+// newSession binds every stage to a fresh machine. In buffered variants the
+// consumer's input buffer aliases the producer's output, as the host program
+// passes the same cl_mem to both kernels; a stage reading from one that does
+// not strictly precede it would alias a buffer nothing has written yet, so it
+// is refused with a TopologyError.
+func (p *Pipelined) newSession(pool *sim.BufPool) (*session, error) {
+	m := p.newMachine(pool)
+	// zero collects every slice that must be cleared before each image so a
+	// warm run starts from the same state as a cold one.
+	var zero [][]float32
+	own := func(b *ir.Buffer) {
+		// Idempotent: when two stages share a buffer the first bind wins —
+		// re-binding would orphan the slice a consumer already aliases.
+		if b == nil || m.Buffer(b) != nil {
+			return
+		}
+		n, _ := b.ConstLen()
+		data := m.Grab(int(n))
+		m.Bind(b, data)
+		zero = append(zero, data)
+	}
+	var netIns []*ir.Buffer // rebound to the input of every image
+	kernels := make([]*ir.Kernel, len(p.stages))
 	for i, st := range p.stages {
-		bindStageTensors(m, st)
-		if st.op.Out != nil {
-			var data []float32
-			if i == len(p.stages)-1 {
-				data = make([]float32, len(tensor.New(p.outShape...).Data))
-			} else {
-				n, _ := st.op.Out.ConstLen()
-				data = make([]float32, n)
-			}
-			m.Bind(st.op.Out, data)
+		kernels[i] = st.op.Kernel
+		if st.op.Weights != nil {
+			m.Bind(st.op.Weights, st.layer.W.Data)
+		}
+		if st.op.Bias != nil {
+			m.Bind(st.op.Bias, st.layer.B.Data)
+		}
+		for _, sc := range st.op.Scratches {
+			own(sc)
+		}
+		own(st.op.Out)
+		switch {
+		case st.op.In == nil:
+		case st.layer.In < 0:
+			netIns = append(netIns, st.op.In)
+		case st.layer.In >= i:
+			return nil, &TopologyError{Stage: st.layer.Name, Index: i, In: st.layer.In}
+		default:
+			m.Bind(st.op.In, m.Buffer(p.stages[st.layer.In].op.Out))
 		}
 	}
-	// Second pass: inputs alias their producer's output.
-	var kernels []*ir.Kernel
-	for _, st := range p.stages {
-		if st.op.In != nil {
-			if st.layer.In < 0 {
-				m.Bind(st.op.In, input.Data)
-			} else {
-				prev := p.stages[st.layer.In]
-				m.Bind(st.op.In, m.Buffer(prev.op.Out))
+	image := func(input []float32, tap tapFn) ([]float32, error) {
+		for _, s := range zero {
+			clear(s)
+		}
+		m.ResetChannels()
+		for _, b := range netIns {
+			m.Bind(b, input)
+		}
+		if err := m.RunGraph(kernels, nil); err != nil {
+			return nil, err
+		}
+		if tap != nil {
+			for i, st := range p.stages {
+				tap(i, m.Buffer(st.op.Out))
 			}
 		}
-		kernels = append(kernels, st.op.Kernel)
+		return m.Buffer(p.outBuf), nil
 	}
-	if err := m.RunGraph(kernels, nil); err != nil {
-		return nil, err
-	}
-	return tensor.FromData(m.Buffer(p.outBuf), p.outShape...), nil
+	return &session{m: m, outShape: p.outShape, image: image}, nil
 }
 
-func bindStageTensors(m *sim.Machine, st *stage) {
-	if st.op.Weights != nil {
-		m.Bind(st.op.Weights, st.layer.W.Data)
+// program loads the pipeline onto ctx: one device buffer per kernel argument,
+// parameters copied once at startup on a setup queue, then one shared command
+// queue or — concurrent — one per kernel (§4.8). The shared queue is created
+// in both modes, so a queue's id (which names its trace track) does not
+// depend on the mode.
+func (p *Pipelined) program(ctx *clrt.Context, concurrent bool, try tryFn) (*program, error) {
+	bufs := map[*ir.Buffer]*clrt.Buffer{}
+	devBuf := func(b *ir.Buffer) *clrt.Buffer {
+		d, ok := bufs[b]
+		if !ok {
+			sz, _ := b.ConstLen()
+			d = ctx.NewBuffer(b.Name, int(sz)*4)
+			bufs[b] = d
+		}
+		return d
 	}
-	if st.op.Bias != nil {
-		m.Bind(st.op.Bias, st.layer.B.Data)
-	}
-	for _, sc := range st.op.Scratches {
-		if n, ok := sc.ConstLen(); ok {
-			m.Bind(sc, make([]float32, n))
+	// One closure serves every upload (and, below, every kernel launch): a
+	// literal at each try call would be heap-allocated per command.
+	setup := ctx.NewQueue()
+	var (
+		param *clrt.Buffer
+		bytes int
+	)
+	upload := func() (*clrt.Event, error) { return setup.EnqueueWrite(param, bytes) }
+	for _, st := range p.stages {
+		for _, pb := range []struct {
+			buf *ir.Buffer
+			t   *tensor.Tensor
+		}{{st.op.Weights, st.layer.W}, {st.op.Bias, st.layer.B}} {
+			if pb.buf == nil {
+				continue
+			}
+			param, bytes = devBuf(pb.buf), pb.t.Bytes()
+			if _, err := try(upload); err != nil {
+				return nil, fmt.Errorf("parameter upload %s: %w", pb.buf.Name, err)
+			}
 		}
 	}
+	ctx.Finish()
+
+	shared := ctx.NewQueue()
+	queues := map[string]*clrt.Queue{}
+	queueFor := func(kernel string) *clrt.Queue {
+		if !concurrent {
+			return shared
+		}
+		q, ok := queues[kernel]
+		if !ok {
+			q = ctx.NewQueue()
+			queues[kernel] = q
+		}
+		return q
+	}
+	// The network input and output travel on the first and last kernel's
+	// queue.
+	first, last := p.stages[0].op.Kernel.Name, p.stages[len(p.stages)-1].op.Kernel.Name
+	prog := &program{
+		in: devBuf(p.inBuf), out: devBuf(p.outBuf),
+		inBytes: shapeBytes(p.inShape), outBytes: shapeBytes(p.outShape),
+		writeQ: func() *clrt.Queue { return queueFor(first) },
+		readQ:  func() *clrt.Queue { return queueFor(last) },
+	}
+	var (
+		call clrt.KernelCall
+		q    *clrt.Queue
+	)
+	launch := func() (*clrt.Event, error) { return q.EnqueueKernel(call) }
+	prog.enqueueImage = func(devIn, devOut *clrt.Buffer) error {
+		for _, st := range p.stages {
+			if st.op.Kernel.Autorun {
+				continue
+			}
+			call = clrt.KernelCall{Name: st.op.Kernel.Name, Reads: call.Reads[:0], Writes: call.Writes[:0]}
+			// In buffered variants the consumer reads the producer's output
+			// buffer.
+			if st.op.In != nil {
+				if st.layer.In < 0 {
+					call.Reads = append(call.Reads, devIn)
+				} else {
+					call.Reads = append(call.Reads, devBuf(p.stages[st.layer.In].op.Out))
+				}
+			}
+			for _, b := range []*ir.Buffer{st.op.Weights, st.op.Bias} {
+				if b != nil {
+					call.Reads = append(call.Reads, devBuf(b))
+				}
+			}
+			for _, b := range st.op.Scratches {
+				call.Writes = append(call.Writes, devBuf(b))
+			}
+			if st.op.Out == p.outBuf {
+				call.Writes = append(call.Writes, devOut)
+			} else if st.op.Out != nil {
+				call.Writes = append(call.Writes, devBuf(st.op.Out))
+			}
+			q = queueFor(call.Name)
+			if _, err := try(launch); err != nil {
+				return fmt.Errorf("kernel %s: %w", call.Name, err)
+			}
+		}
+		return nil
+	}
+	return prog, nil
+}
+
+func (p *Pipelined) design() *aoc.Design { return p.Design }
+
+// Infer runs one image functionally on a warm session (the host program's
+// verification path) and returns the network output in a freshly allocated
+// tensor the caller owns. Safe for concurrent use.
+func (p *Pipelined) Infer(input *tensor.Tensor) (*tensor.Tensor, error) {
+	return infer(p, input, nil)
 }
 
 // RunResult summarizes a timed run.
@@ -330,132 +447,6 @@ func (p *Pipelined) Run(n int, concurrent, profiling bool) (*RunResult, error) {
 // (occupancy, stall %, bandwidth, FPS) published to the collector's
 // registry. A nil collector is ignored, so Run delegates here for free.
 func (p *Pipelined) RunTraced(n int, concurrent, profiling bool, tc *trace.Collector) (*RunResult, error) {
-	if err := p.Design.Err(); err != nil {
-		return nil, err
-	}
-	ctx, err := clrt.NewContext(p.Design)
-	if err != nil {
-		return nil, err
-	}
-	ctx.Profiling = profiling
-
-	// Device buffers.
-	bufs := map[*ir.Buffer]*clrt.Buffer{}
-	devBuf := func(b *ir.Buffer) *clrt.Buffer {
-		if b == nil {
-			return nil
-		}
-		if d, ok := bufs[b]; ok {
-			return d
-		}
-		sz, _ := b.ConstLen()
-		d := ctx.NewBuffer(b.Name, int(sz)*4)
-		bufs[b] = d
-		return d
-	}
-
-	setup := ctx.NewQueue()
-	// Parameters copied once at startup.
-	for _, st := range p.stages {
-		if st.op.Weights != nil {
-			if _, err := setup.EnqueueWrite(devBuf(st.op.Weights), st.layer.W.Bytes()); err != nil {
-				return nil, err
-			}
-		}
-		if st.op.Bias != nil {
-			if _, err := setup.EnqueueWrite(devBuf(st.op.Bias), st.layer.B.Bytes()); err != nil {
-				return nil, err
-			}
-		}
-	}
-	ctx.Finish()
-
-	// One queue total, or one per kernel.
-	queues := map[string]*clrt.Queue{}
-	shared := ctx.NewQueue()
-	queueFor := func(name string) *clrt.Queue {
-		if !concurrent {
-			return shared
-		}
-		if q, ok := queues[name]; ok {
-			return q
-		}
-		q := ctx.NewQueue()
-		queues[name] = q
-		return q
-	}
-
-	inBytes := 4
-	for _, d := range p.inShape {
-		inBytes *= d
-	}
-	outBytes := 4
-	for _, d := range p.outShape {
-		outBytes *= d
-	}
-
-	// In buffered variants the consumer reads the producer's output buffer:
-	// resolve each stage's input to the producing stage's device buffer.
-	devInOf := func(st *stage) *clrt.Buffer {
-		if st.op.In == nil {
-			return nil
-		}
-		if st.layer.In < 0 {
-			return devBuf(p.inBuf)
-		}
-		return devBuf(p.stages[st.layer.In].op.Out)
-	}
-
-	start := ctx.ElapsedUS()
-	// Event index range of each image's commands; spans are built after
-	// Finish, since autorun propagation can still extend producer end times.
-	imgRanges := make([][2]int, 0, n)
-	for img := 0; img < n; img++ {
-		evLo := len(ctx.Events())
-		if _, err := queueFor(p.stages[0].op.Kernel.Name).EnqueueWrite(devBuf(p.inBuf), inBytes); err != nil {
-			return nil, err
-		}
-		for _, st := range p.stages {
-			if st.op.Kernel.Autorun {
-				continue
-			}
-			call := clrt.KernelCall{Name: st.op.Kernel.Name}
-			if in := devInOf(st); in != nil {
-				call.Reads = append(call.Reads, in)
-			}
-			for _, b := range []*ir.Buffer{st.op.Weights, st.op.Bias} {
-				if b != nil {
-					call.Reads = append(call.Reads, devBuf(b))
-				}
-			}
-			for _, b := range st.op.Scratches {
-				call.Writes = append(call.Writes, devBuf(b))
-			}
-			if st.op.Out != nil {
-				call.Writes = append(call.Writes, devBuf(st.op.Out))
-			}
-			if _, err := queueFor(st.op.Kernel.Name).EnqueueKernel(call); err != nil {
-				return nil, err
-			}
-		}
-		if _, err := queueFor(p.stages[len(p.stages)-1].op.Kernel.Name).EnqueueRead(devBuf(p.outBuf), outBytes); err != nil {
-			return nil, err
-		}
-		imgRanges = append(imgRanges, [2]int{evLo, len(ctx.Events())})
-	}
-	ctx.Finish()
-	elapsed := ctx.ElapsedUS() - start
-	res := &RunResult{
-		Images:      n,
-		ElapsedUS:   elapsed,
-		FPS:         float64(n) / elapsed * 1e6,
-		Breakdown:   ctx.Breakdown(),
-		PerKernelUS: ctx.BreakdownByName(),
-		Timeline:    ctx.TimelineSince(72, start),
-	}
-	collectRunTrace(tc, ctx, imgRanges, start, res)
-	if tc != nil {
-		publishSimStats(tc.Metrics(), p.simStats.Snapshot())
-	}
-	return res, nil
+	res, _, err := runResilient(p, n, concurrent, profiling, RunControl{Trace: tc})
+	return res, err
 }

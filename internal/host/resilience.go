@@ -77,29 +77,59 @@ type Resilience struct {
 	TotalUS float64
 }
 
-// retrier wraps enqueue operations in bounded retry-with-backoff. Backoff
-// advances the simulated host cursor, modeling the host spinning between
-// clEnqueue attempts.
+// tryFn wraps one device command in its caller's retry policy.
+type tryFn func(op func() (*clrt.Event, error)) (*clrt.Event, error)
+
+// retrier is that policy: bounded retry-with-backoff on transient faults.
+// Backoff advances the simulated host cursor, modeling the host spinning
+// between clEnqueue attempts. retries counts the re-enqueues.
 type retrier struct {
-	ctx   *clrt.Context
-	ctrl  RunControl
-	stats *Resilience
+	ctx     *clrt.Context
+	ctrl    RunControl
+	retries *int
 }
 
-func (r *retrier) do(op func() error) error {
+func (r *retrier) try(op func() (*clrt.Event, error)) (*clrt.Event, error) {
 	backoff := r.ctrl.BackoffUS
 	for attempt := 0; ; attempt++ {
-		err := op()
+		ev, err := op()
 		if err == nil {
-			return nil
+			return ev, nil
 		}
 		if !fault.IsTransient(err) || attempt >= r.ctrl.MaxRetries {
-			return fmt.Errorf("after %d attempt(s): %w", attempt+1, err)
+			return ev, fmt.Errorf("after %d attempt(s): %w", attempt+1, err)
 		}
-		r.stats.Retries++
+		*r.retries++
 		r.ctx.AdvanceHost(backoff)
 		backoff *= 2
 	}
+}
+
+// program is a deployment loaded onto one simulated device — the one modeled
+// description of a shape, built by its program method: device buffers
+// allocated, parameters uploaded through the caller's retry wrapper, command
+// queues created. Both modeled drivers (runResilient per image, runBatchWorker
+// over buffer rings) enqueue through it.
+type program struct {
+	// in/out are the network I/O buffers of a per-image run; a batch worker
+	// substitutes ring slots.
+	in, out           *clrt.Buffer
+	inBytes, outBytes int
+	// writeQ/readQ resolve the queues a per-image run moves its input and
+	// output on (resolved per use: per-kernel queues are created on demand).
+	writeQ, readQ func() *clrt.Queue
+	// enqueueImage enqueues one image's kernels reading devIn and writing
+	// devOut.
+	enqueueImage func(devIn, devOut *clrt.Buffer) error
+}
+
+// shapeBytes is the byte size of a float32 tensor of the given shape.
+func shapeBytes(shape []int) int {
+	n := 4
+	for _, d := range shape {
+		n *= d
+	}
+	return n
 }
 
 // runImages drives n images through enqueueImage under the watchdog. When a
@@ -144,259 +174,71 @@ func runImages(ctx *clrt.Context, ctrl RunControl, stats *Resilience, n int, enq
 	return imgRanges, nil
 }
 
-func finishRun(ctx *clrt.Context, inj *fault.Injector, stats *Resilience, n int, start float64) (*RunResult, *Resilience) {
-	if inj != nil {
-		stats.Faults = inj.Records()
-	}
-	elapsed := ctx.ElapsedUS() - start
-	return &RunResult{
-		Images:      n,
-		ElapsedUS:   elapsed,
-		FPS:         float64(n) / elapsed * 1e6,
-		Breakdown:   ctx.Breakdown(),
-		PerKernelUS: ctx.BreakdownByName(),
-		Timeline:    ctx.TimelineSince(72, start),
-	}, stats
-}
-
-// RunResilient is Run with fault injection, bounded retry, and an optional
-// per-image watchdog. It returns the absorbed-fault statistics alongside the
-// usual timing result; an error means the deployment could not complete even
-// with retries (the degradation ladder's cue to fall back).
-func (p *Pipelined) RunResilient(n int, concurrent bool, ctrl RunControl) (*RunResult, *Resilience, error) {
+// runResilient is the per-image modeled driver behind every timed entry
+// point: fault injection, bounded retry and an optional per-image watchdog
+// around the shape's device program. Run and RunTraced are this with a zero
+// RunControl (plus the profiler switch and a collector). It returns the
+// absorbed-fault statistics alongside the timing result; an error means the
+// deployment could not complete even with retries (the degradation ladder's
+// cue to fall back).
+func runResilient(sh shape, n int, concurrent, profiling bool, ctrl RunControl) (*RunResult, *Resilience, error) {
 	ctrl = ctrl.withDefaults()
-	if err := p.Design.Err(); err != nil {
-		return nil, nil, err
-	}
-	ctx, err := clrt.NewContext(p.Design)
+	ctx, err := clrt.NewContext(sh.design()) // refuses an unsynthesizable design
 	if err != nil {
 		return nil, nil, err
 	}
+	ctx.Profiling = profiling
 	inj := ctrl.injector()
 	ctx.Injector = inj
 	stats := &Resilience{}
 	faultsBefore := inj.Count() // a ladder-shared injector already has records
-	r := &retrier{ctx: ctx, ctrl: ctrl, stats: stats}
-
-	bufs := map[*ir.Buffer]*clrt.Buffer{}
-	devBuf := func(b *ir.Buffer) *clrt.Buffer {
-		if b == nil {
-			return nil
-		}
-		if d, ok := bufs[b]; ok {
-			return d
-		}
-		sz, _ := b.ConstLen()
-		d := ctx.NewBuffer(b.Name, int(sz)*4)
-		bufs[b] = d
-		return d
-	}
-
-	setup := ctx.NewQueue()
-	for _, st := range p.stages {
-		for _, pb := range []struct {
-			buf *ir.Buffer
-			t   *tensor.Tensor
-		}{{st.op.Weights, st.layer.W}, {st.op.Bias, st.layer.B}} {
-			if pb.buf == nil {
-				continue
-			}
-			buf, bytes := devBuf(pb.buf), pb.t.Bytes()
-			if err := r.do(func() error { _, e := setup.EnqueueWrite(buf, bytes); return e }); err != nil {
-				return nil, stats, fmt.Errorf("parameter upload %s: %w", pb.buf.Name, err)
-			}
-		}
-	}
-	ctx.Finish()
-
-	queues := map[string]*clrt.Queue{}
-	shared := ctx.NewQueue()
-	queueFor := func(name string) *clrt.Queue {
-		if !concurrent {
-			return shared
-		}
-		if q, ok := queues[name]; ok {
-			return q
-		}
-		q := ctx.NewQueue()
-		queues[name] = q
-		return q
-	}
-
-	inBytes, outBytes := 4, 4
-	for _, d := range p.inShape {
-		inBytes *= d
-	}
-	for _, d := range p.outShape {
-		outBytes *= d
-	}
-	devInOf := func(st *stage) *clrt.Buffer {
-		if st.op.In == nil {
-			return nil
-		}
-		if st.layer.In < 0 {
-			return devBuf(p.inBuf)
-		}
-		return devBuf(p.stages[st.layer.In].op.Out)
+	r := &retrier{ctx: ctx, ctrl: ctrl, retries: &stats.Retries}
+	prog, err := sh.program(ctx, concurrent, r.try)
+	if err != nil {
+		return nil, stats, err
 	}
 
 	start := ctx.ElapsedUS()
 	enqueueImage := func() error {
-		inQ := queueFor(p.stages[0].op.Kernel.Name)
-		if err := r.do(func() error { _, e := inQ.EnqueueWrite(devBuf(p.inBuf), inBytes); return e }); err != nil {
+		if _, err := r.try(func() (*clrt.Event, error) { return prog.writeQ().EnqueueWrite(prog.in, prog.inBytes) }); err != nil {
 			return fmt.Errorf("input write: %w", err)
 		}
-		for _, st := range p.stages {
-			if st.op.Kernel.Autorun {
-				continue
-			}
-			call := clrt.KernelCall{Name: st.op.Kernel.Name}
-			if in := devInOf(st); in != nil {
-				call.Reads = append(call.Reads, in)
-			}
-			for _, b := range []*ir.Buffer{st.op.Weights, st.op.Bias} {
-				if b != nil {
-					call.Reads = append(call.Reads, devBuf(b))
-				}
-			}
-			for _, b := range st.op.Scratches {
-				call.Writes = append(call.Writes, devBuf(b))
-			}
-			if st.op.Out != nil {
-				call.Writes = append(call.Writes, devBuf(st.op.Out))
-			}
-			q := queueFor(st.op.Kernel.Name)
-			if err := r.do(func() error { _, e := q.EnqueueKernel(call); return e }); err != nil {
-				return fmt.Errorf("kernel %s: %w", call.Name, err)
-			}
+		if err := prog.enqueueImage(prog.in, prog.out); err != nil {
+			return err
 		}
-		outQ := queueFor(p.stages[len(p.stages)-1].op.Kernel.Name)
-		if err := r.do(func() error { _, e := outQ.EnqueueRead(devBuf(p.outBuf), outBytes); return e }); err != nil {
+		if _, err := r.try(func() (*clrt.Event, error) { return prog.readQ().EnqueueRead(prog.out, prog.outBytes) }); err != nil {
 			return fmt.Errorf("output read: %w", err)
 		}
 		return nil
 	}
 	imgRanges, err := runImages(ctx, ctrl, stats, n, enqueueImage)
 	stats.TotalUS = ctx.ElapsedUS()
-	if err != nil {
-		if inj != nil {
-			stats.Faults = inj.Records()
+	stats.Faults = inj.Records()
+	var res *RunResult
+	if err == nil {
+		elapsed := ctx.ElapsedUS() - start
+		res = &RunResult{
+			Images:      n,
+			ElapsedUS:   elapsed,
+			FPS:         float64(n) / elapsed * 1e6,
+			Breakdown:   ctx.Breakdown(),
+			PerKernelUS: ctx.BreakdownByName(),
+			Timeline:    ctx.TimelineSince(72, start),
 		}
-		collectResilientTrace(ctrl, ctx, inj, faultsBefore, stats, nil, imgRanges, start)
-		return nil, stats, err
 	}
-	res, stats := finishRun(ctx, inj, stats, n, start)
 	collectResilientTrace(ctrl, ctx, inj, faultsBefore, stats, res, imgRanges, start)
-	return res, stats, nil
+	return res, stats, err
+}
+
+// RunResilient is Run with fault injection, bounded retry, and an optional
+// per-image watchdog; see runResilient.
+func (p *Pipelined) RunResilient(n int, concurrent bool, ctrl RunControl) (*RunResult, *Resilience, error) {
+	return runResilient(p, n, concurrent, false, ctrl)
 }
 
 // RunResilient is the folded counterpart of the pipelined resilient runner.
 func (f *Folded) RunResilient(n int, ctrl RunControl) (*RunResult, *Resilience, error) {
-	ctrl = ctrl.withDefaults()
-	if err := f.Design.Err(); err != nil {
-		return nil, nil, err
-	}
-	ctx, err := clrt.NewContext(f.Design)
-	if err != nil {
-		return nil, nil, err
-	}
-	inj := ctrl.injector()
-	ctx.Injector = inj
-	stats := &Resilience{}
-	faultsBefore := inj.Count() // a ladder-shared injector already has records
-	r := &retrier{ctx: ctx, ctrl: ctrl, stats: stats}
-	q := ctx.NewQueue()
-
-	inBytes := 4
-	for _, d := range f.inShape {
-		inBytes *= d
-	}
-	input := ctx.NewBuffer("input", inBytes)
-	outBufs := make([]*clrt.Buffer, len(f.Layers))
-	devOut := func(idx int) *clrt.Buffer {
-		if outBufs[idx] == nil {
-			outBufs[idx] = ctx.NewBuffer(fmt.Sprintf("act%d", idx), f.outBytes[idx])
-		}
-		return outBufs[idx]
-	}
-	devIn := func(idx int) *clrt.Buffer {
-		if idx < 0 {
-			return input
-		}
-		return devOut(idx)
-	}
-
-	weightBufs := map[*relay.Layer]*clrt.Buffer{}
-	biasBufs := map[*relay.Layer]*clrt.Buffer{}
-	for _, inv := range f.plan {
-		if inv.layer.W != nil && inv.op.Weights != nil && weightBufs[inv.layer] == nil {
-			b := ctx.NewBuffer(inv.layer.Name+"_w", inv.layer.W.Bytes())
-			weightBufs[inv.layer] = b
-			bytes := inv.layer.W.Bytes()
-			if err := r.do(func() error { _, e := q.EnqueueWrite(b, bytes); return e }); err != nil {
-				return nil, stats, fmt.Errorf("parameter upload %s: %w", inv.layer.Name, err)
-			}
-		}
-		if inv.layer.B != nil && inv.op.Bias != nil && biasBufs[inv.layer] == nil {
-			b := ctx.NewBuffer(inv.layer.Name+"_b", inv.layer.B.Bytes())
-			biasBufs[inv.layer] = b
-			bytes := inv.layer.B.Bytes()
-			if err := r.do(func() error { _, e := q.EnqueueWrite(b, bytes); return e }); err != nil {
-				return nil, stats, fmt.Errorf("parameter upload %s: %w", inv.layer.Name, err)
-			}
-		}
-	}
-	ctx.Finish()
-
-	outBytes := 4
-	for _, d := range f.outShape {
-		outBytes *= d
-	}
-	start := ctx.ElapsedUS()
-	enqueueImage := func() error {
-		if err := r.do(func() error { _, e := q.EnqueueWrite(input, inBytes); return e }); err != nil {
-			return fmt.Errorf("input write: %w", err)
-		}
-		for _, inv := range f.plan {
-			call := clrt.KernelCall{Name: inv.kernel.Name, Bindings: inv.bindings,
-				Reads: []*clrt.Buffer{devIn(inv.inIdx)}}
-			if b := weightBufs[inv.layer]; b != nil {
-				call.Reads = append(call.Reads, b)
-			}
-			if b := biasBufs[inv.layer]; b != nil {
-				call.Reads = append(call.Reads, b)
-			}
-			if inv.skipIdx >= 0 || (inv.layer.HasSkip && inv.skipIdx == -1) {
-				call.Reads = append(call.Reads, devIn(inv.skipIdx))
-			}
-			for _, sc := range inv.op.Scratches {
-				if nn, ok := sc.ConstLen(); ok {
-					call.Writes = append(call.Writes, ctx.NewBuffer(sc.Name, int(nn)*4))
-				}
-			}
-			call.Writes = append(call.Writes, devOut(inv.outIdx))
-			if err := r.do(func() error { _, e := q.EnqueueKernel(call); return e }); err != nil {
-				return fmt.Errorf("kernel %s (layer %s): %w", call.Name, inv.layer.Name, err)
-			}
-		}
-		last := f.plan[len(f.plan)-1]
-		if err := r.do(func() error { _, e := q.EnqueueRead(devOut(last.outIdx), outBytes); return e }); err != nil {
-			return fmt.Errorf("output read: %w", err)
-		}
-		return nil
-	}
-	imgRanges, err := runImages(ctx, ctrl, stats, n, enqueueImage)
-	stats.TotalUS = ctx.ElapsedUS()
-	if err != nil {
-		if inj != nil {
-			stats.Faults = inj.Records()
-		}
-		collectResilientTrace(ctrl, ctx, inj, faultsBefore, stats, nil, imgRanges, start)
-		return nil, stats, err
-	}
-	res, stats := finishRun(ctx, inj, stats, n, start)
-	collectResilientTrace(ctrl, ctx, inj, faultsBefore, stats, res, imgRanges, start)
-	return res, stats, nil
+	return runResilient(f, n, false, false, ctrl)
 }
 
 // Deployment is a built accelerator deployment the degradation ladder can

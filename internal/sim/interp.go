@@ -115,7 +115,7 @@ func (f *Fifo) Len() int { return len(f.data) - f.head }
 // BufPool recycles float32 slices across images of a batch run. Slices are
 // bucketed by ceil-power-of-two capacity so a Get never returns a slice that
 // is later outgrown by the same binding. Safe for concurrent use (it is
-// shared by every worker arena of a batch); returned slices are always
+// shared by every session of a deployment); returned slices are always
 // zeroed, matching the make([]float32, n) they replace.
 type BufPool struct {
 	buckets sync.Map // uint -> *sync.Pool of []float32 with cap == 1<<uint
@@ -169,7 +169,7 @@ type Machine struct {
 	chans map[*ir.Channel]*Fifo
 	// compiled caches compiled kernels per execution tier: folded
 	// deployments invoke the same kernel dozens of times per image, and a
-	// batch arena reuses the machine across images so every kernel compiles
+	// host session reuses the machine across images so every kernel compiles
 	// exactly once per worker per tier. The tier tag keeps -exec A/B
 	// switches from executing a program built for the other engine.
 	compiled map[compileKey]*compiledKernel
