@@ -119,12 +119,16 @@ dse-smoke:
 
 # Chaos smoke: the fault-injection matrix (the Resilient/Watchdog/Ladder tests
 # sweep seeds 1-3 internally) under the race detector, the static channel
-# verifier over the example networks, and the chaos CLI across three seeds.
+# verifier over the example networks plus output verification of every Table
+# 6.4 bitstream on each execution tier (interp keeps the channels, closure and
+# vector run them elided into buffers), and the chaos CLI across three seeds.
 chaos:
 	$(GO) test -race ./internal/fault/...
 	$(GO) test -race -run 'Fault|Injected|Resilient|Watchdog|Ladder|Deadlock|Drain' \
 		./internal/clrt/... ./internal/sim/... ./internal/host/...
-	$(GO) run ./cmd/fpgacnn verify
+	for exec in interp closure vector; do \
+		$(GO) run ./cmd/fpgacnn verify -exec $$exec || exit 1; \
+	done
 	for seed in 1 2 3; do \
 		$(GO) run ./cmd/fpgacnn chaos -fault-rate 0.1 -fault-seed $$seed -images 3 || exit 1; \
 	done

@@ -944,8 +944,9 @@ func dumpGraph(net string) error {
 // the example networks' kernel sets (the pre-compile check a real aoc flow
 // would want, since a trip-count mismatch only shows up as a hang on
 // hardware), then the host program's output-verification path — every LeNet
-// bitstream variant executed on the IR interpreter against the native
-// reference, over all ten digits.
+// bitstream variant executed on the -exec tier against the native reference,
+// over all ten digits. Interp runs the kernels with their channels; closure
+// and vector run them with balanced channels elided into buffers.
 func runVerify(args []string) error {
 	fs := flag.NewFlagSet("verify", flag.ContinueOnError)
 	applyExec := execFlag(fs)

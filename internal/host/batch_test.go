@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -32,8 +33,9 @@ func bitEqual(t *testing.T, tag string, got, want *tensor.Tensor) {
 		t.Fatalf("%s: length %d vs %d", tag, len(got.Data), len(want.Data))
 	}
 	for j := range want.Data {
-		if got.Data[j] != want.Data[j] {
-			t.Fatalf("%s: elem %d: %v != %v (bit-exact contract)", tag, j, got.Data[j], want.Data[j])
+		if math.Float32bits(got.Data[j]) != math.Float32bits(want.Data[j]) {
+			t.Fatalf("%s: elem %d: %v (%#08x) != %v (%#08x) (bit-exact contract)", tag, j,
+				got.Data[j], math.Float32bits(got.Data[j]), want.Data[j], math.Float32bits(want.Data[j]))
 		}
 	}
 }

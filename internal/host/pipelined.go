@@ -245,7 +245,8 @@ func applyHandUnroll(op *topi.Op, l *relay.Layer) error {
 // consumer's input buffer aliases the producer's output, as the host program
 // passes the same cl_mem to both kernels; a stage reading from one that does
 // not strictly precede it would alias a buffer nothing has written yet, so it
-// is refused with a TopologyError.
+// is refused with a TopologyError. Channel elision happens here, once per
+// session, never per image and never at build time.
 func (p *Pipelined) newSession(pool *sim.BufPool) (*session, error) {
 	m := p.newMachine(pool)
 	// zero collects every slice that must be cleared before each image so a
@@ -284,6 +285,16 @@ func (p *Pipelined) newSession(pool *sim.BufPool) (*session, error) {
 			return nil, &TopologyError{Stage: st.layer.Name, Index: i, In: st.layer.In}
 		default:
 			m.Bind(st.op.In, m.Buffer(p.stages[st.layer.In].op.Out))
+		}
+	}
+	// Off the interpreter, balanced channels become session-owned buffers so
+	// the nests around them reach the GEMM and vector lowerings; the
+	// interpreter keeps the FIFOs as the channel-semantics oracle.
+	if m.GetTier() != sim.TierInterp {
+		var bufs []*ir.Buffer
+		kernels, bufs = sim.ElideChannels(kernels)
+		for _, b := range bufs {
+			own(b)
 		}
 	}
 	image := func(input []float32, tap tapFn) ([]float32, error) {

@@ -9,8 +9,16 @@ package host
 // same warm state. A warm image is bit-identical to one on a cold machine
 // because every piece of machine state a kernel can observe — scratches,
 // outputs, channels, Alloc-ed temporaries — is reset to the cold-start
-// contents (all zeros, empty FIFOs) before each image; the tests' oracle is
+// contents (all zeros, empty FIFOs) before each image; the cold reference is
 // exactly that: a fresh, unpooled session per image.
+//
+// A pipelined session off the interpreter tier runs rewritten kernels: when
+// it is built, sim.ElideChannels turns every balanced channel into a
+// session-owned buffer, so conv and dense nests reach the GEMM and vector
+// lowerings instead of stepping through FIFOs one element at a time. The
+// interpreter tier keeps the channels and is the oracle the rewrite is tested
+// against; the deployment's own kernels (codegen, aoc, clrt, verify) never
+// change.
 //
 // Ownership: session buffers never escape. The network output is copied into
 // a freshly allocated tensor the caller owns and may retain; a tap sees

@@ -39,12 +39,28 @@ type engine struct {
 
 	accepted  int64
 	completed int64
+
+	// The collector keeps every batch span for the server's lifetime, so the
+	// parts that repeat — the worker track name and the size/fill args, a
+	// function of the batch size — are built once and shared read-only by
+	// every span instead of costing a map per batch.
+	tracks    []string            // by worker id
+	batchArgs []map[string]string // by batch size
 }
 
 func newEngine(cfg Config, tc *trace.Collector, dispatch func(*Batch)) *engine {
 	e := &engine{cfg: cfg, tc: tc, dispatch: dispatch, queued: map[string]int{}}
 	for w := cfg.Workers - 1; w >= 0; w-- {
 		e.freeW = append(e.freeW, w)
+	}
+	for w := 0; w < cfg.Workers; w++ {
+		e.tracks = append(e.tracks, fmt.Sprintf("worker %d", w))
+	}
+	for k := 0; k <= cfg.BatchN; k++ {
+		e.batchArgs = append(e.batchArgs, map[string]string{
+			"size": fmt.Sprintf("%d", k),
+			"fill": fmt.Sprintf("%.2f", float64(k)/float64(cfg.BatchN)),
+		})
 	}
 	return e
 }
@@ -183,13 +199,10 @@ func (e *engine) complete(b *Batch, out *BatchOutcome, nowUS float64) {
 		m.Counter("serve.batch_failures").Inc()
 	}
 	e.tc.Add(trace.Span{
-		Proc: "serve", Track: fmt.Sprintf("worker %d", b.Worker),
+		Proc: "serve", Track: e.tracks[b.Worker],
 		Name: fmt.Sprintf("batch %d", b.Seq), Cat: "batch",
 		StartUS: b.FormedUS, DurUS: nowUS - b.FormedUS,
-		Args: map[string]string{
-			"size": fmt.Sprintf("%d", len(b.Reqs)),
-			"fill": fmt.Sprintf("%.2f", float64(len(b.Reqs))/float64(e.cfg.BatchN)),
-		},
+		Args: e.batchArgs[len(b.Reqs)],
 	})
 	e.inflight -= len(b.Reqs)
 	e.freeW = append(e.freeW, b.Worker)

@@ -848,7 +848,8 @@ func (gl *gemmLoop) emitRow(d, c []float32) {
 }
 
 // reluFast is bit-identical to float32(math.Max(float64(v), 0)) — the
-// closure tier's max — including NaN propagation and -0 → +0.
+// closure tier's max — including -0 → +0 and NaN → the canonical NaN
+// math.Max returns (whatever the input NaN's sign and payload).
 func reluFast(v float32) float32 {
 	if v > 0 {
 		return v
@@ -856,8 +857,10 @@ func reluFast(v float32) float32 {
 	if v == v {
 		return 0
 	}
-	return v // NaN
+	return canonNaN
 }
+
+var canonNaN = float32(math.NaN())
 
 // relu6Fast is bit-identical to min(max(v, 0), 6) through the same helpers.
 func relu6Fast(v float32) float32 {

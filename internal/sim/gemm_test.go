@@ -6,6 +6,7 @@ package sim_test
 // to the interpreter under the same (aliased) bindings.
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/sim"
@@ -94,5 +95,36 @@ func TestGemmCleanBindingsDoNotBail(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("GEMM path diverged from interpreter at %d: %v != %v", i, got[i], want[i])
 		}
+	}
+}
+
+// TestGemmReluEpilogueNaNBits: a window summing +Inf and −Inf yields the
+// hardware's default NaN, which is negative on amd64; the scalar tiers' ReLU
+// (math.Max) returns the canonical positive NaN, so the fused epilogue must
+// too. −0 inputs ride along.
+func TestGemmReluEpilogueNaNBits(t *testing.T) {
+	for _, relu6 := range []bool{false, true} {
+		op, err := topi.Conv2D(topi.ConvSpec{Name: "nan", C1: 3, H: 10, W: 10, C2: 4, F: 3, S: 1,
+			Relu: !relu6, Relu6: relu6, Bias: true}, topi.OptSched(4, 2, 1), topi.ConvIO{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := seeded(1, 3, 10, 10)
+		in.Data[0], in.Data[1] = float32(math.Inf(1)), float32(math.Inf(-1))
+		in.Data[50] = float32(math.Copysign(0, -1))
+		w := seeded(2, 4, 3, 3, 3)
+		for i, v := range w.Data {
+			w.Data[i] = float32(math.Abs(float64(v)))
+		}
+		b := seeded(3, 4)
+		want, _ := runOpTier(t, op, sim.TierInterp, in, w, b, nil)
+		got, s := runOpTier(t, op, sim.TierVector, in, w, b, nil)
+		if s.GemmRuns == 0 {
+			t.Fatalf("relu6=%v: conv did not take the GEMM path: %+v", relu6, s)
+		}
+		if v := got.Data[0]; v == v {
+			t.Fatalf("relu6=%v: out[0] = %v, want NaN from +Inf + −Inf", relu6, v)
+		}
+		assertBitEqual(t, "GEMM epilogue vs interpreter", got.Data, want.Data)
 	}
 }

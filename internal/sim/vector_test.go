@@ -7,6 +7,7 @@ package sim_test
 // shapes). External test package: sim must not depend on topi.
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -65,8 +66,9 @@ func assertBitEqual(t *testing.T, tag string, got, want []float32) {
 		t.Fatalf("%s: length %d vs %d", tag, len(got), len(want))
 	}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("%s: elem %d: %v != %v (bit-identity contract)", tag, i, got[i], want[i])
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s: elem %d: %v (%#08x) != %v (%#08x) (bit-identity contract)", tag, i,
+				got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
 		}
 	}
 }
