@@ -21,14 +21,15 @@ test:
 	$(GO) test ./...
 
 # The concurrency-sensitive packages: the parallel design-space explorer, the
-# deployment builders it calls into, the runtime event queue, the metrics
-# registry the retried images publish into, the simulator (shared buffer
-# pool + execution-tier stats across batch workers), and the continuous-
-# batching server (mutex-serialized engine + worker pool + drain). The fleet
+# sharded compile cache its workers share, the deployment builders it calls
+# into, the runtime event queue, the metrics registry the retried images
+# publish into, the simulator (shared buffer pool + execution-tier stats
+# across batch workers), and the continuous-batching server (mutex-serialized
+# engine + worker pool + drain). The fleet
 # layer (health-monitored devices + failover requeue) runs with -short so its
 # chaos streams stay tractable under the detector.
 race:
-	$(GO) test -race ./internal/dse/... ./internal/host/... ./internal/clrt/... ./internal/trace/... ./internal/sim/... ./internal/serve/...
+	$(GO) test -race ./internal/dse/... ./internal/aoc/... ./internal/host/... ./internal/clrt/... ./internal/trace/... ./internal/sim/... ./internal/serve/...
 	$(GO) test -race -short ./internal/fleet/...
 
 lint:
@@ -38,7 +39,9 @@ lint:
 	fi
 	$(GO) vet ./...
 
-# Serial-vs-parallel explorer speedup (BenchmarkDSESerial / BenchmarkDSEParallel).
+# Serial-vs-parallel explorer speedup: BenchmarkDSESerial (1 worker) vs
+# BenchmarkDSEParallel (4 workers), both with the run's own compile cache, so
+# the pair measures parallelism alone.
 bench:
 	$(GO) test -run=NONE -bench=BenchmarkDSE -benchtime=1x ./...
 

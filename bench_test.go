@@ -469,14 +469,15 @@ func dseBenchLayers(b *testing.B) []*relay.Layer {
 	return layers
 }
 
-// BenchmarkDSESerial is the baseline: one worker, memoization off — the cost
-// of the pre-parallelization explorer over the MobileNetV1 search space.
+// BenchmarkDSESerial is the baseline: the MobileNetV1 thesis-tier search on
+// one worker. Every run memoizes compilations in its own cache, so the pair
+// with BenchmarkDSEParallel measures parallelism alone.
 func BenchmarkDSESerial(b *testing.B) {
 	layers := dseBenchLayers(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := dse.ExploreWith(layers, "mobilenetv1", fpga.S10SX, dse.Options{
-			Workers: 1, MaxCandidates: 24, NoCache: true,
+			Workers: 1, MaxCandidates: 24,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -487,9 +488,8 @@ func BenchmarkDSESerial(b *testing.B) {
 	}
 }
 
-// BenchmarkDSEParallel runs the same search with the production settings: a
-// 4-worker pool and the compile cache. The ranking is bit-identical to the
-// serial run; only the wall-time changes.
+// BenchmarkDSEParallel runs the same search on a 4-worker pool. The ranking
+// is bit-identical to the serial run; only the wall-time changes.
 func BenchmarkDSEParallel(b *testing.B) {
 	layers := dseBenchLayers(b)
 	var hitRate float64

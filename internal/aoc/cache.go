@@ -42,24 +42,11 @@ import (
 // that Len's full sweep stays trivial.
 const cacheShards = 32
 
-// CompileObserver receives one callback per memoized kernel analysis lookup.
-// It is defined here (and satisfied structurally by the observability layer)
-// because the dependency arrow must point out of aoc: the trace package sits
-// above the runtime, which sits above the compiler model.
-type CompileObserver interface {
-	// ObserveCompile reports one lookup: the kernel's name and whether the
-	// analysis was served from the cache.
-	ObserveCompile(kernel string, hit bool)
-}
-
 // CompileCache memoizes per-kernel Analyze results across designs. The zero
 // value is not usable; construct with NewCompileCache. A nil *CompileCache is
 // accepted everywhere and disables memoization.
 type CompileCache struct {
 	shards [cacheShards]cacheShard
-	// obs is read on every lookup and written rarely; an atomic pointer keeps
-	// the read off the shard locks.
-	obs    atomic.Pointer[CompileObserver]
 	hits   atomic.Int64
 	misses atomic.Int64
 }
@@ -98,20 +85,6 @@ func shardFor(key string) uint32 {
 		h *= prime64
 	}
 	return uint32(h % cacheShards)
-}
-
-// SetObserver installs an observer called on every lookup (nil removes it).
-// The observer must be safe for concurrent use: the explorer analyzes from
-// many workers at once. Nil-safe on the cache.
-func (c *CompileCache) SetObserver(o CompileObserver) {
-	if c == nil {
-		return
-	}
-	if o == nil {
-		c.obs.Store(nil)
-		return
-	}
-	c.obs.Store(&o)
 }
 
 // Stats returns the cumulative hit/miss counters. Nil-safe.
@@ -165,9 +138,6 @@ func (c *CompileCache) analyze(k *ir.Kernel, board *fpga.Board, opts Options) (*
 		c.hits.Add(1)
 	} else {
 		c.misses.Add(1)
-	}
-	if obs := c.obs.Load(); obs != nil {
-		(*obs).ObserveCompile(k.Name, ok)
 	}
 	e.once.Do(func() { e.m, e.err = Analyze(k, board, opts) })
 	return e.m, e.err

@@ -21,47 +21,44 @@ package dse
 //     fixed-order float summation; candidate pools are sorted by
 //     (score, key) with exact comparisons.
 //   - No wall-clock anywhere in the search: annealing temperature decays per
-//     generation, never per second, and the trace spans sit on a modeled-time
-//     axis. Wall time is reported to stdout by callers, never inside Result.
+//     generation, never per second. Wall time is reported to stdout by
+//     callers, never inside Result.
 //   - The compile cache's singleflight guarantees exactly one counted miss
 //     per distinct kernel fingerprint, so even CacheHits/CacheMisses are
 //     scheduling-independent.
 
 import (
-	"context"
-	"fmt"
-	"runtime"
 	"sort"
-	"time"
 
-	"repro/internal/aoc"
 	"repro/internal/fpga"
-	"repro/internal/ir"
+	"repro/internal/host"
 	"repro/internal/relay"
-	"repro/internal/topi"
 	"repro/internal/trace"
 )
 
+// The annealer's shape.
+const (
+	// popSize is the number of parents kept per generation and the full-
+	// evaluation batch size.
+	popSize = 8
+	// mutPerParent is the number of mutations proposed per parent per
+	// generation.
+	mutPerParent = 6
+	// epsilon is the per-batch-slot probability of picking a random proposal
+	// instead of the model's best.
+	epsilon = 0.25
+	// patience stops the search after this many generations without a new
+	// best.
+	patience = 6
+)
+
 // GuidedOptions configures a guided exploration run. The zero value uses
-// the embedded Options defaults plus seed 0, population 8, 6 mutations per
-// parent, ε = 0.25 and patience 6.
+// the embedded Options defaults and seed 0.
 type GuidedOptions struct {
 	Options
 	// Seed fixes the search trajectory; two runs with equal seeds (and any
 	// worker counts) return byte-identical results.
 	Seed int64
-	// PopSize is the number of parents kept per generation and the full-
-	// evaluation batch size; <= 0 means 8.
-	PopSize int
-	// MutPerParent is the number of mutations proposed per parent per
-	// generation; <= 0 means 6.
-	MutPerParent int
-	// Epsilon is the per-batch-slot probability of picking a random proposal
-	// instead of the model's best; < 0 means 0, 0 means the default 0.25.
-	Epsilon float64
-	// Patience stops the search after this many generations without a new
-	// best; <= 0 means 6.
-	Patience int
 	// Transfer warm-starts the search from another board's serialized state
 	// when the space signatures match (population seeded from its top-K,
 	// model seeded from its weights). Nil starts cold.
@@ -79,15 +76,6 @@ type GuidedCandidate struct {
 	// evaluation (heuristic for seed points).
 	Predicted float64 `json:"predicted"`
 	Candidate
-}
-
-// JointResult augments Result with the joint-space geometry.
-type JointResult struct {
-	Result
-	// SpaceSize is the total number of joint points (feasible or not).
-	SpaceSize int64
-	// SpaceSig identifies the space's coordinate system (board-independent).
-	SpaceSig string
 }
 
 // GuidedResult is the guided explorer's outcome.
@@ -114,49 +102,11 @@ type evalRec struct {
 	cand *Candidate
 }
 
-// ExploreGuided runs guided search over the joint schedule space of the
-// network. See the file comment for the determinism contract.
+// ExploreGuided is the guided strategy: annealed search over the joint
+// schedule space of the network. See the file comment for the determinism
+// contract.
 func ExploreGuided(layers []*relay.Layer, net string, board *fpga.Board, opts GuidedOptions) (*GuidedResult, error) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	budget := opts.MaxCandidates
-	if budget <= 0 {
-		budget = 64
-	}
-	popSize := opts.PopSize
-	if popSize <= 0 {
-		popSize = 8
-	}
-	mutPerParent := opts.MutPerParent
-	if mutPerParent <= 0 {
-		mutPerParent = 6
-	}
-	eps := opts.Epsilon
-	if eps == 0 {
-		eps = 0.25
-	} else if eps < 0 {
-		eps = 0
-	}
-	patience := opts.Patience
-	if patience <= 0 {
-		patience = 6
-	}
-	ctx := opts.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	cache := opts.Cache
-	if cache == nil && !opts.NoCache {
-		cache = aoc.NewCompileCache()
-	}
-	if opts.Metrics != nil {
-		cache.SetObserver(trace.CacheObserver{Reg: opts.Metrics})
-	}
-	hits0, misses0 := cache.Stats()
-	t0 := time.Now()
-
+	s := newSearch(layers, board, opts.Options)
 	space := BuildSpace(layers, net)
 	res := &GuidedResult{
 		JointResult: JointResult{
@@ -166,26 +116,6 @@ func ExploreGuided(layers []*relay.Layer, net string, board *fpga.Board, opts Gu
 		},
 		Seed: opts.Seed,
 	}
-	defer func() {
-		hits1, misses1 := cache.Stats()
-		res.CacheHits = hits1 - hits0
-		res.CacheMisses = misses1 - misses0
-		if m := opts.Metrics; m != nil {
-			m.Counter("dse.evaluated").Add(int64(res.Evaluated))
-			m.Counter("dse.pruned").Add(int64(res.Pruned))
-			m.Counter("dse.pruned_bandwidth").Add(int64(res.PrunedBandwidth))
-			m.Counter("dse.pruned_route").Add(int64(res.PrunedRoute))
-			m.Counter("dse.generations").Add(int64(res.Generations))
-			m.Counter("dse.cache_hits").Add(res.CacheHits)
-			m.Counter("dse.cache_misses").Add(res.CacheMisses)
-			m.Gauge("dse.cache_hit_ratio").Set(res.CacheHitRate())
-			m.Gauge("dse.model_rank_corr").Set(res.RankCorr)
-			m.Gauge("dse.space_size").Set(float64(res.SpaceSize))
-			if el := time.Since(t0).Seconds(); el > 0 {
-				m.Gauge("dse.candidates_per_sec").Set(float64(res.Evaluated) / el)
-			}
-		}
-	}()
 
 	rng := newRNG(opts.Seed)
 	model := newCostModel(space, board)
@@ -207,26 +137,20 @@ func ExploreGuided(layers []*relay.Layer, net string, board *fpga.Board, opts Gu
 	// evalBatch pays full compile-model cost for a batch of points in
 	// parallel, then folds results into the model in slot order.
 	evalBatch := func(points []Point, preds []float64) error {
-		cands := make([]*Candidate, len(points))
-		done, errs := runJobs(ctx, len(points), workers, func(i int) error {
-			cand, err := evaluate(layers, space.Config(points[i]), board, cache)
-			if err != nil {
-				return err
-			}
-			cands[i] = cand
-			return nil
-		})
-		for i, err := range errs {
-			if done[i] && err != nil {
-				return err
-			}
+		cfgs := make([]host.FoldedConfig, len(points))
+		for i, p := range points {
+			cfgs[i] = space.Config(p)
 		}
-		for i := range points {
-			if !done[i] || cands[i] == nil {
+		cands, err := s.eval(cfgs)
+		if err != nil {
+			return err
+		}
+		for i, c := range cands {
+			if c == nil {
 				continue // canceled before this slot ran
 			}
-			recs = append(recs, &evalRec{p: points[i], key: space.Key(points[i]), pred: preds[i], cand: cands[i]})
-			model.observe(points[i], cands[i])
+			recs = append(recs, &evalRec{p: points[i], key: space.Key(points[i]), pred: preds[i], cand: c})
+			model.observe(points[i], c)
 		}
 		model.fit()
 		return nil
@@ -236,7 +160,7 @@ func ExploreGuided(layers []*relay.Layer, net string, board *fpga.Board, opts Gu
 	var seedPts []Point
 	var seedPreds []float64
 	addSeed := func(p Point) {
-		if len(seedPts) >= popSize || len(seedPts) >= budget {
+		if len(seedPts) >= popSize || len(seedPts) >= s.budget {
 			return
 		}
 		key := space.Key(p)
@@ -273,7 +197,7 @@ func ExploreGuided(layers []*relay.Layer, net string, board *fpga.Board, opts Gu
 	// rather than rediscovering the 1x1 tiling from scratch. Probe compiles
 	// are not full evaluations and do not count against the budget — the
 	// exhaustive tier accounts them identically.
-	seedsPref, probePruned := preferenceSeeds(space, board, popSize-2, cache)
+	seedsPref, probePruned := s.preferenceSeeds(space, popSize-2)
 	res.Pruned += probePruned
 	res.PrunedRoute += probePruned
 	for _, p := range seedsPref {
@@ -306,7 +230,7 @@ func ExploreGuided(layers []*relay.Layer, net string, board *fpga.Board, opts Gu
 	// Conservative seed: every axis at its smallest value.
 	addSeed(make(Point, len(space.Axes)))
 	// Random seeds fill the remaining population slots.
-	for tries := 0; tries < 20*popSize && len(seedPts) < popSize && len(seedPts) < budget; tries++ {
+	for tries := 0; tries < 20*popSize && len(seedPts) < popSize && len(seedPts) < s.budget; tries++ {
 		addSeed(randomPoint(space, rng))
 	}
 	if err := evalBatch(seedPts, seedPreds); err != nil {
@@ -317,7 +241,7 @@ func ExploreGuided(layers []*relay.Layer, net string, board *fpga.Board, opts Gu
 	temp := 1.0
 	best := bestSynth(recs)
 	stale := 0
-	for len(recs) < budget && stale < patience && ctx.Err() == nil {
+	for len(recs) < s.budget && stale < patience && s.ctx.Err() == nil {
 		parents := rankRecs(recs)
 		if len(parents) > popSize {
 			parents = parents[:popSize]
@@ -370,14 +294,14 @@ func ExploreGuided(layers []*relay.Layer, net string, board *fpga.Board, opts Gu
 		// ε-greedy batch selection: each slot usually takes the model's best
 		// remaining proposal, but with probability ε takes a random one.
 		batchN := popSize
-		if left := budget - len(recs); batchN > left {
+		if left := s.budget - len(recs); batchN > left {
 			batchN = left
 		}
 		var batchPts []Point
 		var batchPreds []float64
 		for len(batchPts) < batchN && len(props) > 0 {
 			idx := 0
-			if len(props) > 1 && rng.float() < eps {
+			if len(props) > 1 && rng.float() < epsilon {
 				idx = rng.intn(len(props))
 			}
 			pr := props[idx]
@@ -398,16 +322,12 @@ func ExploreGuided(layers []*relay.Layer, net string, board *fpga.Board, opts Gu
 		}
 		temp *= 0.8
 	}
-	res.Canceled = ctx.Err() != nil
 
 	// --- Ranking, model quality, observability ---
-	ranked := rankRecs(recs)
-	res.Evaluated = len(recs)
-	for _, r := range ranked {
-		c := *r.cand
-		res.Candidates = append(res.Candidates, c)
+	s.finish(&res.Result)
+	for _, r := range rankRecs(recs) {
 		res.Ranked = append(res.Ranked, GuidedCandidate{
-			Key: r.key, Axes: space.Values(r.p), Predicted: r.pred, Candidate: c,
+			Key: r.key, Axes: space.Values(r.p), Predicted: r.pred, Candidate: *r.cand,
 		})
 	}
 	// Model quality: rank correlation between the *final* fitted model's
@@ -431,27 +351,10 @@ func ExploreGuided(layers []*relay.Layer, net string, board *fpga.Board, opts Gu
 	res.RankCorr = trace.SpearmanRank(preds, actuals)
 	res.Model = TransferModel{TimeWeights: model.wTime, FeasWeights: model.wFeas, MaxTimeUS: model.maxTime}
 
-	if opts.Trace != nil || opts.Metrics != nil {
-		var cursor float64
-		for i, r := range recs {
-			opts.Metrics.Histogram("dse.candidate_time_us").Observe(r.cand.TimeUS)
-			dur := r.cand.TimeUS
-			if dur <= 0 {
-				dur = 1
-			}
-			args := map[string]string{
-				"synthesizable": fmt.Sprintf("%v", r.cand.Synthesizable),
-				"key":           r.key,
-				"predicted":     fmt.Sprintf("%.3f", r.pred),
-			}
-			if r.cand.FailReason != "" {
-				args["fail"] = r.cand.FailReason
-			}
-			opts.Trace.Add(trace.Span{Proc: "host", Track: "dse guided",
-				Name: fmt.Sprintf("eval %d", i), Cat: "candidate",
-				StartUS: cursor, DurUS: dur, Args: args})
-			cursor += dur
-		}
+	if m := s.metrics; m != nil {
+		m.Counter("dse.generations").Add(int64(res.Generations))
+		m.Gauge("dse.model_rank_corr").Set(res.RankCorr)
+		m.Gauge("dse.space_size").Set(float64(res.SpaceSize))
 	}
 	return res, nil
 }
@@ -472,16 +375,7 @@ func bestSynth(recs []*evalRec) *evalRec {
 // order breaking ties exactly (stable sort over the insertion-ordered slice).
 func rankRecs(recs []*evalRec) []*evalRec {
 	out := append([]*evalRec(nil), recs...)
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.cand.Synthesizable != b.cand.Synthesizable {
-			return a.cand.Synthesizable
-		}
-		if !a.cand.Synthesizable {
-			return false
-		}
-		return a.cand.TimeUS < b.cand.TimeUS
-	})
+	sort.SliceStable(out, func(i, j int) bool { return better(out[i].cand, out[j].cand) })
 	return out
 }
 
@@ -525,13 +419,13 @@ func mutate(s *Space, p Point, rng *splitmix64, temp float64) Point {
 // tier's enumeration frontier: the dominant conv tiling axes (1x1 when the
 // network has them, else 3x3) enumerated in §4.11 preference order — total
 // unroll descending, balanced channel factors breaking ties, each 1x1
-// tiling routability-probed exactly like ExploreWith's phase 2 — with every
+// tiling screened by the driver's routability probe — with every
 // other axis at its maximum (3x3 output-channel unroll at 1, matching the
 // exhaustive tier's OptSched(w2, 1, c1)). Deterministic: pure function of
 // the space, board and probe outcomes. The second return value counts
 // combos whose probe failed to route (the caller reports them as route
 // prunes).
-func preferenceSeeds(s *Space, board *fpga.Board, k int, cache *aoc.CompileCache) ([]Point, int) {
+func (sr *search) preferenceSeeds(s *Space, k int) ([]Point, int) {
 	if k <= 0 {
 		return nil, 0
 	}
@@ -591,18 +485,12 @@ func preferenceSeeds(s *Space, board *fpga.Board, k int, cache *aoc.CompileCache
 			p[ax] = c.idx[i]
 		}
 		if s.hasPW {
-			// Routability probe (mirrors ExploreWith phase 2): a 1x1 kernel
-			// that cannot route alone can never route inside the full design.
 			w2 := s.Axes[axes[0]].Values[c.idx[0]]
 			c2 := s.Axes[axes[1]].Values[c.idx[1]]
 			c1 := s.Axes[axes[2]].Values[c.idx[2]]
-			probe, err := topi.ConvParam("dse_probe", 1, 1, topi.OptSched(w2, c2, c1), true, true, false, true)
-			if err != nil {
-				probePruned++
-				continue
-			}
-			pd, err := aoc.CompileCached("dse-probe", []*ir.Kernel{probe.Op.Kernel}, board, aoc.DefaultOptions, cache)
-			if err != nil || !pd.Synthesizable() {
+			if ok, err := sr.routes(w2, c2, c1); err != nil || !ok {
+				// Unlike ExploreWith, a probe compile error counts as a
+				// route prune here rather than aborting the search.
 				probePruned++
 				continue
 			}
@@ -611,7 +499,7 @@ func preferenceSeeds(s *Space, board *fpga.Board, k int, cache *aoc.CompileCache
 		// conv group's unrolls down (the tiling axes themselves stay fixed —
 		// an infeasible combo is simply skipped).
 		for tries := 0; tries < 32; tries++ {
-			if ok, _ := s.Feasible(p, board); ok {
+			if ok, _ := s.Feasible(p, sr.board); ok {
 				break
 			}
 			moved := false
@@ -637,7 +525,7 @@ func preferenceSeeds(s *Space, board *fpga.Board, k int, cache *aoc.CompileCache
 				break
 			}
 		}
-		if ok, _ := s.Feasible(p, board); ok {
+		if ok, _ := s.Feasible(p, sr.board); ok {
 			out = append(out, p)
 		}
 	}

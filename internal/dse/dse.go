@@ -4,75 +4,56 @@
 // rather than the performance of individual layers. We leave resource
 // modeling and exploration for a DSE to future work.").
 //
-// Given a lowered network and a board, the explorer enumerates tiling
-// configurations that satisfy the thesis's factor-selection rules (§4.11):
+// # One driver, three strategies
 //
-//  1. the unroll width must not exceed what external memory bandwidth can
-//     feed at the design clock;
-//  2. factors must evenly divide every layer's extent they tile (no
-//     epilogues);
-//  3. the design must fit — and, beyond the thesis's list, must route.
+// Every search ranks folded deployments by their modeled end-to-end
+// forward-pass time, using exactly the same AOC model the evaluation uses, so
+// it optimizes whole-network throughput rather than a single kernel's. One
+// driver (search.go) pays for every design: it compiles and models proposed
+// configurations in parallel, memoizes kernel compilations in a per-run
+// aoc.CompileCache, ranks synthesizable-then-fastest with a stable sort and
+// publishes the dse.* metrics. Three strategies decide what to propose:
 //
-// Candidates are ranked by the modeled end-to-end forward-pass time of the
-// folded deployment, using exactly the same AOC model the evaluation uses,
-// so the search optimizes whole-network throughput rather than a single
-// kernel's.
+//   - ExploreWith, the thesis tier (this file): the §4.11 factor-selection
+//     rules — the unroll width must not exceed what external memory bandwidth
+//     can feed at the design clock, factors must evenly divide every layer's
+//     extent they tile, and the design must fit and route. Tilings are
+//     enumerated in preference order (largest total unroll first, balanced
+//     channel factors breaking ties), each 1x1 tiling is routability-probed
+//     by compiling its dominant kernel alone, and survivors take evaluation
+//     slots in enumeration order until MaxCandidates are reserved.
+//   - ExploreJointWith (joint.go): every bandwidth-feasible point of the joint
+//     schedule space (space.go), in odometer order.
+//   - ExploreGuided (anneal.go): seeded annealing over the joint space,
+//     ranking mutation batches with an online cost model (model.go) and
+//     optionally warm-started from another board's run (transfer.go).
 //
-// # Parallel architecture
-//
-// Exploration is split into four phases:
-//
-//  1. Enumeration (sequential, cheap): the divisor-respecting tiling space is
-//     generated in a deterministic preference order (largest total unroll
-//     first, balanced channel factors breaking ties) and pre-pruned by the
-//     §4.11 bandwidth rule.
-//  2. Probe (parallel): each 1x1 tiling group is routability-screened by
-//     compiling its dominant kernel alone — a 1x1 kernel that cannot route
-//     by itself can never route inside the full design.
-//  3. Slot assignment (sequential, cheap): surviving (1x1, 3x3) pairs are
-//     assigned evaluation slots in enumeration order until MaxCandidates
-//     slots are reserved. Reserving slots *before* evaluation makes the
-//     Result.Evaluated accounting exact under concurrency — the cap can
-//     never be overshot by racing workers.
-//  4. Evaluation (parallel): each reserved slot compiles the full folded
-//     deployment and models one forward pass. Workers pull slot indices
-//     from an atomic counter; results land at their slot index.
-//
-// Determinism: the final ranking is produced by a stable sort over the slot
-// array, so equal-time candidates keep their enumeration order and the
-// Result is identical for any worker count — Explore with Workers: 16
-// returns byte-identical candidates to Workers: 1. Kernel compilations are
-// memoized in an aoc.CompileCache (identical ConvSched/signature pairs recur
-// across candidates); the singleflight cache makes even the hit/miss
-// counters reported in Result independent of scheduling.
+// Determinism: slots are reserved before evaluation, results land at their
+// slot index and the final ranking is a stable sort over evaluation order,
+// so a Result is byte-identical for any worker count. The singleflight
+// compile cache makes even its hit/miss counters scheduling-independent.
 //
 // Cancellation: Options.Ctx bounds search wall-time. On cancellation the
-// explorer stops dispatching work promptly and returns a well-formed partial
-// Result (Canceled=true) holding every candidate fully evaluated before the
-// deadline.
+// driver stops dispatching work promptly and the strategy returns a
+// well-formed partial Result (Canceled=true) holding every candidate fully
+// evaluated before the deadline.
 package dse
 
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
 
-	"repro/internal/aoc"
 	"repro/internal/fpga"
 	"repro/internal/host"
-	"repro/internal/ir"
 	"repro/internal/relay"
 	"repro/internal/topi"
 	"repro/internal/trace"
 )
 
 // Options configures an exploration run. The zero value explores with
-// GOMAXPROCS workers, a 64-candidate budget, no deadline and a fresh
-// compile cache.
+// GOMAXPROCS workers, a 64-candidate budget and no deadline. Every run
+// memoizes kernel compilations in a compile cache of its own.
 type Options struct {
 	// Workers bounds evaluation concurrency; <= 0 means runtime.GOMAXPROCS.
 	Workers int
@@ -81,20 +62,10 @@ type Options struct {
 	MaxCandidates int
 	// Ctx cancels or bounds the search; nil means context.Background().
 	Ctx context.Context
-	// Cache memoizes kernel compilations. Nil allocates a private cache for
-	// the run; pass a shared cache to reuse compilations across runs on the
-	// same board.
-	Cache *aoc.CompileCache
-	// NoCache disables compile memoization entirely (benchmarks/ablations).
-	NoCache bool
-	// Metrics receives the run's observability counters and gauges
-	// (evaluated/pruned counts, cache hit ratio, candidates/sec, per-kernel
-	// compile-cache lookups); nil disables publication.
+	// Metrics receives the run's observability counters, gauges and the
+	// candidate-time histogram (evaluated/pruned counts, cache hits and
+	// misses, candidates/sec); nil disables publication.
 	Metrics *trace.Registry
-	// Trace receives one span per evaluated candidate on a modeled-time axis
-	// (cumulative forward-pass time in slot order — deterministic, unlike the
-	// wall clock); nil disables it.
-	Trace *trace.Collector
 }
 
 // Candidate is one evaluated configuration.
@@ -126,15 +97,15 @@ type Result struct {
 	Evaluated int
 	Pruned    int // rejected before full compilation (divisibility/bandwidth/probe)
 	// PrunedBandwidth/PrunedRoute split Pruned by cause: the §4.11 bandwidth
-	// rule (phase 1, and infeasible mutations in guided mode) vs the
-	// routability probe (phase 2).
+	// rule (at enumeration, and infeasible mutations in guided mode) vs the
+	// 1x1 routability probe.
 	PrunedBandwidth int
 	PrunedRoute     int
 	// Canceled reports that Options.Ctx expired before the search finished;
 	// the Result then holds the candidates evaluated up to that point.
 	Canceled bool
-	// CacheHits/CacheMisses are this run's kernel-compile memoization
-	// counters (deltas when a shared cache is passed in).
+	// CacheHits/CacheMisses are the totals of the run's kernel-compile
+	// cache.
 	CacheHits   int64
 	CacheMisses int64
 }
@@ -235,62 +206,15 @@ func divisorsOf(n, cap int) []int {
 // pwCfg is one 1x1-convolution tiling group from the enumeration phase.
 type pwCfg struct{ w2, c2, c1 int }
 
-// Explore enumerates and ranks configurations for a network on a board with
-// default options. maxCandidates bounds the number of compiled designs (the
-// expensive step); enumeration order prefers balanced tilings first.
-func Explore(layers []*relay.Layer, net string, board *fpga.Board, maxCandidates int) (*Result, error) {
-	return ExploreWith(layers, net, board, Options{MaxCandidates: maxCandidates})
-}
-
-// ExploreWith enumerates and ranks configurations under the given Options.
-// See the package comment for the phase structure and the determinism and
-// cancellation guarantees.
+// ExploreWith is the thesis-tier strategy: it enumerates and ranks §4.11
+// tilings under the given Options. See the package comment for the
+// determinism and cancellation guarantees.
 func ExploreWith(layers []*relay.Layer, net string, board *fpga.Board, opts Options) (*Result, error) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	maxCandidates := opts.MaxCandidates
-	if maxCandidates <= 0 {
-		maxCandidates = 64
-	}
-	ctx := opts.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	cache := opts.Cache
-	if cache == nil && !opts.NoCache {
-		cache = aoc.NewCompileCache()
-	}
-	if opts.Metrics != nil {
-		cache.SetObserver(trace.CacheObserver{Reg: opts.Metrics})
-	}
-	hits0, misses0 := cache.Stats()
-	t0 := time.Now()
-
+	s := newSearch(layers, board, opts)
 	facts := gatherFacts(layers)
 	res := &Result{Board: board, Net: net}
-	defer func() {
-		hits1, misses1 := cache.Stats()
-		res.CacheHits = hits1 - hits0
-		res.CacheMisses = misses1 - misses0
-		if m := opts.Metrics; m != nil {
-			m.Counter("dse.evaluated").Add(int64(res.Evaluated))
-			m.Counter("dse.pruned").Add(int64(res.Pruned))
-			m.Counter("dse.pruned_bandwidth").Add(int64(res.PrunedBandwidth))
-			m.Counter("dse.pruned_route").Add(int64(res.PrunedRoute))
-			m.Counter("dse.cache_hits").Add(res.CacheHits)
-			m.Counter("dse.cache_misses").Add(res.CacheMisses)
-			m.Gauge("dse.cache_hit_ratio").Set(res.CacheHitRate())
-			// Wall-clock throughput: meaningful operationally, deliberately
-			// excluded from any golden comparison.
-			if el := time.Since(t0).Seconds(); el > 0 {
-				m.Gauge("dse.candidates_per_sec").Set(float64(res.Evaluated) / el)
-			}
-		}
-	}()
 
-	// --- Phase 1: enumeration (sequential, deterministic order) ---
+	// --- Enumeration (sequential, deterministic order) ---
 
 	// Rule 1 (§4.11): the widest memory access must not exceed the memory
 	// system's bytes/cycle at a conservative clock.
@@ -314,7 +238,8 @@ func ExploreWith(layers []*relay.Layer, net string, board *fpga.Board, opts Opti
 		pws = []pwCfg{{1, 1, 1}}
 	}
 	// Prefer larger total unroll first (throughput), break ties toward
-	// balanced C2/C1.
+	// balanced C2/C1. Not a stable sort: the tie order it produces is part
+	// of the tier's output.
 	sort.Slice(pws, func(i, j int) bool {
 		vi := pws[i].w2 * pws[i].c2 * pws[i].c1
 		vj := pws[j].w2 * pws[j].c2 * pws[j].c1
@@ -359,180 +284,72 @@ func ExploreWith(layers []*relay.Layer, net string, board *fpga.Board, opts Opti
 		dwVec = dw[len(dw)-1]
 	}
 
-	// --- Phase 2: routability probes (parallel) ---
-	// Cheap feasibility pre-check per 1x1 group: the dominant kernel
-	// compiled alone. A 1x1 kernel that cannot route by itself can never
-	// route inside the full design, so its whole candidate row is skipped
-	// before any expensive whole-network build.
+	// --- Routability probes (parallel) ---
+	// A 1x1 group whose dominant kernel cannot route alone skips its whole
+	// candidate row before any whole-network build. A probe compile error
+	// aborts the search.
 	pass := make([]bool, len(pws))
-	prunedByProbe := make([]bool, len(pws))
-	var probeDone []bool
 	if facts.hasPW {
-		var errs []error
-		probeDone, errs = runJobs(ctx, len(pws), workers, func(i int) error {
-			pw := pws[i]
-			probe, err := topi.ConvParam("dse_probe", 1, 1,
-				topi.OptSched(pw.w2, pw.c2, pw.c1), true, true, false, true)
-			if err != nil {
-				prunedByProbe[i] = true
-				return nil
-			}
-			pd, err := aoc.CompileCached("dse-probe", []*ir.Kernel{probe.Op.Kernel}, board, aoc.DefaultOptions, cache)
-			if err != nil {
-				return err
-			}
-			if !pd.Synthesizable() {
-				prunedByProbe[i] = true
-				return nil
-			}
-			pass[i] = true
-			return nil
+		done, errs := runJobs(s.ctx, len(pws), s.workers, func(i int) error {
+			var err error
+			pass[i], err = s.routes(pws[i].w2, pws[i].c2, pws[i].c1)
+			return err
 		})
-		for i, err := range errs {
-			if probeDone[i] && err != nil {
+		for _, err := range errs {
+			if err != nil {
 				return nil, err
 			}
 		}
 		for i := range pws {
-			if probeDone[i] && prunedByProbe[i] {
+			if done[i] && !pass[i] {
 				res.Pruned++
 				res.PrunedRoute++
 			}
 		}
 	} else {
-		probeDone = make([]bool, len(pws))
 		for i := range pws {
-			probeDone[i], pass[i] = true, true
+			pass[i] = true
 		}
 	}
 
-	// --- Phase 3: slot assignment (sequential, exact accounting) ---
-	// Every reserved slot corresponds to exactly one full evaluation, so the
-	// MaxCandidates cap is enforced before any worker starts: concurrent
-	// evaluation cannot overshoot it.
-	type slot struct{ pwIdx, c33Idx int }
+	// --- Slot assignment (sequential, exact accounting) ---
+	// Every reserved slot is exactly one full evaluation, so the
+	// MaxCandidates cap holds before any worker starts.
+	type slot struct {
+		pw  pwCfg
+		c33 topi.ConvSched
+	}
 	var slots []slot
 assign:
-	for i := range pws {
-		if !probeDone[i] || !pass[i] {
+	for i, pw := range pws {
+		if !pass[i] {
 			continue
 		}
-		for j := range c33s {
-			if len(slots) >= maxCandidates {
+		for _, c33 := range c33s {
+			if len(slots) >= s.budget {
 				break assign
 			}
-			slots = append(slots, slot{i, j})
+			slots = append(slots, slot{pw, c33})
 		}
 	}
 
-	// --- Phase 4: evaluation (parallel) ---
-	cands := make([]*Candidate, len(slots))
-	evalDone, evalErrs := runJobs(ctx, len(slots), workers, func(i int) error {
-		pw := pws[slots[i].pwIdx]
-		c33 := c33s[slots[i].c33Idx]
-		cfg := buildConfig(layers, facts, pw.w2, pw.c2, pw.c1, c33, dwVec, denseVec)
-		cand, err := evaluate(layers, cfg, board, cache)
-		if err != nil {
-			return err
-		}
-		cand.PW = topi.OptSched(pw.w2, pw.c2, pw.c1)
-		cand.Conv33 = c33
-		cands[i] = cand
-		return nil
-	})
-	for i, err := range evalErrs {
-		if evalDone[i] && err != nil {
-			return nil, err
-		}
+	// --- Evaluation (parallel, in the driver) ---
+	cfgs := make([]host.FoldedConfig, len(slots))
+	for i, sl := range slots {
+		cfgs[i] = buildConfig(layers, facts, sl.pw, sl.c33, dwVec, denseVec)
 	}
-
-	// Collect completed slots in enumeration order; the stable sort then
-	// breaks time ties by enumeration index for any worker count.
+	cands, err := s.eval(cfgs)
+	if err != nil {
+		return nil, err
+	}
 	for i, c := range cands {
-		if evalDone[i] && c != nil {
-			res.Candidates = append(res.Candidates, *c)
-			res.Evaluated++
+		if c != nil {
+			c.PW = topi.OptSched(slots[i].pw.w2, slots[i].pw.c2, slots[i].pw.c1)
+			c.Conv33 = slots[i].c33
 		}
 	}
-	res.Canceled = ctx.Err() != nil
-
-	// Per-candidate observability: one span per evaluated slot on a modeled-
-	// time axis (cumulative forward-pass estimates in slot order), which is
-	// deterministic for any worker count, unlike evaluation wall-time.
-	if opts.Trace != nil || opts.Metrics != nil {
-		var cursor float64
-		for i, c := range cands {
-			if !evalDone[i] || c == nil {
-				continue
-			}
-			opts.Metrics.Histogram("dse.candidate_time_us").Observe(c.TimeUS)
-			dur := c.TimeUS
-			if dur <= 0 {
-				dur = 1 // unsynthesizable candidates get a visible sliver
-			}
-			args := map[string]string{"synthesizable": fmt.Sprintf("%v", c.Synthesizable)}
-			if c.FailReason != "" {
-				args["fail"] = c.FailReason
-			}
-			opts.Trace.Add(trace.Span{Proc: "host", Track: "dse candidates",
-				Name: fmt.Sprintf("candidate %d", i), Cat: "candidate",
-				StartUS: cursor, DurUS: dur, Args: args})
-			cursor += dur
-		}
-	}
-
-	sort.SliceStable(res.Candidates, func(i, j int) bool {
-		a, b := res.Candidates[i], res.Candidates[j]
-		if a.Synthesizable != b.Synthesizable {
-			return a.Synthesizable
-		}
-		if !a.Synthesizable {
-			return false
-		}
-		return a.TimeUS < b.TimeUS
-	})
+	s.finish(res)
 	return res, nil
-}
-
-// runJobs executes fn(i) for every i in [0, n) on up to `workers` goroutines.
-// Workers reserve indices by atomically incrementing a shared counter, so
-// each index runs exactly once; when ctx is done, workers stop reserving new
-// indices and drain promptly. done[i] reports whether fn(i) ran to
-// completion; errs[i] holds its error. Callers scan errs in index order so
-// the reported error is deterministic regardless of scheduling.
-func runJobs(ctx context.Context, n, workers int, fn func(i int) error) (done []bool, errs []error) {
-	done = make([]bool, n)
-	errs = make([]error, n)
-	if n == 0 {
-		return done, errs
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				errs[i] = fn(i)
-				done[i] = true
-			}
-		}()
-	}
-	wg.Wait()
-	return done, errs
 }
 
 func abs(x int) int {
@@ -545,7 +362,7 @@ func abs(x int) int {
 // buildConfig assembles a FoldedConfig covering every conv signature the
 // network uses. Strided 1x1 projections get their own channel unroll (they
 // are small in FLOPs but crippling at 1 MAC/cycle).
-func buildConfig(layers []*relay.Layer, facts layerFacts, pwW2, pwC2, pwC1 int, c33 topi.ConvSched, dwVec, denseVec int) host.FoldedConfig {
+func buildConfig(layers []*relay.Layer, facts layerFacts, pw pwCfg, c33 topi.ConvSched, dwVec, denseVec int) host.FoldedConfig {
 	conv := map[string]topi.ConvSched{}
 	dw := map[string]int{}
 	projC1 := 1
@@ -556,60 +373,20 @@ func buildConfig(layers []*relay.Layer, facts layerFacts, pwW2, pwC2, pwC1 int, 
 	for _, l := range layers {
 		switch l.Kind {
 		case relay.KConv:
-			sig := convSigLocal(l)
+			key := host.ConfigKey(l)
 			switch {
 			case l.F == 1 && l.S == 1:
-				conv[sig] = topi.OptSched(pwW2, pwC2, pwC1)
+				conv[key] = topi.OptSched(pw.w2, pw.c2, pw.c1)
 			case l.F == 1:
-				conv[sig] = topi.OptSched(1, 1, projC1)
+				conv[key] = topi.OptSched(1, 1, projC1)
 			case l.F == 3:
-				conv[sig] = c33
+				conv[key] = c33
 			default:
-				conv[sig] = topi.OptSched(1, 1, 1)
+				conv[key] = topi.OptSched(1, 1, 1)
 			}
 		case relay.KDepthwise:
-			dw[fmt.Sprintf("dw%dx%ds%d", l.F, l.F, l.S)] = dwVec
+			dw[host.ConfigKey(l)] = dwVec
 		}
 	}
 	return host.FoldedConfig{Conv: conv, DWVec: dw, DenseVec: denseVec, Workaround: true}
-}
-
-// convSigLocal mirrors host's signature naming for conv groups.
-func convSigLocal(l *relay.Layer) string {
-	sig := fmt.Sprintf("conv%dx%ds%d", l.F, l.F, l.S)
-	if l.HasSkip {
-		sig += "_res"
-	}
-	if l.Relu6 {
-		sig += "_r6"
-	} else if !l.Relu {
-		sig += "_lin"
-	}
-	return sig
-}
-
-// evaluate compiles the configuration and models one forward pass.
-func evaluate(layers []*relay.Layer, cfg host.FoldedConfig, board *fpga.Board, cache *aoc.CompileCache) (*Candidate, error) {
-	dep, err := host.BuildFoldedCached(layers, cfg, board, aoc.DefaultOptions, cache)
-	if err != nil {
-		// Divisibility misses surface as build errors: an unsynthesizable
-		// candidate, not an explorer failure.
-		return &Candidate{Config: cfg, FailReason: "bind: " + err.Error()}, nil
-	}
-	ef := dep.Design.Features()
-	c := &Candidate{Config: cfg, FmaxMHz: ef.FmaxMHz, DSPs: ef.DSPs, LogicFrac: ef.LogicFrac}
-	if !dep.Design.Synthesizable() {
-		c.FailReason = dep.Design.FailReason
-		if !dep.Design.Routed {
-			c.FailReason = "routing"
-		}
-		return c, nil
-	}
-	c.Synthesizable = true
-	us, err := dep.ForwardTimeUS()
-	if err != nil {
-		return nil, err
-	}
-	c.TimeUS = us
-	return c, nil
 }

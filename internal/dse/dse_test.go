@@ -68,7 +68,7 @@ func TestGatherFactsMobileNet(t *testing.T) {
 func TestExploreMobileNetFindsGoodConfig(t *testing.T) {
 	layers := mobilenetLayers(t)
 	board := fpga.S10SX
-	res, err := Explore(layers, "mobilenetv1", board, 24)
+	res, err := ExploreWith(layers, "mobilenetv1", board, Options{MaxCandidates: 24})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestExploreMobileNetFindsGoodConfig(t *testing.T) {
 
 func TestExploreRanksSynthesizableFirst(t *testing.T) {
 	layers := mobilenetLayers(t)
-	res, err := Explore(layers, "mobilenetv1", fpga.A10, 20)
+	res, err := ExploreWith(layers, "mobilenetv1", fpga.A10, Options{MaxCandidates: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestExploreRanksSynthesizableFirst(t *testing.T) {
 
 func TestExploreRespectsResourceLimits(t *testing.T) {
 	layers := mobilenetLayers(t)
-	res, err := Explore(layers, "mobilenetv1", fpga.A10, 30)
+	res, err := ExploreWith(layers, "mobilenetv1", fpga.A10, Options{MaxCandidates: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestExploreLeNetFoldedNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Explore(layers, "lenet5", fpga.S10SX, 8)
+	res, err := ExploreWith(layers, "lenet5", fpga.S10SX, Options{MaxCandidates: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,44 +170,59 @@ func TestBestErrorsWhenNothingFits(t *testing.T) {
 }
 
 // TestExploreDeterministicAcrossWorkerCounts is the core guarantee of the
-// parallel explorer: the Result — candidate order, modeled times, pruning and
-// cache counters — is bit-identical no matter how many workers evaluate it.
+// parallel explorer, for every strategy: the Result — candidate order,
+// modeled times, pruning and cache counters — is bit-identical no matter how
+// many workers evaluate it.
 func TestExploreDeterministicAcrossWorkerCounts(t *testing.T) {
-	lenet, err := relay.Lower(nn.LeNet5())
-	if err != nil {
-		t.Fatal(err)
-	}
-	nets := []struct {
-		name   string
-		layers []*relay.Layer
-		max    int
+	lenet, mobilenet := lenetLayers(t), mobilenetLayers(t)
+	runs := []struct {
+		name string
+		run  func(workers int) (*Result, error)
 	}{
-		{"lenet5", lenet, 8},
-		{"mobilenetv1", mobilenetLayers(t), 24},
-	}
-	for _, net := range nets {
-		var ref *Result
-		for _, workers := range []int{1, 4, 16} {
-			res, err := ExploreWith(net.layers, net.name, fpga.S10SX, Options{
-				Workers: workers, MaxCandidates: net.max,
+		{"thesis/lenet5", func(workers int) (*Result, error) {
+			return ExploreWith(lenet, "lenet5", fpga.S10SX, Options{Workers: workers, MaxCandidates: 8})
+		}},
+		{"thesis/mobilenetv1", func(workers int) (*Result, error) {
+			return ExploreWith(mobilenet, "mobilenetv1", fpga.S10SX, Options{Workers: workers, MaxCandidates: 24})
+		}},
+		{"joint/lenet5", func(workers int) (*Result, error) {
+			res, err := ExploreJointWith(lenet, "lenet5", fpga.A10, Options{Workers: workers})
+			if err != nil {
+				return nil, err
+			}
+			return &res.Result, nil
+		}},
+		{"guided/lenet5", func(workers int) (*Result, error) {
+			res, err := ExploreGuided(lenet, "lenet5", fpga.A10, GuidedOptions{
+				Options: Options{Workers: workers, MaxCandidates: 24}, Seed: 1,
 			})
 			if err != nil {
-				t.Fatalf("%s workers=%d: %v", net.name, workers, err)
+				return nil, err
+			}
+			return &res.Result, nil
+		}},
+	}
+	for _, r := range runs {
+		var ref *Result
+		for _, workers := range []int{1, 4, 16} {
+			res, err := r.run(workers)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", r.name, workers, err)
 			}
 			if workers == 1 {
 				ref = res
 				continue
 			}
 			if !reflect.DeepEqual(res.Candidates, ref.Candidates) {
-				t.Fatalf("%s: candidates differ between 1 and %d workers", net.name, workers)
+				t.Fatalf("%s: candidates differ between 1 and %d workers", r.name, workers)
 			}
 			if res.Evaluated != ref.Evaluated || res.Pruned != ref.Pruned {
 				t.Fatalf("%s workers=%d: evaluated/pruned %d/%d vs serial %d/%d",
-					net.name, workers, res.Evaluated, res.Pruned, ref.Evaluated, ref.Pruned)
+					r.name, workers, res.Evaluated, res.Pruned, ref.Evaluated, ref.Pruned)
 			}
 			if res.CacheHits != ref.CacheHits || res.CacheMisses != ref.CacheMisses {
 				t.Fatalf("%s workers=%d: cache %d/%d vs serial %d/%d",
-					net.name, workers, res.CacheHits, res.CacheMisses, ref.CacheHits, ref.CacheMisses)
+					r.name, workers, res.CacheHits, res.CacheMisses, ref.CacheHits, ref.CacheMisses)
 			}
 		}
 	}
@@ -259,30 +274,6 @@ func TestExploreExactBudgetAccounting(t *testing.T) {
 	}
 }
 
-// TestExploreSharedCacheAcrossRuns: a caller-provided cache survives between
-// searches, so a second identical run compiles nothing.
-func TestExploreSharedCacheAcrossRuns(t *testing.T) {
-	layers := mobilenetLayers(t)
-	cache := aoc.NewCompileCache()
-	first, err := ExploreWith(layers, "mobilenetv1", fpga.S10SX, Options{MaxCandidates: 8, Cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.CacheMisses == 0 {
-		t.Fatal("first run must populate the cache")
-	}
-	second, err := ExploreWith(layers, "mobilenetv1", fpga.S10SX, Options{MaxCandidates: 8, Cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.CacheMisses != 0 {
-		t.Fatalf("second run recompiled %d kernels", second.CacheMisses)
-	}
-	if !reflect.DeepEqual(first.Candidates, second.Candidates) {
-		t.Fatal("cached run must rank identically to the cold run")
-	}
-}
-
 // handPickedResNetS10SX mirrors bench.ResNetConfig (duplicated to avoid an
 // import cycle).
 var handPickedResNetS10SX = func() host.FoldedConfig {
@@ -309,7 +300,7 @@ func TestExploreResNetMatchesHandConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Explore(layers, "resnet18", fpga.S10SX, 16)
+	res, err := ExploreWith(layers, "resnet18", fpga.S10SX, Options{MaxCandidates: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

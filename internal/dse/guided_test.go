@@ -5,10 +5,8 @@ import (
 	"encoding/json"
 	"path/filepath"
 	"reflect"
-	"sync"
 	"testing"
 
-	"repro/internal/aoc"
 	"repro/internal/fpga"
 	"repro/internal/nn"
 	"repro/internal/relay"
@@ -119,79 +117,6 @@ func TestGuidedMatchesExhaustiveJointLeNet(t *testing.T) {
 	if gd.SpaceSig != ex.SpaceSig || gd.SpaceSize != ex.SpaceSize {
 		t.Fatalf("tiers disagree on the space: %q/%d vs %q/%d",
 			gd.SpaceSig, gd.SpaceSize, ex.SpaceSig, ex.SpaceSize)
-	}
-}
-
-// TestGuidedSharedCacheConcurrentRuns: two guided searches sharing one
-// CompileCache and running concurrently must (a) each produce exactly the
-// result they produce alone and (b) keep exact global accounting — the
-// singleflight guarantees one miss per distinct kernel fingerprint no matter
-// which run gets there first. Run under -race this also proves the sharded
-// cache is data-race-free under cross-run contention.
-func TestGuidedSharedCacheConcurrentRuns(t *testing.T) {
-	layers := mobilenetLayers(t)
-	// Two same-board searches with different seeds: different trajectories,
-	// heavily overlapping kernel sets (fingerprints are board-specific, so
-	// only same-board runs can share compilations).
-	seeds := []int64{1, 2}
-	solo := func(seed int64, cache *aoc.CompileCache) *GuidedResult {
-		res, err := ExploreGuided(layers, "mobilenetv1", fpga.S10SX, GuidedOptions{
-			Options: Options{MaxCandidates: 24, Cache: cache}, Seed: seed,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	solo1, solo2 := solo(seeds[0], nil), solo(seeds[1], nil)
-
-	cache := aoc.NewCompileCache()
-	results := make([]*GuidedResult, 2)
-	errs := make([]error, 2)
-	var wg sync.WaitGroup
-	for i, seed := range seeds {
-		wg.Add(1)
-		go func(i int, seed int64) {
-			defer wg.Done()
-			results[i], errs[i] = ExploreGuided(layers, "mobilenetv1", fpga.S10SX, GuidedOptions{
-				Options: Options{MaxCandidates: 24, Cache: cache}, Seed: seed,
-			})
-		}(i, seed)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("run %d: %v", i, err)
-		}
-	}
-
-	// (a) Search outcomes are cache-independent: same rankings as solo runs.
-	if !reflect.DeepEqual(results[0].Ranked, solo1.Ranked) {
-		t.Fatal("seed-1 rankings changed when sharing a cache with a concurrent run")
-	}
-	if !reflect.DeepEqual(results[1].Ranked, solo2.Ranked) {
-		t.Fatal("seed-2 rankings changed when sharing a cache with a concurrent run")
-	}
-
-	// (b) Exact global accounting: every distinct fingerprint missed exactly
-	// once (the singleflight contract), lookups partition into hits+misses.
-	hits, misses := cache.Stats()
-	if misses != int64(cache.Len()) {
-		t.Fatalf("misses %d != distinct cached entries %d: singleflight violated", misses, cache.Len())
-	}
-	// Each run issues the identical lookup sequence whether or not the cache
-	// is shared (the rankings above prove the trajectories matched), so the
-	// shared cache's total lookups equal the solo totals combined.
-	soloLookups := solo1.CacheHits + solo1.CacheMisses + solo2.CacheHits + solo2.CacheMisses
-	if hits+misses != soloLookups {
-		t.Fatalf("shared-cache lookups %d != solo lookup total %d", hits+misses, soloLookups)
-	}
-	// Sharing must help: the runs' preference probes and overlapping
-	// candidates compile once instead of twice, so the shared miss total is
-	// strictly below the two private-miss totals combined.
-	if misses >= solo1.CacheMisses+solo2.CacheMisses {
-		t.Fatalf("shared cache missed %d times, solo runs %d+%d: no cross-run reuse",
-			misses, solo1.CacheMisses, solo2.CacheMisses)
 	}
 }
 

@@ -8,115 +8,52 @@ package dse
 // point of the guided tier.
 
 import (
-	"context"
-	"runtime"
-	"sort"
-	"time"
-
-	"repro/internal/aoc"
 	"repro/internal/fpga"
+	"repro/internal/host"
 	"repro/internal/relay"
-	"repro/internal/trace"
 )
 
-// ExploreJointWith exhaustively evaluates every bandwidth-feasible point of
-// the joint schedule space in deterministic odometer order. Unlike
-// ExploreWith, MaxCandidates <= 0 means *unbounded* (evaluate the whole
-// feasible space); a positive value truncates enumeration after that many
-// reserved slots. Determinism and cancellation follow ExploreWith: slot
-// arrays plus a stable sort make the Result byte-identical for any worker
-// count.
-func ExploreJointWith(layers []*relay.Layer, net string, board *fpga.Board, opts Options) (*JointResult, error) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	ctx := opts.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	cache := opts.Cache
-	if cache == nil && !opts.NoCache {
-		cache = aoc.NewCompileCache()
-	}
-	if opts.Metrics != nil {
-		cache.SetObserver(trace.CacheObserver{Reg: opts.Metrics})
-	}
-	hits0, misses0 := cache.Stats()
-	t0 := time.Now()
+// JointResult augments Result with the joint-space geometry.
+type JointResult struct {
+	Result
+	// SpaceSize is the total number of joint points (feasible or not).
+	SpaceSize int64
+	// SpaceSig identifies the space's coordinate system (board-independent).
+	SpaceSig string
+}
 
+// ExploreJointWith is the exhaustive strategy: it evaluates every
+// bandwidth-feasible point of the joint schedule space in deterministic
+// odometer order. Unlike ExploreWith, MaxCandidates <= 0 means *unbounded*
+// (evaluate the whole feasible space); a positive value truncates
+// enumeration after that many reserved slots.
+func ExploreJointWith(layers []*relay.Layer, net string, board *fpga.Board, opts Options) (*JointResult, error) {
+	s := newSearch(layers, board, opts)
 	space := BuildSpace(layers, net)
 	res := &JointResult{
 		Result:    Result{Board: board, Net: net},
 		SpaceSize: space.Size(),
 		SpaceSig:  space.Sig(),
 	}
-	defer func() {
-		hits1, misses1 := cache.Stats()
-		res.CacheHits = hits1 - hits0
-		res.CacheMisses = misses1 - misses0
-		if m := opts.Metrics; m != nil {
-			m.Counter("dse.evaluated").Add(int64(res.Evaluated))
-			m.Counter("dse.pruned").Add(int64(res.Pruned))
-			m.Counter("dse.pruned_bandwidth").Add(int64(res.PrunedBandwidth))
-			m.Counter("dse.pruned_route").Add(int64(res.PrunedRoute))
-			m.Counter("dse.cache_hits").Add(res.CacheHits)
-			m.Counter("dse.cache_misses").Add(res.CacheMisses)
-			m.Gauge("dse.cache_hit_ratio").Set(res.CacheHitRate())
-			m.Gauge("dse.space_size").Set(float64(res.SpaceSize))
-			if el := time.Since(t0).Seconds(); el > 0 {
-				m.Gauge("dse.candidates_per_sec").Set(float64(res.Evaluated) / el)
-			}
-		}
-	}()
-
 	// Slot assignment: enumerate feasible points up front (cheap integer
 	// work), so the parallel phase has exact accounting.
-	var slots []Point
+	var cfgs []host.FoldedConfig
 	space.Enumerate(func(p Point) bool {
 		if ok, _ := space.Feasible(p, board); !ok {
 			res.Pruned++
 			res.PrunedBandwidth++
 			return true
 		}
-		if opts.MaxCandidates > 0 && len(slots) >= opts.MaxCandidates {
+		if opts.MaxCandidates > 0 && len(cfgs) >= opts.MaxCandidates {
 			return false
 		}
-		slots = append(slots, p.Clone())
+		cfgs = append(cfgs, space.Config(p))
 		return true
 	})
-
-	cands := make([]*Candidate, len(slots))
-	done, errs := runJobs(ctx, len(slots), workers, func(i int) error {
-		cand, err := evaluate(layers, space.Config(slots[i]), board, cache)
-		if err != nil {
-			return err
-		}
-		cands[i] = cand
-		return nil
-	})
-	for i, err := range errs {
-		if done[i] && err != nil {
-			return nil, err
-		}
+	if _, err := s.eval(cfgs); err != nil {
+		return nil, err
 	}
-	for i, c := range cands {
-		if done[i] && c != nil {
-			res.Candidates = append(res.Candidates, *c)
-			res.Evaluated++
-		}
-	}
-	res.Canceled = ctx.Err() != nil
-
-	sort.SliceStable(res.Candidates, func(i, j int) bool {
-		a, b := res.Candidates[i], res.Candidates[j]
-		if a.Synthesizable != b.Synthesizable {
-			return a.Synthesizable
-		}
-		if !a.Synthesizable {
-			return false
-		}
-		return a.TimeUS < b.TimeUS
-	})
+	s.finish(&res.Result)
+	s.metrics.Gauge("dse.space_size").Set(float64(res.SpaceSize))
 	return res, nil
 }

@@ -119,10 +119,7 @@ func BuildSpace(layers []*relay.Layer, net string) *Space {
 		case relay.KDepthwise:
 			s.dwMACs += macs
 		case relay.KDense:
-			sig := "dense"
-			if l.Relu {
-				sig = "dense_relu"
-			}
+			sig := host.ConfigKey(l)
 			s.denseMACs[sig] += macs
 			if denseN[sig] == 0 {
 				denseN[sig] = l.InShape[0]
@@ -133,8 +130,8 @@ func BuildSpace(layers []*relay.Layer, net string) *Space {
 	}
 
 	if facts.hasPW {
-		// w2 = 1 means scalar stores; the exhaustive tier prunes it outright
-		// (dse.go phase 1), so the joint space excludes it from the axis.
+		// w2 = 1 means scalar stores; the thesis tier's enumeration prunes it
+		// outright, so the joint space excludes it from the axis.
 		w2s := divisorsOf(facts.pwW2, 14)
 		if len(w2s) > 1 && w2s[0] == 1 {
 			w2s = w2s[1:]
@@ -262,19 +259,19 @@ func (s *Space) Config(p Point) host.FoldedConfig {
 	for _, l := range s.layers {
 		switch l.Kind {
 		case relay.KConv:
-			sig := convSigLocal(l)
+			key := host.ConfigKey(l)
 			switch {
 			case l.F == 1 && l.S == 1:
-				conv[sig] = pwSched
+				conv[key] = pwSched
 			case l.F == 1:
-				conv[sig] = projSched
+				conv[key] = projSched
 			case l.F == 3:
-				conv[sig] = c33Sched
+				conv[key] = c33Sched
 			default:
-				conv[sig] = topi.OptSched(1, 1, 1)
+				conv[key] = topi.OptSched(1, 1, 1)
 			}
 		case relay.KDepthwise:
-			dw[fmt.Sprintf("dw%dx%ds%d", l.F, l.F, l.S)] = s.value(p, axDWW2, 1)
+			dw[host.ConfigKey(l)] = s.value(p, axDWW2, 1)
 		}
 	}
 	dense := map[string]int{}

@@ -22,18 +22,38 @@ type FoldedConfig struct {
 	// parameterized kernels — the "base" folded bitstream. This is the
 	// configuration that fails to fit on the Arria 10 (§6.3.2).
 	Naive bool
-	// Conv maps a convolution signature (see convSig) to its tiling.
+	// Conv maps a convolution's ConfigKey to its tiling.
 	Conv map[string]topi.ConvSched
-	// DWVec maps a depthwise signature to its W2 unroll factor.
+	// DWVec maps a depthwise layer's ConfigKey to its W2 unroll factor.
 	DWVec map[string]int
 	// DenseVec is the dense reduction unroll.
 	DenseVec int
-	// Dense optionally overrides DenseVec per dense signature ("dense",
+	// Dense optionally overrides DenseVec per dense ConfigKey ("dense",
 	// "dense_relu"); the guided explorer searches these axes independently.
 	Dense map[string]int
 	// Workaround applies the Listing 5.11 stride-1 coalescing fix
 	// (on in all thesis deployments; off for the ablation).
 	Workaround bool
+}
+
+// ConfigKey returns the key a layer's tiling is looked up under: in
+// FoldedConfig.Conv for convolutions, DWVec for depthwise layers and Dense
+// for dense layers. Other layer kinds take no per-layer tiling and get "".
+// A convolution's key is also its kernel group's name; a depthwise group
+// with a ReLU6 epilogue appends "_r6" to its key.
+func ConfigKey(l *relay.Layer) string {
+	switch l.Kind {
+	case relay.KConv:
+		return convSig(l.F, l.S, l.Relu, l.Relu6, l.HasSkip)
+	case relay.KDepthwise:
+		return fmt.Sprintf("dw%dx%ds%d", l.F, l.F, l.S)
+	case relay.KDense:
+		if l.Relu {
+			return "dense_relu"
+		}
+		return "dense"
+	}
+	return ""
 }
 
 func convSig(f, s int, relu, relu6, res bool) string {
@@ -200,7 +220,7 @@ func BuildFoldedCached(layers []*relay.Layer, cfg FoldedConfig, board *fpga.Boar
 
 		switch l.Kind {
 		case relay.KConv:
-			sig := convSig(l.F, l.S, l.Relu, l.Relu6, l.HasSkip)
+			sig := ConfigKey(l)
 			g := groups[sig]
 			if g == nil || g.conv == nil {
 				// Tiling configs may be keyed without the activation suffix
@@ -227,13 +247,14 @@ func BuildFoldedCached(layers []*relay.Layer, cfg FoldedConfig, board *fpga.Boar
 			}
 			inv.kernel, inv.op, inv.bindings = g.conv.Op.Kernel, g.conv.Op, bind
 		case relay.KDepthwise:
-			sig := fmt.Sprintf("dw%dx%ds%d", l.F, l.F, l.S)
+			key := ConfigKey(l)
+			sig := key
 			if l.Relu6 {
 				sig += "_r6"
 			}
 			g := groups[sig]
 			if g == nil || g.dw == nil {
-				w2v := cfg.DWVec[fmt.Sprintf("dw%dx%ds%d", l.F, l.F, l.S)]
+				w2v := cfg.DWVec[key]
 				pd, err := topi.DepthwiseParamAct(sig, l.F, l.S, w2v, l.Relu, l.Relu6, l.B != nil, cfg.Workaround)
 				if err != nil {
 					return nil, err
@@ -248,10 +269,7 @@ func BuildFoldedCached(layers []*relay.Layer, cfg FoldedConfig, board *fpga.Boar
 			}
 			inv.kernel, inv.op, inv.bindings = g.dw.Op.Kernel, g.dw.Op, bind
 		case relay.KDense:
-			sig := "dense"
-			if l.Relu {
-				sig = "dense_relu"
-			}
+			sig := ConfigKey(l)
 			g := groups[sig]
 			if g == nil || g.dense == nil {
 				kvec := cfg.DenseVec

@@ -72,7 +72,7 @@ func (m *Machine) GetTier() Tier { return m.tier }
 // ExecStats aggregates compile- and run-time tier counters across the
 // machines that share it (all workers of a batch deployment). All fields are
 // atomic; sim does not depend on internal/trace — hosts drain a snapshot
-// into the metrics registry, mirroring the aoc.CompileObserver convention.
+// into the metrics registry.
 type ExecStats struct {
 	// CacheHits / CacheMisses count compiled-kernel cache lookups in Run.
 	CacheHits   atomic.Int64

@@ -18,21 +18,6 @@ import (
 	"sync/atomic"
 )
 
-// CacheObserver publishes compile-cache lookups into a registry. It
-// satisfies aoc.CompileObserver structurally — aoc sits below this package
-// and cannot import it, so the interface lives there and the implementation
-// here: cache.SetObserver(trace.CacheObserver{Reg: reg}).
-type CacheObserver struct{ Reg *Registry }
-
-// ObserveCompile counts one memoized kernel-analysis lookup.
-func (o CacheObserver) ObserveCompile(kernel string, hit bool) {
-	if hit {
-		o.Reg.Counter("aoc.compile_cache.hits").Inc()
-	} else {
-		o.Reg.Counter("aoc.compile_cache.misses").Inc()
-	}
-}
-
 // Counter is a monotonically increasing integer metric.
 type Counter struct{ v atomic.Int64 }
 

@@ -116,14 +116,3 @@ func TestNilRegistryInert(t *testing.T) {
 		t.Fatalf("nil DumpJSON invalid: %v", err)
 	}
 }
-
-func TestCacheObserver(t *testing.T) {
-	r := NewRegistry()
-	o := CacheObserver{Reg: r}
-	o.ObserveCompile("conv", false)
-	o.ObserveCompile("conv", true)
-	o.ObserveCompile("conv", true)
-	if h, m := r.Counter("aoc.compile_cache.hits").Value(), r.Counter("aoc.compile_cache.misses").Value(); h != 2 || m != 1 {
-		t.Fatalf("hits=%d misses=%d, want 2/1", h, m)
-	}
-}
