@@ -11,11 +11,13 @@ build:
 	$(GO) build ./...
 
 # The benchmark spine (benchmark/) is a Go module of its own, so the root
-# `go build ./...` never compiles it; this proves it still builds and vets
-# against internal/host and internal/serve as they are now (-o /dev/null: a
-# bare build of its one main package would drop a binary into benchmark/).
+# `go build ./...` and `go test ./...` never reach it; this proves it still
+# builds and vets against internal/host and internal/serve as they are now
+# (-o /dev/null: a bare build of its one main package would drop a binary
+# into benchmark/), and runs its own tests: the manifest-vs-spec check and
+# the oracle-checked LeNet smoke.
 bench-build:
-	cd benchmark && $(GO) build -o /dev/null ./... && $(GO) vet ./...
+	cd benchmark && $(GO) build -o /dev/null ./... && $(GO) vet ./... && $(GO) test ./...
 
 test:
 	$(GO) test ./...

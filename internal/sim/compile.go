@@ -356,7 +356,11 @@ func (c *compiler) stmtFn(s ir.Stmt) stmtFn {
 			}
 		}
 		if c.vectorize {
-			if fn := c.vectorLoop(x); fn != nil {
+			fn := c.vectorLoop(x)
+			if fn == nil {
+				fn = c.padLoop(x)
+			}
+			if fn != nil {
 				c.nVector++
 				return fn
 			}

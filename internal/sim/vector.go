@@ -30,7 +30,9 @@ package sim
 // compiler cannot contract them into an FMA). Anything the analysis cannot
 // prove — non-affine indices, channel ops, var-dependent selects, triangular
 // nests — falls back per-loop to the closure tier, and every bailout is
-// counted (ExecStats.FallbackLoops). If the run-time box check fails (an
+// counted (ExecStats.FallbackLoops). TVM's div/mod pad nest is not affine
+// but is not a fallback either: pad.go recognizes its one fixed form and
+// runs it as row fills and row copies. If the run-time box check fails (an
 // access would leave its buffer), the nest re-runs on the scalar closures to
 // reproduce the exact per-element panic (ExecStats.GuardBailouts).
 
@@ -545,14 +547,7 @@ func (vl *vecLoop) runFill(e *cenv) {
 	vl.forRows(last, func() {
 		d, o := vl.data[0], vl.off[0]
 		if ds == 1 {
-			s := d[o : o+n]
-			if v == 0 {
-				clear(s)
-				return
-			}
-			for i := range s {
-				s[i] = v
-			}
+			fillRow(d[o:o+n], v)
 			return
 		}
 		for i := int64(0); i < n; i++ {

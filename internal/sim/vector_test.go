@@ -114,7 +114,7 @@ func TestTopiKernelsBitIdenticalAcrossTiers(t *testing.T) {
 	opSM, err := topi.Softmax("sm", 10, false, topi.ConvIO{})
 	mk("softmax", opSM, err, true)
 	opPad, err := topi.Pad2D(topi.PadSpec{Name: "pd", C: 3, H: 6, W: 6, P: 1}, topi.ConvIO{})
-	mk("pad", opPad, err, false) // div/mod delinearized indices: scalar by design
+	mk("pad", opPad, err, true)
 
 	for _, tc := range kernels {
 		in := seeded(1, 4, 16, 16) // oversized backing data; shapes differ per op
