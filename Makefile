@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build bench-build test race lint bench bench-batch bench-sim bench-serve bench-fleet bench-dse chaos trace serve-smoke fleet-smoke dse-smoke fmt
+.PHONY: all build bench-build test race lint bench bench-serve bench-fleet bench-dse chaos trace serve-smoke fleet-smoke dse-smoke fmt
 
 all: lint build test
 
@@ -46,22 +46,6 @@ lint:
 # the pair measures parallelism alone.
 bench:
 	$(GO) test -run=NONE -bench=BenchmarkDSE -benchtime=1x ./...
-
-# Batched-inference throughput: RunBatch at one worker with depth-1 rings (the
-# serial host structure) vs the worker pool with double buffering on a
-# 16-image LeNet-5 batch. Writes BENCH_batch.json (wall-clock ns/image and
-# allocs/image for both rows, plus the modeled serial-vs-batch speedup); CI
-# uploads it as a non-blocking artifact.
-bench-batch:
-	$(GO) run ./cmd/fpgacnn bench-batch -o BENCH_batch.json
-	$(GO) test -run=NONE -bench=BenchmarkBatchThroughput -benchtime=1x .
-
-# Execution-tier benchmark: interp vs closure vs vector on the LeNet conv and
-# dense kernels plus one folded MobileNet layer. Writes BENCH_sim.json and
-# prints benchstat-comparable BenchmarkSim/<kernel>/<tier> lines; CI runs it
-# twice (non-blocking) and uploads both outputs.
-bench-sim:
-	$(GO) run ./cmd/fpgacnn bench-sim -o BENCH_sim.json
 
 # Open-loop load benchmark for the continuous-batching server: the same QPS
 # ramp over (batch-N, deadline-T) operating points including a batch-of-1
@@ -125,15 +109,14 @@ dse-smoke:
 # Chaos smoke: the fault-injection matrix (the Resilient/Watchdog/Ladder tests
 # sweep seeds 1-3 internally) under the race detector, the static channel
 # verifier over the example networks plus output verification of every Table
-# 6.4 bitstream on each execution tier (interp keeps the channels, closure and
-# vector run them elided into buffers), and the chaos CLI across three seeds.
+# 6.4 bitstream on the vector tier (channels elided into buffers; the
+# interpreter cross-check of every variant is TestElidedSessionMatchesInterpOracle),
+# and the chaos CLI across three seeds.
 chaos:
 	$(GO) test -race ./internal/fault/...
 	$(GO) test -race -run 'Fault|Injected|Resilient|Watchdog|Ladder|Deadlock|Drain' \
 		./internal/clrt/... ./internal/sim/... ./internal/host/...
-	for exec in interp closure vector; do \
-		$(GO) run ./cmd/fpgacnn verify -exec $$exec || exit 1; \
-	done
+	$(GO) run ./cmd/fpgacnn verify
 	for seed in 1 2 3; do \
 		$(GO) run ./cmd/fpgacnn chaos -fault-rate 0.1 -fault-seed $$seed -images 3 || exit 1; \
 	done

@@ -422,8 +422,8 @@ func BenchmarkAblationSymbolicCoalesce(b *testing.B) {
 // depth-1 rings (the serial host structure) against its default worker pool
 // with double buffering on a 16-image LeNet-5 batch, both on the same warm
 // sessions. The "serial" and "batch" sub-benchmarks measure wall-clock host
-// throughput; `fpgacnn bench-batch` runs the same comparison and records it
-// in BENCH_batch.json.
+// throughput; internal/host's TestRunBatchModeledWorkerScaling pins the
+// modeled time of the same two rows.
 func BenchmarkBatchThroughput(b *testing.B) {
 	layers := lenetLayers(b)
 	p, err := host.BuildPipelined(layers, host.PipeTVMAutorun, fpga.S10SX, aoc.DefaultOptions)

@@ -43,7 +43,7 @@ func runDSE(args []string) error {
 	transferOut := fs.String("transfer-out", "", "serialize the fitted model + top-K history to this path")
 	transferK := fs.Int("transfer-topk", 8, "ranked candidates kept in -transfer-out")
 	metrics := fs.Bool("metrics", false, "print the metrics dump after the search")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if *mode != "exhaustive" && *mode != "guided" {
@@ -238,7 +238,7 @@ func runBenchDSE(args []string) error {
 	out := fs.String("o", "BENCH_dse.json", "output path for the JSON report (\"-\" = stdout)")
 	seed := fs.Int64("dse-seed", 1, "guided search seed")
 	workers := fs.Int("dse-workers", 0, "evaluation workers (0 = GOMAXPROCS)")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	rep := dseBenchReport{Seed: *seed}

@@ -8,6 +8,7 @@ package main
 // `-fault-seed 7` without a rate was a no-op surprise.
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"strings"
@@ -21,6 +22,17 @@ func (e *usageError) Error() string { return e.msg }
 
 func usagef(format string, a ...any) *usageError {
 	return &usageError{msg: fmt.Sprintf(format, a...)}
+}
+
+// parseFlags parses a subcommand's arguments. An unknown flag or a bad value
+// is a *usageError (exit 2); -h passes flag.ErrHelp through, on which main
+// exits 0.
+func parseFlags(fs *flag.FlagSet, args []string) error {
+	err := fs.Parse(args)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return err
+	}
+	return &usageError{msg: err.Error()}
 }
 
 // flagWasSet reports whether the user passed the named flag explicitly

@@ -3,6 +3,7 @@ package main
 import (
 	"errors"
 	"flag"
+	"io"
 	"testing"
 )
 
@@ -88,5 +89,28 @@ func TestValidateKillFlags(t *testing.T) {
 	}
 	if err := validateKillFlags("a10-0", 5000, devs); !errors.As(err, &ue) {
 		t.Fatalf("unknown board: %v", err)
+	}
+}
+
+func TestParseFlags(t *testing.T) {
+	newFS := func() *flag.FlagSet {
+		fs := flag.NewFlagSet("run", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		fs.Int("images", 3, "")
+		return fs
+	}
+	if err := parseFlags(newFS(), []string{"-images", "4"}); err != nil {
+		t.Fatalf("valid flags: %v", err)
+	}
+	for _, args := range [][]string{{"-bogus"}, {"-images", "x"}} {
+		var ue *usageError
+		if err := parseFlags(newFS(), args); !errors.As(err, &ue) {
+			t.Errorf("%v: got %v, want usageError", args, err)
+		}
+	}
+	for _, h := range []string{"-h", "-help"} {
+		if err := parseFlags(newFS(), []string{h}); err != flag.ErrHelp {
+			t.Errorf("%s: got %v, want flag.ErrHelp", h, err)
+		}
 	}
 }

@@ -214,14 +214,10 @@ func runFleet(args []string) error {
 	metrics := fs.Bool("metrics", false, "print the metrics dump after the run")
 	traceOut := fs.String("trace", "", "write a Chrome trace JSON to this path (\"-\" = stdout)")
 	mkFaults := fleetChaosFlags(fs)
-	applyExec := execFlag(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if err := validateFaultFlags(fs, *faultRate, "fault-seed", "fault-rate"); err != nil {
-		return err
-	}
-	if err := applyExec(); err != nil {
 		return err
 	}
 	specs, err := fleet.ParseBoards(*boards)
@@ -296,11 +292,7 @@ func runBenchFleet(args []string) error {
 	fs := flag.NewFlagSet("bench-fleet", flag.ContinueOnError)
 	seed := fs.Int64("seed", 1, "arrival process seed")
 	out := fs.String("o", "BENCH_fleet.json", "output path for the JSON report (\"-\" = stdout)")
-	applyExec := execFlag(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := applyExec(); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 

@@ -20,10 +20,6 @@
 //	                             # timed run with optional metrics/trace export
 //	fpgacnn run -batch N -workers K
 //	                             # batched inference through the parallel engine
-//	fpgacnn bench-batch -o BENCH_batch.json
-//	                             # wall-clock serial-vs-batch benchmark, JSON out
-//	fpgacnn bench-sim -o BENCH_sim.json
-//	                             # interp vs closure vs vector tier benchmark
 //	fpgacnn trace -o trace.json  # timed run, exported as a Chrome trace
 //	fpgacnn serve -addr :8080    # continuous-batching HTTP inference server
 //	fpgacnn bench-serve -o BENCH_serve.json
@@ -34,13 +30,11 @@
 //	fpgacnn bench-fleet -o BENCH_fleet.json
 //	                             # 1-board vs replicated vs sharded fleet bench
 //
-// Subcommands that execute kernels functionally (run, verify, bench-batch,
-// bench-sim) accept -exec=interp|closure|vector to pick the simulator's
-// execution engine (default vector).
+// Kernels execute functionally on the simulator's vector tier; its
+// interpreter is the oracle the tests compare against.
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -48,8 +42,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"testing"
-	"time"
 
 	"repro/internal/aoc"
 	"repro/internal/bench"
@@ -61,16 +53,14 @@ import (
 	"repro/internal/nn"
 	"repro/internal/relay"
 	"repro/internal/serve"
-	"repro/internal/sim"
 	"repro/internal/tensor"
-	"repro/internal/topi"
 	"repro/internal/trace"
 	"repro/internal/verify"
 )
 
 func main() {
 	if len(os.Args) < 2 {
-		usage()
+		fmt.Fprintln(os.Stderr, commands)
 		os.Exit(2)
 	}
 	cmd := os.Args[1]
@@ -81,7 +71,8 @@ func main() {
 		for _, e := range bench.Experiments {
 			fmt.Println("  " + e)
 		}
-		fmt.Println("other commands: all, codegen <net>, verify, chaos, dse [-dse-workers N] [-dse-timeout D]")
+		fmt.Println()
+		fmt.Println(commands)
 	case "all":
 		var rep string
 		rep, err = bench.All()
@@ -106,10 +97,6 @@ func main() {
 		err = runBenchDSE(os.Args[2:])
 	case "run":
 		err = runTimed(os.Args[2:])
-	case "bench-batch":
-		err = runBenchBatch(os.Args[2:])
-	case "bench-sim":
-		err = runBenchSim(os.Args[2:])
 	case "trace":
 		err = runTrace(os.Args[2:])
 	case "serve":
@@ -126,6 +113,9 @@ func main() {
 		var rep string
 		rep, err = bench.Run(cmd)
 		fmt.Print(rep)
+	}
+	if errors.Is(err, flag.ErrHelp) {
+		return // the flag set already printed its defaults
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fpgacnn:", err)
@@ -145,15 +135,13 @@ func arg(i int, def string) string {
 	return def
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: fpgacnn <command>
+// commands is the usage text: printed on stderr when no command is given,
+// and on stdout by `fpgacnn list` after the experiment catalogue.
+const commands = `usage: fpgacnn <command>
   list | all | <experiment> | codegen <net> | hostgen <net> | report <net> <board> |
-  timeline <net> <board> | graph <net> | verify [-exec E] |
-  run [-net N] [-board B] [-images N] [-batch N] [-workers K] [-serial] [-profiling]
-      [-exec E] [-metrics] [-trace F] [-cpuprofile F] [-memprofile F] |
-  bench-batch [-net N] [-board B] [-batch N] [-workers K] [-o F] [-exec E]
-      [-cpuprofile F] [-memprofile F] |
-  bench-sim [-o F] [-cpuprofile F] [-memprofile F] |
+  timeline <net> <board> | graph <net> | verify |
+  run [-net N] [-board B] [-images N] [-batch N] [-workers K] [-serial] [-no-double-buffer]
+      [-profiling] [-metrics] [-trace F] [-cpuprofile F] [-memprofile F] |
   trace [-net N] [-board B] [-images N] [-o F] [-metrics] |
   chaos [-fault-seed N] [-fault-rate P] [-watchdog-us D] [-images N] [-metrics] [-trace F] |
   dse [-dse-mode exhaustive|guided] [-dse-workers N] [-dse-timeout D] [-dse-max N]
@@ -161,14 +149,13 @@ func usage() {
       [-transfer-in F] [-transfer-out F] [-transfer-topk K] [-metrics] |
   bench-dse [-dse-seed S] [-dse-workers N] [-o F] |
   serve [-addr A] [-net N] [-board B] [-fleet MIX] [-batch-n N] [-deadline-us T]
-      [-workers K] [-tenant-queue Q] [-max-pending P] [-fault-seed S] [-fault-rate R] [-exec E] |
-  bench-serve [-net N] [-board B] [-workers K] [-seed S] [-o F] [-exec E] |
-  serve-smoke [-fault-rate R] [-exec E] |
+      [-workers K] [-tenant-queue Q] [-max-pending P] [-fault-seed S] [-fault-rate R] |
+  bench-serve [-net N] [-board B] [-workers K] [-seed S] [-o F] |
+  serve-smoke [-fault-rate R] |
   fleet [-net N] [-boards MIX] [-shard] [-qps Q] [-dur-us D] [-seed S]
       [-kill-board DEV -kill-at-us T] [-sticky-board DEV -sticky-dur-us D]
       [-brownout-board DEV -brownout-dur-us D -brownout-factor F] [-metrics] [-trace F] |
-  bench-fleet [-seed S] [-o F]`)
-}
+  bench-fleet [-seed S] [-o F]`
 
 // buildRunner resolves a network/board to a traced-run closure over the
 // deployment serve.BuildDeployment picks for it (pipelined for LeNet-5, the
@@ -272,21 +259,6 @@ func profileFlags(fs *flag.FlagSet) func() (func(), error) {
 	return func() (func(), error) { return startProfiles(*cpu, *mem) }
 }
 
-// execFlag registers -exec on a FlagSet and returns an apply function (call
-// after parsing) that sets the process-wide default execution tier for every
-// simulator machine the subcommand creates.
-func execFlag(fs *flag.FlagSet) func() error {
-	s := fs.String("exec", sim.TierVector.String(), "execution engine: interp, closure or vector")
-	return func() error {
-		t, err := sim.ParseTier(*s)
-		if err != nil {
-			return err
-		}
-		sim.SetDefaultTier(t)
-		return nil
-	}
-}
-
 // buildBatchDeployment builds the deployment for net on the named board plus
 // a deterministic input set of the requested size: MNIST digits for LeNet-5,
 // seeded random images of the network's input shape otherwise.
@@ -342,15 +314,11 @@ func runTimed(args []string) error {
 	profiling := fs.Bool("profiling", false, "enable the OpenCL event profiler (serializes execution)")
 	metrics := fs.Bool("metrics", false, "print the metrics dump after the run")
 	traceOut := fs.String("trace", "", "write a Chrome trace JSON to this path (\"-\" = stdout)")
-	applyExec := execFlag(fs)
 	startProf := profileFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if err := validateRunShape(*batch, *workers, *serial, *noDB, *profiling); err != nil {
-		return err
-	}
-	if err := applyExec(); err != nil {
 		return err
 	}
 	stopProf, err := startProf()
@@ -406,324 +374,6 @@ func finishObservability(tc *trace.Collector, traceOut string, metrics bool) err
 	return nil
 }
 
-// batchBenchReport is the BENCH_batch.json schema: wall-clock host throughput
-// of the batch engine at one worker with depth-1 rings (the serial host
-// structure) vs at -workers with double buffering over the same images, plus
-// the modeled device-side figures of the same two runs. CI uploads this as a
-// non-blocking artifact (see .github/workflows/ci.yml).
-type batchBenchReport struct {
-	Net     string `json:"net"`
-	Board   string `json:"board"`
-	Batch   int    `json:"batch"`
-	Workers int    `json:"workers"`
-	Serial  struct {
-		NsPerImage     float64 `json:"ns_per_image"`
-		AllocsPerImage float64 `json:"allocs_per_image"`
-		ImagesPerSec   float64 `json:"images_per_sec"`
-	} `json:"serial"`
-	Batched struct {
-		NsPerImage     float64 `json:"ns_per_image"`
-		AllocsPerImage float64 `json:"allocs_per_image"`
-		ImagesPerSec   float64 `json:"images_per_sec"`
-	} `json:"batch_engine"`
-	SpeedupX float64 `json:"speedup_images_per_sec_x"`
-	// Modeled figures come from the simulated runtime clock: ModeledSerial is
-	// the single-stream depth-1 run (the seed host structure), Modeled is the
-	// batch engine's worker pool with double buffering. Their ratio isolates
-	// the host-architecture win from host-CPU effects, the way the thesis
-	// reports its concurrent-queue speedups.
-	ModeledSerial struct {
-		US           float64 `json:"us"`
-		ImagesPerSec float64 `json:"images_per_sec"`
-	} `json:"modeled_serial"`
-	Modeled struct {
-		US           float64 `json:"us"`
-		ImagesPerSec float64 `json:"images_per_sec"`
-		OverlapRatio float64 `json:"overlap_ratio"`
-	} `json:"modeled"`
-	ModeledSpeedupX float64 `json:"modeled_speedup_x"`
-}
-
-// runBenchBatch measures wall-clock serial-vs-batch host throughput and
-// writes the JSON report. Both rows are RunBatch over the same inputs on the
-// same warm sessions: the serial row at one worker with depth-1 rings, the
-// batch row at -workers with double buffering.
-func runBenchBatch(args []string) error {
-	fs := flag.NewFlagSet("bench-batch", flag.ContinueOnError)
-	net := fs.String("net", "lenet5", "network (see fpgacnn list)")
-	boardName := fs.String("board", "S10SX", "target board")
-	batch := fs.Int("batch", 16, "images per batch")
-	workers := fs.Int("workers", 4, "batch worker count (0 = GOMAXPROCS)")
-	out := fs.String("o", "BENCH_batch.json", "output path for the JSON report (\"-\" = stdout)")
-	applyExec := execFlag(fs)
-	startProf := profileFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := applyExec(); err != nil {
-		return err
-	}
-	stopProf, err := startProf()
-	if err != nil {
-		return err
-	}
-	defer stopProf()
-	dep, inputs, err := buildBatchDeployment(*net, *boardName, *batch)
-	if err != nil {
-		return err
-	}
-	// Steady-state measurement, symmetric for both paths: one warmup pass
-	// (session compile, pool fill), then `reps` timed passes over the batch
-	// with allocation counts from the runtime's malloc counter.
-	const reps = 3
-	measure := func(pass func() error) (nsPerImage, allocsPerImage float64, err error) {
-		if err := pass(); err != nil {
-			return 0, 0, err
-		}
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		t0 := time.Now()
-		for i := 0; i < reps; i++ {
-			if err := pass(); err != nil {
-				return 0, 0, err
-			}
-		}
-		dt := time.Since(t0)
-		runtime.ReadMemStats(&after)
-		images := float64(*batch * reps)
-		return float64(dt.Nanoseconds()) / images, float64(after.Mallocs-before.Mallocs) / images, nil
-	}
-	var modeledSerial, modeled *host.BatchResult
-	serialNs, serialAllocs, err := measure(func() (err error) {
-		modeledSerial, err = dep.RunBatch(inputs, host.BatchOptions{Workers: 1, NoDoubleBuffer: true})
-		return err
-	})
-	if err != nil {
-		return fmt.Errorf("serial baseline: %w", err)
-	}
-	batchNs, batchAllocs, err := measure(func() (err error) {
-		modeled, err = dep.RunBatch(inputs, host.BatchOptions{Workers: *workers})
-		return err
-	})
-	if err != nil {
-		return fmt.Errorf("batch engine: %w", err)
-	}
-	rep := batchBenchReport{Net: *net, Board: *boardName, Batch: *batch, Workers: modeled.Workers}
-	rep.Serial.NsPerImage = serialNs
-	rep.Serial.AllocsPerImage = serialAllocs
-	rep.Serial.ImagesPerSec = 1e9 / rep.Serial.NsPerImage
-	rep.Batched.NsPerImage = batchNs
-	rep.Batched.AllocsPerImage = batchAllocs
-	rep.Batched.ImagesPerSec = 1e9 / rep.Batched.NsPerImage
-	if rep.Batched.NsPerImage > 0 {
-		rep.SpeedupX = rep.Serial.NsPerImage / rep.Batched.NsPerImage
-	}
-	rep.ModeledSerial.US = modeledSerial.ModeledUS
-	rep.ModeledSerial.ImagesPerSec = modeledSerial.ImagesPerSec
-	rep.Modeled.US = modeled.ModeledUS
-	rep.Modeled.ImagesPerSec = modeled.ImagesPerSec
-	rep.Modeled.OverlapRatio = modeled.Overlap.Ratio
-	if modeledSerial.ImagesPerSec > 0 {
-		rep.ModeledSpeedupX = modeled.ImagesPerSec / modeledSerial.ImagesPerSec
-	}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	fmt.Printf("%s batch=%d workers=%d: serial %.2f ms/image (%.0f allocs), batch %.2f ms/image (%.0f allocs): %.1fx faster, %.1fx modeled\n",
-		*net, *batch, rep.Workers,
-		rep.Serial.NsPerImage/1e6, rep.Serial.AllocsPerImage,
-		rep.Batched.NsPerImage/1e6, rep.Batched.AllocsPerImage,
-		rep.SpeedupX, rep.ModeledSpeedupX)
-	if *out == "-" {
-		_, err = os.Stdout.Write(buf)
-		return err
-	}
-	if err := os.WriteFile(*out, buf, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", *out)
-	return nil
-}
-
-// simBenchKernel is one row of BENCH_sim.json: per-engine wall-clock cost of
-// one kernel plus the vectorizer's compile-time counters for it.
-type simBenchKernel struct {
-	Name               string             `json:"name"`
-	NsPerOp            map[string]float64 `json:"ns_per_op"`
-	VectorOverClosureX float64            `json:"vector_over_closure_x"`
-	InterpOverVectorX  float64            `json:"interp_over_vector_x"`
-	VectorLoops        int64              `json:"vector_loops"`
-	FallbackLoops      int64              `json:"fallback_loops"`
-	GemmLoops          int64              `json:"gemm_loops"`
-	GemmRuns           int64              `json:"gemm_runs"`
-}
-
-type simBenchReport struct {
-	Kernels []simBenchKernel `json:"kernels"`
-}
-
-// simBenchCase is one kernel under benchmark: its IR, scalar bindings and a
-// binder that attaches deterministic input data to a fresh machine.
-type simBenchCase struct {
-	name    string
-	kern    *ir.Kernel
-	scalars map[*ir.Var]int64
-	binds   func(m *sim.Machine)
-}
-
-// simBenchCases builds the benchmarked kernel set: the two LeNet-5
-// convolutions and its big dense layer (thesis Table 6.5 schedules), plus one
-// folded MobileNetV1 pointwise layer on the parameterized kernel.
-func simBenchCases() ([]simBenchCase, error) {
-	mkBinder := func(sizes map[*ir.Buffer]int) func(*sim.Machine) {
-		return func(m *sim.Machine) {
-			for b, n := range sizes {
-				data := make([]float32, n)
-				for i := range data {
-					data[i] = float32(i%17)*0.25 - 1
-				}
-				m.Bind(b, data)
-			}
-		}
-	}
-	var cases []simBenchCase
-
-	conv1, err := topi.Conv2D(topi.ConvSpec{Name: "conv1", C1: 1, H: 28, W: 28, C2: 6, F: 5, S: 1, Relu: true, Bias: true},
-		topi.OptSched(6, 2, 1), topi.ConvIO{})
-	if err != nil {
-		return nil, err
-	}
-	cases = append(cases, simBenchCase{name: "lenet_conv1", kern: conv1.Kernel, binds: mkBinder(map[*ir.Buffer]int{
-		conv1.In: 1 * 28 * 28, conv1.Weights: 6 * 1 * 5 * 5, conv1.Bias: 6, conv1.Out: 6 * 24 * 24})})
-
-	conv2, err := topi.Conv2D(topi.ConvSpec{Name: "conv2", C1: 6, H: 12, W: 12, C2: 16, F: 5, S: 1, Relu: true, Bias: true},
-		topi.OptSched(4, 4, 2), topi.ConvIO{})
-	if err != nil {
-		return nil, err
-	}
-	cases = append(cases, simBenchCase{name: "lenet_conv2", kern: conv2.Kernel, binds: mkBinder(map[*ir.Buffer]int{
-		conv2.In: 6 * 12 * 12, conv2.Weights: 16 * 6 * 5 * 5, conv2.Bias: 16, conv2.Out: 16 * 8 * 8})})
-
-	dense1, err := topi.Dense(topi.DenseSpec{Name: "dense1", N: 256, M: 120, Relu: true, Bias: true}, false, 32, topi.ConvIO{})
-	if err != nil {
-		return nil, err
-	}
-	cases = append(cases, simBenchCase{name: "lenet_dense1", kern: dense1.Kernel, binds: mkBinder(map[*ir.Buffer]int{
-		dense1.In: 256, dense1.Weights: 120 * 256, dense1.Bias: 120, dense1.Out: 120})})
-
-	// One folded MobileNet layer: the parameterized pointwise conv bound to
-	// the 14x14x64 -> 128 shape; symbolic strides exercise the vectorizer's
-	// per-entry coefficient evaluation.
-	pw, err := topi.ConvParamAct("mn_pw", 1, 1, topi.ConvSched{W2vec: 7, C2vec: 4, C1vec: 4}, false, true, true, false, false)
-	if err != nil {
-		return nil, err
-	}
-	scalars, err := pw.Bind(64, 14, 14, 128)
-	if err != nil {
-		return nil, err
-	}
-	cases = append(cases, simBenchCase{name: "mobilenet_fold_pw", kern: pw.Op.Kernel, scalars: scalars,
-		binds: mkBinder(map[*ir.Buffer]int{
-			pw.Op.In: 64 * 14 * 14, pw.Op.Weights: 128 * 64, pw.Op.Bias: 128, pw.Op.Out: 128 * 14 * 14})})
-
-	// One folded ResNet residual conv: 3x3 on a padded 16x16x128 input with
-	// bias + skip-add + ReLU fused in the write-back. Exercises the GEMM
-	// tier's im2col path and the full epilogue chain (bias row-broadcast,
-	// residual column add, activation).
-	rc, err := topi.ConvParamAct("rn_conv3", 3, 1, topi.ConvSched{W2vec: 7, C2vec: 4, C1vec: 4},
-		true, false, true, true, false)
-	if err != nil {
-		return nil, err
-	}
-	rcScalars, err := rc.Bind(128, 16, 16, 128)
-	if err != nil {
-		return nil, err
-	}
-	cases = append(cases, simBenchCase{name: "resnet_fold_conv3", kern: rc.Op.Kernel, scalars: rcScalars,
-		binds: mkBinder(map[*ir.Buffer]int{
-			rc.Op.In: 128 * 16 * 16, rc.Op.Weights: 128 * 128 * 3 * 3, rc.Op.Bias: 128,
-			rc.Op.Skip: 128 * 14 * 14, rc.Op.Out: 128 * 14 * 14})})
-	return cases, nil
-}
-
-// runBenchSim benchmarks every execution tier on the same kernels and writes
-// BENCH_sim.json. Stdout is benchstat-comparable (BenchmarkSim/<kernel>/<tier>
-// lines), so two CI runs can be diffed with benchstat directly.
-func runBenchSim(args []string) error {
-	fs := flag.NewFlagSet("bench-sim", flag.ContinueOnError)
-	out := fs.String("o", "BENCH_sim.json", "output path for the JSON report (\"-\" = stdout)")
-	startProf := profileFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	stopProf, err := startProf()
-	if err != nil {
-		return err
-	}
-	defer stopProf()
-	cases, err := simBenchCases()
-	if err != nil {
-		return err
-	}
-	rep := simBenchReport{}
-	for _, c := range cases {
-		row := simBenchKernel{Name: c.name, NsPerOp: map[string]float64{}}
-		for _, tier := range []sim.Tier{sim.TierInterp, sim.TierClosure, sim.TierVector} {
-			m := sim.NewMachine()
-			m.SetTier(tier)
-			st := &sim.ExecStats{}
-			m.SetStats(st)
-			c.binds(m)
-			// Warm run: compile outside the measured loop so the numbers are
-			// steady-state execution, the regime warm host sessions run in.
-			if err := m.Run(c.kern, c.scalars); err != nil {
-				return fmt.Errorf("%s/%s: %w", c.name, tier, err)
-			}
-			if tier == sim.TierVector {
-				// Counter capture after exactly one run keeps the report
-				// deterministic (run-time counts scale with b.N otherwise).
-				s := st.Snapshot()
-				row.VectorLoops, row.FallbackLoops = s.VectorLoops, s.FallbackLoops
-				row.GemmLoops, row.GemmRuns = s.GemmLoops, s.GemmRuns
-			}
-			r := testing.Benchmark(func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if err := m.Run(c.kern, c.scalars); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			ns := float64(r.T.Nanoseconds()) / float64(r.N)
-			row.NsPerOp[tier.String()] = ns
-			fmt.Printf("BenchmarkSim/%s/%s\t%8d\t%12.1f ns/op\n", c.name, tier, r.N, ns)
-		}
-		if v := row.NsPerOp["vector"]; v > 0 {
-			row.VectorOverClosureX = row.NsPerOp["closure"] / v
-			row.InterpOverVectorX = row.NsPerOp["interp"] / v
-		}
-		fmt.Printf("  %s: vector %.1fx over closure, %.1fx over interp (%d GEMM-lowered, %d nests vectorized, %d fallback)\n",
-			c.name, row.VectorOverClosureX, row.InterpOverVectorX, row.GemmLoops, row.VectorLoops, row.FallbackLoops)
-		rep.Kernels = append(rep.Kernels, row)
-	}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if *out == "-" {
-		_, err = os.Stdout.Write(buf)
-		return err
-	}
-	if err := os.WriteFile(*out, buf, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", *out)
-	return nil
-}
-
 // runTrace runs a deployment and exports the Chrome trace — the
 // machine-readable counterpart of the `timeline` subcommand. The output is
 // byte-identical across repeated runs (the simulation is deterministic and
@@ -735,7 +385,7 @@ func runTrace(args []string) error {
 	images := fs.Int("images", 3, "images to classify")
 	out := fs.String("o", "trace.json", "output path for the Chrome trace JSON (\"-\" = stdout)")
 	metrics := fs.Bool("metrics", false, "print the metrics dump after the run")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	run, err := buildRunner(*net, *boardName, true, false)
@@ -944,16 +594,11 @@ func dumpGraph(net string) error {
 // the example networks' kernel sets (the pre-compile check a real aoc flow
 // would want, since a trip-count mismatch only shows up as a hang on
 // hardware), then the host program's output-verification path — every LeNet
-// bitstream variant executed on the -exec tier against the native reference,
-// over all ten digits. Interp runs the kernels with their channels; closure
-// and vector run them with balanced channels elided into buffers.
+// bitstream variant executed on the vector tier, with balanced channels
+// elided into buffers, against the native reference over all ten digits.
 func runVerify(args []string) error {
 	fs := flag.NewFlagSet("verify", flag.ContinueOnError)
-	applyExec := execFlag(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := applyExec(); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	layers, err := relay.Lower(nn.LeNet5())
@@ -1046,7 +691,7 @@ func runChaos(args []string) error {
 	images := fs.Int("images", 5, "images to run per network")
 	metrics := fs.Bool("metrics", false, "print the metrics dump after the runs")
 	traceOut := fs.String("trace", "", "write a Chrome trace JSON to this path (\"-\" = stdout)")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if err := validateFaultFlags(fs, *rate, "fault-seed", "fault-rate"); err != nil {

@@ -57,11 +57,7 @@ func runServe(args []string) error {
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
 	fleetBoards := fs.String("fleet", "", "serve through a multi-board fleet, e.g. \"s10sx:2\" or \"a10:1,s10sx:1\" (empty = single-board ladder)")
 	mkCfg := serveFlags(fs)
-	applyExec := execFlag(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := applyExec(); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	cfg := mkCfg()
@@ -159,12 +155,8 @@ func runBenchServe(args []string) error {
 	workers := fs.Int("workers", 2, "service lanes (held equal across points)")
 	seed := fs.Int64("seed", 1, "arrival process seed")
 	out := fs.String("o", "BENCH_serve.json", "output path for the JSON report (\"-\" = stdout)")
-	applyExec := execFlag(fs)
 	startProf := profileFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := applyExec(); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	stopProf, err := startProf()
@@ -235,11 +227,7 @@ func runBenchServe(args []string) error {
 func runServeSmoke(args []string) error {
 	fs := flag.NewFlagSet("serve-smoke", flag.ContinueOnError)
 	rate := fs.Float64("fault-rate", 0.05, "injected fault probability for the sim runs")
-	applyExec := execFlag(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := applyExec(); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	for _, seed := range []int64{1, 2} {

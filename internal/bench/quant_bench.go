@@ -22,9 +22,8 @@ type QuantResult struct {
 
 // QuantizationProjection runs the §8.1 future-work experiment: the same
 // folded deployments recompiled under the int8 analysis mode (two packed
-// multiplies per DSP, 4x narrower LSUs/caches/traffic). Functional int8
-// arithmetic is validated separately in cpuref; this is an area/throughput
-// projection, clearly labeled as such.
+// multiplies per DSP, 4x narrower LSUs/caches/traffic). No int8 kernel is
+// executed: this is an area/throughput projection, clearly labeled as such.
 func QuantizationProjection() ([]QuantResult, string, error) {
 	var out []QuantResult
 	var b strings.Builder
@@ -96,6 +95,6 @@ func QuantizationProjection() ([]QuantResult, string, error) {
 		}
 	}
 	b.WriteString(tb.String())
-	b.WriteString("\nProjection only: the analysis models 18x18 packed DSPs and 4x narrower\nLSUs/traffic; functional int8 kernels are validated in internal/cpuref.\nThe thesis predicts exactly these effects (§6.5, §8.1): higher compute\ndensity and relief of the LSU area/bandwidth bloat that bounds ResNet.\n")
+	b.WriteString("\nProjection only: the analysis models 18x18 packed DSPs and 4x narrower\nLSUs/traffic; no int8 kernel is executed, functionally or timed.\nThe thesis predicts exactly these effects (§6.5, §8.1): higher compute\ndensity and relief of the LSU area/bandwidth bloat that bounds ResNet.\n")
 	return out, b.String(), nil
 }

@@ -121,14 +121,13 @@ func (c *Context) NewBuffer(name string, bytes int) *Buffer {
 	return &Buffer{Name: name, Bytes: bytes}
 }
 
-// Queue is a command queue. In-order queues serialize their commands; an
-// out-of-order queue (§2.3.2) lets commands run as soon as their explicit
-// event dependencies and buffer hazards allow.
+// Queue is an in-order command queue: its commands serialize. Commands on
+// different queues order only through explicit event wait lists and buffer
+// hazards (§2.3.2).
 type Queue struct {
-	ctx     *Context
-	id      int
-	avail   float64
-	inOrder bool
+	ctx   *Context
+	id    int
+	avail float64
 }
 
 // ID returns the queue's index in context creation order.
@@ -136,26 +135,9 @@ func (q *Queue) ID() int { return q.id }
 
 // NewQueue creates an in-order command queue.
 func (c *Context) NewQueue() *Queue {
-	q := &Queue{ctx: c, id: len(c.queues), inOrder: true}
-	c.queues = append(c.queues, q)
-	return q
-}
-
-// NewOutOfOrderQueue creates an out-of-order command queue: commands on it
-// are not serialized against each other; the programmer synchronizes with
-// explicit event wait lists (§2.3.2).
-func (c *Context) NewOutOfOrderQueue() *Queue {
 	q := &Queue{ctx: c, id: len(c.queues)}
 	c.queues = append(c.queues, q)
 	return q
-}
-
-// gate returns the queue-ordering constraint for a new command.
-func (q *Queue) gate() float64 {
-	if q.inOrder {
-		return q.avail
-	}
-	return 0
 }
 
 // release records a command's completion on the queue.
@@ -193,7 +175,7 @@ func (q *Queue) EnqueueWrite(b *Buffer, bytes int) (*Event, error) {
 	if ferr != nil && ferr.Kind == fault.TransferFail {
 		return nil, ferr
 	}
-	start := math.Max(math.Max(queued, q.gate()), c.pcieAvail)
+	start := math.Max(math.Max(queued, q.avail), c.pcieAvail)
 	start = math.Max(start, math.Max(b.readAvail, b.writeAvail))
 	dur := c.Design.Board.PCIe.WriteTimeUS(bytes)
 	end := start + dur
@@ -220,7 +202,7 @@ func (q *Queue) EnqueueRead(b *Buffer, bytes int) (*Event, error) {
 	if ferr != nil && ferr.Kind == fault.TransferFail {
 		return nil, ferr
 	}
-	start := math.Max(math.Max(queued, q.gate()), c.pcieAvail)
+	start := math.Max(math.Max(queued, q.avail), c.pcieAvail)
 	start = math.Max(start, b.writeAvail)
 	dur := c.Design.Board.PCIe.ReadTimeUS(bytes)
 	end := start + dur
@@ -246,7 +228,7 @@ type KernelCall struct {
 	Reads  []*Buffer
 	Writes []*Buffer
 	// Wait lists events that must complete before the kernel starts (the
-	// explicit synchronization out-of-order queues require, §2.3.2).
+	// explicit synchronization across command queues, §2.3.2).
 	Wait []*Event
 }
 
@@ -268,7 +250,7 @@ func (q *Queue) EnqueueKernel(call KernelCall) (*Event, error) {
 	if ferr := c.Injector.Enqueue("kernel "+call.Name, queued); ferr != nil {
 		return nil, ferr
 	}
-	start := math.Max(queued, q.gate())
+	start := math.Max(queued, q.avail)
 	start = math.Max(start, c.kernelAvail[call.Name])
 	for _, w := range call.Wait {
 		start = math.Max(start, w.EndUS)

@@ -354,64 +354,35 @@ func TestTimelineEmpty(t *testing.T) {
 	}
 }
 
-func TestOutOfOrderQueueOverlapsIndependentKernels(t *testing.T) {
+// TestWaitListOrdersAcrossQueues: independent kernels on two in-order
+// queues overlap; a wait list on the second kernel serializes it behind the
+// first.
+func TestWaitListOrdersAcrossQueues(t *testing.T) {
 	k1, _, _ := simpleKernel("alpha", 4096)
 	k2, _, _ := simpleKernel("beta", 4096)
-	d := mustDesign(t, "ooo", []*ir.Kernel{k1, k2})
-
-	run := func(inOrder bool) float64 {
+	d := mustDesign(t, "wait", []*ir.Kernel{k1, k2})
+	run := func(wait bool) (e1, e2 *Event) {
 		ctx, _ := NewContext(d)
-		var q *Queue
-		if inOrder {
-			q = ctx.NewQueue()
-		} else {
-			q = ctx.NewOutOfOrderQueue()
+		q1, q2 := ctx.NewQueue(), ctx.NewQueue()
+		e1, err := q1.EnqueueKernel(KernelCall{Name: "alpha"})
+		if err != nil {
+			t.Fatal(err)
 		}
-		q.EnqueueKernel(KernelCall{Name: "alpha"})
-		q.EnqueueKernel(KernelCall{Name: "beta"})
-		ctx.Finish()
-		return ctx.ElapsedUS()
+		call := KernelCall{Name: "beta"}
+		if wait {
+			call.Wait = []*Event{e1}
+		}
+		e2, err = q2.EnqueueKernel(call)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e1, e2
 	}
-	if ooo, serial := run(false), run(true); ooo >= serial {
-		t.Fatalf("out-of-order queue must overlap independent kernels: %v vs %v", ooo, serial)
+	if e1, e2 := run(false); e2.StartUS >= e1.EndUS {
+		t.Fatalf("independent kernels on two queues must overlap: beta starts %v, alpha ends %v", e2.StartUS, e1.EndUS)
 	}
-}
-
-func TestOutOfOrderQueueHonorsWaitList(t *testing.T) {
-	k1, _, _ := simpleKernel("alpha", 4096)
-	k2, _, _ := simpleKernel("beta", 4096)
-	d := mustDesign(t, "ooo2", []*ir.Kernel{k1, k2})
-	ctx, _ := NewContext(d)
-	q := ctx.NewOutOfOrderQueue()
-	e1, err := q.EnqueueKernel(KernelCall{Name: "alpha"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, err := q.EnqueueKernel(KernelCall{Name: "beta", Wait: []*Event{e1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e2.StartUS < e1.EndUS {
+	if e1, e2 := run(true); e2.StartUS < e1.EndUS {
 		t.Fatalf("wait list violated: beta starts %v before alpha ends %v", e2.StartUS, e1.EndUS)
-	}
-}
-
-func TestOutOfOrderQueueStillTracksBufferHazards(t *testing.T) {
-	k1, _, _ := simpleKernel("alpha", 4096)
-	d := mustDesign(t, "ooo3", []*ir.Kernel{k1})
-	ctx, _ := NewContext(d)
-	q := ctx.NewOutOfOrderQueue()
-	buf := ctx.NewBuffer("x", 4096*4)
-	w, err := q.EnqueueWrite(buf, 4096*4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := q.EnqueueKernel(KernelCall{Name: "alpha", Reads: []*Buffer{buf}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.StartUS < w.EndUS {
-		t.Fatal("buffer hazard violated on OOO queue")
 	}
 }
 

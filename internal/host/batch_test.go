@@ -349,6 +349,33 @@ func TestRunBatchDoubleBufferingHelps(t *testing.T) {
 	}
 }
 
+// TestRunBatchModeledWorkerScaling pins the modeled clock of the deployed
+// LeNet (pipelined, S10SX) over 16 digits: one worker with depth-1 rings
+// (the serial host structure) against a four-worker pool, which divides the
+// modeled time by four.
+func TestRunBatchModeledWorkerScaling(t *testing.T) {
+	p, err := BuildPipelined(lenetLayers(t), PipeTVMAutorun, fpga.S10SX, aoc.DefaultOptions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := batchInputs(16)
+	for _, c := range []struct {
+		opts BatchOptions
+		us   float64
+	}{
+		{BatchOptions{Workers: 1, NoDoubleBuffer: true}, 3104.064},
+		{BatchOptions{Workers: 4}, 776.016},
+	} {
+		res, err := p.RunBatch(inputs, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(res.ModeledUS-c.us) > 1e-6 {
+			t.Errorf("%+v: modeled %.6f us, want %.3f", c.opts, res.ModeledUS, c.us)
+		}
+	}
+}
+
 // TestRunBatchCancellation: a canceled context stops the batch with the
 // context's error instead of finishing the work.
 func TestRunBatchCancellation(t *testing.T) {
@@ -448,14 +475,11 @@ func TestRunBatchGemmTierMatchesInterpOracle(t *testing.T) {
 	const n = 12
 	layers := lenetLayers(t)
 	inputs := batchInputs(n)
-	prev := sim.DefaultTier()
-	defer sim.SetDefaultTier(prev)
-
-	sim.SetDefaultTier(sim.TierInterp)
 	oracle, err := BuildFolded(layers, lenetFoldedConfig(), fpga.S10SX, aoc.DefaultOptions)
 	if err != nil {
 		t.Fatal(err)
 	}
+	oracle.tier = sim.TierInterp
 	want := make([]*tensor.Tensor, n)
 	for i, in := range inputs {
 		if want[i], err = oracle.Infer(in); err != nil {
@@ -463,7 +487,6 @@ func TestRunBatchGemmTierMatchesInterpOracle(t *testing.T) {
 		}
 	}
 
-	sim.SetDefaultTier(sim.TierVector)
 	f, err := BuildFolded(layers, lenetFoldedConfig(), fpga.S10SX, aoc.DefaultOptions)
 	if err != nil {
 		t.Fatal(err)

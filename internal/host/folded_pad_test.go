@@ -2,8 +2,8 @@ package host_test
 
 // The whole-network pin for the pad row lowering: the folded MobileNetV1 and
 // ResNet-18 deployments serve.BuildDeployment builds leave no compute loop on
-// the closure fallback, and every pad binding either plan makes runs
-// bit-identically on the vector and closure tiers. An external test package,
+// the closure fallback, and every pad binding either plan makes runs on the
+// vector tier bit-identically to the interpreter. An external test package,
 // because bench (which holds the deployed configs) imports host.
 
 import (
@@ -55,11 +55,11 @@ func TestFoldedNetsPadOnVectorTier(t *testing.T) {
 			in.FillSeq(uint64(c.InLen))
 			in.Data[0] = math.Float32frombits(0x7fc00001)
 			in.Data[c.InLen-1] = float32(math.Copysign(0, -1))
-			want := runPad(t, c, sim.TierClosure, in.Data)
+			want := runPad(t, c, sim.TierInterp, in.Data)
 			got := runPad(t, c, sim.TierVector, in.Data)
 			for j := range want {
 				if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
-					t.Fatalf("%s: pad %v elem %d: vector %#08x, closure %#08x",
+					t.Fatalf("%s: pad %v elem %d: vector %#08x, interp %#08x",
 						net, c.Scalars, j, math.Float32bits(got[j]), math.Float32bits(want[j]))
 				}
 			}

@@ -53,6 +53,9 @@ type shape interface {
 type engine struct {
 	sessions sessionCache
 	simStats sim.ExecStats
+	// tier is the engine every new machine runs on: the zero value, the
+	// vector tier, everywhere but the tests that build interpreter oracles.
+	tier sim.Tier
 }
 
 func (e *engine) state() *engine { return e }
@@ -65,6 +68,7 @@ func (e *engine) SimStats() sim.StatsSnapshot { return e.simStats.Snapshot() }
 // newMachine is the one place the host creates a simulator machine.
 func (e *engine) newMachine(pool *sim.BufPool) *sim.Machine {
 	m := sim.NewMachine()
+	m.SetTier(e.tier)
 	m.SetPool(pool)
 	m.SetStats(&e.simStats)
 	return m

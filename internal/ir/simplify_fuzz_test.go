@@ -3,7 +3,7 @@ package ir_test
 // Differential fuzzing for the simplifier: a random affine-ish index
 // expression is wrapped into a tiny kernel twice — once raw, once through
 // SimplifyStmt — and both versions must store bit-identical results under
-// the interpreter oracle AND both compiled tiers. This catches algebraic
+// the interpreter oracle AND the vector tier. This catches algebraic
 // rewrites that hold over the integers but not over the IR's evaluation
 // rules (division, modulo, bounds) as well as simplifications that change
 // which element a store lands on.
@@ -91,7 +91,7 @@ func runSimplifyCase(t *testing.T, data []byte) {
 		if err := kern.Validate(); err != nil {
 			t.Fatalf("simplified=%v: %v", simplified, err)
 		}
-		for _, tier := range []sim.Tier{sim.TierInterp, sim.TierClosure, sim.TierVector} {
+		for _, tier := range []sim.Tier{sim.TierInterp, sim.TierVector} {
 			m := sim.NewMachine()
 			m.SetTier(tier)
 			srcData := make([]float32, bufN)

@@ -1,11 +1,10 @@
 // Package schedule implements the loop-nest transformations the thesis applies
 // to TVM-generated kernels (Ch. 4/5): loop splitting / strip-mining / tiling,
-// reordering, unrolling (pragma annotation), fusion of adjacent loops,
-// loop-invariant code motion, and cache-write scope demotion. Like TVM's
-// schedule primitives, these are *user-directed*: each primitive checks the
-// structural preconditions it can (divisibility, perfect nesting, adjacency,
-// invariance) and trusts the schedule author for deeper legality, which the
-// interpreter-vs-reference tests then verify numerically.
+// unrolling (pragma annotation), fusion of adjacent loops and loop-invariant
+// code motion. Like TVM's schedule primitives, these are *user-directed*:
+// each primitive checks the structural preconditions it can (divisibility,
+// adjacency, invariance) and trusts the schedule author for deeper legality,
+// which the interpreter-vs-reference tests then verify numerically.
 package schedule
 
 import (
@@ -134,66 +133,6 @@ func Unroll(body ir.Stmt, v *ir.Var, factor int) (ir.Stmt, error) {
 	return Unroll(b, vi, -1)
 }
 
-// Reorder permutes a perfectly nested band of loops so that, outermost first,
-// they bind order[0], order[1], ... The loops must form a perfect nest (each
-// loop's body is exactly the next loop) starting at the loop binding order[0]'s
-// current outermost member.
-func Reorder(body ir.Stmt, order ...*ir.Var) (ir.Stmt, error) {
-	if len(order) < 2 {
-		return body, nil
-	}
-	want := map[*ir.Var]bool{}
-	for _, v := range order {
-		want[v] = true
-	}
-	// Find the outermost loop of the band: the first loop in pre-order whose
-	// var is in the set.
-	var outer *ir.For
-	ir.WalkStmt(body, func(n ir.Stmt) {
-		if outer != nil {
-			return
-		}
-		if f, ok := n.(*ir.For); ok && want[f.Var] {
-			outer = f
-		}
-	})
-	if outer == nil {
-		return nil, fmt.Errorf("reorder: no loop of the band found")
-	}
-	// Collect the perfect nest.
-	loops := []*ir.For{outer}
-	cur := outer
-	for len(loops) < len(order) {
-		next, ok := cur.Body.(*ir.For)
-		if !ok || !want[next.Var] {
-			return nil, fmt.Errorf("reorder: loops are not perfectly nested at %s", cur.Var.Name)
-		}
-		loops = append(loops, next)
-		cur = next
-	}
-	byVar := map[*ir.Var]*ir.For{}
-	for _, f := range loops {
-		byVar[f.Var] = f
-	}
-	for _, v := range order {
-		if byVar[v] == nil {
-			return nil, fmt.Errorf("reorder: loop %s not in the perfect nest", v.Name)
-		}
-	}
-	innermost := loops[len(loops)-1].Body
-	// Rebuild from the inside out in the requested order.
-	nest := innermost
-	for i := len(order) - 1; i >= 0; i-- {
-		f := byVar[order[i]]
-		nest = &ir.For{Var: f.Var, Extent: f.Extent, Body: nest, Unroll: f.Unroll}
-	}
-	out, ok := rewrite(body, outer.Var, func(*ir.For) ir.Stmt { return nest })
-	if !ok {
-		return nil, fmt.Errorf("reorder: internal rewrite failure")
-	}
-	return out, nil
-}
-
 // FuseAdjacent merges the loop binding v2 into the loop binding v1 (§4.3).
 // The two loops must be adjacent statements of the same block and have equal
 // constant extents; v2's body is appended to v1's with v2 := v1. There must
@@ -294,108 +233,4 @@ func stmtUsesVar(s ir.Stmt, v *ir.Var) bool {
 		}
 	})
 	return used && !shadowed
-}
-
-// CacheWrite demotes buffer buf (a global scratchpad in the naive TVM
-// schedule) to the given scope (§4.5). All loads/stores keep their shape;
-// an Alloc is prepended. The buffer must not be a kernel argument that the
-// host reads back — the caller removes it from Args.
-func CacheWrite(k *ir.Kernel, buf *ir.Buffer, scope ir.Scope) (*ir.Kernel, error) {
-	if scope == ir.Global {
-		return nil, fmt.Errorf("cachewrite: target scope must be on-chip")
-	}
-	found := false
-	for _, a := range k.Args {
-		if a == buf {
-			found = true
-		}
-	}
-	ir.WalkStmt(k.Body, func(s ir.Stmt) {
-		if st, ok := s.(*ir.Store); ok && st.Buf == buf {
-			found = true
-		}
-	})
-	if !found {
-		return nil, fmt.Errorf("cachewrite: buffer %s not used by kernel %s", buf.Name, k.Name)
-	}
-	// Rebind: same Buffer pointer updated in place would alias other kernels;
-	// create a replacement buffer and rewrite references.
-	repl := &ir.Buffer{Name: buf.Name + "_c", Shape: buf.Shape, Scope: scope, Elem: buf.Elem}
-	newBody := replaceBuffer(k.Body, buf, repl)
-	args := make([]*ir.Buffer, 0, len(k.Args))
-	for _, a := range k.Args {
-		if a != buf {
-			args = append(args, a)
-		}
-	}
-	return &ir.Kernel{
-		Name: k.Name, Args: args, ScalarArgs: k.ScalarArgs, Autorun: k.Autorun,
-		Body: ir.Seq(&ir.Alloc{Buf: repl}, newBody),
-	}, nil
-}
-
-func replaceBuffer(s ir.Stmt, old, repl *ir.Buffer) ir.Stmt {
-	switch x := s.(type) {
-	case nil:
-		return nil
-	case *ir.Block:
-		out := make([]ir.Stmt, len(x.Stmts))
-		for i, c := range x.Stmts {
-			out[i] = replaceBuffer(c, old, repl)
-		}
-		return &ir.Block{Stmts: out}
-	case *ir.Alloc:
-		return x
-	case *ir.For:
-		return &ir.For{Var: x.Var, Extent: x.Extent, Body: replaceBuffer(x.Body, old, repl), Unroll: x.Unroll}
-	case *ir.Store:
-		idx := make([]ir.Expr, len(x.Index))
-		for i, e := range x.Index {
-			idx[i] = replaceBufferExpr(e, old, repl)
-		}
-		buf := x.Buf
-		if buf == old {
-			buf = repl
-		}
-		return &ir.Store{Buf: buf, Index: idx, Value: replaceBufferExpr(x.Value, old, repl)}
-	case *ir.ChannelWrite:
-		return &ir.ChannelWrite{Ch: x.Ch, Value: replaceBufferExpr(x.Value, old, repl)}
-	case *ir.IfThen:
-		return &ir.IfThen{Cond: replaceBufferExpr(x.Cond, old, repl),
-			Then: replaceBuffer(x.Then, old, repl), Else: replaceBuffer(x.Else, old, repl)}
-	}
-	// Invariant: exhaustive over ir statement kinds (see aoc/analyze.go).
-	panic(fmt.Sprintf("schedule: unknown stmt %T", s))
-}
-
-func replaceBufferExpr(e ir.Expr, old, repl *ir.Buffer) ir.Expr {
-	switch x := e.(type) {
-	case nil:
-		return nil
-	case *ir.IntImm, *ir.FloatImm, *ir.Var, *ir.ChannelRead:
-		return x
-	case *ir.Binary:
-		return &ir.Binary{Op: x.Op, A: replaceBufferExpr(x.A, old, repl), B: replaceBufferExpr(x.B, old, repl)}
-	case *ir.Call:
-		args := make([]ir.Expr, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = replaceBufferExpr(a, old, repl)
-		}
-		return &ir.Call{Fn: x.Fn, Args: args}
-	case *ir.Load:
-		idx := make([]ir.Expr, len(x.Index))
-		for i, a := range x.Index {
-			idx[i] = replaceBufferExpr(a, old, repl)
-		}
-		buf := x.Buf
-		if buf == old {
-			buf = repl
-		}
-		return &ir.Load{Buf: buf, Index: idx}
-	case *ir.Select:
-		return &ir.Select{Cond: replaceBufferExpr(x.Cond, old, repl),
-			A: replaceBufferExpr(x.A, old, repl), B: replaceBufferExpr(x.B, old, repl)}
-	}
-	// Invariant: exhaustive over ir expression kinds.
-	panic(fmt.Sprintf("schedule: unknown expr %T", e))
 }

@@ -366,7 +366,7 @@ func (c *compiler) stmtFn(s ir.Stmt) stmtFn {
 			}
 			if innermostComputeLoop(x) {
 				// Countable bailout: an innermost loop with stores or
-				// channel ops stays on the scalar closure tier.
+				// channel ops stays on the scalar closures.
 				c.nFallback++
 			}
 		}

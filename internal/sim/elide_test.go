@@ -88,12 +88,10 @@ func TestElideChannelsRewritesBalancedPipeline(t *testing.T) {
 		return m.Buffer(d)
 	}
 	want := run(TierInterp, ks, nil)
-	for _, tier := range []Tier{TierVector, TierClosure} {
-		got := run(tier, out, bufs)
-		for j := range want {
-			if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
-				t.Fatalf("%s: d[%d] = %v, interp over channels = %v", tier, j, got[j], want[j])
-			}
+	got := run(TierVector, out, bufs)
+	for j := range want {
+		if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+			t.Fatalf("d[%d] = %v, interp over channels = %v", j, got[j], want[j])
 		}
 	}
 }

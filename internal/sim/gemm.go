@@ -25,7 +25,7 @@ package sim
 // vectorizer. The numerical contract is exact: cpuref.Gemm accumulates in
 // ascending-k order with per-step float32 rounding (no FMA contraction), the
 // bias/residual adds happen after the full k sum in scalar evaluation order,
-// and the activation helpers are bit-identical to the closure tier's
+// and the activation helpers are bit-identical to the scalar closures'
 // math.Max/math.Min round trips (including NaN and signed-zero behavior).
 //
 // The compiled gemmLoop, its scratch (C tile, im2col patches) and the
@@ -848,7 +848,7 @@ func (gl *gemmLoop) emitRow(d, c []float32) {
 }
 
 // reluFast is bit-identical to float32(math.Max(float64(v), 0)) — the
-// closure tier's max — including -0 → +0 and NaN → the canonical NaN
+// scalar closures' max — including -0 → +0 and NaN → the canonical NaN
 // math.Max returns (whatever the input NaN's sign and payload).
 func reluFast(v float32) float32 {
 	if v > 0 {

@@ -9,9 +9,83 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/ir"
 	"repro/internal/sim"
 	"repro/internal/topi"
 )
+
+// TestDeployedKernelsLowerToGemm pins the GEMM tier on the conv and dense
+// kernels the deployed networks run, at their deployed shapes: each nest
+// lowers whole onto cpuref.Gemm with no fallback loop, bailout or guard
+// failure. lenet_dense1 is a one-column GEMV, below gemmMinCols: it compiles
+// as a GEMM nest but runs on its vectorized twin, so it makes no GEMM run.
+func TestDeployedKernelsLowerToGemm(t *testing.T) {
+	type kcase struct {
+		name     string
+		op       *topi.Op
+		scalars  map[*ir.Var]int64
+		sizes    map[*ir.Buffer]int
+		gemmRuns bool
+	}
+	mustOp := func(op *topi.Op, err error) *topi.Op {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return op
+	}
+	// param binds a folded stride-1 conv: ReLU or ReLU6, with or without the
+	// residual add, bias always.
+	param := func(name string, f int, relu6, skip bool, c1, h, w, c2 int) kcase {
+		t.Helper()
+		p, err := topi.ConvParamAct(name, f, 1, topi.ConvSched{W2vec: 7, C2vec: 4, C1vec: 4}, !relu6, relu6, true, skip, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, err := p.Bind(c1, h, w, c2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ho, wo := h-f+1, w-f+1
+		sizes := map[*ir.Buffer]int{p.Op.In: c1 * h * w, p.Op.Weights: c2 * c1 * f * f, p.Op.Bias: c2, p.Op.Out: c2 * ho * wo}
+		if skip {
+			sizes[p.Op.Skip] = c2 * ho * wo
+		}
+		return kcase{name: name, op: p.Op, scalars: sc, sizes: sizes, gemmRuns: true}
+	}
+	conv1 := mustOp(topi.Conv2D(topi.ConvSpec{Name: "conv1", C1: 1, H: 28, W: 28, C2: 6, F: 5, S: 1, Relu: true, Bias: true},
+		topi.OptSched(6, 2, 1), topi.ConvIO{}))
+	conv2 := mustOp(topi.Conv2D(topi.ConvSpec{Name: "conv2", C1: 6, H: 12, W: 12, C2: 16, F: 5, S: 1, Relu: true, Bias: true},
+		topi.OptSched(4, 4, 2), topi.ConvIO{}))
+	dense1 := mustOp(topi.Dense(topi.DenseSpec{Name: "dense1", N: 256, M: 120, Relu: true, Bias: true}, false, 32, topi.ConvIO{}))
+	cases := []kcase{
+		{name: "lenet_conv1", op: conv1, gemmRuns: true, sizes: map[*ir.Buffer]int{
+			conv1.In: 28 * 28, conv1.Weights: 6 * 25, conv1.Bias: 6, conv1.Out: 6 * 24 * 24}},
+		{name: "lenet_conv2", op: conv2, gemmRuns: true, sizes: map[*ir.Buffer]int{
+			conv2.In: 6 * 12 * 12, conv2.Weights: 16 * 150, conv2.Bias: 16, conv2.Out: 16 * 8 * 8}},
+		{name: "lenet_dense1", op: dense1, sizes: map[*ir.Buffer]int{
+			dense1.In: 256, dense1.Weights: 120 * 256, dense1.Bias: 120, dense1.Out: 120}},
+		param("mobilenet_fold_pw", 1, true, false, 64, 14, 14, 128),
+		param("resnet_fold_conv3", 3, false, true, 128, 16, 16, 128),
+	}
+	for _, c := range cases {
+		binds := map[*ir.Buffer][]float32{}
+		for b, n := range c.sizes {
+			binds[b] = seeded(uint64(n), n).Data
+		}
+		err, st := runKernelTier(t, c.op.Kernel, sim.TierVector, binds, c.scalars)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if st.GemmLoops < 1 || st.FallbackLoops != 0 || st.GemmBailouts != 0 || st.GuardBailouts != 0 {
+			t.Errorf("%s: gemm_loops %d, fallback_loops %d, gemm_bailouts %d, guard_bailouts %d (want >= 1, 0, 0, 0)",
+				c.name, st.GemmLoops, st.FallbackLoops, st.GemmBailouts, st.GuardBailouts)
+		}
+		if got := st.GemmRuns >= 1; got != c.gemmRuns {
+			t.Errorf("%s: gemm_runs %d, want runs on cpuref.Gemm: %v", c.name, st.GemmRuns, c.gemmRuns)
+		}
+	}
+}
 
 func TestGemmBailoutReplaysOnTwin(t *testing.T) {
 	op, err := topi.Conv2D(topi.ConvSpec{Name: "alias", C1: 3, H: 10, W: 10, C2: 4, F: 3, S: 1, Relu: true, Bias: true},

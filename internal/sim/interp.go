@@ -167,12 +167,11 @@ func (p *BufPool) Put(s []float32) {
 type Machine struct {
 	bufs  map[*ir.Buffer][]float32
 	chans map[*ir.Channel]*Fifo
-	// compiled caches compiled kernels per execution tier: folded
-	// deployments invoke the same kernel dozens of times per image, and a
-	// host session reuses the machine across images so every kernel compiles
-	// exactly once per worker per tier. The tier tag keeps -exec A/B
-	// switches from executing a program built for the other engine.
-	compiled map[compileKey]*compiledKernel
+	// compiled caches compiled kernels: folded deployments invoke the same
+	// kernel dozens of times per image, and a host session reuses the
+	// machine across images so every kernel compiles exactly once per
+	// worker.
+	compiled map[*ir.Kernel]*compiledKernel
 	// pool, when set, backs Alloc-statement buffers and Grab calls so a
 	// reused machine stops allocating per image.
 	pool *BufPool
@@ -182,20 +181,12 @@ type Machine struct {
 	stats *ExecStats
 }
 
-// compileKey is the compiled-kernel cache key: one program per kernel per
-// execution tier.
-type compileKey struct {
-	k    *ir.Kernel
-	tier Tier
-}
-
-// NewMachine returns an empty machine on the default execution tier.
+// NewMachine returns an empty machine on the vector tier.
 func NewMachine() *Machine {
 	return &Machine{
 		bufs:     map[*ir.Buffer][]float32{},
 		chans:    map[*ir.Channel]*Fifo{},
-		compiled: map[compileKey]*compiledKernel{},
-		tier:     DefaultTier(),
+		compiled: map[*ir.Kernel]*compiledKernel{},
 	}
 }
 
@@ -253,9 +244,9 @@ func (m *Machine) Channel(ch *ir.Channel) *Fifo {
 // created automatically. Returns an error on any fault a real OpenCL run
 // would surface (out-of-bounds access, read from empty channel, unbound
 // argument). Execution goes through the engine the machine's tier selects:
-// the closure compiler (compile.go), optionally with the affine vectorizer
-// (vector.go), or the tree-walking interpreter. RunInterp is kept as a
-// cross-checking oracle.
+// the closure compiler (compile.go) with GEMM lowering (gemm.go) and the
+// affine vectorizer (vector.go), or the tree-walking interpreter. RunInterp
+// is kept as a cross-checking oracle.
 func (m *Machine) Run(k *ir.Kernel, scalars map[*ir.Var]int64) (err error) {
 	if m.tier == TierInterp {
 		return m.RunInterp(k, scalars)
@@ -268,8 +259,7 @@ func (m *Machine) Run(k *ir.Kernel, scalars map[*ir.Var]int64) (err error) {
 	if err := m.precheck(k, scalars); err != nil {
 		return err
 	}
-	key := compileKey{k: k, tier: m.tier}
-	ck, ok := m.compiled[key]
+	ck, ok := m.compiled[k]
 	if ok {
 		if m.stats != nil {
 			m.stats.CacheHits.Add(1)
@@ -279,7 +269,7 @@ func (m *Machine) Run(k *ir.Kernel, scalars map[*ir.Var]int64) (err error) {
 			m.stats.CacheMisses.Add(1)
 		}
 		c := &compiler{m: m, slots: map[*ir.Var]int{}, bufSlots: map[*ir.Buffer]int{}, kernel: k,
-			vectorize: m.tier == TierVector, gemm: m.tier == TierVector}
+			vectorize: true, gemm: true}
 		// Reserve scalar-argument slots before compiling the body.
 		for _, v := range k.ScalarArgs {
 			c.slot(v)
@@ -291,7 +281,7 @@ func (m *Machine) Run(k *ir.Kernel, scalars map[*ir.Var]int64) (err error) {
 			m.stats.FallbackLoops.Add(c.nFallback)
 			m.stats.GemmLoops.Add(c.nGemm)
 		}
-		m.compiled[key] = ck
+		m.compiled[k] = ck
 	}
 	e := ck.env
 	if e == nil {

@@ -23,7 +23,7 @@ package sim
 // output's dims and slice, the interior box against the input's. A shape
 // that does not tile, a check that fails, an unbound buffer or an input that
 // overlaps the output replays the scalar twin (ExecStats.GuardBailouts), so
-// panics and partial writes are the closure tier's exactly. The row copy
+// panics and partial writes are the scalar closures' exactly. The row copy
 // moves bits, so NaN payloads and −0 survive as they do through the scalar
 // loads and stores.
 

@@ -1,9 +1,9 @@
 package sim_test
 
 // The pad row lowering (pad.go): TVM's div/mod pad nest must run as row
-// fills and row copies on the vector tier, bit-identical to the interpreter
-// and the closure tier, replay the scalar twin on every guard failure, and
-// leave every structural near-miss on the closures.
+// fills and row copies on the vector tier, bit-identical to the interpreter,
+// replay the scalar twin on every guard failure, and leave every structural
+// near-miss on the closures.
 
 import (
 	"fmt"
@@ -148,10 +148,10 @@ func (pn *padNest) runPad(t *testing.T, tier sim.Tier, scalars map[*ir.Var]int64
 	return out, err, st
 }
 
-// TestPadGuardBailoutsMatchClosureTier: an output or input too small for
-// the nest, by its declared shape or by its binding, must fail with the
-// closure tier's exact error and partial output, via one guard bailout.
-func TestPadGuardBailoutsMatchClosureTier(t *testing.T) {
+// TestPadGuardBailoutsMatchInterp: an output or input too small for the
+// nest, by its declared shape or by its binding, must fail with the
+// interpreter's exact error and partial output, via one guard bailout.
+func TestPadGuardBailoutsMatchInterp(t *testing.T) {
 	cases := map[string]func(pn *padNest){
 		"output-shape": func(pn *padNest) {
 			pn.out = ir.NewBuffer("out", ir.Global, pn.c-1, pn.h+2*pn.p, pn.w+2*pn.p)
@@ -183,19 +183,19 @@ func TestPadGuardBailoutsMatchClosureTier(t *testing.T) {
 func padGuardCase(t *testing.T, name string, mutate func(*padNest)) {
 	var wantErr string
 	var wantOut []float32
-	for _, tier := range []sim.Tier{sim.TierClosure, sim.TierVector} {
+	for _, tier := range allTiers {
 		pn := newPadNest(3, 4, 5, 2)
 		mutate(pn)
 		out, err, st := pn.runPad(t, tier, nil)
 		if err == nil || !strings.Contains(err.Error(), "out of") {
 			t.Fatalf("%s/%s: expected a bounds error, got %v", name, tier, err)
 		}
-		if tier == sim.TierClosure {
+		if tier == sim.TierInterp {
 			wantErr, wantOut = err.Error(), out
 			continue
 		}
 		if err.Error() != wantErr {
-			t.Errorf("%s: error %q, closure tier %q", name, err, wantErr)
+			t.Errorf("%s: error %q, interpreter %q", name, err, wantErr)
 		}
 		assertBitEqual(t, name+"/partial-output", out, wantOut)
 		if st.VectorLoops != 1 || st.GuardBailouts != 1 || st.VectorRuns != 0 {

@@ -71,27 +71,6 @@ func TestSharedPoolAndStatsUnderConcurrency(t *testing.T) {
 	}
 }
 
-// TestDefaultTierConcurrentSet covers the package-level default (set once by
-// the CLI, read by every NewMachine, including those created inside batch
-// workers).
-func TestDefaultTierConcurrentSet(t *testing.T) {
-	prev := sim.DefaultTier()
-	defer sim.SetDefaultTier(prev)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if i%2 == 0 {
-				sim.SetDefaultTier(sim.TierClosure)
-			} else {
-				_ = sim.NewMachine().GetTier()
-			}
-		}(i)
-	}
-	wg.Wait()
-}
-
 // TestCompiledCacheSingleMachineSequential pins down the documented contract:
 // the compiled-kernel cache is per-machine and machines are not safe for
 // concurrent Run; workers get their own machine and share only pool + stats.

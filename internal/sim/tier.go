@@ -1,16 +1,15 @@
 package sim
 
-// Execution tiers. The machine has three engines with bit-identical
+// Execution tiers. The machine has two engines with bit-identical
 // semantics:
 //
-//	TierInterp  — tree-walking interpreter (interp.go); the oracle.
-//	TierClosure — closure compiler (compile.go); per-element closure calls.
-//	TierVector  — closure compiler + affine loop-nest vectorizer
-//	              (vector.go); recognized nests run as flat slice
-//	              microkernels, everything else falls back per-loop to the
-//	              closure tier.
-//
-// The default is TierVector; tests cross-check it against RunInterp.
+//	TierVector — closure compiler (compile.go) + GEMM lowering (gemm.go) +
+//	             affine loop-nest vectorizer (vector.go, pad.go); recognized
+//	             nests run as cpuref.Gemm calls or flat slice microkernels,
+//	             everything else runs on per-element closures. The default
+//	             and the only production engine.
+//	TierInterp — tree-walking interpreter (interp.go); the oracle tests
+//	             select per machine with SetTier.
 
 import (
 	"fmt"
@@ -22,7 +21,6 @@ type Tier int32
 
 const (
 	TierVector Tier = iota
-	TierClosure
 	TierInterp
 )
 
@@ -30,40 +28,14 @@ func (t Tier) String() string {
 	switch t {
 	case TierVector:
 		return "vector"
-	case TierClosure:
-		return "closure"
 	case TierInterp:
 		return "interp"
 	}
 	return fmt.Sprintf("tier(%d)", int32(t))
 }
 
-// ParseTier parses a -exec flag value.
-func ParseTier(s string) (Tier, error) {
-	switch s {
-	case "vector":
-		return TierVector, nil
-	case "closure":
-		return TierClosure, nil
-	case "interp":
-		return TierInterp, nil
-	}
-	return 0, fmt.Errorf("sim: unknown execution tier %q (want interp, closure or vector)", s)
-}
-
-// defaultTier seeds the tier of newly created machines; the CLI's -exec flag
-// sets it once at startup. Atomic because machines are created from batch
-// workers.
-var defaultTier atomic.Int32
-
-// SetDefaultTier sets the tier new machines start with.
-func SetDefaultTier(t Tier) { defaultTier.Store(int32(t)) }
-
-// DefaultTier returns the tier new machines start with.
-func DefaultTier() Tier { return Tier(defaultTier.Load()) }
-
-// SetTier switches this machine's engine. Compiled programs are cached per
-// tier, so switching back and forth does not recompile.
+// SetTier switches this machine's engine. The interpreter never compiles,
+// so switching back to the vector tier reuses its cached programs.
 func (m *Machine) SetTier(t Tier) { m.tier = t }
 
 // GetTier returns the machine's current engine.
@@ -79,7 +51,7 @@ type ExecStats struct {
 	CacheMisses atomic.Int64
 	// VectorLoops / FallbackLoops are compile-time counts: loop nests
 	// lowered to microkernels vs innermost compute loops left on the
-	// closure tier (every vectorization bailout is countable).
+	// scalar closures (every vectorization bailout is countable).
 	VectorLoops   atomic.Int64
 	FallbackLoops atomic.Int64
 	// VectorRuns / GuardBailouts are run-time counts: microkernel

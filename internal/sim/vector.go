@@ -29,7 +29,7 @@ package sim
 // float32 (products are assigned to a variable before accumulation so the Go
 // compiler cannot contract them into an FMA). Anything the analysis cannot
 // prove — non-affine indices, channel ops, var-dependent selects, triangular
-// nests — falls back per-loop to the closure tier, and every bailout is
+// nests — falls back per-loop to the scalar closures, and every bailout is
 // counted (ExecStats.FallbackLoops). TVM's div/mod pad nest is not affine
 // but is not a fallback either: pad.go recognizes its one fixed form and
 // runs it as row fills and row copies. If the run-time box check fails (an
@@ -101,7 +101,7 @@ type vecLoop struct {
 }
 
 // vectorLoop tries to lower the nest rooted at f; nil means "not recognized,
-// compile it on the closure tier".
+// compile it to scalar closures".
 func (c *compiler) vectorLoop(f *ir.For) stmtFn {
 	vars, extents, store := collectNest(f)
 	if store == nil {
@@ -272,7 +272,7 @@ func (c *compiler) access(buf *ir.Buffer, index []ir.Expr, vars []*ir.Var) *vecA
 
 // mapProg compiles a float value tree into a per-element program. Loads with
 // affine indices become registered accesses; nest-invariant subtrees without
-// loads evaluate through the closure tier per element (same evaluation count
+// loads evaluate through the scalar closures per element (same evaluation count
 // as scalar execution). Channel reads and var-dependent selects fail.
 func (c *compiler) mapProg(e ir.Expr, vars []*ir.Var, vl *vecLoop) (mfn, bool) {
 	if !ir.UsesAnyVar(e, vars) && !hasLoad(e) && !hasChanRead(e) {
