@@ -121,14 +121,15 @@ chaos:
 		$(GO) run ./cmd/fpgacnn chaos -fault-rate 0.1 -fault-seed $$seed -images 3 || exit 1; \
 	done
 
-# Trace smoke: export Chrome traces for both networks twice and require the
-# repeats to be byte-identical (the exporter's determinism contract).
+# Trace smoke: export Chrome traces of a timed run for both networks twice
+# and require the repeats to be byte-identical (the exporter's determinism
+# contract).
 trace:
-	$(GO) run ./cmd/fpgacnn trace -net lenet5 -images 4 -o /tmp/lenet5.trace.json
-	$(GO) run ./cmd/fpgacnn trace -net lenet5 -images 4 -o /tmp/lenet5.trace2.json
+	$(GO) run ./cmd/fpgacnn run -net lenet5 -images 4 -trace /tmp/lenet5.trace.json
+	$(GO) run ./cmd/fpgacnn run -net lenet5 -images 4 -trace /tmp/lenet5.trace2.json
 	cmp /tmp/lenet5.trace.json /tmp/lenet5.trace2.json
-	$(GO) run ./cmd/fpgacnn trace -net mobilenetv1 -images 2 -o /tmp/mobilenet.trace.json
-	$(GO) run ./cmd/fpgacnn trace -net mobilenetv1 -images 2 -o /tmp/mobilenet.trace2.json
+	$(GO) run ./cmd/fpgacnn run -net mobilenetv1 -images 2 -trace /tmp/mobilenet.trace.json
+	$(GO) run ./cmd/fpgacnn run -net mobilenetv1 -images 2 -trace /tmp/mobilenet.trace2.json
 	cmp /tmp/mobilenet.trace.json /tmp/mobilenet.trace2.json
 
 fmt:

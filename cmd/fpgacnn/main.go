@@ -8,6 +8,7 @@
 //	fpgacnn all                  # run every experiment (the full evaluation)
 //	fpgacnn <experiment>         # run one experiment (e.g. lenet-ladder)
 //	fpgacnn codegen <net>        # print the generated OpenCL kernels
+//	fpgacnn report <net> <board> # AOC optimization, area and fit reports
 //	fpgacnn verify               # static channel checks + output vs reference
 //	fpgacnn chaos [-fault-seed N] [-fault-rate P] [-watchdog-us D]
 //	                             # run the degradation ladder under fault injection
@@ -17,10 +18,10 @@
 //	fpgacnn bench-dse -o BENCH_dse.json
 //	                             # guided vs exhaustive search benchmark
 //	fpgacnn run -net <net> [-images N] [-metrics] [-trace F]
-//	                             # timed run with optional metrics/trace export
+//	                             # timed run and its timeline, with optional
+//	                             # metrics dump and Chrome trace export
 //	fpgacnn run -batch N -workers K
 //	                             # batched inference through the parallel engine
-//	fpgacnn trace -o trace.json  # timed run, exported as a Chrome trace
 //	fpgacnn serve -addr :8080    # continuous-batching HTTP inference server
 //	fpgacnn bench-serve -o BENCH_serve.json
 //	                             # open-loop load benchmark over batching points
@@ -30,8 +31,11 @@
 //	fpgacnn bench-fleet -o BENCH_fleet.json
 //	                             # 1-board vs replicated vs sharded fleet bench
 //
-// Kernels execute functionally on the simulator's vector tier; its
-// interpreter is the oracle the tests compare against.
+// The deployment a subcommand runs, dumps or reports for a network always
+// comes from serve.BuildDeployment; only verify and chaos build the other
+// LeNet bitstream variants themselves. Kernels execute functionally on the
+// simulator's vector tier; its interpreter is the oracle the tests compare
+// against.
 package main
 
 import (
@@ -41,6 +45,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"repro/internal/aoc"
@@ -63,57 +68,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, commands)
 		os.Exit(2)
 	}
-	cmd := os.Args[1]
-	var err error
-	switch cmd {
-	case "list":
-		fmt.Println("experiments:")
-		for _, e := range bench.Experiments {
-			fmt.Println("  " + e)
-		}
-		fmt.Println()
-		fmt.Println(commands)
-	case "all":
-		var rep string
-		rep, err = bench.All()
-		fmt.Print(rep)
-	case "codegen":
-		err = dumpCodegen(arg(2, "lenet5"))
-	case "hostgen":
-		err = dumpHostProgram(arg(2, "lenet5"))
-	case "timeline":
-		err = dumpTimeline(arg(2, "lenet5"), arg(3, "S10SX"))
-	case "report":
-		err = dumpReport(arg(2, "lenet5"), arg(3, "S10SX"))
-	case "graph":
-		err = dumpGraph(arg(2, "lenet5"))
-	case "verify":
-		err = runVerify(os.Args[2:])
-	case "chaos":
-		err = runChaos(os.Args[2:])
-	case "dse":
-		err = runDSE(os.Args[2:])
-	case "bench-dse":
-		err = runBenchDSE(os.Args[2:])
-	case "run":
-		err = runTimed(os.Args[2:])
-	case "trace":
-		err = runTrace(os.Args[2:])
-	case "serve":
-		err = runServe(os.Args[2:])
-	case "bench-serve":
-		err = runBenchServe(os.Args[2:])
-	case "serve-smoke":
-		err = runServeSmoke(os.Args[2:])
-	case "fleet":
-		err = runFleet(os.Args[2:])
-	case "bench-fleet":
-		err = runBenchFleet(os.Args[2:])
-	default:
-		var rep string
-		rep, err = bench.Run(cmd)
-		fmt.Print(rep)
-	}
+	err := dispatch(os.Args[1], os.Args[2:])
 	if errors.Is(err, flag.ErrHelp) {
 		return // the flag set already printed its defaults
 	}
@@ -128,21 +83,72 @@ func main() {
 	}
 }
 
-func arg(i int, def string) string {
-	if len(os.Args) > i {
-		return os.Args[i]
+// dispatch runs one subcommand; args are the arguments after its name. A
+// name that is neither a command nor an experiment is a usage error.
+func dispatch(cmd string, args []string) error {
+	arg := func(i int, def string) string {
+		if len(args) > i {
+			return args[i]
+		}
+		return def
 	}
-	return def
+	switch cmd {
+	case "list":
+		fmt.Println("experiments:")
+		for _, e := range bench.Experiments {
+			fmt.Println("  " + e)
+		}
+		fmt.Println()
+		fmt.Println(commands)
+		return nil
+	case "all":
+		rep, err := bench.All()
+		fmt.Print(rep)
+		return err
+	case "codegen":
+		return dumpCodegen(arg(0, "lenet5"))
+	case "hostgen":
+		return dumpHostProgram(arg(0, "lenet5"))
+	case "report":
+		return dumpReport(arg(0, "lenet5"), arg(1, "S10SX"))
+	case "graph":
+		return dumpGraph(arg(0, "lenet5"))
+	case "verify":
+		return runVerify(args)
+	case "chaos":
+		return runChaos(args)
+	case "dse":
+		return runDSE(args)
+	case "bench-dse":
+		return runBenchDSE(args)
+	case "run":
+		return runTimed(args)
+	case "serve":
+		return runServe(args)
+	case "bench-serve":
+		return runBenchServe(args)
+	case "serve-smoke":
+		return runServeSmoke(args)
+	case "fleet":
+		return runFleet(args)
+	case "bench-fleet":
+		return runBenchFleet(args)
+	}
+	if !slices.Contains(bench.Experiments, cmd) {
+		return usagef("unknown command %q\n%s", cmd, commands)
+	}
+	rep, err := bench.Run(cmd)
+	fmt.Print(rep)
+	return err
 }
 
 // commands is the usage text: printed on stderr when no command is given,
 // and on stdout by `fpgacnn list` after the experiment catalogue.
 const commands = `usage: fpgacnn <command>
   list | all | <experiment> | codegen <net> | hostgen <net> | report <net> <board> |
-  timeline <net> <board> | graph <net> | verify |
+  graph <net> | verify |
   run [-net N] [-board B] [-images N] [-batch N] [-workers K] [-serial] [-no-double-buffer]
       [-profiling] [-metrics] [-trace F] [-cpuprofile F] [-memprofile F] |
-  trace [-net N] [-board B] [-images N] [-o F] [-metrics] |
   chaos [-fault-seed N] [-fault-rate P] [-watchdog-us D] [-images N] [-metrics] [-trace F] |
   dse [-dse-mode exhaustive|guided] [-dse-workers N] [-dse-timeout D] [-dse-max N]
       [-dse-seed S] [-net N] [-board B] [-json F]
@@ -156,31 +162,6 @@ const commands = `usage: fpgacnn <command>
       [-kill-board DEV -kill-at-us T] [-sticky-board DEV -sticky-dur-us D]
       [-brownout-board DEV -brownout-dur-us D -brownout-factor F] [-metrics] [-trace F] |
   bench-fleet [-seed S] [-o F]`
-
-// buildRunner resolves a network/board to a traced-run closure over the
-// deployment serve.BuildDeployment picks for it (pipelined for LeNet-5, the
-// thesis's channel pipeline; folded for everything else).
-func buildRunner(net, boardName string, concurrent, profiling bool) (func(n int, tc *trace.Collector) (*host.RunResult, error), error) {
-	board, err := fpga.ByName(boardName)
-	if err != nil {
-		return nil, err
-	}
-	dep, _, err := serve.BuildDeployment(net, board)
-	if err != nil {
-		return nil, err
-	}
-	switch d := dep.(type) {
-	case *host.Pipelined:
-		return func(n int, tc *trace.Collector) (*host.RunResult, error) {
-			return d.RunTraced(n, concurrent, profiling, tc)
-		}, nil
-	case *host.Folded:
-		return func(n int, tc *trace.Collector) (*host.RunResult, error) {
-			return d.RunTraced(n, profiling, tc)
-		}, nil
-	}
-	return nil, fmt.Errorf("fpgacnn: no timed runner for deployment %T", dep)
-}
 
 // printRunResult reports a timed run with the map-keyed sections (time by
 // event kind, time by kernel) in sorted order, so output is deterministic.
@@ -259,29 +240,6 @@ func profileFlags(fs *flag.FlagSet) func() (func(), error) {
 	return func() (func(), error) { return startProfiles(*cpu, *mem) }
 }
 
-// buildBatchDeployment builds the deployment for net on the named board plus
-// a deterministic input set of the requested size: MNIST digits for LeNet-5,
-// seeded random images of the network's input shape otherwise.
-func buildBatchDeployment(net, boardName string, n int) (serve.Deployment, []*tensor.Tensor, error) {
-	board, err := fpga.ByName(boardName)
-	if err != nil {
-		return nil, nil, err
-	}
-	dep, layers, err := serve.BuildDeployment(net, board)
-	if err != nil {
-		return nil, nil, err
-	}
-	inputs := make([]*tensor.Tensor, n)
-	for i := range inputs {
-		if net == "lenet5" {
-			inputs[i] = nn.Digit(i % 10)
-		} else {
-			inputs[i] = nn.RandomImage(uint64(i+1), layers[0].InShape...)
-		}
-	}
-	return dep, inputs, nil
-}
-
 // printBatchResult summarizes one RunBatch: modeled device time, throughput,
 // how much transfer time double buffering hid, and the fault ledger.
 func printBatchResult(name string, r *host.BatchResult) {
@@ -330,10 +288,24 @@ func runTimed(args []string) error {
 	if *metrics || *traceOut != "" {
 		tc = trace.NewCollector()
 	}
+	board, err := fpga.ByName(*boardName)
+	if err != nil {
+		return err
+	}
+	dep, layers, err := serve.BuildDeployment(*net, board)
+	if err != nil {
+		return err
+	}
 	if *batch > 0 {
-		dep, inputs, err := buildBatchDeployment(*net, *boardName, *batch)
-		if err != nil {
-			return err
+		// Deterministic inputs: MNIST digits for LeNet-5, seeded random
+		// images of the network's input shape otherwise.
+		inputs := make([]*tensor.Tensor, *batch)
+		for i := range inputs {
+			if *net == "lenet5" {
+				inputs[i] = nn.Digit(i % 10)
+			} else {
+				inputs[i] = nn.RandomImage(uint64(i+1), layers[0].InShape...)
+			}
 		}
 		res, err := dep.RunBatch(inputs, host.BatchOptions{
 			Workers: *workers, Trace: tc, NoDoubleBuffer: *noDB,
@@ -344,11 +316,18 @@ func runTimed(args []string) error {
 		printBatchResult(*net, res)
 		return finishObservability(tc, *traceOut, *metrics)
 	}
-	run, err := buildRunner(*net, *boardName, !*serial, *profiling)
-	if err != nil {
-		return err
+	var r *host.RunResult
+	switch d := dep.(type) {
+	case *host.Pipelined:
+		r, err = d.RunTraced(*images, !*serial, *profiling, tc)
+	case *host.Folded:
+		if *serial {
+			return usagef("-serial (single command queue) applies to pipelined deployments; %s deploys folded", *net)
+		}
+		r, err = d.RunTraced(*images, *profiling, tc)
+	default:
+		return fmt.Errorf("no timed runner for deployment %T", dep)
 	}
-	r, err := run(*images, tc)
 	if err != nil {
 		return err
 	}
@@ -374,117 +353,26 @@ func finishObservability(tc *trace.Collector, traceOut string, metrics bool) err
 	return nil
 }
 
-// runTrace runs a deployment and exports the Chrome trace — the
-// machine-readable counterpart of the `timeline` subcommand. The output is
-// byte-identical across repeated runs (the simulation is deterministic and
-// the exporter orders everything canonically).
-func runTrace(args []string) error {
-	fs := flag.NewFlagSet("trace", flag.ContinueOnError)
-	net := fs.String("net", "lenet5", "network (see fpgacnn list)")
-	boardName := fs.String("board", "S10SX", "target board")
-	images := fs.Int("images", 3, "images to classify")
-	out := fs.String("o", "trace.json", "output path for the Chrome trace JSON (\"-\" = stdout)")
-	metrics := fs.Bool("metrics", false, "print the metrics dump after the run")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	run, err := buildRunner(*net, *boardName, true, false)
-	if err != nil {
-		return err
-	}
-	tc := trace.NewCollector()
-	if _, err := run(*images, tc); err != nil {
-		return err
-	}
-	if err := writeChromeTrace(tc, *out); err != nil {
-		return err
-	}
-	if *out != "-" {
-		fmt.Printf("wrote Chrome trace for %s (%d image(s)) to %s (open in ui.perfetto.dev)\n", *net, *images, *out)
-	}
-	if *metrics {
-		fmt.Println("\n== metrics ==")
-		fmt.Print(tc.Metrics().DumpText())
-	}
-	return nil
-}
-
 // dumpCodegen prints the OpenCL program for a network's deployment: the
 // pipelined LeNet kernels, or the parameterized folded kernel set.
 func dumpCodegen(net string) error {
-	g, err := nn.ByName(net)
+	dep, _, err := serve.BuildDeployment(net, fpga.S10SX)
 	if err != nil {
 		return err
 	}
-	layers, err := relay.Lower(g)
-	if err != nil {
-		return err
-	}
-	var design interface{ Model(string) *aoc.KernelModel }
-	var models []*aoc.KernelModel
-	if net == "lenet5" {
-		p, err := host.BuildPipelined(layers, host.PipeTVMAutorun, fpga.S10SX, aoc.DefaultOptions)
-		if err != nil {
-			return err
-		}
-		models = p.Design.Kernels
-		design = p.Design
-	} else {
-		cfg, err := bench.FoldedConfigFor(net, fpga.S10SX)
-		if err != nil {
-			return err
-		}
-		f, err := host.BuildFolded(layers, cfg, fpga.S10SX, aoc.DefaultOptions)
-		if err != nil {
-			return err
-		}
-		models = f.Design.Kernels
-		design = f.Design
-	}
-	_ = design
-	var ks []*ir.Kernel
-	for _, m := range models {
-		ks = append(ks, m.Kernel)
-	}
-	fmt.Print(codegen.Program(ks))
+	fmt.Print(codegen.Program(dep.KernelSet()))
 	return nil
 }
 
-// dumpHostProgram prints the generated OpenCL C++ host program (§5.2).
+// dumpHostProgram prints the generated OpenCL C++ host program (§5.2); a
+// pipelined deployment gets one command queue per kernel.
 func dumpHostProgram(net string) error {
-	g, err := nn.ByName(net)
+	dep, _, err := serve.BuildDeployment(net, fpga.S10SX)
 	if err != nil {
 		return err
 	}
-	layers, err := relay.Lower(g)
-	if err != nil {
-		return err
-	}
-	var ks []*ir.Kernel
-	concurrent := false
-	if net == "lenet5" {
-		p, err := host.BuildPipelined(layers, host.PipeTVMAutorun, fpga.S10SX, aoc.DefaultOptions)
-		if err != nil {
-			return err
-		}
-		for _, m := range p.Design.Kernels {
-			ks = append(ks, m.Kernel)
-		}
-		concurrent = true
-	} else {
-		cfg, err := bench.FoldedConfigFor(net, fpga.S10SX)
-		if err != nil {
-			return err
-		}
-		f, err := host.BuildFolded(layers, cfg, fpga.S10SX, aoc.DefaultOptions)
-		if err != nil {
-			return err
-		}
-		for _, m := range f.Design.Kernels {
-			ks = append(ks, m.Kernel)
-		}
-	}
-	fmt.Print(codegen.HostProgram(net, ks, concurrent))
+	_, concurrent := dep.(*host.Pipelined)
+	fmt.Print(codegen.HostProgram(net, dep.KernelSet(), concurrent))
 	return nil
 }
 
@@ -495,31 +383,16 @@ func dumpReport(net, boardName string) error {
 	if err != nil {
 		return err
 	}
-	g, err := nn.ByName(net)
-	if err != nil {
-		return err
-	}
-	layers, err := relay.Lower(g)
+	dep, _, err := serve.BuildDeployment(net, board)
 	if err != nil {
 		return err
 	}
 	var design *aoc.Design
-	if net == "lenet5" {
-		p, err := host.BuildPipelined(layers, host.PipeTVMAutorun, board, aoc.DefaultOptions)
-		if err != nil {
-			return err
-		}
-		design = p.Design
-	} else {
-		cfg, err := bench.FoldedConfigFor(net, board)
-		if err != nil {
-			return err
-		}
-		f, err := host.BuildFolded(layers, cfg, board, aoc.DefaultOptions)
-		if err != nil {
-			return err
-		}
-		design = f.Design
+	switch d := dep.(type) {
+	case *host.Pipelined:
+		design = d.Design
+	case *host.Folded:
+		design = d.Design
 	}
 	fmt.Print(design.DesignReport())
 	fmt.Println()
@@ -528,48 +401,6 @@ func dumpReport(net, boardName string) error {
 		fmt.Print(m.AreaReport())
 		fmt.Println()
 	}
-	return nil
-}
-
-// dumpTimeline prints the execution Gantt chart for a deployment.
-func dumpTimeline(net, boardName string) error {
-	board, err := fpga.ByName(boardName)
-	if err != nil {
-		return err
-	}
-	g, err := nn.ByName(net)
-	if err != nil {
-		return err
-	}
-	layers, err := relay.Lower(g)
-	if err != nil {
-		return err
-	}
-	if net == "lenet5" {
-		p, err := host.BuildPipelined(layers, host.PipeTVMAutorun, board, aoc.DefaultOptions)
-		if err != nil {
-			return err
-		}
-		r, err := p.Run(3, true, false)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r.Timeline)
-		return nil
-	}
-	cfg, err := bench.FoldedConfigFor(net, board)
-	if err != nil {
-		return err
-	}
-	f, err := host.BuildFolded(layers, cfg, board, aoc.DefaultOptions)
-	if err != nil {
-		return err
-	}
-	r, err := f.Run(1, false)
-	if err != nil {
-		return err
-	}
-	fmt.Print(r.Timeline)
 	return nil
 }
 
@@ -606,36 +437,26 @@ func runVerify(args []string) error {
 		return err
 	}
 	fmt.Println("== static channel verification ==")
-	for _, v := range host.PipeVariants {
+	pipes := make([]*host.Pipelined, len(host.PipeVariants))
+	for i, v := range host.PipeVariants {
 		p, err := host.BuildPipelined(layers, v, fpga.S10SX, aoc.DefaultOptions)
 		if err != nil {
 			return err
 		}
+		pipes[i] = p
 		if err := printStaticVerdict("lenet5/"+v.String(), p.KernelSet()); err != nil {
 			return err
 		}
 	}
-	mnLayers, err := relay.Lower(nn.MobileNetV1())
+	mn, _, err := serve.BuildDeployment("mobilenetv1", fpga.S10SX)
 	if err != nil {
 		return err
 	}
-	cfg, err := bench.FoldedConfigFor("mobilenetv1", fpga.S10SX)
-	if err != nil {
-		return err
-	}
-	f, err := host.BuildFolded(mnLayers, cfg, fpga.S10SX, aoc.DefaultOptions)
-	if err != nil {
-		return err
-	}
-	if err := printStaticVerdict("mobilenetv1/folded", f.KernelSet()); err != nil {
+	if err := printStaticVerdict("mobilenetv1/folded", mn.KernelSet()); err != nil {
 		return err
 	}
 	fmt.Println("\n== output verification ==")
-	for _, v := range host.PipeVariants {
-		p, err := host.BuildPipelined(layers, v, fpga.S10SX, aoc.DefaultOptions)
-		if err != nil {
-			return err
-		}
+	for i, v := range host.PipeVariants {
 		worst := 0.0
 		for d := 0; d <= 9; d++ {
 			in := nn.Digit(d)
@@ -645,7 +466,7 @@ func runVerify(args []string) error {
 			if err != nil {
 				return err
 			}
-			got, err := p.Infer(in)
+			got, err := pipes[i].Infer(in)
 			if err != nil {
 				return err
 			}
@@ -718,21 +539,13 @@ func runChaos(args []string) error {
 	}
 	fmt.Print(rep.Summary())
 
-	mnLayers, err := relay.Lower(nn.MobileNetV1())
-	if err != nil {
-		return err
-	}
-	cfg, err := bench.FoldedConfigFor("mobilenetv1", fpga.S10SX)
-	if err != nil {
-		return err
-	}
-	f, err := host.BuildFolded(mnLayers, cfg, fpga.S10SX, aoc.DefaultOptions)
+	mn, _, err := serve.BuildDeployment("mobilenetv1", fpga.S10SX)
 	if err != nil {
 		return err
 	}
 	// Place the folded run after the ladder on the shared trace clock.
 	ctrl.TraceOffsetUS = tc.MaxEndUS()
-	r, stats, err := f.RunResilient(*images, ctrl)
+	r, stats, err := mn.Resilient(*images, ctrl)
 	if err != nil {
 		return fmt.Errorf("mobilenetv1: resilient run failed despite retries: %w", err)
 	}
@@ -742,17 +555,5 @@ func runChaos(args []string) error {
 	for _, rec := range stats.Faults {
 		fmt.Printf("  fault: %s\n", rec)
 	}
-	if *traceOut != "" {
-		if err := writeChromeTrace(tc, *traceOut); err != nil {
-			return err
-		}
-		if *traceOut != "-" {
-			fmt.Printf("wrote Chrome trace to %s (open in ui.perfetto.dev)\n", *traceOut)
-		}
-	}
-	if *metrics {
-		fmt.Println("\n== metrics ==")
-		fmt.Print(tc.Metrics().DumpText())
-	}
-	return nil
+	return finishObservability(tc, *traceOut, *metrics)
 }

@@ -50,7 +50,7 @@ func main() {
 	}
 
 	// The optimized folded deployment (Table 6.7 tiling for this board).
-	cfg := bench.MobileNetConfig(board)
+	cfg := host.MobileNetConfig(board)
 	dep, err := host.BuildFolded(layers, cfg, board, aoc.DefaultOptions)
 	if err != nil {
 		log.Fatal(err)

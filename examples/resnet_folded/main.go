@@ -10,7 +10,6 @@ import (
 	"log"
 
 	"repro/internal/aoc"
-	"repro/internal/bench"
 	"repro/internal/cpuref"
 	"repro/internal/fpga"
 	"repro/internal/host"
@@ -37,7 +36,7 @@ func main() {
 	tf, threads, _ := cpuref.TFCPUFPS(net)
 	gpu, _ := cpuref.GPUFPS(net)
 	for _, board := range fpga.Boards {
-		cfg := bench.ResNetConfig(board)
+		cfg := host.ResNetConfig(board)
 		dep, err := host.BuildFolded(layers, cfg, board, aoc.DefaultOptions)
 		if err != nil {
 			log.Fatal(err)
@@ -56,7 +55,7 @@ func main() {
 	}
 
 	// The per-operation profile on the S10SX (Table 6.16).
-	dep, err := host.BuildFolded(layers, bench.ResNetConfig(fpga.S10SX), fpga.S10SX, aoc.DefaultOptions)
+	dep, err := host.BuildFolded(layers, host.ResNetConfig(fpga.S10SX), fpga.S10SX, aoc.DefaultOptions)
 	if err != nil {
 		log.Fatal(err)
 	}

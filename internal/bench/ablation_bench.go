@@ -77,8 +77,8 @@ func Ablations() ([]AblationRow, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	cfgOn := MobileNetConfig(fpga.S10SX)
-	cfgOff := MobileNetConfig(fpga.S10SX)
+	cfgOn := host.MobileNetConfig(fpga.S10SX)
+	cfgOff := host.MobileNetConfig(fpga.S10SX)
 	cfgOff.Workaround = false
 	runFolded := func(cfg host.FoldedConfig) (fps float64, logic float64, ok bool, err error) {
 		dep, err := host.BuildFolded(mob, cfg, fpga.S10SX, aoc.DefaultOptions)

@@ -52,7 +52,7 @@ func DSEExperiment(opts dse.Options) ([]DSEResult, string, error) {
 		if err != nil {
 			return nil, "", err
 		}
-		hand := MobileNetConfig(board)
+		hand := host.MobileNetConfig(board)
 		handDep, err := host.BuildFolded(layers, hand, board, aoc.DefaultOptions)
 		if err != nil {
 			return nil, "", err

@@ -50,7 +50,7 @@ func FoldedInference(net string) (*InferenceResult, string, error) {
 		}
 
 		// Optimized: parameterized kernels with the per-board tiling.
-		cfg, err := FoldedConfigFor(net, board)
+		cfg, err := host.FoldedConfigFor(net, board)
 		if err != nil {
 			return nil, "", err
 		}
@@ -140,7 +140,7 @@ func OpsProfile(net string) (map[string][]host.OpProfile, string, error) {
 	}
 	fmt.Fprintf(&b, "== %s: per-operation GFLOPS and runtime share (%s) ==\n\n", title, net)
 	for _, board := range fpga.Boards {
-		cfg, err := FoldedConfigFor(net, board)
+		cfg, err := host.FoldedConfigFor(net, board)
 		if err != nil {
 			return nil, "", err
 		}

@@ -39,7 +39,7 @@ func QuantizationProjection() ([]QuantResult, string, error) {
 			return nil, "", err
 		}
 		for _, board := range []*fpga.Board{fpga.S10SX, fpga.A10} {
-			cfg, err := FoldedConfigFor(net, board)
+			cfg, err := host.FoldedConfigFor(net, board)
 			if err != nil {
 				return nil, "", err
 			}

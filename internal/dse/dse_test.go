@@ -11,20 +11,7 @@ import (
 	"repro/internal/host"
 	"repro/internal/nn"
 	"repro/internal/relay"
-	"repro/internal/topi"
 )
-
-// handPickedS10SX is the thesis's Table 6.7 configuration for the S10SX
-// (duplicated from bench.MobileNetConfig to avoid an import cycle).
-var handPickedS10SX = host.FoldedConfig{
-	Conv: map[string]topi.ConvSched{
-		"conv1x1s1": topi.OptSched(7, 16, 4),
-		"conv3x3s2": topi.OptSched(1, 1, 3),
-	},
-	DWVec:      map[string]int{"dw3x3s1": 7, "dw3x3s2": 7},
-	DenseVec:   32,
-	Workaround: true,
-}
 
 func mobilenetLayers(t *testing.T) []*relay.Layer {
 	t.Helper()
@@ -85,7 +72,7 @@ func TestExploreMobileNetFindsGoodConfig(t *testing.T) {
 
 	// The explorer must do at least as well as the thesis's hand-picked
 	// Table 6.7 configuration for this board.
-	handDep, err := host.BuildFolded(layers, handPickedS10SX, board, aoc.DefaultOptions)
+	handDep, err := host.BuildFolded(layers, host.MobileNetConfig(board), board, aoc.DefaultOptions)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,23 +261,6 @@ func TestExploreExactBudgetAccounting(t *testing.T) {
 	}
 }
 
-// handPickedResNetS10SX mirrors bench.ResNetConfig (duplicated to avoid an
-// import cycle).
-var handPickedResNetS10SX = func() host.FoldedConfig {
-	s33 := topi.OptSched(7, 1, 8)
-	return host.FoldedConfig{
-		Conv: map[string]topi.ConvSched{
-			"conv7x7s2":     topi.OptSched(1, 1, 1),
-			"conv3x3s1":     s33,
-			"conv3x3s1_res": s33,
-			"conv3x3s2":     s33,
-			"conv1x1s2_lin": topi.OptSched(1, 1, 8),
-		},
-		DenseVec:   32,
-		Workaround: true,
-	}
-}()
-
 func TestExploreResNetMatchesHandConfig(t *testing.T) {
 	g, err := nn.ResNet(18)
 	if err != nil {
@@ -308,7 +278,7 @@ func TestExploreResNetMatchesHandConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	handDep, err := host.BuildFolded(layers, handPickedResNetS10SX, fpga.S10SX, aoc.DefaultOptions)
+	handDep, err := host.BuildFolded(layers, host.ResNetConfig(fpga.S10SX), fpga.S10SX, aoc.DefaultOptions)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,8 +14,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/aoc"
-	"repro/internal/bench"
 	"repro/internal/fault"
 	"repro/internal/fpga"
 	"repro/internal/host"
@@ -299,26 +297,22 @@ type refExec struct {
 	busyUntil  float64
 }
 
-// newRefExec builds the analytic executor for net on board: the folded
-// deployment is built once for its modeled forward time, then discarded
-// from the execution path. Nets without a folded config (LeNet-5's
-// pipelined deployment) calibrate the per-image time with one probe batch
-// instead — still deterministic, the probe input is all zeros.
+// newRefExec builds the analytic executor for net on board: the deployment
+// is built once for its modeled per-image time, then discarded from the
+// execution path. A folded deployment reports its analytic forward time; a
+// pipelined one (LeNet-5) calibrates the time with one probe batch instead —
+// still deterministic, the probe input is all zeros.
 func newRefExec(net string, layers []*relay.Layer, board *fpga.Board) (*refExec, error) {
-	if fcfg, err := bench.FoldedConfigFor(net, board); err == nil {
-		f, err := host.BuildFolded(layers, fcfg, board, aoc.DefaultOptions)
-		if err != nil {
-			return nil, err
-		}
+	dep, _, err := serve.BuildDeployment(net, board)
+	if err != nil {
+		return nil, err
+	}
+	if f, ok := dep.(*host.Folded); ok {
 		t, err := f.ForwardTimeUS()
 		if err != nil {
 			return nil, err
 		}
 		return &refExec{layers: layers, perImageUS: t}, nil
-	}
-	dep, _, err := serve.BuildDeployment(net, board)
-	if err != nil {
-		return nil, err
 	}
 	probe, err := dep.RunBatch([]*tensor.Tensor{tensor.New(layers[0].InShape...)}, host.BatchOptions{Workers: 1})
 	if err != nil {

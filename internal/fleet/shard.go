@@ -20,7 +20,6 @@ import (
 	"math"
 
 	"repro/internal/aoc"
-	"repro/internal/bench"
 	"repro/internal/fpga"
 	"repro/internal/host"
 	"repro/internal/relay"
@@ -150,7 +149,7 @@ func newShardExec(net string, layers []*relay.Layer, boardA, boardB *fpga.Board,
 		return nil, err
 	}
 	buildTime := func(half []*relay.Layer, board *fpga.Board) (float64, error) {
-		fcfg, err := bench.FoldedConfigFor(net, board)
+		fcfg, err := host.FoldedConfigFor(net, board)
 		if err != nil {
 			return 0, fmt.Errorf("fleet: shard stage for %s on %s: %w", net, board.Name, err)
 		}

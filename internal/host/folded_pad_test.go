@@ -3,15 +3,13 @@ package host_test
 // The whole-network pin for the pad row lowering: the folded MobileNetV1 and
 // ResNet-18 deployments serve.BuildDeployment builds leave no compute loop on
 // the closure fallback, and every pad binding either plan makes runs on the
-// vector tier bit-identically to the interpreter. An external test package,
-// because bench (which holds the deployed configs) imports host.
+// vector tier bit-identically to the interpreter.
 
 import (
 	"math"
 	"testing"
 
 	"repro/internal/aoc"
-	"repro/internal/bench"
 	"repro/internal/fpga"
 	"repro/internal/host"
 	"repro/internal/nn"
@@ -30,7 +28,7 @@ func TestFoldedNetsPadOnVectorTier(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg, err := bench.FoldedConfigFor(net, fpga.S10SX)
+		cfg, err := host.FoldedConfigFor(net, fpga.S10SX)
 		if err != nil {
 			t.Fatal(err)
 		}

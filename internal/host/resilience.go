@@ -236,16 +236,13 @@ func (p *Pipelined) RunResilient(n int, concurrent bool, ctrl RunControl) (*RunR
 	return runResilient(p, n, concurrent, false, ctrl)
 }
 
-// RunResilient is the folded counterpart of the pipelined resilient runner.
-func (f *Folded) RunResilient(n int, ctrl RunControl) (*RunResult, *Resilience, error) {
-	return runResilient(f, n, false, false, ctrl)
-}
-
-// Deployment is a built accelerator deployment the degradation ladder can
-// drive: functional inference for output checking, resilient timed
-// execution, and enough introspection to verify the kernel set.
+// Deployment is a built accelerator deployment; both shapes (Pipelined,
+// Folded) satisfy it. Servers and fleets run it through Infer and RunBatch;
+// the degradation ladder also drives resilient timed execution and needs
+// enough introspection to verify the kernel set.
 type Deployment interface {
 	Infer(input *tensor.Tensor) (*tensor.Tensor, error)
+	RunBatch(inputs []*tensor.Tensor, opts BatchOptions) (*BatchResult, error)
 	Resilient(n int, ctrl RunControl) (*RunResult, *Resilience, error)
 	KernelSet() []*ir.Kernel
 	DesignErr() error
@@ -266,7 +263,7 @@ func (p *Pipelined) DesignErr() error { return p.Design.Err() }
 
 // Resilient implements Deployment.
 func (f *Folded) Resilient(n int, ctrl RunControl) (*RunResult, *Resilience, error) {
-	return f.RunResilient(n, ctrl)
+	return runResilient(f, n, false, false, ctrl)
 }
 
 // KernelSet implements Deployment.
@@ -448,18 +445,4 @@ func PipelinedLadder(layers []*relay.Layer, board *fpga.Board, opts aoc.Options)
 		}
 	}
 	return []Rung{mk(PipeTVMAutorun), mk(PipeChannels), mk(PipeBase)}
-}
-
-// FoldedLadder builds the folded degradation ladder: the tuned configuration
-// first, then the untuned parameterized kernel set (vector width 1
-// everywhere), which uses far less area.
-func FoldedLadder(layers []*relay.Layer, tuned FoldedConfig, board *fpga.Board, opts aoc.Options) []Rung {
-	return []Rung{
-		{Name: "folded-tuned", Build: func() (Deployment, error) {
-			return BuildFolded(layers, tuned, board, opts)
-		}},
-		{Name: "folded-untuned", Build: func() (Deployment, error) {
-			return BuildFolded(layers, FoldedConfig{Workaround: true}, board, opts)
-		}},
-	}
 }

@@ -73,7 +73,7 @@ func TestResilientMobileNetUnderFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, seed := range []int64{1, 2, 3} {
-		run, stats, err := f.RunResilient(2, RunControl{FaultSeed: seed, FaultRate: 0.1})
+		run, stats, err := f.Resilient(2, RunControl{FaultSeed: seed, FaultRate: 0.1})
 		if err != nil {
 			t.Fatalf("seed %d: MobileNet must complete via retries: %v", seed, err)
 		}
@@ -127,6 +127,9 @@ func (d *fakeDeployment) Resilient(n int, ctrl RunControl) (*RunResult, *Resilie
 		return nil, &Resilience{Retries: ctrl.MaxRetries}, d.runErr
 	}
 	return &RunResult{Images: n, ElapsedUS: 1, FPS: 1}, &Resilience{}, nil
+}
+func (d *fakeDeployment) RunBatch([]*tensor.Tensor, BatchOptions) (*BatchResult, error) {
+	return nil, d.runErr
 }
 func (d *fakeDeployment) KernelSet() []*ir.Kernel { return d.kernels }
 func (d *fakeDeployment) DesignErr() error        { return d.designErr }
@@ -278,7 +281,7 @@ func TestResilientRefusesUnsynthesizable(t *testing.T) {
 	if dep.Design.Synthesizable() {
 		t.Skip("unexpectedly fits")
 	}
-	if _, _, err := dep.RunResilient(1, RunControl{}); err == nil {
-		t.Fatal("RunResilient must refuse an unsynthesizable design")
+	if _, _, err := dep.Resilient(1, RunControl{}); err == nil {
+		t.Fatal("Resilient must refuse an unsynthesizable design")
 	}
 }

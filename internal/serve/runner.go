@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/aoc"
-	"repro/internal/bench"
 	"repro/internal/fpga"
 	"repro/internal/host"
 	"repro/internal/nn"
@@ -53,19 +52,16 @@ type Runner interface {
 	Run(b *Batch) *BatchOutcome
 }
 
-// Deployment is the slice of the host engine a runner executes on; both
-// deployment shapes (Pipelined, Folded) satisfy it. Exported so external
-// runners (internal/fleet) build per-device deployments through the same
-// path the ladder uses.
-type Deployment interface {
-	Infer(*tensor.Tensor) (*tensor.Tensor, error)
-	RunBatch([]*tensor.Tensor, host.BatchOptions) (*host.BatchResult, error)
-}
+// Deployment is host.Deployment; external runners (internal/fleet) build
+// per-device deployments through BuildDeployment, the same path the ladder
+// uses.
+type Deployment = host.Deployment
 
 // BuildDeployment builds the deployment for net on board — the pipelined
-// channel design for LeNet-5, the folded single-CU design otherwise — and
-// returns it with the lowered reference layer chain (the cpuref ground
-// truth).
+// channel design for LeNet-5, the folded single-CU design with the board's
+// Table 6.7 / 6.13 tiling otherwise — and returns it with the lowered
+// reference layer chain (the cpuref ground truth). It is the one place that
+// decides which deployment serves a network.
 func BuildDeployment(net string, board *fpga.Board) (Deployment, []*relay.Layer, error) {
 	g, err := nn.ByName(net)
 	if err != nil {
@@ -82,7 +78,7 @@ func BuildDeployment(net string, board *fpga.Board) (Deployment, []*relay.Layer,
 		}
 		return p, layers, nil
 	}
-	fcfg, err := bench.FoldedConfigFor(net, board)
+	fcfg, err := host.FoldedConfigFor(net, board)
 	if err != nil {
 		return nil, nil, err
 	}
