@@ -106,16 +106,19 @@ dse-smoke:
 	$(GO) run ./cmd/fpgacnn dse -dse-mode=guided -net mobilenetv1 -board S10SX \
 		-dse-max 16 -transfer-in /tmp/dse_a10_state.json
 
-# Chaos smoke: the fault-injection matrix (the Resilient/Watchdog/Ladder tests
-# sweep seeds 1-3 internally) under the race detector, the static channel
-# verifier over the example networks plus output verification of every Table
-# 6.4 bitstream on the vector tier (channels elided into buffers; the
-# interpreter cross-check of every variant is TestElidedSessionMatchesInterpOracle),
-# and the chaos CLI across three seeds.
+# Chaos smoke: the fault-injection matrix (the clrt fault probes, the batch
+# engine's fault ledger, and the serving ladder's rung and fault-ledger tests,
+# which sweep seeds 1-3 internally) under the race detector, the static
+# channel verifier over the example networks plus output verification of
+# every Table 6.4 bitstream on the vector tier (channels elided into buffers;
+# the interpreter cross-check of every variant is
+# TestElidedSessionMatchesInterpOracle), and the chaos CLI across three seeds:
+# LeNet-5 and MobileNetV1 requests through the serving ladder, every answer
+# checked against the CPU reference.
 chaos:
 	$(GO) test -race ./internal/fault/...
-	$(GO) test -race -run 'Fault|Injected|Resilient|Watchdog|Ladder|Deadlock|Drain' \
-		./internal/clrt/... ./internal/sim/... ./internal/host/...
+	$(GO) test -race -run 'Fault|Injected|Deadlock|Drain|Ladder' \
+		./internal/clrt/... ./internal/sim/... ./internal/host/... ./internal/serve/...
 	$(GO) run ./cmd/fpgacnn verify
 	for seed in 1 2 3; do \
 		$(GO) run ./cmd/fpgacnn chaos -fault-rate 0.1 -fault-seed $$seed -images 3 || exit 1; \

@@ -10,8 +10,8 @@
 //	fpgacnn codegen <net>        # print the generated OpenCL kernels
 //	fpgacnn report <net> <board> # AOC optimization, area and fit reports
 //	fpgacnn verify               # static channel checks + output vs reference
-//	fpgacnn chaos [-fault-seed N] [-fault-rate P] [-watchdog-us D]
-//	                             # run the degradation ladder under fault injection
+//	fpgacnn chaos [-fault-seed N] [-fault-rate P] [-images N]
+//	                             # the serving ladder under fault injection
 //	fpgacnn dse [-dse-mode M] [-dse-workers N] [-dse-timeout D] [-dse-max N]
 //	                             # parallel design-space exploration
 //	                             # (-dse-mode=guided: learned-cost-model search)
@@ -32,8 +32,8 @@
 //	                             # 1-board vs replicated vs sharded fleet bench
 //
 // The deployment a subcommand runs, dumps or reports for a network always
-// comes from serve.BuildDeployment; only verify and chaos build the other
-// LeNet bitstream variants themselves. Kernels execute functionally on the
+// comes from serve.BuildDeployment; only verify builds the other LeNet
+// bitstream variants itself. Kernels execute functionally on the
 // simulator's vector tier; its interpreter is the oracle the tests compare
 // against.
 package main
@@ -149,7 +149,7 @@ const commands = `usage: fpgacnn <command>
   graph <net> | verify |
   run [-net N] [-board B] [-images N] [-batch N] [-workers K] [-serial] [-no-double-buffer]
       [-profiling] [-metrics] [-trace F] [-cpuprofile F] [-memprofile F] |
-  chaos [-fault-seed N] [-fault-rate P] [-watchdog-us D] [-images N] [-metrics] [-trace F] |
+  chaos [-fault-seed N] [-fault-rate P] [-images N] [-metrics] [-trace F] |
   dse [-dse-mode exhaustive|guided] [-dse-workers N] [-dse-timeout D] [-dse-max N]
       [-dse-seed S] [-net N] [-board B] [-json F]
       [-transfer-in F] [-transfer-out F] [-transfer-topk K] [-metrics] |
@@ -276,6 +276,9 @@ func runTimed(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
+	if *images < 1 {
+		return usagef("-images must be >= 1, got %d", *images)
+	}
 	if err := validateRunShape(*batch, *workers, *serial, *noDB, *profiling); err != nil {
 		return err
 	}
@@ -297,15 +300,10 @@ func runTimed(args []string) error {
 		return err
 	}
 	if *batch > 0 {
-		// Deterministic inputs: MNIST digits for LeNet-5, seeded random
-		// images of the network's input shape otherwise.
+		input := requestInput(*net, layers[0].InShape)
 		inputs := make([]*tensor.Tensor, *batch)
 		for i := range inputs {
-			if *net == "lenet5" {
-				inputs[i] = nn.Digit(i % 10)
-			} else {
-				inputs[i] = nn.RandomImage(uint64(i+1), layers[0].InShape...)
-			}
+			inputs[i] = input(i)
 		}
 		res, err := dep.RunBatch(inputs, host.BatchOptions{
 			Workers: *workers, Trace: tc, NoDoubleBuffer: *noDB,
@@ -499,61 +497,4 @@ func printStaticVerdict(name string, ks []*ir.Kernel) error {
 	}
 	fmt.Printf("%-22s OK  (%d kernels, %d warnings)\n", name, len(ks), len(res.Warnings()))
 	return nil
-}
-
-// runChaos runs the example networks under deterministic fault injection:
-// LeNet-5 through the full degradation ladder (with output checking), and
-// MobileNetV1 through the resilient timed path on its tuned folded design.
-func runChaos(args []string) error {
-	fs := flag.NewFlagSet("chaos", flag.ContinueOnError)
-	seed := fs.Int64("fault-seed", 1, "deterministic fault injector seed")
-	rate := fs.Float64("fault-rate", 0.1, "per-probe fault probability in [0,1]")
-	watchdog := fs.Float64("watchdog-us", 0, "per-image watchdog deadline in simulated microseconds (0 = none)")
-	images := fs.Int("images", 5, "images to run per network")
-	metrics := fs.Bool("metrics", false, "print the metrics dump after the runs")
-	traceOut := fs.String("trace", "", "write a Chrome trace JSON to this path (\"-\" = stdout)")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	if err := validateFaultFlags(fs, *rate, "fault-seed", "fault-rate"); err != nil {
-		return err
-	}
-	if *watchdog < 0 {
-		return usagef("-watchdog-us must be >= 0, got %g", *watchdog)
-	}
-	ctrl := host.RunControl{FaultSeed: *seed, FaultRate: *rate, WatchdogUS: *watchdog}
-	var tc *trace.Collector
-	if *metrics || *traceOut != "" {
-		tc = trace.NewCollector()
-		ctrl.Trace = tc
-	}
-
-	layers, err := relay.Lower(nn.LeNet5())
-	if err != nil {
-		return err
-	}
-	rungs := host.PipelinedLadder(layers, fpga.S10SX, aoc.DefaultOptions)
-	rep, err := host.RunLadder("lenet5", layers, rungs, nn.Digit(3), *images, ctrl)
-	if err != nil {
-		return err
-	}
-	fmt.Print(rep.Summary())
-
-	mn, _, err := serve.BuildDeployment("mobilenetv1", fpga.S10SX)
-	if err != nil {
-		return err
-	}
-	// Place the folded run after the ladder on the shared trace clock.
-	ctrl.TraceOffsetUS = tc.MaxEndUS()
-	r, stats, err := mn.Resilient(*images, ctrl)
-	if err != nil {
-		return fmt.Errorf("mobilenetv1: resilient run failed despite retries: %w", err)
-	}
-	fmt.Printf("\nmobilenetv1 (folded, timed): %d images in %.1f us simulated\n", *images, r.ElapsedUS)
-	fmt.Printf("  injected faults: %d, retries: %d, watchdog trips: %d\n",
-		len(stats.Faults), stats.Retries, stats.WatchdogTrips)
-	for _, rec := range stats.Faults {
-		fmt.Printf("  fault: %s\n", rec)
-	}
-	return finishObservability(tc, *traceOut, *metrics)
 }

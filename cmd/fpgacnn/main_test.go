@@ -30,3 +30,24 @@ func TestRunSerialRejectedOnFoldedNet(t *testing.T) {
 		t.Fatalf("got %v, want usageError", err)
 	}
 }
+
+// A non-positive image count is a usage error (exit 2), caught before any
+// deployment is built: a negative count used to panic in the timed driver,
+// and zero printed a NaN frame rate.
+func TestNonPositiveImagesIsUsageError(t *testing.T) {
+	for _, c := range []struct {
+		run  func([]string) error
+		args []string
+	}{
+		{runTimed, []string{"-net", "lenet5", "-images", "-1"}},
+		{runTimed, []string{"-net", "lenet5", "-images", "0"}},
+		{runChaos, []string{"-images", "-2"}},
+		{runChaos, []string{"-images", "0"}},
+	} {
+		err := c.run(c.args)
+		var ue *usageError
+		if !errors.As(err, &ue) {
+			t.Errorf("%v: got %v, want usageError", c.args, err)
+		}
+	}
+}

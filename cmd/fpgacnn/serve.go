@@ -2,9 +2,11 @@ package main
 
 // The serving surface: `fpgacnn serve` (long-running HTTP server with
 // graceful drain), `fpgacnn bench-serve` (deterministic open-loop load
-// benchmark on the simulated clock, writes BENCH_serve.json), and
+// benchmark on the simulated clock, writes BENCH_serve.json),
 // `fpgacnn serve-smoke` (the blocking CI gate: drain zero-drop + metrics
-// invariants across fault seeds, plus an HTTP round trip).
+// invariants across fault seeds, plus an HTTP round trip), and
+// `fpgacnn chaos` (the serving ladder under fault injection, every answer
+// checked against the CPU reference).
 
 import (
 	"bytes"
@@ -87,20 +89,61 @@ func runServe(args []string) error {
 	return nil
 }
 
-// benchInput returns the deterministic request-image generator for a net:
-// MNIST digits cycling for LeNet-5, seeded random images otherwise.
-func benchInput(cfg serve.Config, tc *trace.Collector) (func(i int) *tensor.Tensor, *serve.LadderRunner, error) {
-	runner, err := serve.NewLadderRunner(cfg, tc)
-	if err != nil {
-		return nil, nil, err
-	}
-	shape := runner.InShape()
+// requestInput is the one deterministic request-image generator: arrival i
+// carries MNIST digit i%10 for LeNet-5, a seeded random image of the input
+// shape otherwise.
+func requestInput(net string, shape []int) func(i int) *tensor.Tensor {
 	return func(i int) *tensor.Tensor {
-		if cfg.Net == "lenet5" {
+		if net == "lenet5" {
 			return nn.Digit(i % 10)
 		}
 		return nn.RandomImage(uint64(i+1), shape...)
-	}, runner, nil
+	}
+}
+
+// checkServed enforces the serving contract on one simulated stream: no
+// accepted request dropped on drain, every one completed, and every answer
+// equal to the CPU reference on whichever rung or device served it. Request
+// IDs are assigned in arrival order (before any shed), so ID-1 is the arrival
+// index and input(ID-1) the image it carried. LeNet-5's arrivals repeat ten
+// digits, so ten references check every response; for other nets verifyN
+// bounds how many responses are checked (< 0 checks all).
+func checkServed(net string, res *serve.SimResult, input func(int) *tensor.Tensor,
+	reference func(*tensor.Tensor) (*tensor.Tensor, error), verifyN int) error {
+	if res.DrainDropped != 0 {
+		return fmt.Errorf("drain dropped %d in-flight request(s), want 0", res.DrainDropped)
+	}
+	if res.Accepted != res.Completed {
+		return fmt.Errorf("accepted %d != completed %d", res.Accepted, res.Completed)
+	}
+	wantClass := map[int]int{} // reference argmax by input key
+	checked := 0
+	for _, r := range res.Responses {
+		if r.Err != nil {
+			return fmt.Errorf("request %d failed: %v", r.ID, r.Err)
+		}
+		i := int(r.ID - 1)
+		key := i
+		if net == "lenet5" {
+			key = i % 10
+		} else if verifyN >= 0 && checked >= verifyN {
+			continue
+		}
+		want, ok := wantClass[key]
+		if !ok {
+			ref, err := reference(input(i))
+			if err != nil {
+				return err
+			}
+			want = ref.ArgMax()
+			wantClass[key] = want
+		}
+		if r.ArgMax != want {
+			return fmt.Errorf("request %d (rung %s): argmax %d, reference says %d", r.ID, r.Rung, r.ArgMax, want)
+		}
+		checked++
+	}
+	return nil
 }
 
 // serveBenchPoint is one (batch-N, deadline-T) operating point in
@@ -178,14 +221,14 @@ func runBenchServe(args []string) error {
 			BatchN: pt.n, DeadlineUS: pt.us,
 		}
 		tc := trace.NewCollector()
-		input, runner, err := benchInput(cfg, tc)
+		runner, err := serve.NewLadderRunner(cfg, tc)
 		if err != nil {
 			return err
 		}
 		if rep.DispatchUS == 0 {
 			rep.DispatchUS = runner.Config().DispatchUS
 		}
-		arrivals := profile.Arrivals(input)
+		arrivals := profile.Arrivals(requestInput(cfg.Net, runner.InShape()))
 		res := serve.RunSim(cfg, runner, arrivals, tc)
 		sum := loadgen.Summarize(profile, res, tc.Metrics())
 		rep.Points = append(rep.Points, serveBenchPoint{BatchN: pt.n, DeadlineUS: pt.us, Summary: sum})
@@ -257,21 +300,16 @@ func smokeSim(seed int64, rate float64) error {
 		Tenants: []loadgen.Tenant{{Name: "alpha", Weight: 0.6}, {Name: "beta", Weight: 0.4}},
 	}
 	tc := trace.NewCollector()
-	input, runner, err := benchInput(cfg, tc)
+	runner, err := serve.NewLadderRunner(cfg, tc)
 	if err != nil {
 		return err
 	}
+	input := requestInput(cfg.Net, runner.InShape())
 	arrivals := profile.Arrivals(input)
 	res := serve.RunSim(cfg, runner, arrivals, tc)
 	sum := loadgen.Summarize(profile, res, tc.Metrics())
 	fmt.Printf("seed %d: %s\n", seed, sum)
 
-	if res.DrainDropped != 0 {
-		return fmt.Errorf("drain dropped %d in-flight request(s), want 0", res.DrainDropped)
-	}
-	if res.Accepted != res.Completed {
-		return fmt.Errorf("accepted %d != completed %d", res.Accepted, res.Completed)
-	}
 	m := tc.Metrics()
 	if got := m.Counter("serve.requests").Value(); got != int64(res.Offered) {
 		return fmt.Errorf("metrics serve.requests = %d, want %d", got, res.Offered)
@@ -291,27 +329,7 @@ func smokeSim(seed int64, rate float64) error {
 	if shedSum != int64(len(res.Shed)) {
 		return fmt.Errorf("shed counters sum to %d, want %d", shedSum, len(res.Shed))
 	}
-	// Ground truth: request IDs are assigned in arrival order, and arrival i
-	// carries digit i%10, so every response is checkable against the CPU
-	// reference — degraded rungs included.
-	wantClass := [10]int{}
-	for d := 0; d <= 9; d++ {
-		ref, err := runner.Reference(nn.Digit(d))
-		if err != nil {
-			return err
-		}
-		wantClass[d] = ref.ArgMax()
-	}
-	for _, r := range res.Responses {
-		if r.Err != nil {
-			return fmt.Errorf("request %d failed: %v", r.ID, r.Err)
-		}
-		want := wantClass[int(r.ID-1)%10]
-		if r.ArgMax != want {
-			return fmt.Errorf("request %d (rung %s): argmax %d, reference says %d", r.ID, r.Rung, r.ArgMax, want)
-		}
-	}
-	return nil
+	return checkServed(cfg.Net, res, input, runner.Reference, -1)
 }
 
 // smokeHTTP round-trips the wall-clock server: concurrent posts from two
@@ -460,4 +478,65 @@ func smokeHTTP() error {
 	}
 	fmt.Println("http: ingest, metrics, healthz and drain-with-queued-request all OK")
 	return nil
+}
+
+// runChaos sends -images requests at t = 0 through the degradation ladder
+// that serves traffic (serve.LadderRunner: batch, then solo, then cpuref)
+// for LeNet-5 and MobileNetV1 on S10SX under deterministic fault injection,
+// and fails unless checkServed holds: nothing dropped, every answer equal
+// to the CPU reference. The rung, retry and fault counts are the serving
+// engine's own metrics.
+func runChaos(args []string) error {
+	fs := flag.NewFlagSet("chaos", flag.ContinueOnError)
+	seed := fs.Int64("fault-seed", 1, "deterministic fault injector seed")
+	rate := fs.Float64("fault-rate", 0.1, "per-probe fault probability in [0,1]")
+	images := fs.Int("images", 5, "requests to send per network")
+	metrics := fs.Bool("metrics", false, "print each network's metrics dump")
+	traceOut := fs.String("trace", "", "write a Chrome trace JSON to this path (\"-\" = stdout)")
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
+	if err := validateFaultFlags(fs, *rate, "fault-seed", "fault-rate"); err != nil {
+		return err
+	}
+	if *images < 1 {
+		return usagef("-images must be >= 1, got %d", *images)
+	}
+	// Each network runs on its own engine and clock; the exported trace keeps
+	// them apart as one process group per network.
+	all := trace.NewCollector()
+	for _, net := range []string{"lenet5", "mobilenetv1"} {
+		cfg := serve.Config{Net: net, Board: "S10SX", FaultSeed: *seed, FaultRate: *rate}
+		tc := trace.NewCollector()
+		runner, err := serve.NewLadderRunner(cfg, tc)
+		if err != nil {
+			return err
+		}
+		input := requestInput(net, runner.InShape())
+		arrivals := make([]serve.Arrival, *images)
+		for i := range arrivals {
+			arrivals[i] = serve.Arrival{Tenant: "chaos", Input: input(i)}
+		}
+		res := serve.RunSim(cfg, runner, arrivals, tc)
+		m := tc.Metrics()
+		fmt.Printf("%s on %s: %d request(s) at t=0, fault seed %d, rate %g\n", net, cfg.Board, *images, *seed, *rate)
+		fmt.Printf("  rungs: %s %d, %s %d, %s %d | retries %d, faults %d\n",
+			serve.RungBatch, m.Counter("serve.rung."+serve.RungBatch).Value(),
+			serve.RungSolo, m.Counter("serve.rung."+serve.RungSolo).Value(),
+			serve.RungCPURef, m.Counter("serve.rung."+serve.RungCPURef).Value(),
+			m.Counter("serve.retries").Value(), m.Counter("serve.faults").Value())
+		if err := checkServed(net, res, input, runner.Reference, -1); err != nil {
+			return fmt.Errorf("%s: %w", net, err)
+		}
+		fmt.Printf("  all %d answer(s) match the CPU reference\n", res.Completed)
+		if *metrics {
+			fmt.Printf("\n== metrics: %s ==\n", net)
+			fmt.Print(m.DumpText())
+		}
+		for _, sp := range tc.Spans() {
+			sp.Proc = net + " " + sp.Proc
+			all.Add(sp)
+		}
+	}
+	return finishObservability(all, *traceOut, false)
 }

@@ -61,8 +61,8 @@ type Event struct {
 	// Corrupt marks a transfer whose payload was damaged in flight by an
 	// injected fault (the host detects it by checksum and re-transfers).
 	Corrupt bool
-	// Stalled marks a kernel execution inflated by an injected stall; only a
-	// watchdog deadline catches it.
+	// Stalled marks a kernel execution inflated by an injected stall; no CL
+	// error reports it, it only lengthens the modeled time.
 	Stalled bool
 }
 
@@ -388,28 +388,12 @@ func (c *Context) Finish() {
 func (c *Context) ElapsedUS() float64 { return c.hostUS }
 
 // AdvanceHost moves the host cursor forward by us microseconds — the
-// simulated-time equivalent of the host sleeping, used by the resilience
-// layer's retry backoff.
+// simulated-time equivalent of the host sleeping, used by the batch
+// engine's retry backoff.
 func (c *Context) AdvanceHost(us float64) {
 	if us > 0 {
 		c.hostUS += us
 	}
-}
-
-// WatchdogExceeded returns the first event starting at or after sinceUS
-// whose execution span exceeds deadlineUS — the watchdog a real host arms on
-// queue completion to catch stalled kernels (which OpenCL never reports as
-// errors). Returns nil when every command met the deadline.
-func (c *Context) WatchdogExceeded(sinceUS, deadlineUS float64) *Event {
-	if deadlineUS <= 0 {
-		return nil
-	}
-	for _, e := range c.events {
-		if e.StartUS >= sinceUS && e.Duration() > deadlineUS {
-			return e
-		}
-	}
-	return nil
 }
 
 // Events returns all recorded events in enqueue order.

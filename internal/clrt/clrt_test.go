@@ -427,7 +427,9 @@ func TestInjectedTransferFaultsSurfaceAsErrors(t *testing.T) {
 	}
 }
 
-func TestInjectedStallTripsWatchdog(t *testing.T) {
+// An injected stall reports no error; it marks the kernel and stretches its
+// modeled duration past the fault-free baseline.
+func TestInjectedStallLengthensKernel(t *testing.T) {
 	k, _, _ := simpleKernel("k1", 4096)
 	d := mustDesign(t, "d", []*ir.Kernel{k})
 
@@ -464,12 +466,6 @@ func TestInjectedStallTripsWatchdog(t *testing.T) {
 	}
 	if stalled.Duration() <= base {
 		t.Fatalf("stalled kernel (%v us) must exceed baseline (%v us)", stalled.Duration(), base)
-	}
-	if ctx.WatchdogExceeded(0, base*2) == nil {
-		t.Fatal("watchdog must flag the stalled kernel against a 2x-baseline deadline")
-	}
-	if ctx.WatchdogExceeded(0, 0) != nil {
-		t.Fatal("deadline <= 0 disables the watchdog")
 	}
 }
 

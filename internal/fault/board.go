@@ -2,7 +2,7 @@ package fault
 
 // Board-level faults: whole-device failure modes the fleet layer
 // (internal/fleet) recovers from by rerouting work across boards, as opposed
-// to the operation-level probes above, which the single-device retry ladder
+// to the operation-level probes above, which the single-device retry policy
 // absorbs. These are scheduled, not probabilistic: a chaos run names the
 // victim device and the simulated time of the hit, so a kill-a-board test is
 // exactly reproducible and the assertion "no request was dropped" is about

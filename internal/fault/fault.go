@@ -3,9 +3,9 @@
 // of the stack (§4.6): on real boards, PCIe transfers fail or corrupt data,
 // kernels stall past any reasonable deadline, enqueue calls return transient
 // CL_OUT_OF_* statuses, and fit/route occasionally flakes on a reprogram.
-// The injector reproduces those failures on demand so the host's watchdog /
-// retry / degradation ladder (internal/host) can be exercised and tested
-// without hardware.
+// The injector reproduces those failures on demand so the batch engine's
+// retry policy (internal/host) and the server's per-request degradation
+// ladder (internal/serve) can be exercised and tested without hardware.
 //
 // Determinism contract: an Injector seeded with (seed, rate) produces the
 // same fault sequence for the same sequence of probe calls. Probes draw from
@@ -65,7 +65,9 @@ const (
 	// flight; the host detects it by checksum and must re-transfer.
 	TransferCorrupt
 	// KernelStall: a kernel runs far past its modeled time (a stuck channel
-	// consumer on hardware); only a watchdog deadline catches it.
+	// consumer on hardware). No CL error reports it: it only lengthens the
+	// modeled time. A board that wedges outright is the fleet's heartbeat
+	// watchdog's to catch (internal/fleet).
 	KernelStall
 	// EnqueueFail: the enqueue call itself fails transiently.
 	EnqueueFail
@@ -147,7 +149,7 @@ type Injector struct {
 }
 
 // defaultStallFactor inflates a stalled kernel's modeled duration; large
-// enough that any sane watchdog deadline catches it.
+// enough that the stall dominates the image's modeled time.
 const defaultStallFactor = 64
 
 // NewInjector returns an injector that fires each probe with probability
@@ -230,7 +232,7 @@ func (in *Injector) Enqueue(op string, atUS float64) *Error {
 
 // Stall probes one kernel execution; a firing probe returns a duration
 // multiplier > 1 (the kernel wedges), otherwise 1. Stalls carry no CL error:
-// only the watchdog deadline notices them.
+// they only lengthen the modeled time.
 func (in *Injector) Stall(op string, atUS float64) float64 {
 	if !in.Enabled() {
 		return 1

@@ -2,8 +2,8 @@ package fleet
 
 // Device wraps one execution resource with the heartbeat/watchdog health
 // state machine. Two evidence streams drive it: simulated time (a device
-// loss is noticed when heartbeats stop — Suspect after SuspectBeats missed
-// beats, Dead after DeadBeats) and dispatch outcomes (a sticky-enqueue
+// loss is noticed when heartbeats stop — Suspect after suspectBeats missed
+// beats, Dead after deadBeats) and dispatch outcomes (a sticky-enqueue
 // window is invisible to heartbeats; consecutive dispatch failures escalate
 // the same way). Time-driven transitions are precomputed from the fault
 // schedule; dispatch-driven ones are applied at discovery and schedule
@@ -57,25 +57,24 @@ type Device struct {
 
 // buildTransitions precomputes the time-driven part of the state machine
 // from the device's fault schedule.
-func (d *Device) buildTransitions(cfg Config) {
-	hb := cfg.HeartbeatUS
+func (d *Device) buildTransitions() {
 	for _, bf := range d.faults {
 		switch bf.Kind {
 		case fault.DeviceLoss:
 			d.trans = append(d.trans,
-				transition{atUS: bf.AtUS + float64(cfg.SuspectBeats)*hb, to: Suspect, cause: "device-loss"},
-				transition{atUS: bf.AtUS + float64(cfg.DeadBeats)*hb, to: Dead, cause: "device-loss"},
+				transition{atUS: bf.AtUS + suspectBeats*heartbeatUS, to: Suspect, cause: "device-loss"},
+				transition{atUS: bf.AtUS + deadBeats*heartbeatUS, to: Dead, cause: "device-loss"},
 			)
 			if !bf.Permanent() {
 				d.trans = append(d.trans,
 					transition{atUS: bf.EndUS(), to: Recovering, cause: "revive"},
-					transition{atUS: bf.EndUS() + cfg.RecoverUS, to: Healthy, cause: "recovered"},
+					transition{atUS: bf.EndUS() + recoverUS, to: Healthy, cause: "recovered"},
 				)
 			}
 		case fault.Brownout:
 			// A slow board's late heartbeats mark it suspect one beat in.
 			d.trans = append(d.trans,
-				transition{atUS: bf.AtUS + hb, to: Suspect, cause: "brownout"},
+				transition{atUS: bf.AtUS + heartbeatUS, to: Suspect, cause: "brownout"},
 				transition{atUS: bf.EndUS(), to: Healthy, cause: "brownout-clear"},
 			)
 		case fault.StickyEnqueue:
@@ -198,22 +197,23 @@ func (d *Device) scheduleDyn(tr transition) {
 // noteDispatchFailure escalates health on dispatch evidence: consecutive
 // failures walk Healthy → Suspect → Dead at the same thresholds as missed
 // heartbeats, and the window's end schedules the recovery path.
-func (d *Device) noteDispatchFailure(f *Fleet, atUS float64, bf fault.BoardFault, cfg Config) {
+func (d *Device) noteDispatchFailure(f *Fleet, atUS float64, bf fault.BoardFault) {
 	d.consecFail++
 	switch {
-	case d.consecFail >= cfg.DeadBeats && d.state != Dead:
+	case d.consecFail >= deadBeats && d.state != Dead:
 		d.setState(f, atUS, Dead, bf.Kind.String())
 		if !bf.Permanent() {
 			d.scheduleDyn(transition{atUS: bf.EndUS(), to: Recovering, cause: bf.Kind.String() + "-clear"})
-			d.scheduleDyn(transition{atUS: bf.EndUS() + cfg.RecoverUS, to: Healthy, cause: "recovered"})
+			d.scheduleDyn(transition{atUS: bf.EndUS() + recoverUS, to: Healthy, cause: "recovered"})
 		}
-	case d.consecFail >= cfg.SuspectBeats && d.state == Healthy:
+	case d.consecFail >= suspectBeats && d.state == Healthy:
 		d.setState(f, atUS, Suspect, bf.Kind.String())
 		d.scheduleDyn(transition{atUS: bf.EndUS(), to: Healthy, cause: bf.Kind.String() + "-clear"})
 	}
 }
 
-// execResult is one successful device service window.
+// execResult is one device service window. A failed run returns it with the
+// error, carrying only the retries and faults the attempt absorbed.
 type execResult struct {
 	outs            []*tensor.Tensor
 	startUS, endUS  float64
@@ -273,7 +273,7 @@ func (e *simExec) run(inputs []*tensor.Tensor, readyUS float64, seq int64, stret
 		// The failed attempt burned a slot: the device was busy while the
 		// batch engine retried and gave up.
 		e.busyUntil = start + e.est*float64(len(inputs))*stretch
-		return nil, err
+		return &execResult{retries: res.Retries, faults: len(res.Faults)}, err
 	}
 	dur := res.ModeledUS * stretch
 	e.busyUntil = start + dur
@@ -343,10 +343,11 @@ func (e *refExec) run(inputs []*tensor.Tensor, readyUS float64, _ int64, stretch
 }
 
 // dispatchOn routes one batch of images onto d at readyUS and plays the
-// fault schedule against the service window. On success the execResult
-// covers the whole window. On failure the returned failAt is when the host
-// *notices* (sticky enqueues fail fast; a lost board wedges until the
-// watchdog fires) and cause attributes it for the failover ledger.
+// fault schedule against the service window. On success (empty cause) the
+// execResult covers the whole window. On failure the returned failAt is when
+// the host *notices* (sticky enqueues fail fast; a lost board wedges until
+// the watchdog fires) and cause attributes it for the failover ledger; a
+// failed run's execResult, if any, carries only its retries and faults.
 func (f *Fleet) dispatchOn(d *Device, inputs []*tensor.Tensor, readyUS float64, seq int64) (res *execResult, failAt float64, cause string) {
 	cfg := f.cfg
 	enqueueAt := readyUS + cfg.DispatchUS
@@ -355,9 +356,9 @@ func (f *Fleet) dispatchOn(d *Device, inputs []*tensor.Tensor, readyUS float64, 
 	}
 	if bf, ok := d.stickyAt(enqueueAt); ok {
 		// The enqueue call itself fails; bounded host-side retries burn
-		// StickyRetryUS before the dispatcher gives up on this device.
-		failAt = enqueueAt + cfg.StickyRetryUS
-		d.noteDispatchFailure(f, failAt, bf, cfg)
+		// stickyRetryUS before the dispatcher gives up on this device.
+		failAt = enqueueAt + stickyRetryUS
+		d.noteDispatchFailure(f, failAt, bf)
 		f.tc.Instant("fleet", d.Name, "dispatch-failed", "failover", failAt,
 			map[string]string{"cause": bf.Kind.String(), "images": fmt.Sprint(len(inputs))})
 		return nil, failAt, bf.Kind.String()
@@ -366,8 +367,8 @@ func (f *Fleet) dispatchOn(d *Device, inputs []*tensor.Tensor, readyUS float64, 
 		// The board is already gone but undetected: the dispatch wedges and
 		// only the watchdog notices — at the heartbeat deadline, or one beat
 		// after the enqueue, whichever is later.
-		failAt = bf.AtUS + float64(cfg.DeadBeats)*cfg.HeartbeatUS
-		if min := enqueueAt + cfg.HeartbeatUS; min > failAt {
+		failAt = bf.AtUS + deadBeats*heartbeatUS
+		if min := enqueueAt + heartbeatUS; min > failAt {
 			failAt = min
 		}
 		d.setState(f, failAt, Dead, "device-loss")
@@ -383,12 +384,12 @@ func (f *Fleet) dispatchOn(d *Device, inputs []*tensor.Tensor, readyUS float64, 
 		failAt = d.exec.availableAt()
 		f.tc.Instant("fleet", d.Name, "dispatch-failed", "failover", failAt,
 			map[string]string{"cause": "device-fault", "images": fmt.Sprint(len(inputs)), "err": err.Error()})
-		return nil, failAt, "device-fault"
+		return r, failAt, "device-fault"
 	}
 	if bf, ok := d.lossDuring(r.startUS, r.endUS); ok {
 		// Killed mid-service: outputs die with the board; the watchdog
 		// notices when heartbeats stop.
-		failAt = bf.AtUS + float64(cfg.DeadBeats)*cfg.HeartbeatUS
+		failAt = bf.AtUS + deadBeats*heartbeatUS
 		d.setState(f, failAt, Dead, "device-loss")
 		f.tc.Instant("fleet", d.Name, "killed-in-flight", "failover", bf.AtUS,
 			map[string]string{"images": fmt.Sprint(len(inputs)), "detected_us": fmt.Sprintf("%.0f", failAt)})

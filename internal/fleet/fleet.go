@@ -144,39 +144,31 @@ type Config struct {
 	FaultSeed int64
 	FaultRate float64
 
-	// HeartbeatUS is the watchdog heartbeat period. A device is Suspect
-	// after SuspectBeats missed beats, Dead after DeadBeats; a revived board
-	// stays Recovering (unroutable) for RecoverUS while it reprograms.
-	HeartbeatUS  float64
-	SuspectBeats int
-	DeadBeats    int
-	RecoverUS    float64
 	// SLAUS is the latency target: Suspect devices are penalized by one SLA
 	// in the routing score, and completions past it count as SLA misses.
 	SLAUS float64
 	// DispatchUS is the modeled host overhead per dispatch; CPURefUS the
-	// per-image cost of the cpuref tier; StickyRetryUS the time burned
-	// discovering one sticky-enqueue failure (bounded host-side retries).
-	DispatchUS    float64
-	CPURefUS      float64
-	StickyRetryUS float64
+	// per-image cost of the cpuref tier.
+	DispatchUS float64
+	CPURefUS   float64
 }
+
+// The health watchdog's timing. A device is Suspect after suspectBeats
+// missed heartbeats of heartbeatUS, Dead after deadBeats; a revived board
+// stays Recovering (unroutable) for recoverUS while it reprograms.
+// stickyRetryUS is the time burned discovering one sticky-enqueue failure
+// (bounded host-side retries).
+const (
+	heartbeatUS   = 2000
+	suspectBeats  = 2
+	deadBeats     = 5
+	recoverUS     = 50_000
+	stickyRetryUS = 200
+)
 
 func (c Config) withDefaults() Config {
 	if c.Net == "" {
 		c.Net = "lenet5"
-	}
-	if c.HeartbeatUS <= 0 {
-		c.HeartbeatUS = 2000
-	}
-	if c.SuspectBeats <= 0 {
-		c.SuspectBeats = 2
-	}
-	if c.DeadBeats <= c.SuspectBeats {
-		c.DeadBeats = c.SuspectBeats + 3
-	}
-	if c.RecoverUS <= 0 {
-		c.RecoverUS = 50_000
 	}
 	if c.SLAUS <= 0 {
 		c.SLAUS = 25_000
@@ -186,9 +178,6 @@ func (c Config) withDefaults() Config {
 	}
 	// CPURefUS == 0 means "derive from the net's FLOPs" — resolved in New,
 	// where the lowered chain is available.
-	if c.StickyRetryUS <= 0 {
-		c.StickyRetryUS = 200
-	}
 	return c
 }
 
@@ -332,7 +321,7 @@ func New(cfg Config, tc *trace.Collector) (*Fleet, error) {
 		d.faults = append(d.faults, bf)
 	}
 	for _, d := range f.devs {
-		d.buildTransitions(cfg)
+		d.buildTransitions()
 		f.tc.Metrics().Gauge("fleet.dev." + d.Name + ".state").Set(float64(d.state))
 	}
 	return f, nil

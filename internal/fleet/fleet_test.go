@@ -62,7 +62,7 @@ func TestHealthStateMachineDeviceLoss(t *testing.T) {
 		{20_000, Dead},    // 5 beats missed
 		{49_000, Dead},    // still inside the loss window
 		{51_000, Recovering},
-		{99_000, Recovering}, // reprogramming for RecoverUS
+		{99_000, Recovering}, // reprogramming for recoverUS
 		{101_000, Healthy},
 	}
 	for _, s := range steps {
@@ -219,7 +219,7 @@ func TestKillMidServiceRequeuesInFlight(t *testing.T) {
 		}
 		// Detection is the watchdog deadline, not the kill instant.
 		if wantDetect := 1_500 + 5*2_000.0; fo.AtUS != wantDetect {
-			t.Fatalf("failover at %.0fus, want %.0f (loss + DeadBeats heartbeats)", fo.AtUS, wantDetect)
+			t.Fatalf("failover at %.0fus, want %.0f (loss + deadBeats heartbeats)", fo.AtUS, wantDetect)
 		}
 	}
 	// ServiceUS covers detection latency plus the requeue run.
@@ -357,5 +357,29 @@ func TestShardPipelineOverlap(t *testing.T) {
 	// availableAt exposes stage A's horizon (admission point), not e2.
 	if ex.availableAt() != 200 {
 		t.Fatalf("availableAt = %g, want 200", ex.availableAt())
+	}
+}
+
+// A batch that fails on image-level device faults reroutes, and the faults
+// its failed attempt absorbed still count in the outcome's ledger.
+func TestDeviceFaultFailoverKeepsFaultLedger(t *testing.T) {
+	degraded := 0
+	for seed := int64(1); seed <= 3; seed++ {
+		fl, _ := newTestFleet(t, Config{FaultSeed: seed, FaultRate: 0.5})
+		out := runBatch(fl, 1000, 0, 1, 2)
+		for i, oc := range out.Outcomes {
+			if oc.Err != nil {
+				t.Fatalf("seed %d outcome %d: %v", seed, i, oc.Err)
+			}
+		}
+		if out.Degraded > 0 {
+			degraded++
+			if out.Faults == 0 {
+				t.Fatalf("seed %d: %d image(s) failed over on device faults but the outcome records none", seed, out.Degraded)
+			}
+		}
+	}
+	if degraded == 0 {
+		t.Fatal("rate 0.5 never failed a batch over; test is vacuous")
 	}
 }

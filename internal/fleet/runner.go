@@ -67,12 +67,14 @@ func (f *Fleet) runImages(b *serve.Batch, inputs []*tensor.Tensor, idxs []int,
 	f.dispatchSeq++
 	res, failAt, cause := f.dispatchOn(d, sub, readyUS, f.dispatchSeq)
 	if res != nil {
+		out.Retries += res.retries
+		out.Faults += res.faults
+	}
+	if cause == "" {
 		for i, idx := range idxs {
 			out.Outcomes[idx] = serve.Outcome{ArgMax: res.outs[i].ArgMax(), Rung: d.Name}
 		}
 		out.DeviceUS += res.endUS - res.startUS
-		out.Retries += res.retries
-		out.Faults += res.faults
 		if depth > 0 {
 			d.failIn += len(idxs)
 		}

@@ -39,11 +39,6 @@ type BatchOptions struct {
 	// injection.
 	FaultSeed int64
 	FaultRate float64
-	// MaxRetries bounds retries per device command (default 3); BackoffUS is
-	// the initial retry backoff in simulated microseconds, doubled per attempt
-	// (default 50).
-	MaxRetries int
-	BackoffUS  float64
 	// NoDoubleBuffer uses depth-1 buffer rings (the serial-transfer ablation).
 	NoDoubleBuffer bool
 }
@@ -77,11 +72,16 @@ type BatchResult struct {
 
 // RunBatch classifies a batch of images on a pipelined deployment. See
 // BatchOptions/BatchResult; outputs are bit-identical to sequential Infer.
+// Transient injected faults are retried per command (see retrier). When the
+// batch fails anyway, the error comes with a partial result: Outputs nil,
+// but Faults (the failing image's records included) and Retries hold what
+// every attempted image absorbed, so callers that degrade keep the ledger.
 func (p *Pipelined) RunBatch(inputs []*tensor.Tensor, opt BatchOptions) (*BatchResult, error) {
 	return runBatch(p, inputs, opt)
 }
 
-// RunBatch classifies a batch of images on a folded deployment.
+// RunBatch classifies a batch of images on a folded deployment; see
+// Pipelined.RunBatch.
 func (f *Folded) RunBatch(inputs []*tensor.Tensor, opt BatchOptions) (*BatchResult, error) {
 	return runBatch(f, inputs, opt)
 }
@@ -116,26 +116,35 @@ func runBatch(sh shape, inputs []*tensor.Tensor, opt BatchOptions) (*BatchResult
 	}
 
 	outputs := make([]*tensor.Tensor, n)
-	ledgers := make([][]fault.Record, n)
+	injs := make([]*fault.Injector, n)
 	stats := make([]wstat, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			stats[w] = runBatchWorker(sh, w, workers, inputs, outputs, ledgers, opt, cctx)
+			stats[w] = runBatchWorker(sh, w, workers, inputs, outputs, injs, opt, cctx)
 		}(w)
 	}
 	wg.Wait()
+	// The ledger is complete whether or not the batch succeeded: every image
+	// a worker reached has its injector, holding what its commands provoked.
+	for img, inj := range injs {
+		for _, r := range inj.Records() {
+			res.Faults = append(res.Faults, BatchFault{Image: img, Record: r})
+		}
+	}
+	for _, st := range stats {
+		res.Retries += st.retries
+	}
 	for w := range stats {
 		if stats[w].err != nil {
-			return nil, fmt.Errorf("host: batch worker %d: %w", w, stats[w].err)
+			return res, fmt.Errorf("host: batch worker %d: %w", w, stats[w].err)
 		}
 	}
 
 	res.Outputs = outputs
 	for w, st := range stats {
-		res.Retries += st.retries
 		if st.elapsed > res.ModeledUS {
 			res.ModeledUS = st.elapsed
 		}
@@ -143,7 +152,7 @@ func runBatch(sh shape, inputs []*tensor.Tensor, opt BatchOptions) (*BatchResult
 		res.Overlap.KernelUS += st.overlap.KernelUS
 		res.Overlap.HiddenUS += st.overlap.HiddenUS
 		if tc := opt.Trace; tc != nil {
-			tc.AddEventsAs(fmt.Sprintf("device w%d", w), st.events, st.elapsed, 0)
+			tc.AddEventsAs(fmt.Sprintf("device w%d", w), st.events, st.elapsed)
 			for _, sp := range st.spans {
 				tc.Add(sp)
 			}
@@ -155,13 +164,10 @@ func runBatch(sh shape, inputs []*tensor.Tensor, opt BatchOptions) (*BatchResult
 	if res.ModeledUS > 0 {
 		res.ImagesPerSec = float64(n) / res.ModeledUS * 1e6
 	}
-	for img, recs := range ledgers {
-		for _, r := range recs {
-			res.Faults = append(res.Faults, BatchFault{Image: img, Record: r})
-		}
-		opt.Trace.AddFaults(recs, 0)
-	}
 	if tc := opt.Trace; tc != nil {
+		for _, inj := range injs {
+			tc.AddFaults(inj.Records())
+		}
 		tc.Metrics().Counter("host.batch.images").Add(int64(n))
 		tc.Metrics().Gauge("host.batch.workers").Set(float64(workers))
 		tc.Metrics().Gauge("host.batch.images_per_sec").Set(res.ImagesPerSec)
@@ -175,10 +181,10 @@ func runBatch(sh shape, inputs []*tensor.Tensor, opt BatchOptions) (*BatchResult
 // through a warm session, modeled time on the worker's own device through a
 // software-pipelined enqueue loop (write i → kernels i → read i-1) over
 // depth-2 buffer rings, bounded retry on transient injected faults, and a
-// per-image injector whose ledger is collected as soon as the image's last
-// command has been enqueued. Host-side transfers run on dedicated write/read
+// per-image injector stored in injs[i], whose ledger runBatch reads once the
+// workers are done. Host-side transfers run on dedicated write/read
 // queues so ring-buffer hazards — not queue order — decide what serializes.
-func runBatchWorker(sh shape, w, workers int, inputs, outputs []*tensor.Tensor, ledgers [][]fault.Record,
+func runBatchWorker(sh shape, w, workers int, inputs, outputs []*tensor.Tensor, injs []*fault.Injector,
 	opt BatchOptions, cctx context.Context) (st wstat) {
 
 	depth := 2
@@ -197,8 +203,7 @@ func runBatchWorker(sh shape, w, workers int, inputs, outputs []*tensor.Tensor, 
 		st.err = err
 		return st
 	}
-	ctrl := RunControl{MaxRetries: opt.MaxRetries, BackoffUS: opt.BackoffUS}.withDefaults()
-	r := &retrier{ctx: ctx, ctrl: ctrl, retries: &st.retries}
+	r := &retrier{ctx: ctx, retries: &st.retries}
 	// Parameters upload outside the measured window, with no injector armed.
 	prog, err := sh.program(ctx, true, r.try)
 	if err != nil {
@@ -224,9 +229,6 @@ func runBatchWorker(sh shape, w, workers int, inputs, outputs []*tensor.Tensor, 
 		rev, err := r.try(func() (*clrt.Event, error) { return readQ.EnqueueRead(p.buf, prog.outBytes) })
 		if err != nil {
 			return fmt.Errorf("image %d output read: %w", p.img, err)
-		}
-		if p.inj != nil {
-			ledgers[p.img] = p.inj.Records()
 		}
 		if opt.Trace != nil && p.write != nil && rev != nil {
 			st.spans = append(st.spans, trace.Span{
@@ -260,6 +262,7 @@ func runBatchWorker(sh shape, w, workers int, inputs, outputs []*tensor.Tensor, 
 		var inj *fault.Injector
 		if opt.FaultRate > 0 {
 			inj = fault.NewInjector(opt.FaultSeed+int64(img)+1, opt.FaultRate)
+			injs[img] = inj
 		}
 		ctx.Injector = inj
 		devIn, devOut := inRing.Next(), outRing.Next()

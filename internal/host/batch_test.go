@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/aoc"
+	"repro/internal/fault"
 	"repro/internal/fpga"
 	"repro/internal/nn"
 	"repro/internal/sim"
@@ -176,7 +177,7 @@ func TestInferMatchesSessionUnderFaults(t *testing.T) {
 		}
 		checkInfer("before any batch")
 		for _, workers := range []int{1, 2, 8} {
-			res, err := dep.RunBatch(inputs, BatchOptions{Workers: workers, FaultSeed: 5, FaultRate: 0.1, MaxRetries: 8})
+			res, err := dep.RunBatch(inputs, BatchOptions{Workers: workers, FaultSeed: 5, FaultRate: 0.1})
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, workers, err)
 			}
@@ -281,7 +282,7 @@ func TestRunBatchFaultLedgerDeterministic(t *testing.T) {
 	}
 	inputs := batchInputs(n)
 	want := coldInferAll(t, p, inputs)
-	opts := BatchOptions{FaultSeed: 42, FaultRate: 0.04, MaxRetries: 8}
+	opts := BatchOptions{FaultSeed: 42, FaultRate: 0.04}
 	var ref *BatchResult
 	for _, workers := range []int{1, 2, 8} {
 		o := opts
@@ -318,6 +319,39 @@ func TestRunBatchFaultLedgerDeterministic(t *testing.T) {
 		}
 		if res.Retries != ref.Retries {
 			t.Fatalf("workers=%d: %d retries vs %d at workers=1", workers, res.Retries, ref.Retries)
+		}
+	}
+}
+
+// TestRunBatchKeepsFaultLedgerOnFailure: a batch that fails despite retries returns
+// a partial result with its error — no outputs, but every fault injected so
+// far, the failing image's included, and the retries spent.
+func TestRunBatchKeepsFaultLedgerOnFailure(t *testing.T) {
+	p, err := BuildPipelined(lenetLayers(t), PipeTVMAutorun, fpga.S10SX, aoc.DefaultOptions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		res, err := p.RunBatch(batchInputs(4), BatchOptions{Workers: 1, FaultSeed: seed, FaultRate: 0.9})
+		if err == nil {
+			t.Fatalf("seed %d: rate 0.9 must exhaust the retries", seed)
+		}
+		if res == nil || res.Outputs != nil {
+			t.Fatalf("seed %d: want a partial result without outputs, got %+v", seed, res)
+		}
+		var failed int
+		if _, serr := fmt.Sscanf(err.Error()[strings.Index(err.Error(), "image "):], "image %d", &failed); serr != nil {
+			t.Fatalf("seed %d: error does not name the failing image: %v", seed, err)
+		}
+		var own int
+		for _, bf := range res.Faults {
+			if bf.Image == failed {
+				own++
+			}
+		}
+		if own <= maxRetries || res.Retries < maxRetries {
+			t.Fatalf("seed %d: image %d failed (%v) but the ledger holds %d of its faults and %d retries",
+				seed, failed, err, own, res.Retries)
 		}
 	}
 }
@@ -433,6 +467,37 @@ func TestRunBatchTrace(t *testing.T) {
 	}
 }
 
+// TestRunBatchTraceFaultAccounting: a traced batch under injection neither
+// drops nor double counts faults — the per-kind fault counters and the fault
+// instants both sum to the result's ledger.
+func TestRunBatchTraceFaultAccounting(t *testing.T) {
+	p, err := BuildPipelined(lenetLayers(t), PipeTVMAutorun, fpga.S10SX, aoc.DefaultOptions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := trace.NewCollector()
+	res, err := p.RunBatch(batchInputs(8), BatchOptions{Workers: 2, Trace: tc, FaultSeed: 7, FaultRate: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Faults) == 0 {
+		t.Fatal("fault rate 0.05 over 8 LeNet images injected nothing; test is vacuous")
+	}
+	var counted int64
+	for _, k := range []fault.Kind{fault.TransferFail, fault.TransferCorrupt, fault.KernelStall, fault.EnqueueFail, fault.FitFlake} {
+		counted += tc.Metrics().Counter("fault." + k.String()).Value()
+	}
+	instants := 0
+	for _, sp := range tc.Spans() {
+		if sp.Cat == "fault" {
+			instants++
+		}
+	}
+	if counted != int64(len(res.Faults)) || instants != len(res.Faults) {
+		t.Fatalf("fault counters sum to %d and %d instants, ledger holds %d", counted, instants, len(res.Faults))
+	}
+}
+
 // TestRunBatchPublishesSimStats: the execution-tier counters reach the
 // metrics registry (satellite of the vector-tier work): the vector engine
 // must actually fire on the LeNet kernels, the compiled-kernel cache must be
@@ -493,7 +558,7 @@ func TestRunBatchGemmTierMatchesInterpOracle(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 8} {
 		res, err := f.RunBatch(inputs, BatchOptions{
-			Workers: workers, FaultSeed: 7, FaultRate: 0.03, MaxRetries: 8})
+			Workers: workers, FaultSeed: 7, FaultRate: 0.03})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -562,8 +562,7 @@ func (f *Folded) Run(n int, profiling bool) (*RunResult, error) {
 // RunTraced is Run with structured tracing (see Pipelined.RunTraced); a nil
 // collector disables it.
 func (f *Folded) RunTraced(n int, profiling bool, tc *trace.Collector) (*RunResult, error) {
-	res, _, err := runResilient(f, n, false, profiling, RunControl{Trace: tc})
-	return res, err
+	return runTimed(f, n, false, profiling, tc)
 }
 
 // ForwardTimeUS returns the modeled time of one forward pass: per-invocation

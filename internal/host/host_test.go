@@ -468,3 +468,20 @@ func TestFoldedRunRefusesUnsynthesizable(t *testing.T) {
 		t.Fatal("ProfileOps must refuse an unsynthesizable design")
 	}
 }
+
+// TestRunRejectsNonPositiveImages: a timed run of fewer than one image is an
+// error, not an empty result with a NaN frame rate.
+func TestRunRejectsNonPositiveImages(t *testing.T) {
+	p, err := BuildPipelined(lenetLayers(t), PipeBase, fpga.S10SX, aoc.DefaultOptions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{-1, 0} {
+		if res, err := p.Run(n, true, false); err == nil {
+			t.Fatalf("Run(%d) = %+v, want an error", n, res)
+		}
+	}
+	if res, err := p.Run(1, true, false); err != nil || res.Images != 1 {
+		t.Fatalf("Run(1) = %+v, %v", res, err)
+	}
+}

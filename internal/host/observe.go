@@ -11,7 +11,6 @@ import (
 	"math"
 
 	"repro/internal/clrt"
-	"repro/internal/fault"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -20,22 +19,18 @@ import (
 // per queue (via trace.AddEvents), a host "phases" track with the setup and
 // measured windows, and an "images" track with one span per image built from
 // the event index ranges captured during enqueueing. startUS is the
-// simulated time the measured window began; offsetUS places the run on the
-// global trace timeline (degradation-ladder rungs each run in a fresh context
-// starting at 0, so the ladder passes the cumulative time of the rungs before
-// them). Safe on a nil collector.
-func collectRunTrace(tc *trace.Collector, ctx *clrt.Context, imgRanges [][2]int, startUS float64, res *RunResult, offsetUS float64) {
+// simulated time the measured window began. Safe on a nil collector.
+func collectRunTrace(tc *trace.Collector, ctx *clrt.Context, imgRanges [][2]int, startUS float64, res *RunResult) {
 	if tc == nil {
 		return
 	}
 	events := ctx.Events()
-	tc.AddEvents(events, ctx.ElapsedUS(), offsetUS)
+	tc.AddEvents(events, ctx.ElapsedUS())
 	if startUS > 0 {
-		tc.Add(trace.Span{Proc: "host", Track: "phases", Name: "setup", Cat: "phase",
-			StartUS: offsetUS, DurUS: startUS})
+		tc.Add(trace.Span{Proc: "host", Track: "phases", Name: "setup", Cat: "phase", DurUS: startUS})
 	}
 	tc.Add(trace.Span{Proc: "host", Track: "phases", Name: "run", Cat: "phase",
-		StartUS: offsetUS + startUS, DurUS: res.ElapsedUS})
+		StartUS: startUS, DurUS: res.ElapsedUS})
 	for img, rg := range imgRanges {
 		lo, hi := rg[0], rg[1]
 		if lo >= hi || hi > len(events) {
@@ -47,7 +42,7 @@ func collectRunTrace(tc *trace.Collector, ctx *clrt.Context, imgRanges [][2]int,
 			e = math.Max(e, ev.EndUS)
 		}
 		tc.Add(trace.Span{Proc: "host", Track: "images", Name: fmt.Sprintf("image %d", img),
-			Cat: "image", StartUS: offsetUS + s, DurUS: e - s,
+			Cat: "image", StartUS: s, DurUS: e - s,
 			Args: map[string]string{"events": fmt.Sprintf("%d", hi-lo)}})
 	}
 	m := tc.Metrics()
@@ -55,32 +50,9 @@ func collectRunTrace(tc *trace.Collector, ctx *clrt.Context, imgRanges [][2]int,
 	m.Gauge("host.fps").Set(res.FPS)
 }
 
-// collectResilientTrace records one resilient run: the usual run spans when
-// the run completed (res != nil), bare device spans when it died mid-flight,
-// plus fault instants for the records this run added to the (possibly
-// ladder-shared) injector ledger and the retry/watchdog counters. Safe when
-// ctrl.Trace is nil.
-func collectResilientTrace(ctrl RunControl, ctx *clrt.Context, inj *fault.Injector, faultsBefore int, stats *Resilience, res *RunResult, imgRanges [][2]int, startUS float64) {
-	tc := ctrl.Trace
-	if tc == nil {
-		return
-	}
-	if res != nil {
-		collectRunTrace(tc, ctx, imgRanges, startUS, res, ctrl.TraceOffsetUS)
-	} else {
-		tc.AddEvents(ctx.Events(), ctx.ElapsedUS(), ctrl.TraceOffsetUS)
-	}
-	if recs := inj.Records(); len(recs) > faultsBefore {
-		tc.AddFaults(recs[faultsBefore:], ctrl.TraceOffsetUS)
-	}
-	m := tc.Metrics()
-	m.Counter("host.retries").Add(int64(stats.Retries))
-	m.Counter("host.watchdog_trips").Add(int64(stats.WatchdogTrips))
-}
-
 // publishSimStats mirrors the functional simulator's execution-tier counters
 // into the metrics registry under the sim.* namespace. Only paths that ran
-// kernels functionally publish (RunBatch); the per-image timed drivers model
+// kernels functionally publish (RunBatch); the per-image timed driver models
 // time without executing anything. Deployment stats are cumulative, so
 // counters are raised to the snapshot value rather than blindly incremented —
 // repeated RunBatch calls on one deployment stay correct. Safe on a nil

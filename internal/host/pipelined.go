@@ -458,6 +458,5 @@ func (p *Pipelined) Run(n int, concurrent, profiling bool) (*RunResult, error) {
 // (occupancy, stall %, bandwidth, FPS) published to the collector's
 // registry. A nil collector is ignored, so Run delegates here for free.
 func (p *Pipelined) RunTraced(n int, concurrent, profiling bool, tc *trace.Collector) (*RunResult, error) {
-	res, _, err := runResilient(p, n, concurrent, profiling, RunControl{Trace: tc})
-	return res, err
+	return runTimed(p, n, concurrent, profiling, tc)
 }

@@ -33,7 +33,7 @@ import (
 	"repro/internal/tensor"
 )
 
-// shape is what the shared drivers (infer, runBatch, runResilient) need from
+// shape is what the shared drivers (infer, runBatch, runTimed) need from
 // a deployment shape: one functional description (newSession) and one modeled
 // description (program). Pipelined and Folded are the two implementations.
 type shape interface {

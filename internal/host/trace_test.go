@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/aoc"
-	"repro/internal/fault"
 	"repro/internal/fpga"
 	"repro/internal/nn"
 	"repro/internal/trace"
@@ -115,35 +114,5 @@ func TestFoldedRunTracedCollects(t *testing.T) {
 	}
 	if imageSpans != 2 {
 		t.Fatalf("image spans = %d, want 2", imageSpans)
-	}
-}
-
-// TestLadderTraceFaultAccounting runs the degradation ladder with a shared
-// caller-owned injector and checks the trace layer neither drops nor double
-// counts faults across rungs (each rung slices the shared ledger).
-func TestLadderTraceFaultAccounting(t *testing.T) {
-	layers := lenetLayers(t)
-	rungs := PipelinedLadder(layers, fpga.S10SX, aoc.DefaultOptions)
-	tc := trace.NewCollector()
-	inj := fault.NewInjector(7, 0.05)
-	ctrl := RunControl{Injector: inj, Trace: tc}
-	if _, err := RunLadder("lenet5", layers, rungs, nn.Digit(3), 4, ctrl); err != nil {
-		t.Fatal(err)
-	}
-	var ladderSpans int
-	for _, s := range tc.Spans() {
-		if s.Proc == "host" && s.Track == "ladder" {
-			ladderSpans++
-		}
-	}
-	if ladderSpans == 0 {
-		t.Fatal("no ladder spans recorded")
-	}
-	var counted int64
-	for _, k := range []fault.Kind{fault.TransferFail, fault.TransferCorrupt, fault.KernelStall, fault.EnqueueFail, fault.FitFlake} {
-		counted += tc.Metrics().Counter("fault." + k.String()).Value()
-	}
-	if counted != int64(inj.Count()) {
-		t.Fatalf("fault counters sum to %d, injector fired %d", counted, inj.Count())
 	}
 }

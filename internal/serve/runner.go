@@ -1,13 +1,12 @@
 package serve
 
-// Batch execution with per-request degradation. The server's ladder reuses
-// the PR 2 idea (optimized first, fall toward cpuref, record every step) but
-// applies it per request instead of per process: when a dynamic batch fails
-// on the optimized deployment (injected device faults that survive the batch
+// Batch execution with per-request degradation: the one degradation ladder
+// a single device serves through. When a dynamic batch fails on the
+// optimized deployment (injected device faults that survive the batch
 // engine's own bounded retries), each rider is re-run alone on the
 // deployment — isolating the poisoned request — and only requests that fail
-// solo too degrade to the CPU reference executor, which, as in host's
-// RunLadder, can always serve the answer.
+// solo too degrade to the CPU reference executor, which can always serve the
+// answer. Every attempt's faults and retries count, failed ones included.
 
 import (
 	"fmt"
@@ -39,8 +38,9 @@ type BatchOutcome struct {
 	ServiceUS float64
 	// DeviceUS is the modeled device portion (no dispatch overhead).
 	DeviceUS float64
-	// Retries/Faults aggregate what the batch engine absorbed; Degraded
-	// counts requests that left the batch rung.
+	// Retries/Faults aggregate what the batch engine absorbed over every
+	// attempt, failed ones included; Degraded counts requests that left the
+	// batch rung.
 	Retries  int
 	Faults   int
 	Degraded int
@@ -193,14 +193,13 @@ func (r *LadderRunner) Run(b *Batch) *BatchOutcome {
 		FaultRate: r.cfg.FaultRate,
 	})
 	out.ServiceUS = r.cfg.DispatchUS
+	out.tally(res)
 	if err == nil {
 		for i := range b.Reqs {
 			out.Outcomes[i] = Outcome{ArgMax: res.Outputs[i].ArgMax(), Rung: RungBatch}
 		}
 		out.DeviceUS = res.ModeledUS
 		out.ServiceUS += res.ModeledUS
-		out.Retries = res.Retries
-		out.Faults = len(res.Faults)
 		return out
 	}
 	// Batch rung failed: isolate the poison. Each rider re-runs alone with a
@@ -213,12 +212,11 @@ func (r *LadderRunner) Run(b *Batch) *BatchOutcome {
 			FaultSeed: r.cfg.FaultSeed + 1_000_003*(r.soloSeq.Add(1)),
 			FaultRate: r.cfg.FaultRate,
 		})
+		out.tally(solo)
 		if serr == nil {
 			out.Outcomes[i] = Outcome{ArgMax: solo.Outputs[0].ArgMax(), Rung: RungSolo}
 			out.DeviceUS += solo.ModeledUS
 			out.ServiceUS += solo.ModeledUS
-			out.Retries += solo.Retries
-			out.Faults += len(solo.Faults)
 			continue
 		}
 		want, rerr := r.Reference(req.Input)
@@ -231,4 +229,14 @@ func (r *LadderRunner) Run(b *Batch) *BatchOutcome {
 		out.ServiceUS += r.cfg.CPURefUS
 	}
 	return out
+}
+
+// tally adds what one RunBatch attempt absorbed to the outcome. A failed
+// attempt returns its partial result with the error, so its ledger counts
+// too.
+func (out *BatchOutcome) tally(res *host.BatchResult) {
+	if res != nil {
+		out.Retries += res.Retries
+		out.Faults += len(res.Faults)
+	}
 }

@@ -4,8 +4,8 @@
 // (serial-vs-concurrent queues, channel-pipeline overlap, the PCIe
 // bottleneck, §5.2); this package makes those timelines machine-readable —
 // the clrt event stream becomes device-side spans, and the host layers add
-// per-image, per-ladder-rung and per-DSE-candidate spans with fault
-// annotations from internal/fault.
+// per-image, per-batch and per-DSE-candidate spans with fault annotations
+// from internal/fault.
 //
 // Everything is deterministic for a deterministic run: spans are keyed on
 // simulated microseconds, never the wall clock, so a fixed seed yields a
@@ -93,21 +93,19 @@ func (c *Collector) Spans() []Span {
 // AddEvents converts a clrt event stream into device-process spans, one
 // track per command queue with kernels and transfers on separate lanes, and
 // publishes the event-derived metrics (occupancy, channel stall %, transfer
-// bandwidth). offsetUS shifts the events on the global trace clock — ladder
-// rungs each run in a fresh context starting at 0, so the host passes the
-// cumulative time of the preceding rungs. elapsedUS is the context's total
-// simulated time (Context.ElapsedUS), the denominator for occupancy.
-// Call after Context.Finish: autorun propagation can extend producer spans
-// until the queues drain. Nil-safe.
-func (c *Collector) AddEvents(events []*clrt.Event, elapsedUS, offsetUS float64) {
-	c.AddEventsAs("device", events, elapsedUS, offsetUS)
+// bandwidth). elapsedUS is the context's total simulated time
+// (Context.ElapsedUS), the denominator for occupancy. Call after
+// Context.Finish: autorun propagation can extend producer spans until the
+// queues drain. Nil-safe.
+func (c *Collector) AddEvents(events []*clrt.Event, elapsedUS float64) {
+	c.AddEventsAs("device", events, elapsedUS)
 }
 
 // AddEventsAs is AddEvents with an explicit trace process name. Batch runs
 // give each worker's device context its own process ("device w0", "device
 // w1", ...) so per-worker queues do not collide on one track namespace.
 // Nil-safe.
-func (c *Collector) AddEventsAs(proc string, events []*clrt.Event, elapsedUS, offsetUS float64) {
+func (c *Collector) AddEventsAs(proc string, events []*clrt.Event, elapsedUS float64) {
 	if c == nil {
 		return
 	}
@@ -150,7 +148,7 @@ func (c *Collector) AddEventsAs(proc string, events []*clrt.Event, elapsedUS, of
 			Track:   fmt.Sprintf("queue %d %s", e.Queue, lane),
 			Name:    e.Kind + " " + e.Name,
 			Cat:     e.Kind,
-			StartUS: offsetUS + e.StartUS,
+			StartUS: e.StartUS,
 			DurUS:   dur,
 			Args:    args,
 		})
@@ -168,42 +166,19 @@ func (c *Collector) AddEventsAs(proc string, events []*clrt.Event, elapsedUS, of
 }
 
 // AddFaults turns an injector's ledger into instant markers on a dedicated
-// host-process "faults" track and bumps per-kind fault counters. offsetUS
-// shifts the records onto the global trace clock (see AddEvents). Nil-safe.
-func (c *Collector) AddFaults(records []fault.Record, offsetUS float64) {
+// host-process "faults" track and bumps per-kind fault counters. Nil-safe.
+func (c *Collector) AddFaults(records []fault.Record) {
 	if c == nil {
 		return
 	}
 	for _, r := range records {
 		c.reg.Counter("fault." + r.Kind.String()).Inc()
-		c.Instant("host", "faults", r.Kind.String(), "fault", offsetUS+r.AtUS, map[string]string{
+		c.Instant("host", "faults", r.Kind.String(), "fault", r.AtUS, map[string]string{
 			"seq":  fmt.Sprintf("%d", r.Seq),
 			"code": r.Code.String(),
 			"op":   r.Op,
 		})
 	}
-}
-
-// MaxEndUS returns the latest span end time on the global trace clock — the
-// offset at which a subsequent run should be placed to follow everything
-// recorded so far. Nil-safe.
-func (c *Collector) MaxEndUS() float64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var end float64
-	for _, s := range c.spans {
-		e := s.StartUS
-		if !s.Instant {
-			e += s.DurUS
-		}
-		if e > end {
-			end = e
-		}
-	}
-	return end
 }
 
 // sortSpansForExport orders spans deterministically for the exporter:

@@ -20,12 +20,12 @@ func goldenCollector() *Collector {
 		{Kind: "write", Name: "input", QueuedUS: 0, StartUS: 0, EndUS: 10, Queue: 0, Bytes: 4096},
 		{Kind: "kernel", Name: "conv1", QueuedUS: 0, StartUS: 10, EndUS: 60, Queue: 1, StallUS: 5, Stalled: true},
 		{Kind: "read", Name: "output", QueuedUS: 60, StartUS: 60, EndUS: 70, Queue: 0, Bytes: 2048, Corrupt: true},
-	}, 100, 0)
+	}, 100)
 	c.Add(Span{Proc: "host", Track: "images", Name: "image 0", Cat: "image",
 		StartUS: 0, DurUS: 70, Args: map[string]string{"events": "3"}})
 	c.AddFaults([]fault.Record{
 		{Seq: 1, Kind: fault.TransferCorrupt, Code: fault.Success, Op: "read output", AtUS: 70},
-	}, 0)
+	})
 	return c
 }
 
@@ -110,7 +110,7 @@ func TestAddEventsMetrics(t *testing.T) {
 		{Kind: "write", Name: "in", StartUS: 0, EndUS: 10, Bytes: 4000},
 		{Kind: "kernel", Name: "k1", StartUS: 10, EndUS: 60, StallUS: 5, Queue: 1},
 		{Kind: "read", Name: "out", StartUS: 60, EndUS: 70, Bytes: 2000},
-	}, 100, 0)
+	}, 100)
 	reg := c.Metrics()
 	if got := reg.Gauge("clrt.kernel_occupancy").Value(); got != 0.5 {
 		t.Fatalf("occupancy = %v, want 0.5 (50 busy us / 100 elapsed)", got)
@@ -131,25 +131,13 @@ func TestAddEventsMetrics(t *testing.T) {
 	}
 }
 
-func TestAddEventsOffset(t *testing.T) {
-	c := NewCollector()
-	c.AddEvents([]*clrt.Event{{Kind: "kernel", Name: "k", StartUS: 5, EndUS: 15}}, 15, 1000)
-	spans := c.Spans()
-	if spans[0].StartUS != 1005 || spans[0].DurUS != 10 {
-		t.Fatalf("offset span = [%v +%v], want [1005 +10]", spans[0].StartUS, spans[0].DurUS)
-	}
-	if got := c.MaxEndUS(); got != 1015 {
-		t.Fatalf("MaxEndUS = %v, want 1015", got)
-	}
-}
-
 func TestAddFaults(t *testing.T) {
 	c := NewCollector()
 	c.AddFaults([]fault.Record{
 		{Seq: 1, Kind: fault.TransferFail, Code: fault.OutOfResources, Op: "write w", AtUS: 3},
 		{Seq: 2, Kind: fault.TransferFail, Code: fault.OutOfResources, Op: "write w", AtUS: 7},
 		{Seq: 3, Kind: fault.KernelStall, Code: fault.ExecStatusErrorForEvents, Op: "kernel k", AtUS: 9},
-	}, 100)
+	})
 	if got := c.Metrics().Counter("fault.transfer-fail").Value(); got != 2 {
 		t.Fatalf("transfer-fail count = %d, want 2", got)
 	}
@@ -157,7 +145,7 @@ func TestAddFaults(t *testing.T) {
 		t.Fatalf("kernel-stall count = %d, want 1", got)
 	}
 	spans := c.Spans()
-	if len(spans) != 3 || !spans[0].Instant || spans[0].StartUS != 103 {
+	if len(spans) != 3 || !spans[0].Instant || spans[0].StartUS != 3 {
 		t.Fatalf("fault instants malformed: %+v", spans)
 	}
 	if spans[2].Args["code"] != "CL_EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST" {
@@ -169,12 +157,12 @@ func TestNilCollectorInert(t *testing.T) {
 	var c *Collector
 	c.Add(Span{Name: "x"})
 	c.Instant("host", "t", "n", "c", 0, nil)
-	c.AddEvents([]*clrt.Event{{Kind: "kernel", Name: "k", EndUS: 1}}, 1, 0)
-	c.AddFaults([]fault.Record{{}}, 0)
+	c.AddEvents([]*clrt.Event{{Kind: "kernel", Name: "k", EndUS: 1}}, 1)
+	c.AddFaults([]fault.Record{{}})
 	c.Metrics().Counter("x").Inc()
 	c.Metrics().Gauge("x").Set(1)
 	c.Metrics().Histogram("x").Observe(1)
-	if c.Spans() != nil || c.MaxEndUS() != 0 {
+	if c.Spans() != nil {
 		t.Fatal("nil collector should report nothing")
 	}
 	var buf bytes.Buffer
