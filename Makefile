@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build bench-build test race lint bench bench-serve bench-fleet bench-dse chaos trace serve-smoke fleet-smoke dse-smoke fmt
+.PHONY: all build bench-build test race lint fma-check bench bench-serve bench-fleet bench-dse chaos trace serve-smoke fleet-smoke dse-smoke fmt
 
 all: lint build test
 
@@ -40,6 +40,27 @@ lint:
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 	$(GO) vet ./...
+
+# The bit-identity contract (GEMM, vector microkernels and cpuref against the
+# interpreter) needs every float32 product rounded before it is accumulated.
+# The Go spec guarantees that only at an explicit float32(...) conversion;
+# amd64 never fuses, but arm64 contracts `acc += a*b` into one FMADDS even
+# through a temporary. Cross-compile the cpuref and sim test binaries for
+# arm64 and fail on any fused multiply-add in either package, library or test
+# code (the tests' oracles must round too).
+fma-check:
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	for pkg in cpuref sim; do \
+		GOARCH=arm64 $(GO) test -c -o "$$dir/$$pkg.test" ./internal/$$pkg || exit 1; \
+		$(GO) tool objdump -s '^repro/internal/(cpuref|sim)\.' "$$dir/$$pkg.test" > "$$dir/$$pkg.s" || exit 1; \
+	done; \
+	grep -q 'TEXT repro/internal/cpuref\.gemmRows' "$$dir/cpuref.s" || { echo "fma-check: gemmRows not disassembled"; exit 1; }; \
+	fused=$$(grep -hwE 'FMADDS|FMSUBS|FNMADDS|FNMSUBS' "$$dir"/*.s | awk '{print $$1, $$4}' | sort -u); \
+	if [ -n "$$fused" ]; then \
+		echo "fused multiply-add in repro/internal/{cpuref,sim} on arm64 (write acc += float32(a*b)):"; \
+		echo "$$fused"; exit 1; \
+	fi; \
+	echo "fma-check: no fused multiply-add in repro/internal/{cpuref,sim} on arm64"
 
 # Serial-vs-parallel explorer speedup: BenchmarkDSESerial (1 worker) vs
 # BenchmarkDSEParallel (4 workers), both with the run's own compile cache, so

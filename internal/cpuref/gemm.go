@@ -27,11 +27,14 @@ const gemmKC = 240
 
 // gemmParallelMinMACs is Conv2DGEMM's serial cutoff, in multiply-accumulates
 // (c2*k*n; one MAC = two FLOPs, so this is ~2 MiMAC ≈ 4 MFLOP). Measured with
-// BenchmarkGemmParallelCrossover (m=64, n=196, k swept): at 2^19 MACs a
-// 4-worker Gemm is ~1.75x slower than serial (546µs vs 311µs — goroutine
-// spawn/join dominates the ~300µs kernel), reaches parity at 2^20–2^21, and
-// first wins at 2^22 (3.25ms vs 3.43ms), so the guard keeps layers under 2^21
-// serial and lets anything at or above it fan out.
+// BenchmarkGemmParallelCrossover (m=64, n=196, k swept) on a shared 2-vCPU
+// Xeon: with the second vCPU idle a 4-worker Gemm ties at 2^15 MACs and wins
+// from 2^17 (60µs vs 99µs); with it busy, the split loses or ties up to 2^21
+// (once 546µs vs 311µs at 2^19). The four-step register accumulation, ~1.6x
+// on the serial kernel, did not move that: in six interleaved sweeps the split
+// took 0.53–0.68x the serial time from 2^18 to 2^23 MACs with it and
+// 0.52–0.60x without. So the guard keeps layers under 2^21 serial, where a
+// busy host can only lose, and lets anything at or above it fan out.
 const gemmParallelMinMACs = 1 << 21
 
 // Im2col unfolds a [C1,H1,W1] input into the [C1*F*F, H2*W2] patch matrix of
@@ -99,29 +102,52 @@ func Im2colSlice(data []float32, c1, h1, w1, f, s, p int, dst []float32) []float
 
 // gemmRows computes rows [m0,m1) of C[M,N] = A[M,K] * B[K,N], with C
 // pre-initialized (bias) and accumulated in ascending-k order. The k loop is
-// blocked so each B panel is streamed once per row while hot in cache; within
-// a row the updates are rank-1 AXPYs over contiguous slices, which the
-// compiler keeps in registers.
+// blocked so each B panel is streamed once per row while hot in cache.
+//
+// Within a row, four k-steps share one pass over the C row: each output
+// element is loaded once, takes four products in a register and is stored
+// once, instead of a load-add-store per k (the accumulator round trip the
+// thesis removes from its kernels in §4). On one pinned core of a shared
+// 2-vCPU Xeon at the deployed ResNet-18 and MobileNetV1 shapes
+// (BenchmarkGemmDeployedShapes, medians of six interleaved pairs) this took
+// the kernel from 3.3–4.3 to 5.9–7.0 GFLOP/s, 1.4–2.0x per shape. Unrolling
+// by 8 measured no better than by 4, and column panels on top of the unroll
+// gained nothing, so the factor is a fixed 4.
+//
+// Every product is converted to float32 explicitly before it is added: the
+// Go spec lets a compiler fuse `x*y + z` into an FMA (arm64 does, even
+// through a temporary) and guarantees the rounding only at an explicit
+// conversion. Each step therefore rounds exactly as the sim interpreter
+// does, and `make fma-check` proves no fused instruction is emitted.
 func gemmRows(a, b, c []float32, k, n, m0, m1 int) {
 	for kb := 0; kb < k; kb += gemmKC {
-		kEnd := kb + gemmKC
-		if kEnd > k {
-			kEnd = k
-		}
+		kEnd := min(kb+gemmKC, k)
 		for m := m0; m < m1; m++ {
 			arow := a[m*k : (m+1)*k]
 			crow := c[m*n : (m+1)*n]
-			for kk := kb; kk < kEnd; kk++ {
-				av := arow[kk]
+			kk := kb
+			for ; kk+4 <= kEnd; kk += 4 {
+				x0, x1, x2, x3 := arow[kk], arow[kk+1], arow[kk+2], arow[kk+3]
+				b0 := b[kk*n : (kk+1)*n]
+				b1 := b[(kk+1)*n : (kk+2)*n][:len(b0)]
+				b2 := b[(kk+2)*n : (kk+3)*n][:len(b0)]
+				b3 := b[(kk+3)*n : (kk+4)*n][:len(b0)]
+				cr := crow[:len(b0)]
+				for j := range b0 {
+					v := cr[j]
+					v += float32(x0 * b0[j])
+					v += float32(x1 * b1[j])
+					v += float32(x2 * b2[j])
+					v += float32(x3 * b3[j])
+					cr[j] = v
+				}
+			}
+			for ; kk < kEnd; kk++ {
+				x := arow[kk]
 				brow := b[kk*n : (kk+1)*n]
+				cr := crow[:len(brow)]
 				for j, bv := range brow {
-					// The explicit temporary forces the product to round to
-					// float32 before the add: the Go spec lets a compiler fuse
-					// `crow[j] += av*bv` into an FMA (and does on arm64),
-					// which would break bit-identity with the sim oracle's
-					// round-each-step accumulation.
-					p := av * bv
-					crow[j] += p
+					cr[j] += float32(x * bv)
 				}
 			}
 		}

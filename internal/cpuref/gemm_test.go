@@ -2,6 +2,8 @@ package cpuref
 
 import (
 	"fmt"
+	"math"
+	"math/rand/v2"
 	"sync"
 	"testing"
 
@@ -158,10 +160,10 @@ func BenchmarkGemmParallelCrossover(b *testing.B) {
 		bb := make([]float32, k*n)
 		c := make([]float32, m*n)
 		for i := range a {
-			a[i] = float32(i%13)*0.5 - 3
+			a[i] = float32(i%13-6) * 0.5
 		}
 		for i := range bb {
-			bb[i] = float32(i%7)*0.25 - 1
+			bb[i] = float32(i%7-4) * 0.25
 		}
 		for _, workers := range []int{1, 4} {
 			b.Run(fmt.Sprintf("macs=2^%d/workers=%d", macExp, workers), func(b *testing.B) {
@@ -253,7 +255,7 @@ func TestIm2colFringesMatchGather(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			data := make([]float32, tc.c1*tc.h1*tc.w1)
 			for i := range data {
-				data[i] = float32(i%19)*0.5 - 4
+				data[i] = float32(i%19-8) * 0.5
 			}
 			got := Im2colSlice(data, tc.c1, tc.h1, tc.w1, tc.f, tc.s, tc.p, nil)
 			want := im2colGather(data, tc.c1, tc.h1, tc.w1, tc.f, tc.s, tc.p)
@@ -280,10 +282,10 @@ func TestGemmDegenerateWorkers(t *testing.T) {
 		a := make([]float32, tc.m*tc.k)
 		b := make([]float32, tc.k*tc.n)
 		for i := range a {
-			a[i] = float32(i%11)*0.3 - 1.5
+			a[i] = float32(i%11-5) * 0.3
 		}
 		for i := range b {
-			b[i] = float32(i%7)*0.25 - 0.75
+			b[i] = float32(i%7-3) * 0.25
 		}
 		want := make([]float32, tc.m*tc.n)
 		got := make([]float32, tc.m*tc.n)
@@ -299,5 +301,133 @@ func TestGemmDegenerateWorkers(t *testing.T) {
 					tc.m, tc.k, tc.n, tc.workers, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// gemmOracle is the plain triple loop C += A*B: one output at a time, k
+// ascending, each product converted to float32 before it is added (the only
+// form the Go spec guarantees is not fused into an FMA). It is the scalar
+// oracle the register-accumulated gemmRows must match bit for bit.
+func gemmOracle(a, b, c []float32, m, k, n int) {
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			v := c[i*n+j]
+			for kk := 0; kk < k; kk++ {
+				v += float32(a[i*k+kk] * b[kk*n+j])
+			}
+			c[i*n+j] = v
+		}
+	}
+}
+
+// gemmTiny are the finite values a reordered or fused accumulation would
+// round differently near: the smallest and largest subnormals and a tiny
+// normal whose products underflow into the subnormal range.
+var gemmTiny = []float32{math.Float32frombits(1), -math.Float32frombits(0x007fffff), 1e-20}
+
+// gemmOracleCase builds A[m,k], B[k,n] and C[m,n] in [-2, 2) with subnormals
+// sprinkled everywhere and negative zeros everywhere but A's row 0 and B's
+// column 0. NaN and the infinities are placed so that no output sum meets two
+// NaNs: IEEE 754 leaves open which NaN operand a NaN+NaN add returns (amd64
+// returns the destination register's, which is the compiler's choice), so
+// such a sum would test register allocation, not the kernel. A's row 0 gets
+// one NaN or ±Inf, B's column 0 one ±Inf (an Inf meeting a -0 makes a NaN,
+// hence no -0 in that row and column), and C one NaN or ±Inf off both.
+func gemmOracleCase(r *rand.Rand, m, k, n int) (a, b, c []float32) {
+	fill := func(rows, cols int, noNegZero func(row, col int) bool) []float32 {
+		out := make([]float32, rows*cols)
+		for i := range out {
+			switch x := r.IntN(16); {
+			case x == 0:
+				out[i] = gemmTiny[r.IntN(len(gemmTiny))]
+			case x == 1 && !noNegZero(i/cols, i%cols):
+				out[i] = float32(math.Copysign(0, -1))
+			default:
+				// The conversion keeps arm64 from fusing the scale into the
+				// subtraction (make fma-check disassembles the tests too).
+				out[i] = float32(r.Float32()*4) - 2
+			}
+		}
+		return out
+	}
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	a = fill(m, k, func(row, _ int) bool { return row == 0 })
+	b = fill(k, n, func(_, col int) bool { return col == 0 })
+	c = fill(m, n, func(int, int) bool { return false })
+	a[r.IntN(k)] = []float32{nan, inf, -inf}[r.IntN(3)]
+	b[r.IntN(k)*n] = []float32{inf, -inf}[r.IntN(2)]
+	if m > 1 && n > 1 {
+		c[m*n-1] = []float32{nan, inf, -inf}[r.IntN(3)]
+	}
+	return a, b, c
+}
+
+// TestGemmRowsBitIdenticalToScalarOracle pins the register-accumulated
+// microkernel to the scalar oracle by math.Float32bits across the unroll
+// remainders (k mod 4), the gemmKC block edges, odd and even m and n
+// (including 1) and serial and row-split runs, on inputs that carry NaN, ±Inf,
+// -0 and subnormals.
+func TestGemmRowsBitIdenticalToScalarOracle(t *testing.T) {
+	r := rand.New(rand.NewPCG(38, 4))
+	ks := []int{1, 2, 3, 4, 5, 7, gemmKC - 1, gemmKC, gemmKC + 1, 2*gemmKC + 3}
+	for _, k := range ks {
+		for _, m := range []int{1, 2, 7} {
+			for _, n := range []int{1, 2, 9, 16} {
+				a, b, c0 := gemmOracleCase(r, m, k, n)
+				want := append([]float32(nil), c0...)
+				gemmOracle(a, b, want, m, k, n)
+				for _, workers := range []int{1, 3} {
+					got := append([]float32(nil), c0...)
+					Gemm(a, b, got, m, k, n, workers)
+					for i := range want {
+						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+							t.Fatalf("m=%d k=%d n=%d workers=%d: c[%d] = %v (%#08x), oracle %v (%#08x)",
+								m, k, n, workers, i, got[i], math.Float32bits(got[i]),
+								want[i], math.Float32bits(want[i]))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkGemmDeployedShapes times the serial kernel at the GEMM shapes the
+// folded networks deploy (m output channels x k reduction x n output pixels):
+// ResNet-18's 3x3 convs at each stage and its 7x7 stem, and MobileNetV1's
+// widest and narrowest pointwise layers. It reports GFLOP/s (2 FLOPs per MAC);
+// run it with -cpu 1 to size the microkernel without worker fan-out.
+func BenchmarkGemmDeployedShapes(b *testing.B) {
+	shapes := []struct {
+		name    string
+		m, k, n int
+	}{
+		{"resnet18/conv2_x", 64, 576, 3136},
+		{"resnet18/conv3_x", 128, 1152, 784},
+		{"resnet18/conv4_x", 256, 2304, 196},
+		{"resnet18/conv5_x", 512, 4608, 49},
+		{"resnet18/stem7x7", 64, 147, 12544},
+		{"mobilenet/pw512", 512, 512, 196},
+		{"mobilenet/pw128", 128, 128, 3136},
+	}
+	for _, sh := range shapes {
+		b.Run(sh.name, func(b *testing.B) {
+			r := rand.New(rand.NewPCG(1, 2))
+			a := make([]float32, sh.m*sh.k)
+			bb := make([]float32, sh.k*sh.n)
+			c := make([]float32, sh.m*sh.n)
+			for i := range a {
+				a[i] = float32(r.Float32()) - 0.5
+			}
+			for i := range bb {
+				bb[i] = float32(r.Float32()) - 0.5
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				Gemm(a, bb, c, sh.m, sh.k, sh.n, 1)
+			}
+			flops := 2 * float64(sh.m) * float64(sh.k) * float64(sh.n) * float64(b.N)
+			b.ReportMetric(flops/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
 	}
 }

@@ -60,7 +60,7 @@ func conv2DNaive(in, w, bias *tensor.Tensor, s, p int, relu bool) *tensor.Tensor
 							if ix < 0 || ix >= w1 {
 								continue
 							}
-							sum += in.At(c, iy, ix) * w.At(k, c, fy, fx)
+							sum += float32(in.At(c, iy, ix) * w.At(k, c, fy, fx))
 						}
 					}
 				}
@@ -100,7 +100,7 @@ func DepthwiseConv2D(in, w, bias *tensor.Tensor, s, p int, relu bool) *tensor.Te
 						if ix < 0 || ix >= w1 {
 							continue
 						}
-						sum += in.At(ch, iy, ix) * w.At(ch, fy, fx)
+						sum += float32(in.At(ch, iy, ix) * w.At(ch, fy, fx))
 					}
 				}
 				if relu && sum < 0 {
@@ -127,7 +127,7 @@ func Dense(in, w, bias *tensor.Tensor, relu bool) *tensor.Tensor {
 			sum = bias.At(j)
 		}
 		for k := 0; k < n; k++ {
-			sum += in.Data[k] * w.At(j, k)
+			sum += float32(in.Data[k] * w.At(j, k))
 		}
 		if relu && sum < 0 {
 			sum = 0

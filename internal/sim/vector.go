@@ -26,15 +26,16 @@ package sim
 //
 // Bit-identity contract: microkernels perform the same float32 operations in
 // the same order as the interpreter, with every intermediate rounded to
-// float32 (products are assigned to a variable before accumulation so the Go
-// compiler cannot contract them into an FMA). Anything the analysis cannot
-// prove — non-affine indices, channel ops, var-dependent selects, triangular
-// nests — falls back per-loop to the scalar closures, and every bailout is
-// counted (ExecStats.FallbackLoops). TVM's div/mod pad nest is not affine
-// but is not a fallback either: pad.go recognizes its one fixed form and
-// runs it as row fills and row copies. If the run-time box check fails (an
-// access would leave its buffer), the nest re-runs on the scalar closures to
-// reproduce the exact per-element panic (ExecStats.GuardBailouts).
+// float32 (each product is converted with an explicit float32(...) before it
+// is accumulated, the only form the Go spec guarantees the compiler will not
+// contract into an FMA; `make fma-check` proves it on arm64). Anything the
+// analysis cannot prove — non-affine indices, channel ops, var-dependent
+// selects, triangular nests — falls back per-loop to the scalar closures, and
+// every bailout is counted (ExecStats.FallbackLoops). TVM's div/mod pad nest
+// is not affine but is not a fallback either: pad.go recognizes its one fixed
+// form and runs it as row fills and row copies. If the run-time box check
+// fails (an access would leave its buffer), the nest re-runs on the scalar
+// closures to reproduce the exact per-element panic (ExecStats.GuardBailouts).
 
 import (
 	"unsafe"
@@ -656,8 +657,10 @@ func (vl *vecLoop) reduceTail(e *cenv, mo int, acc float32) float32 {
 // reduceRow folds one innermost row of n elements into acc. The unit-stride
 // dot product — the kvec inner product of every conv/dense schedule — gets
 // the subslice form so the bounds checks vanish from the hot loop; every
-// variant keeps the product in a separate variable so it is rounded to
-// float32 before accumulation (no FMA contraction — bit-identity).
+// variant converts the product to float32 explicitly before accumulating it:
+// only an explicit conversion stops the compiler fusing the multiply-add into
+// an FMA (a temporary does not, on arm64), and bit-identity needs the product
+// rounded.
 func (vl *vecLoop) reduceRow(e *cenv, acc float32, n int64) float32 {
 	last := len(vl.mext) - 1
 	switch {
@@ -669,14 +672,12 @@ func (vl *vecLoop) reduceRow(e *cenv, acc float32, n int64) float32 {
 			aa := a[ao : ao+n]
 			bb := b[bo : bo+n]
 			for i := range aa {
-				p := aa[i] * bb[i]
-				acc += p
+				acc += float32(aa[i] * bb[i])
 			}
 			return acc
 		}
 		for i := int64(0); i < n; i++ {
-			p := a[ao] * b[bo]
-			acc += p
+			acc += float32(a[ao] * b[bo])
 			ao += as
 			bo += bs
 		}
