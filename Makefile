@@ -55,6 +55,7 @@ fma-check:
 		$(GO) tool objdump -s '^repro/internal/(cpuref|sim)\.' "$$dir/$$pkg.test" > "$$dir/$$pkg.s" || exit 1; \
 	done; \
 	grep -q 'TEXT repro/internal/cpuref\.gemmRows' "$$dir/cpuref.s" || { echo "fma-check: gemmRows not disassembled"; exit 1; }; \
+	grep -q 'TEXT repro/internal/sim\.(\*windowLoop)\.fold' "$$dir/sim.s" || { echo "fma-check: windowLoop.fold not disassembled"; exit 1; }; \
 	fused=$$(grep -hwE 'FMADDS|FMSUBS|FNMADDS|FNMSUBS' "$$dir"/*.s | awk '{print $$1, $$4}' | sort -u); \
 	if [ -n "$$fused" ]; then \
 		echo "fused multiply-add in repro/internal/{cpuref,sim} on arm64 (write acc += float32(a*b)):"; \

@@ -73,4 +73,6 @@ func publishSimStats(reg *trace.Registry, s sim.StatsSnapshot) {
 	set("sim.exec.gemm_loops", s.GemmLoops)
 	set("sim.exec.gemm_runs", s.GemmRuns)
 	set("sim.exec.gemm_bailouts", s.GemmBailouts)
+	set("sim.exec.window_loops", s.WindowLoops)
+	set("sim.exec.window_runs", s.WindowRuns)
 }

@@ -177,18 +177,21 @@ func LinearizeAccess(buf *Buffer, index []Expr, vars []*Var) (AccessPattern, boo
 }
 
 // ---------------------------------------------------------------------------
-// Whole-nest GEMM recognition.
+// Whole-nest recognition.
 //
 // The per-loop analysis above vectorizes one innermost loop at a time, which
-// leaves the matmul structure of conv/dense reduction nests on the table: the
-// folded pointwise layers are literally C[m,n] += A[m,k]·B[k,n] after im2col,
-// and TVM's CPU schedules win exactly by lowering the recognized nest onto a
-// tiled GEMM. MatchGemmNest recognizes the *shape* of such a nest — a perfect
-// outer loop chain around an {init, reduce, write-back} triple over a private
-// accumulator tile — purely structurally; the stride-level classification
-// (which loop is m, which is k, whether the B operand is a zero-copy matrix
-// or needs an im2col gather) happens in the sim at run time, where symbolic
-// extents and buffer bindings are known (internal/sim/gemm.go).
+// leaves the structure of whole reduction nests on the table: the folded
+// pointwise layers are literally C[m,n] += A[m,k]·B[k,n] after im2col, and a
+// depthwise or pooling nest is one strided window folded per output point.
+// TVM's CPU schedules win exactly by lowering a recognized operator nest onto
+// one tight kernel. MatchGemmNest recognizes the *shape* of such a nest — a
+// perfect outer loop chain around an {init, reduce, write-back} triple over a
+// private accumulator tile — purely structurally, and marks the nests whose
+// product is matmul-shaped. The stride-level classification (which loop is m,
+// which is k, which levels are window taps, whether an operand is a zero-copy
+// matrix or needs an im2col gather) happens in the sim at run time, where
+// symbolic extents and buffer bindings are known (internal/sim/gemm.go,
+// internal/sim/window.go).
 
 // GemmAct identifies the elementwise epilogue fused into a recognized nest's
 // write-back: the activation applied after the accumulator + post-adds.
@@ -208,19 +211,27 @@ type GemmPart struct {
 	Store   *Store
 }
 
-// GemmNest is a whole reduction nest recognized in GEMM form:
+// GemmNest is a whole reduction nest recognized in tile form:
 //
 //	for outer...:                  # OuterVars (tile coordinates)
 //	  init:  for iv...: T[e] = c          # c nest-invariant
-//	  red:   for rv...: T[e] += A[·]·B[·]
+//	  red:   for rv...: T[e] = T[e] ⊕ rhs
 //	  write: for wv...: D[·] = act(T[e] (+ chain...))
 //
 // with T's index identical (structurally, and over the same variables) in all
-// three phases. LoadA/LoadB keep the scalar operand order of the product —
-// the sim tries both (A,B) assignments, since which operand is the weight
-// matrix and which the patch matrix is a stride property, not a syntactic
-// one. Chain holds the write-back's post-accumulator adds (bias, residual
-// skip) in scalar evaluation order.
+// three phases. ⊕ is Add with rhs LoadA·LoadB or the single load LoadA, or
+// MaxOp/MinOp with the single load LoadA (LoadB is then nil). T is read only
+// as the accumulator: no rhs or chain load reads it. LoadA/LoadB keep the
+// scalar operand order of the product — the sim tries both (A,B) assignments,
+// since which operand is the weight matrix and which the patch matrix is a
+// stride property, not a syntactic one. Chain holds the write-back's
+// post-accumulator adds (bias, residual skip) in scalar evaluation order.
+//
+// Matmul marks the nests the GEMM executor can take: an Add of LoadA·LoadB in
+// which no outer or tile variable (a reduction-part variable of T's index)
+// indexes both operands. A depthwise convolution is not matmul-shaped — its
+// channel variable drives the input and the weights — and neither is any
+// max/min or single-load reduction.
 type GemmNest struct {
 	OuterVars    []*Var
 	OuterExtents []Expr
@@ -228,13 +239,15 @@ type GemmNest struct {
 	Init, Red, Write GemmPart
 
 	T, D         *Buffer
+	Op           BinOp // Add, MaxOp or MinOp
 	LoadA, LoadB *Load
 	TLoad        *Load
 	Chain        []*Load
 	Act          GemmAct
+	Matmul       bool
 }
 
-// MatchGemmNest reports whether f is a whole GEMM-shaped reduction nest.
+// MatchGemmNest reports whether f is a whole tile-shaped reduction nest.
 // Returns nil when the shape does not match; everything the sim still has to
 // verify at run time (stride classification, extent values, aliasing, bounds)
 // is deliberately NOT checked here.
@@ -276,24 +289,31 @@ outer:
 		return nil
 	}
 
-	// Reduction body: T[e] = T[e] + LoadA·LoadB, with the accumulator re-load
-	// on the left (ascending-k order starts from the running value).
-	add, ok := g.Red.Store.Value.(*Binary)
-	if !ok || add.Op != Add {
+	// Reduction body: T[e] = T[e] ⊕ rhs, with the accumulator re-load on the
+	// left (ascending order starts from the running value).
+	red, ok := g.Red.Store.Value.(*Binary)
+	if !ok || (red.Op != Add && red.Op != MaxOp && red.Op != MinOp) {
 		return nil
 	}
-	accLd, ok := add.A.(*Load)
+	g.Op = red.Op
+	accLd, ok := red.A.(*Load)
 	if !ok || accLd.Buf != g.T || !IndexEq(accLd.Index, g.Red.Store.Index) {
 		return nil
 	}
-	mul, ok := add.B.(*Binary)
-	if !ok || mul.Op != Mul {
-		return nil
-	}
-	if g.LoadA, ok = mul.A.(*Load); !ok {
-		return nil
-	}
-	if g.LoadB, ok = mul.B.(*Load); !ok {
+	switch rhs := red.B.(type) {
+	case *Load:
+		g.LoadA = rhs
+	case *Binary:
+		if rhs.Op != Mul || g.Op != Add {
+			return nil
+		}
+		if g.LoadA, ok = rhs.A.(*Load); !ok {
+			return nil
+		}
+		if g.LoadB, ok = rhs.B.(*Load); !ok {
+			return nil
+		}
+	default:
 		return nil
 	}
 
@@ -326,11 +346,43 @@ outer:
 		return nil
 	}
 	g.TLoad = tl
+	for _, ld := range append([]*Load{g.LoadA, g.LoadB}, g.Chain...) {
+		if ld != nil && ld.Buf == g.T {
+			return nil
+		}
+	}
 
 	if !gemmScopesOK(f, g) {
 		return nil
 	}
+	g.Matmul = g.Op == Add && g.LoadB != nil && !sharedOperandVar(g)
 	return g
+}
+
+// sharedOperandVar reports whether an outer or tile variable appears in the
+// indices of both product operands — a loop that drives A and B together, as
+// the channel of a depthwise convolution does, so no (m, n, k) split exists.
+func sharedOperandVar(g *GemmNest) bool {
+	uses := func(idx []Expr, v *Var) bool {
+		for _, ix := range idx {
+			if UsesAnyVar(ix, []*Var{v}) {
+				return true
+			}
+		}
+		return false
+	}
+	both := func(v *Var) bool { return uses(g.LoadA.Index, v) && uses(g.LoadB.Index, v) }
+	for _, v := range g.OuterVars {
+		if both(v) {
+			return true
+		}
+	}
+	for _, v := range g.Red.Vars {
+		if uses(g.Red.Store.Index, v) && both(v) {
+			return true
+		}
+	}
+	return false
 }
 
 // collectGemmPart walks a perfect loop chain (single-statement bodies) down

@@ -52,11 +52,11 @@ type compiler struct {
 	vectorize bool
 	nVector   int64
 	nFallback int64
-	// gemm enables whole-nest GEMM recognition (gemm.go), tried before the
-	// per-loop vectorizer; nGemm counts recognized nests. Cleared while
-	// compiling a GEMM nest's replay twin.
-	gemm  bool
-	nGemm int64
+	// wholeNests enables whole-nest recognition (gemm.go), tried before the
+	// per-loop vectorizer; nGemm and nWindow count the recognized nests each
+	// executor took. Cleared while compiling a recognized nest's replay twin.
+	wholeNests     bool
+	nGemm, nWindow int64
 }
 
 func (c *compiler) slot(v *ir.Var) int {
@@ -349,9 +349,8 @@ func (c *compiler) stmtFn(s ir.Stmt) stmtFn {
 			e.bufs[s] = e.m.bufs[buf]
 		}
 	case *ir.For:
-		if c.gemm {
-			if fn := c.gemmLoop(x); fn != nil {
-				c.nGemm++
+		if c.wholeNests {
+			if fn := c.wholeNest(x); fn != nil {
 				return fn
 			}
 		}
@@ -426,5 +425,45 @@ func minI(a, b int64) int64 {
 // bit-identical.
 func maxF(a, b float32) float32 { return float32(math.Max(float64(a), float64(b))) }
 func minF(a, b float32) float32 { return float32(math.Min(float64(a), float64(b))) }
-func expF(x float32) float32    { return float32(math.Exp(float64(x))) }
-func sqrtF(x float32) float32   { return float32(math.Sqrt(float64(x))) }
+
+// maxFast and minFast are bit-identical to maxF and minF without the
+// float64 round trip, in math.Max's and math.Min's order of special cases:
+// +Inf (for min, -Inf) beats NaN, any other NaN yields the canonical NaN
+// whatever the input's sign and payload, and of two zeros +0 (for min, -0)
+// wins.
+func maxFast(a, b float32) float32 {
+	switch {
+	case a > b:
+		return a
+	case a < b:
+		return b
+	case a == b:
+		// Only the two zeros are equal with different bits; their AND is
+		// +0 unless both are -0.
+		return math.Float32frombits(math.Float32bits(a) & math.Float32bits(b))
+	case a > math.MaxFloat32:
+		return a
+	case b > math.MaxFloat32:
+		return b
+	}
+	return canonNaN
+}
+
+func minFast(a, b float32) float32 {
+	switch {
+	case a < b:
+		return a
+	case a > b:
+		return b
+	case a == b:
+		return math.Float32frombits(math.Float32bits(a) | math.Float32bits(b))
+	case a < -math.MaxFloat32:
+		return a
+	case b < -math.MaxFloat32:
+		return b
+	}
+	return canonNaN
+}
+
+func expF(x float32) float32  { return float32(math.Exp(float64(x))) }
+func sqrtF(x float32) float32 { return float32(math.Sqrt(float64(x))) }

@@ -1,12 +1,18 @@
 package sim
 
-// Whole-nest GEMM lowering — the vector tier's top rung. When the structural
-// matcher (ir.MatchGemmNest) recognizes a conv/dense reduction nest, the
-// compiler lowers the *entire* nest onto the cache-blocked cpuref.Gemm, with
-// the write-back's elementwise tail (bias add, residual add, ReLU/ReLU6)
-// fused into the epilogue. Everything the matcher could not prove
-// syntactically is verified here at run time, once per nest entry, against
-// the evaluated strides:
+// Whole-nest lowering — the vector tier's top rung. When the structural
+// matcher (ir.MatchGemmNest) recognizes an {init, reduce, write-back} tile
+// nest, the compiler takes the *entire* nest off the loop ladder and gives
+// it to one of two executors that share its compiled front end (tileNest:
+// extents, level maps, flattened accesses, replay twin): a matmul-shaped
+// nest (conv, dense) runs here on the cache-blocked cpuref.Gemm, every other
+// tile nest (depthwise convolution, pooling) on the strided-window
+// microkernel of window.go.
+//
+// The GEMM executor fuses the write-back's elementwise tail (bias add,
+// residual add, ReLU/ReLU6) into the epilogue. Everything the matcher could
+// not prove syntactically is verified here at run time, once per nest
+// entry, against the evaluated strides:
 //
 //   - every reduction-nest level classifies as exactly one of k (reduction),
 //     m (A rows), n (B columns) or broadcast, with the k levels forming A's
@@ -28,10 +34,10 @@ package sim
 // and the activation helpers are bit-identical to the scalar closures'
 // math.Max/math.Min round trips (including NaN and signed-zero behavior).
 //
-// The compiled gemmLoop, its scratch (C tile, im2col patches) and the
-// verified lowering live with the per-machine compiled kernel, so a
-// host.RunBatch worker pays the lowering once and reuses the scratch for
-// every image in the batch.
+// The compiled executors, their scratch (C tile, im2col patches, window
+// tables) and the verified lowering live with the per-machine compiled
+// kernel, so a host.RunBatch worker pays the lowering once and reuses the
+// scratch for every image in the batch.
 
 import (
 	"math"
@@ -75,10 +81,12 @@ type flatAcc struct {
 	data []float32
 }
 
-// gemmLoop is a compiled GEMM-lowered nest plus its run-time scratch.
-// Machines are single-threaded, so scratch lives with the compiled program
-// and is reused across runs (RunBatch amortization).
-type gemmLoop struct {
+// tileNest is the compiled front end both whole-nest executors share: the
+// extents, the level maps between the three phases, the compiled accesses
+// and the replay twin. Machines are single-threaded, so the per-entry
+// scratch lives with the compiled program and is reused across runs
+// (RunBatch amortization).
+type tileNest struct {
 	nOuter, nRed, nEpi int
 
 	redExt  []intFn // outer extents ++ reduction-part extents
@@ -88,69 +96,77 @@ type gemmLoop struct {
 	initToRed []int // init level -> reduction-list index
 	epiToRed  []int // epi level -> reduction-list index, -1 if not shared
 
-	faT, faA, faB, faD flatAcc
+	faT, faA, faB, faD flatAcc // faB.acc is nil for a one-load rhs
 	faCh               []flatAcc
 
 	initVal floatFn
 	act     ir.GemmAct
 	twin    stmtFn // scalar/vector replay for skips and bailouts
 
-	// ---- per-entry scratch (sized at compile time) ----
-	ext, eext, iext              []int64
-	cls                          []int8
-	sDr                          []int64 // destination stride per reduction-list var
-	nrs                          []int64 // column radix per n-classified var
-	bc0, bc1, bc2                []int64 // per-dim B coefficients (im2col probe)
-	kIdx, mIdx, nIdx, eIdx, dIdx []int
-
-	gA, gB                   *flatAcc
-	M, K, N, nCov            int64
-	direct                   bool
-	icC1, icH, icW, icF, icS int64
-
-	rowExt, rowD, rowC []int64
-	rowCh              [][]int64
-	chOff              []int64
-	chCol              []bool
-	rowIdx             []int64
-
-	cbuf, patches []float32
+	ext, eext, iext []int64
 }
 
-// gemmLoop tries to lower the whole nest rooted at f onto cpuref.Gemm; nil
-// means "not recognized", and the caller falls through to the per-loop
-// vectorizer.
-func (c *compiler) gemmLoop(f *ir.For) stmtFn {
+// wholeNest lowers a nest the structural matcher recognizes onto one of its
+// two executors: matmul-shaped nests onto cpuref.Gemm (gemmLoop), every other
+// tile nest — depthwise convolution, max/min pooling, single-load sums — onto
+// the strided-window microkernel (window.go). nil means "not recognized", and
+// the caller falls through to the per-loop vectorizer.
+func (c *compiler) wholeNest(f *ir.For) stmtFn {
 	g := ir.MatchGemmNest(f)
-	if g == nil {
-		return nil
-	}
 	// The accumulator tile must be kernel-private: allocated here and never
 	// referenced outside the nest, so replacing its per-element history with
-	// one bulk GEMM is unobservable.
-	if c.kernel == nil || !gemmBufPrivate(c.kernel.Body, f, g.T) {
+	// one bulk kernel is unobservable.
+	if g == nil || c.kernel == nil || !gemmBufPrivate(c.kernel.Body, f, g.T) {
 		return nil
 	}
+	tn := c.tileNest(g)
+	if tn == nil {
+		return nil
+	}
+	var run stmtFn
+	if g.Matmul {
+		run = newGemmLoop(tn).run
+	} else if wl := c.windowLoop(g, tn); wl != nil {
+		run = wl.run
+	} else {
+		return nil
+	}
+	// Compile the replay twin with whole-nest lowering off (the per-loop
+	// vectorizer still applies, so bailouts replay fast).
+	c.wholeNests = false
+	tn.twin = c.stmtFn(f)
+	c.wholeNests = true
+	if g.Matmul {
+		c.nGemm++
+	} else {
+		c.nWindow++
+	}
+	return run
+}
+
+// tileNest compiles the shared front end, or returns nil when an access is
+// not affine in its phase's variables.
+func (c *compiler) tileNest(g *ir.GemmNest) *tileNest {
 	redVars := append(append([]*ir.Var{}, g.OuterVars...), g.Red.Vars...)
 	epiVars := append(append([]*ir.Var{}, g.OuterVars...), g.Write.Vars...)
-	gl := &gemmLoop{
+	tn := &tileNest{
 		nOuter: len(g.OuterVars),
 		nRed:   len(redVars),
 		nEpi:   len(epiVars),
 		act:    g.Act,
 	}
 	for _, x := range g.OuterExtents {
-		gl.redExt = append(gl.redExt, c.intFn(x))
-		gl.epiExt = append(gl.epiExt, c.intFn(x))
+		tn.redExt = append(tn.redExt, c.intFn(x))
+		tn.epiExt = append(tn.epiExt, c.intFn(x))
 	}
 	for _, x := range g.Red.Extents {
-		gl.redExt = append(gl.redExt, c.intFn(x))
+		tn.redExt = append(tn.redExt, c.intFn(x))
 	}
 	for _, x := range g.Write.Extents {
-		gl.epiExt = append(gl.epiExt, c.intFn(x))
+		tn.epiExt = append(tn.epiExt, c.intFn(x))
 	}
 	for _, x := range g.Init.Extents {
-		gl.initExt = append(gl.initExt, c.intFn(x))
+		tn.initExt = append(tn.initExt, c.intFn(x))
 	}
 	findRed := func(v *ir.Var) int {
 		for i, rv := range redVars {
@@ -165,67 +181,44 @@ func (c *compiler) gemmLoop(f *ir.For) stmtFn {
 		if r < 0 {
 			return nil // matcher guarantees this; belt and braces
 		}
-		gl.initToRed = append(gl.initToRed, r)
+		tn.initToRed = append(tn.initToRed, r)
 	}
 	for _, v := range epiVars {
-		gl.epiToRed = append(gl.epiToRed, findRed(v))
+		tn.epiToRed = append(tn.epiToRed, findRed(v))
 	}
 
-	gl.faT.acc = c.access(g.T, g.Red.Store.Index, redVars)
-	gl.faA.acc = c.access(g.LoadA.Buf, g.LoadA.Index, redVars)
-	gl.faB.acc = c.access(g.LoadB.Buf, g.LoadB.Index, redVars)
-	gl.faD.acc = c.access(g.D, g.Write.Store.Index, epiVars)
-	if gl.faT.acc == nil || gl.faA.acc == nil || gl.faB.acc == nil || gl.faD.acc == nil {
+	tn.faT.acc = c.access(g.T, g.Red.Store.Index, redVars)
+	tn.faA.acc = c.access(g.LoadA.Buf, g.LoadA.Index, redVars)
+	tn.faD.acc = c.access(g.D, g.Write.Store.Index, epiVars)
+	if tn.faT.acc == nil || tn.faA.acc == nil || tn.faD.acc == nil {
 		return nil
+	}
+	if g.LoadB != nil {
+		if tn.faB.acc = c.access(g.LoadB.Buf, g.LoadB.Index, redVars); tn.faB.acc == nil {
+			return nil
+		}
 	}
 	for _, ld := range g.Chain {
 		a := c.access(ld.Buf, ld.Index, epiVars)
 		if a == nil {
 			return nil
 		}
-		gl.faCh = append(gl.faCh, flatAcc{acc: a})
+		tn.faCh = append(tn.faCh, flatAcc{acc: a})
 	}
-	gl.initVal = c.floatFn(g.Init.Store.Value)
+	tn.initVal = c.floatFn(g.Init.Store.Value)
 
-	// Compile the replay twin with GEMM lowering off (the per-loop
-	// vectorizer still applies, so bailouts replay fast).
-	c.gemm = false
-	gl.twin = c.stmtFn(f)
-	c.gemm = true
-
-	nR, nE, nCh := gl.nRed, gl.nEpi, len(gl.faCh)
-	gl.ext = make([]int64, nR)
-	gl.eext = make([]int64, nE)
-	gl.iext = make([]int64, len(gl.initExt))
-	gl.cls = make([]int8, nR)
-	gl.sDr = make([]int64, nR)
-	gl.nrs = make([]int64, nR)
-	gl.bc0 = make([]int64, nR)
-	gl.bc1 = make([]int64, nR)
-	gl.bc2 = make([]int64, nR)
-	gl.kIdx = make([]int, 0, nR)
-	gl.mIdx = make([]int, 0, nR)
-	gl.nIdx = make([]int, 0, nR)
-	gl.eIdx = make([]int, 0, nE)
-	gl.dIdx = make([]int, 0, nE)
-	gl.faT.str = make([]int64, nR)
-	gl.faA.str = make([]int64, nR)
-	gl.faB.str = make([]int64, nR)
-	gl.faD.str = make([]int64, nE)
-	for i := range gl.faCh {
-		gl.faCh[i].str = make([]int64, nE)
+	nR, nE := tn.nRed, tn.nEpi
+	tn.ext = make([]int64, nR)
+	tn.eext = make([]int64, nE)
+	tn.iext = make([]int64, len(tn.initExt))
+	tn.faT.str = make([]int64, nR)
+	tn.faA.str = make([]int64, nR)
+	tn.faB.str = make([]int64, nR)
+	tn.faD.str = make([]int64, nE)
+	for i := range tn.faCh {
+		tn.faCh[i].str = make([]int64, nE)
 	}
-	gl.rowExt = make([]int64, nE)
-	gl.rowD = make([]int64, nE)
-	gl.rowC = make([]int64, nE)
-	gl.rowCh = make([][]int64, nCh)
-	for i := range gl.rowCh {
-		gl.rowCh[i] = make([]int64, nE)
-	}
-	gl.chOff = make([]int64, nCh)
-	gl.chCol = make([]bool, nCh)
-	gl.rowIdx = make([]int64, nE)
-	return gl.run
+	return tn
 }
 
 // gemmBufPrivate reports whether b is allocated by the kernel itself and
@@ -254,26 +247,61 @@ func gemmBufPrivate(body ir.Stmt, f *ir.For, b *ir.Buffer) bool {
 	return alloc && refs(body) == refs(f)
 }
 
-func (gl *gemmLoop) run(e *cenv) {
-	switch gl.tryGemm(e) {
-	case gemmOK:
-		if st := e.m.stats; st != nil {
-			st.GemmRuns.Add(1)
+// bind evaluates the extents and flattens every access once per nest entry:
+// gemmSkip on a zero-trip level (the twin reproduces the scalar no-op),
+// gemmBail when a phase's extents disagree or an access leaves its box.
+func (tn *tileNest) bind(e *cenv) int {
+	for i, fn := range tn.redExt {
+		v := fn(e)
+		if v <= 0 {
+			return gemmSkip
 		}
-	case gemmBail:
-		if st := e.m.stats; st != nil {
-			st.GemmBailouts.Add(1)
-		}
-		gl.twin(e)
-	default:
-		gl.twin(e)
+		tn.ext[i] = v
 	}
+	for i, fn := range tn.epiExt {
+		v := fn(e)
+		if v <= 0 {
+			return gemmSkip
+		}
+		tn.eext[i] = v
+	}
+	for i, fn := range tn.initExt {
+		v := fn(e)
+		if v <= 0 {
+			return gemmSkip
+		}
+		tn.iext[i] = v
+	}
+	// The init loops must cover exactly the reduction's tile walk, and every
+	// shared write-back level must agree with its reduction extent.
+	for i, r := range tn.initToRed {
+		if tn.iext[i] != tn.ext[r] {
+			return gemmBail
+		}
+	}
+	for i := tn.nOuter; i < tn.nEpi; i++ {
+		if r := tn.epiToRed[i]; r >= 0 && tn.eext[i] != tn.ext[r] {
+			return gemmBail
+		}
+	}
+	if !tn.faT.flatten(e, tn.ext) ||
+		!tn.faA.flatten(e, tn.ext) ||
+		(tn.faB.acc != nil && !tn.faB.flatten(e, tn.ext)) ||
+		!tn.faD.flatten(e, tn.eext) {
+		return gemmBail
+	}
+	for i := range tn.faCh {
+		if !tn.faCh[i].flatten(e, tn.eext) {
+			return gemmBail
+		}
+	}
+	return gemmOK
 }
 
 // flatten evaluates fa's flat base/strides over the given extents and checks
 // the per-dimension bounds box plus the flat upper bound, exactly like the
 // per-loop vectorizer's setup.
-func (gl *gemmLoop) flatten(fa *flatAcc, e *cenv, ext []int64) bool {
+func (fa *flatAcc) flatten(e *cenv, ext []int64) bool {
 	a := fa.acc
 	fa.data = a.ref(e)
 	str := fa.str
@@ -307,50 +335,77 @@ func (gl *gemmLoop) flatten(fa *flatAcc, e *cenv, ext []int64) bool {
 	return true
 }
 
+// gemmLoop is the GEMM executor: a matmul-shaped tile nest plus its
+// run-time scratch.
+type gemmLoop struct {
+	*tileNest
+
+	cls                          []int8
+	sDr                          []int64 // destination stride per reduction-list var
+	nrs                          []int64 // column radix per n-classified var
+	bc0, bc1, bc2                []int64 // per-dim B coefficients (im2col probe)
+	kIdx, mIdx, nIdx, eIdx, dIdx []int
+
+	gA, gB                   *flatAcc
+	M, K, N, nCov            int64
+	direct                   bool
+	icC1, icH, icW, icF, icS int64
+
+	rowExt, rowD, rowC []int64
+	rowCh              [][]int64
+	chOff              []int64
+	chCol              []bool
+	rowIdx             []int64
+
+	cbuf, patches []float32
+}
+
+func newGemmLoop(tn *tileNest) *gemmLoop {
+	nR, nE, nCh := tn.nRed, tn.nEpi, len(tn.faCh)
+	gl := &gemmLoop{tileNest: tn}
+	gl.cls = make([]int8, nR)
+	gl.sDr = make([]int64, nR)
+	gl.nrs = make([]int64, nR)
+	gl.bc0 = make([]int64, nR)
+	gl.bc1 = make([]int64, nR)
+	gl.bc2 = make([]int64, nR)
+	gl.kIdx = make([]int, 0, nR)
+	gl.mIdx = make([]int, 0, nR)
+	gl.nIdx = make([]int, 0, nR)
+	gl.eIdx = make([]int, 0, nE)
+	gl.dIdx = make([]int, 0, nE)
+	gl.rowExt = make([]int64, nE)
+	gl.rowD = make([]int64, nE)
+	gl.rowC = make([]int64, nE)
+	gl.rowCh = make([][]int64, nCh)
+	for i := range gl.rowCh {
+		gl.rowCh[i] = make([]int64, nE)
+	}
+	gl.chOff = make([]int64, nCh)
+	gl.chCol = make([]bool, nCh)
+	gl.rowIdx = make([]int64, nE)
+	return gl
+}
+
+func (gl *gemmLoop) run(e *cenv) {
+	switch gl.tryGemm(e) {
+	case gemmOK:
+		if st := e.m.stats; st != nil {
+			st.GemmRuns.Add(1)
+		}
+	case gemmBail:
+		if st := e.m.stats; st != nil {
+			st.GemmBailouts.Add(1)
+		}
+		gl.twin(e)
+	default:
+		gl.twin(e)
+	}
+}
+
 func (gl *gemmLoop) tryGemm(e *cenv) int {
-	for i, fn := range gl.redExt {
-		v := fn(e)
-		if v <= 0 {
-			return gemmSkip
-		}
-		gl.ext[i] = v
-	}
-	for i, fn := range gl.epiExt {
-		v := fn(e)
-		if v <= 0 {
-			return gemmSkip
-		}
-		gl.eext[i] = v
-	}
-	for i, fn := range gl.initExt {
-		v := fn(e)
-		if v <= 0 {
-			return gemmSkip
-		}
-		gl.iext[i] = v
-	}
-	// The init loops must cover exactly the reduction's tile walk, and every
-	// shared write-back level must agree with its reduction extent.
-	for i, r := range gl.initToRed {
-		if gl.iext[i] != gl.ext[r] {
-			return gemmBail
-		}
-	}
-	for i := gl.nOuter; i < gl.nEpi; i++ {
-		if r := gl.epiToRed[i]; r >= 0 && gl.eext[i] != gl.ext[r] {
-			return gemmBail
-		}
-	}
-	if !gl.flatten(&gl.faT, e, gl.ext) ||
-		!gl.flatten(&gl.faA, e, gl.ext) ||
-		!gl.flatten(&gl.faB, e, gl.ext) ||
-		!gl.flatten(&gl.faD, e, gl.eext) {
-		return gemmBail
-	}
-	for i := range gl.faCh {
-		if !gl.flatten(&gl.faCh[i], e, gl.eext) {
-			return gemmBail
-		}
+	if r := gl.bind(e); r != gemmOK {
+		return r
 	}
 	for i := 0; i < gl.nEpi; i++ {
 		if gl.faD.str[i] < 0 {
@@ -837,14 +892,20 @@ func (gl *gemmLoop) emitRow(d, c []float32) {
 				v += gl.faCh[ch].data[gl.chOff[ch]]
 			}
 		}
-		switch gl.act {
-		case ir.GemmActRelu:
-			v = reluFast(v)
-		case ir.GemmActRelu6:
-			v = relu6Fast(v)
-		}
-		d[i] = v
+		d[i] = actFast(gl.act, v)
 	}
+}
+
+// actFast applies a recognized write-back activation through the fast
+// helpers below.
+func actFast(act ir.GemmAct, v float32) float32 {
+	switch act {
+	case ir.GemmActRelu:
+		return reluFast(v)
+	case ir.GemmActRelu6:
+		return relu6Fast(v)
+	}
+	return v
 }
 
 // reluFast is bit-identical to float32(math.Max(float64(v), 0)) — the

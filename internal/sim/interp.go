@@ -269,7 +269,7 @@ func (m *Machine) Run(k *ir.Kernel, scalars map[*ir.Var]int64) (err error) {
 			m.stats.CacheMisses.Add(1)
 		}
 		c := &compiler{m: m, slots: map[*ir.Var]int{}, bufSlots: map[*ir.Buffer]int{}, kernel: k,
-			vectorize: true, gemm: true}
+			vectorize: true, wholeNests: true}
 		// Reserve scalar-argument slots before compiling the body.
 		for _, v := range k.ScalarArgs {
 			c.slot(v)
@@ -280,6 +280,7 @@ func (m *Machine) Run(k *ir.Kernel, scalars map[*ir.Var]int64) (err error) {
 			m.stats.VectorLoops.Add(c.nVector)
 			m.stats.FallbackLoops.Add(c.nFallback)
 			m.stats.GemmLoops.Add(c.nGemm)
+			m.stats.WindowLoops.Add(c.nWindow)
 		}
 		m.compiled[k] = ck
 	}

@@ -3,9 +3,10 @@ package sim
 // Execution tiers. The machine has two engines with bit-identical
 // semantics:
 //
-//	TierVector — closure compiler (compile.go) + GEMM lowering (gemm.go) +
-//	             affine loop-nest vectorizer (vector.go, pad.go); recognized
-//	             nests run as cpuref.Gemm calls or flat slice microkernels,
+//	TierVector — closure compiler (compile.go) + whole-nest lowering
+//	             (gemm.go, window.go) + affine loop-nest vectorizer
+//	             (vector.go, pad.go); recognized nests run as cpuref.Gemm
+//	             calls, strided-window kernels or flat slice microkernels,
 //	             everything else runs on per-element closures. The default
 //	             and the only production engine.
 //	TierInterp — tree-walking interpreter (interp.go); the oracle tests
@@ -59,11 +60,16 @@ type ExecStats struct {
 	// or aliasing) and were re-run on the scalar closures.
 	VectorRuns    atomic.Int64
 	GuardBailouts atomic.Int64
-	// GemmLoops is a compile-time count of whole nests recognized and
-	// lowered onto cpuref.Gemm (gemm.go); GemmRuns / GemmBailouts are the
-	// run-time executions vs stride-guard failures replayed on the twin.
+	// GemmLoops / WindowLoops are compile-time counts of whole nests
+	// recognized and lowered onto cpuref.Gemm (gemm.go: matmul-shaped) or
+	// onto the strided-window microkernel (window.go: every other tile
+	// nest); GemmRuns / WindowRuns are their run-time executions, and
+	// GemmBailouts counts the guard failures of either executor replayed on
+	// the twin.
 	GemmLoops    atomic.Int64
 	GemmRuns     atomic.Int64
+	WindowLoops  atomic.Int64
+	WindowRuns   atomic.Int64
 	GemmBailouts atomic.Int64
 }
 
@@ -73,6 +79,7 @@ type StatsSnapshot struct {
 	VectorLoops, FallbackLoops        int64
 	VectorRuns, GuardBailouts         int64
 	GemmLoops, GemmRuns, GemmBailouts int64
+	WindowLoops, WindowRuns           int64
 }
 
 // Snapshot returns current counter values; nil-safe.
@@ -90,6 +97,8 @@ func (s *ExecStats) Snapshot() StatsSnapshot {
 		GemmLoops:     s.GemmLoops.Load(),
 		GemmRuns:      s.GemmRuns.Load(),
 		GemmBailouts:  s.GemmBailouts.Load(),
+		WindowLoops:   s.WindowLoops.Load(),
+		WindowRuns:    s.WindowRuns.Load(),
 	}
 }
 

@@ -7,6 +7,13 @@ package sim
 // hardware can execute them as wide SIMD-style pipelines, and the same shape
 // lets the simulator execute them as tight Go loops over float32 slices.
 //
+// The compiler first offers every For to the whole-nest match (gemm.go),
+// whose two executors — cpuref.Gemm for matmul-shaped nests, the
+// strided-window microkernel of window.go for depthwise and pooling nests —
+// run a recognized tile nest once per kernel call. What the match leaves,
+// and the twins its executors replay when they skip or bail, is lowered
+// here.
+//
 // Pipeline, per For encountered during closure compilation (compile.go):
 //
 //  1. collect the perfect nest rooted at the loop (a chain of single-child
@@ -700,13 +707,13 @@ func (vl *vecLoop) reduceRow(e *cenv, acc float32, n int64) float32 {
 			return acc
 		case ir.MaxOp:
 			for i := int64(0); i < n; i++ {
-				acc = maxF(acc, a[ao])
+				acc = maxFast(acc, a[ao])
 				ao += as
 			}
 			return acc
 		case ir.MinOp:
 			for i := int64(0); i < n; i++ {
-				acc = minF(acc, a[ao])
+				acc = minFast(acc, a[ao])
 				ao += as
 			}
 			return acc

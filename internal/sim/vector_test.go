@@ -131,13 +131,15 @@ func TestTopiKernelsBitIdenticalAcrossTiers(t *testing.T) {
 			}
 			assertBitEqual(t, tc.name+"/"+tier.String(), out.Data, ref)
 			if tier == sim.TierVector {
-				// A whole-nest GEMM lowering (gemm.go) subsumes the per-loop
-				// microkernels — either engine satisfies "vectorized".
+				// A whole-nest lowering (gemm.go, window.go) subsumes the
+				// per-loop microkernels — any engine satisfies "vectorized".
 				vecOK := st.VectorLoops > 0 && st.VectorRuns > 0
 				gemmOK := st.GemmLoops > 0 && st.GemmRuns > 0
-				if tc.wantVector && !vecOK && !gemmOK {
-					t.Errorf("%s: expected vectorized nests, got loops=%d runs=%d fallbacks=%d gemm=%d/%d",
-						tc.name, st.VectorLoops, st.VectorRuns, st.FallbackLoops, st.GemmLoops, st.GemmRuns)
+				windowOK := st.WindowLoops > 0 && st.WindowRuns > 0
+				if tc.wantVector && !vecOK && !gemmOK && !windowOK {
+					t.Errorf("%s: expected vectorized nests, got loops=%d runs=%d fallbacks=%d gemm=%d/%d window=%d/%d",
+						tc.name, st.VectorLoops, st.VectorRuns, st.FallbackLoops, st.GemmLoops, st.GemmRuns,
+						st.WindowLoops, st.WindowRuns)
 				}
 				if st.GuardBailouts != 0 {
 					t.Errorf("%s: unexpected guard bailouts (%d): in-bounds schedules must vectorize cleanly", tc.name, st.GuardBailouts)

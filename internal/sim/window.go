@@ -1,0 +1,385 @@
+package sim
+
+// Strided-window lowering — the whole-nest match's second executor. The
+// thesis unrolls a depthwise convolution's W2×F×F window and a pooling
+// window fully (Tables 6.7 and 6.13); to the per-loop vectorizer that
+// unrolling is one tiny nest entry per output point, each re-evaluating its
+// extents, strides and bounds box for a handful of multiply-adds. Every tile
+// nest ir.MatchGemmNest recognizes but does not mark matmul-shaped —
+// depthwise convolution, max/min pooling, sums over one load — runs here
+// instead, once per kernel call:
+//
+//  1. evaluate the extents and flatten and box-check every access once
+//     (tileNest.bind, shared with the GEMM executor);
+//  2. classify the reduction-part levels by their accumulator stride: a
+//     nonzero stride is a tile level (one accumulator slot per point, the
+//     slots distinct), a zero stride a reduction level (a window tap);
+//  3. walk the outer odometer advancing only the flat bases, and at each
+//     outer point fold every tile slot's window into a register in nest
+//     order, store it to its slot of the private tile T, and run the
+//     write-back in write-walk order.
+//
+// Any failed check replays the nest on its twin, counted in
+// ExecStats.GemmBailouts. The numerical contract is exact: each slot sees
+// the same float32 operations in the same order as the scalar nest (products
+// converted with an explicit float32(...) before they are added, max/min
+// through maxFast/minFast, bit-identical to the scalar math.Max/math.Min
+// round trips), and the phases keep their scalar order — an outer point's
+// window reads happen after the previous point's writes and before its own.
+// The reduction phase writes only T, which is kernel-private, so the
+// destination may alias the operands (or a post-add) and the result is still
+// the scalar one.
+
+import "repro/internal/ir"
+
+// Pointer slots of windowLoop.off: the reduction side, then the write side.
+const (
+	wpT = iota
+	wpA
+	wpB
+	wpD // then W and the post-add chain loads
+)
+
+// windowLoop is the strided-window executor: a non-matmul tile nest plus its
+// per-entry scratch.
+type windowLoop struct {
+	*tileNest
+	faW flatAcc  // T as the write-back reads it, over the write-part levels
+	op  ir.BinOp // Add, MaxOp or MinOp
+	mul bool     // the rhs is LoadA·LoadB
+
+	ptrs []*flatAcc // T, A, B, D, W, chain…: advanced together per outer point
+	off  []int64
+	woff []int64 // write-walk offsets: D, W, chain…
+	oIdx []int64 // outer odometer
+	wIdx []int64 // write-walk odometer
+
+	tile, red []int // reduction-part levels: accumulator-strided, reduction
+
+	// Per-entry tables, grown on demand and kept: the A/B/T offsets of
+	// every tile slot, the A/B offsets of every window tap (every point of
+	// the reduction levels, in nest order), and the outer levels' strides
+	// and rewinds, level-major over ptrs.
+	slotT, slotA, slotB []int64
+	tapA, tapB          []int64
+	ostr, orew          []int64
+
+	rowD, rowW int64   // write-walk innermost strides
+	rowCh      []int64 // … per chain load
+}
+
+// windowLoop compiles the executor, or returns nil when T's write-back
+// index is not affine in the write-part variables.
+func (c *compiler) windowLoop(g *ir.GemmNest, tn *tileNest) *windowLoop {
+	epiVars := append(append([]*ir.Var{}, g.OuterVars...), g.Write.Vars...)
+	wl := &windowLoop{tileNest: tn, op: g.Op, mul: g.LoadB != nil}
+	wl.faW = flatAcc{acc: c.access(g.T, g.TLoad.Index, epiVars), str: make([]int64, tn.nEpi)}
+	if wl.faW.acc == nil {
+		return nil
+	}
+	wl.ptrs = []*flatAcc{&tn.faT, &tn.faA, &tn.faB, &tn.faD, &wl.faW}
+	for i := range tn.faCh {
+		wl.ptrs = append(wl.ptrs, &tn.faCh[i])
+	}
+	nR, nP := tn.nRed, len(wl.ptrs)
+	wl.off = make([]int64, nP)
+	wl.woff = make([]int64, nP-wpD)
+	wl.oIdx = make([]int64, tn.nOuter)
+	wl.wIdx = make([]int64, tn.nEpi)
+	wl.tile = make([]int, 0, nR)
+	wl.red = make([]int, 0, nR)
+	wl.ostr = make([]int64, tn.nOuter*nP)
+	wl.orew = make([]int64, tn.nOuter*nP)
+	wl.rowCh = make([]int64, len(tn.faCh))
+	return wl
+}
+
+func (wl *windowLoop) run(e *cenv) {
+	switch wl.prepare(e) {
+	case gemmOK:
+		if st := e.m.stats; st != nil {
+			st.WindowRuns.Add(1)
+		}
+		wl.execute(e)
+	case gemmBail:
+		if st := e.m.stats; st != nil {
+			st.GemmBailouts.Add(1)
+		}
+		wl.twin(e)
+	default:
+		wl.twin(e)
+	}
+}
+
+// prepare binds the nest, classifies the reduction-part levels and builds
+// the slot and window tables.
+func (wl *windowLoop) prepare(e *cenv) int {
+	if r := wl.bind(e); r != gemmOK {
+		return r
+	}
+	if !wl.faW.flatten(e, wl.eext) {
+		return gemmBail
+	}
+	sT := wl.faT.str
+	tile, red := wl.tile[:0], wl.red[:0]
+	for r := wl.nOuter; r < wl.nRed; r++ {
+		switch {
+		case wl.ext[r] == 1:
+		case sT[r] < 0:
+			return gemmBail
+		case sT[r] > 0:
+			tile = append(tile, r)
+		default:
+			red = append(red, r)
+		}
+	}
+	// Folding each slot on its own keeps the scalar order only if no two
+	// tile points share a slot.
+	sortIdxBy(tile, func(r int) int64 { return sT[r] })
+	span := int64(0)
+	for _, r := range tile {
+		if sT[r] <= span {
+			return gemmBail
+		}
+		span += sT[r] * (wl.ext[r] - 1)
+	}
+	wl.tile, wl.red = tile, red
+
+	// Tile slots, in any order: each slot's fold is independent.
+	n := int64(1)
+	for _, r := range tile {
+		n *= wl.ext[r]
+	}
+	wl.slotT, wl.slotA, wl.slotB = grown(wl.slotT, n), grown(wl.slotA, n), grown(wl.slotB, n)
+	size := int64(1)
+	for _, r := range tile {
+		expand(wl.slotT, size, wl.ext[r], sT[r])
+		expand(wl.slotA, size, wl.ext[r], wl.faA.str[r])
+		expand(wl.slotB, size, wl.ext[r], wl.faB.str[r])
+		size *= wl.ext[r]
+	}
+
+	// Window taps: every point of the reduction levels, the first level
+	// slowest, so each slot folds in the scalar nest's order.
+	n = 1
+	for _, r := range red {
+		n *= wl.ext[r]
+	}
+	wl.tapA, wl.tapB = grown(wl.tapA, n), grown(wl.tapB, n)
+	size = 1
+	for i := len(red) - 1; i >= 0; i-- {
+		r := red[i]
+		expand(wl.tapA, size, wl.ext[r], wl.faA.str[r])
+		expand(wl.tapB, size, wl.ext[r], wl.faB.str[r])
+		size *= wl.ext[r]
+	}
+
+	nP := len(wl.ptrs)
+	for l := 0; l < wl.nOuter; l++ {
+		for p, fa := range wl.ptrs {
+			wl.ostr[l*nP+p] = fa.str[l]
+			wl.orew[l*nP+p] = (wl.ext[l] - 1) * fa.str[l]
+		}
+	}
+	wl.rowD, wl.rowW = 0, 0
+	clear(wl.rowCh)
+	if last := wl.nEpi - 1; last >= wl.nOuter {
+		wl.rowD, wl.rowW = wl.faD.str[last], wl.faW.str[last]
+		for ch := range wl.faCh {
+			wl.rowCh[ch] = wl.faCh[ch].str[last]
+		}
+	}
+	return gemmOK
+}
+
+// grown returns buf resliced to n entries with buf[0] == 0, reallocating
+// only when a larger binding than any before arrives.
+func grown(buf []int64, n int64) []int64 {
+	if int64(cap(buf)) < n {
+		buf = make([]int64, n)
+	}
+	buf = buf[:n]
+	buf[0] = 0
+	return buf
+}
+
+// expand extends the table of the first size points of a box by one level of
+// extent n and stride s, the earlier levels varying fastest.
+func expand(tab []int64, size, n, s int64) {
+	for i := int64(1); i < n; i++ {
+		for j := int64(0); j < size; j++ {
+			tab[i*size+j] = tab[j] + i*s
+		}
+	}
+}
+
+// execute walks the outer odometer: per outer point, the reduction phase
+// (fold) and then the write-back phase, exactly the scalar phase order.
+func (wl *windowLoop) execute(e *cenv) {
+	v0 := wl.initVal(e)
+	off := wl.off
+	for p, fa := range wl.ptrs {
+		off[p] = fa.base
+	}
+	nP := len(off)
+	idx := wl.oIdx
+	clear(idx)
+	for {
+		wl.fold(v0)
+		wl.writeBack()
+		l := len(idx) - 1
+		for ; l >= 0; l-- {
+			idx[l]++
+			if idx[l] < wl.ext[l] {
+				for p, d := range wl.ostr[l*nP : l*nP+nP] {
+					off[p] += d
+				}
+				break
+			}
+			idx[l] = 0
+			for p, d := range wl.orew[l*nP : l*nP+nP] {
+				off[p] -= d
+			}
+		}
+		if l < 0 {
+			return
+		}
+	}
+}
+
+// fold reduces every tile slot's window into a register, starting from the
+// init value, taps in nest order, and stores it to the slot. The op is
+// hoisted out of the loops, so each case is the whole microkernel. Products
+// fold four slots at a time: four independent accumulators keep the adds'
+// latency off the critical path, and each slot still sees its own taps in
+// order.
+func (wl *windowLoop) fold(v0 float32) {
+	t, a, b := wl.faT.data, wl.faA.data, wl.faB.data
+	oT, oA, oB := wl.off[wpT], wl.off[wpA], wl.off[wpB]
+	slotT, slotA, slotB, tapA, tapB := wl.slotT, wl.slotA, wl.slotB, wl.tapA, wl.tapB
+	switch {
+	case wl.mul:
+		s := 0
+		for ; s+4 <= len(slotT); s += 4 {
+			pa0, pa1, pa2, pa3 := oA+slotA[s], oA+slotA[s+1], oA+slotA[s+2], oA+slotA[s+3]
+			pb0, pb1, pb2, pb3 := oB+slotB[s], oB+slotB[s+1], oB+slotB[s+2], oB+slotB[s+3]
+			acc0, acc1, acc2, acc3 := v0, v0, v0, v0
+			for k, ta := range tapA {
+				tb := tapB[k]
+				acc0 += float32(a[pa0+ta] * b[pb0+tb])
+				acc1 += float32(a[pa1+ta] * b[pb1+tb])
+				acc2 += float32(a[pa2+ta] * b[pb2+tb])
+				acc3 += float32(a[pa3+ta] * b[pb3+tb])
+			}
+			t[oT+slotT[s]] = acc0
+			t[oT+slotT[s+1]] = acc1
+			t[oT+slotT[s+2]] = acc2
+			t[oT+slotT[s+3]] = acc3
+		}
+		for ; s < len(slotT); s++ {
+			pa, pb := oA+slotA[s], oB+slotB[s]
+			acc := v0
+			for k, ta := range tapA {
+				acc += float32(a[pa+ta] * b[pb+tapB[k]])
+			}
+			t[oT+slotT[s]] = acc
+		}
+	case wl.op == ir.Add:
+		for s, st := range slotT {
+			pa := oA + slotA[s]
+			acc := v0
+			for _, ta := range tapA {
+				acc += a[pa+ta]
+			}
+			t[oT+st] = acc
+		}
+	case wl.op == ir.MaxOp:
+		for s, st := range slotT {
+			pa := oA + slotA[s]
+			acc := v0
+			for _, ta := range tapA {
+				acc = maxFast(acc, a[pa+ta])
+			}
+			t[oT+st] = acc
+		}
+	default:
+		for s, st := range slotT {
+			pa := oA + slotA[s]
+			acc := v0
+			for _, ta := range tapA {
+				acc = minFast(acc, a[pa+ta])
+			}
+			t[oT+st] = acc
+		}
+	}
+}
+
+// writeBack runs the write-part nest at the current outer point in
+// write-walk order: rows of the innermost write level under an odometer
+// over the others.
+func (wl *windowLoop) writeBack() {
+	copy(wl.woff, wl.off[wpD:])
+	last := wl.nEpi - 1
+	if last < wl.nOuter {
+		wl.emitRow(1)
+		return
+	}
+	idx := wl.wIdx[:last-wl.nOuter]
+	clear(idx)
+	n := wl.eext[last]
+	for {
+		wl.emitRow(n)
+		l := len(idx) - 1
+		for ; l >= 0; l-- {
+			lv := wl.nOuter + l
+			idx[l]++
+			if idx[l] < wl.eext[lv] {
+				for q := range wl.woff {
+					wl.woff[q] += wl.ptrs[wpD+q].str[lv]
+				}
+				break
+			}
+			idx[l] = 0
+			for q := range wl.woff {
+				wl.woff[q] -= (wl.eext[lv] - 1) * wl.ptrs[wpD+q].str[lv]
+			}
+		}
+		if l < 0 {
+			return
+		}
+	}
+}
+
+// emitRow writes n write-back points from the current write offsets:
+// D = act(T + chain…), each add rounding to float32 in scalar order, every
+// read of a point before its store.
+func (wl *windowLoop) emitRow(n int64) {
+	d, t, act := wl.faD.data, wl.faW.data, wl.act
+	oD, oW, sD, sW := wl.woff[0], wl.woff[1], wl.rowD, wl.rowW
+	switch len(wl.faCh) {
+	case 0:
+		for i := int64(0); i < n; i++ {
+			d[oD] = actFast(act, t[oW])
+			oD += sD
+			oW += sW
+		}
+	case 1:
+		c, oC, sC := wl.faCh[0].data, wl.woff[2], wl.rowCh[0]
+		for i := int64(0); i < n; i++ {
+			d[oD] = actFast(act, t[oW]+c[oC])
+			oD += sD
+			oW += sW
+			oC += sC
+		}
+	default:
+		for i := int64(0); i < n; i++ {
+			v := t[oW]
+			for ch := range wl.faCh {
+				v += wl.faCh[ch].data[wl.woff[2+ch]+i*wl.rowCh[ch]]
+			}
+			d[oD] = actFast(act, v)
+			oD += sD
+			oW += sW
+		}
+	}
+}
