@@ -44,24 +44,34 @@ lint:
 # The bit-identity contract (GEMM, vector microkernels and cpuref against the
 # interpreter) needs every float32 product rounded before it is accumulated.
 # The Go spec guarantees that only at an explicit float32(...) conversion;
-# amd64 never fuses, but arm64 contracts `acc += a*b` into one FMADDS even
-# through a temporary. Cross-compile the cpuref and sim test binaries for
-# arm64 and fail on any fused multiply-add in either package, library or test
-# code (the tests' oracles must round too).
+# arm64 contracts `acc += a*b` into one FMADDS even through a temporary, and
+# amd64 has VFMADD* from GOAMD64=v3 on. Build the cpuref, sim and relay (BN
+# folding, weight init) test binaries for arm64 and for amd64 at v3, with the
+# compiler's and assembler's own listings (-S: `go tool objdump` cannot decode
+# VEX instructions, so it would show no amd64 FMA), and fail on any fused
+# multiply-add in those packages: library and test code (the tests' oracles
+# must round too) and the hand-written AVX GEMM tile (gemm_amd64.s), which
+# must stay VMULPS+VADDPS.
 fma-check:
 	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
-	for pkg in cpuref sim; do \
-		GOARCH=arm64 $(GO) test -c -o "$$dir/$$pkg.test" ./internal/$$pkg || exit 1; \
-		$(GO) tool objdump -s '^repro/internal/(cpuref|sim)\.' "$$dir/$$pkg.test" > "$$dir/$$pkg.s" || exit 1; \
+	for arch in arm64 amd64; do \
+		for pkg in cpuref sim relay; do \
+			GOARCH=$$arch GOAMD64=v3 $(GO) test -c -o "$$dir/$$pkg.test" \
+				-gcflags="repro/internal/$$pkg=-S" -asmflags="repro/internal/$$pkg=-S" \
+				./internal/$$pkg > "$$dir/$$pkg.$$arch.s" 2>&1 || { cat "$$dir/$$pkg.$$arch.s"; exit 1; }; \
+		done; \
 	done; \
-	grep -q 'TEXT repro/internal/cpuref\.gemmRows' "$$dir/cpuref.s" || { echo "fma-check: gemmRows not disassembled"; exit 1; }; \
-	grep -q 'TEXT repro/internal/sim\.(\*windowLoop)\.fold' "$$dir/sim.s" || { echo "fma-check: windowLoop.fold not disassembled"; exit 1; }; \
-	fused=$$(grep -hwE 'FMADDS|FMSUBS|FNMADDS|FNMSUBS' "$$dir"/*.s | awk '{print $$1, $$4}' | sort -u); \
+	grep -q 'TEXT.*repro/internal/cpuref\.gemmRows(SB)' "$$dir/cpuref.arm64.s" || { echo "fma-check: gemmRows not listed"; exit 1; }; \
+	grep -q 'TEXT.*repro/internal/sim\.(\*windowLoop)\.fold(SB)' "$$dir/sim.arm64.s" || { echo "fma-check: windowLoop.fold not listed"; exit 1; }; \
+	grep -q 'TEXT.*repro/internal/relay\.foldBN(SB)' "$$dir/relay.arm64.s" || { echo "fma-check: foldBN not listed"; exit 1; }; \
+	grep -q 'gemm_amd64\.s:[0-9]*)[[:space:]]*TEXT[[:space:]]*repro/internal/cpuref\.gemm4x16(SB)' "$$dir/cpuref.amd64.s" || { echo "fma-check: gemm4x16 not listed"; exit 1; }; \
+	fused=$$(grep -hE '[[:space:]](FMADDS|FMSUBS|FNMADDS|FNMSUBS|VFN?M(ADD|SUB)[0-9A-Z]*)[[:space:]]' "$$dir"/*.s | \
+		awk '{sub(/.*\//, "", $$3); sub(/\)$$/, "", $$3); print $$3, $$4}' | sort -u); \
 	if [ -n "$$fused" ]; then \
-		echo "fused multiply-add in repro/internal/{cpuref,sim} on arm64 (write acc += float32(a*b)):"; \
+		echo "fused multiply-add in repro/internal/{cpuref,sim,relay} (write acc += float32(a*b); VMULPS+VADDPS in assembly):"; \
 		echo "$$fused"; exit 1; \
 	fi; \
-	echo "fma-check: no fused multiply-add in repro/internal/{cpuref,sim} on arm64"
+	echo "fma-check: no fused multiply-add in repro/internal/{cpuref,sim,relay} on arm64 or amd64 v3"
 
 # Serial-vs-parallel explorer speedup: BenchmarkDSESerial (1 worker) vs
 # BenchmarkDSEParallel (4 workers), both with the run's own compile cache, so

@@ -27,14 +27,15 @@ const gemmKC = 240
 
 // gemmParallelMinMACs is Conv2DGEMM's serial cutoff, in multiply-accumulates
 // (c2*k*n; one MAC = two FLOPs, so this is ~2 MiMAC ≈ 4 MFLOP). Measured with
-// BenchmarkGemmParallelCrossover (m=64, n=196, k swept) on a shared 2-vCPU
-// Xeon: with the second vCPU idle a 4-worker Gemm ties at 2^15 MACs and wins
-// from 2^17 (60µs vs 99µs); with it busy, the split loses or ties up to 2^21
-// (once 546µs vs 311µs at 2^19). The four-step register accumulation, ~1.6x
-// on the serial kernel, did not move that: in six interleaved sweeps the split
-// took 0.53–0.68x the serial time from 2^18 to 2^23 MACs with it and
-// 0.52–0.60x without. So the guard keeps layers under 2^21 serial, where a
-// busy host can only lose, and lets anything at or above it fan out.
+// BenchmarkGemmParallelCrossover (m=64, n=196, k swept; workers 1 vs 4) on a
+// shared 2-vCPU Xeon. The AVX tile kernel, about 5x the scalar one, moved the
+// crossover up: in six sweeps with the second vCPU idle the split took
+// 1.3–1.5x the serial time at 2^18 MACs and 1.05–1.35x at 2^19, then
+// 0.73–0.96x at 2^20, 0.69–1.01x at 2^21 and 0.58–0.85x from 2^22 (the scalar
+// kernel's split already won from 2^17). With the second vCPU busy the scalar
+// kernel's split lost or tied up to 2^21, and a faster serial kernel only
+// shrinks what a split can save. So the guard keeps layers under 2^21
+// serial, and lets anything at or above it fan out.
 const gemmParallelMinMACs = 1 << 21
 
 // Im2col unfolds a [C1,H1,W1] input into the [C1*F*F, H2*W2] patch matrix of
@@ -100,38 +101,75 @@ func Im2colSlice(data []float32, c1, h1, w1, f, s, p int, dst []float32) []float
 	return dst
 }
 
-// gemmRows computes rows [m0,m1) of C[M,N] = A[M,K] * B[K,N], with C
-// pre-initialized (bias) and accumulated in ascending-k order. The k loop is
-// blocked so each B panel is streamed once per row while hot in cache.
+// gemmPanel computes rows [m0,m1) of C[M,N] += A[M,K] * B[K,N]. With AVX
+// the 4-row x 16-column tiles run on gemm4x16 and the fringes (m1-m0 mod 4
+// rows, n mod 16 columns) on gemmRows; without it gemmRows does it all. The
+// two produce the same bits, so which ran is invisible in the output.
+//
+// Loop order: per gemmKC block of k, column strips outside and 4-row blocks
+// inside, so one 16-wide strip of the B panel (gemmKC x 16 floats, 15 KiB)
+// stays in L1 while every row block streams its A rows past it. With row
+// blocks outside, each block would re-read the whole B panel from L2.
+func gemmPanel(a, b, c []float32, k, n, m0, m1 int) {
+	mt := m0 + (m1-m0)/4*4
+	nt := n / 16 * 16
+	if !useAVX || mt == m0 || nt == 0 {
+		gemmRows(a, b, c, k, n, m0, m1, 0, n)
+		return
+	}
+	for kb := 0; kb < k; kb += gemmKC {
+		kEnd := min(kb+gemmKC, k)
+		for j := 0; j < nt; j += 16 {
+			for m := m0; m < mt; m += 4 {
+				// The last element each pointer reaches: a short slice
+				// panics here instead of being read or written past its end.
+				_ = a[(m+3)*k+kEnd-1]
+				_ = b[(kEnd-1)*n+j+15]
+				_ = c[(m+3)*n+j+15]
+				gemm4x16(&a[m*k+kb], &b[kb*n+j], &c[m*n+j], kEnd-kb, k, n, n)
+			}
+		}
+	}
+	gemmRows(a, b, c, k, n, m0, mt, nt, n)
+	gemmRows(a, b, c, k, n, mt, m1, 0, n)
+}
+
+// gemmRows computes the block rows [m0,m1) x columns [j0,j1) of C[M,N] =
+// A[M,K] * B[K,N], with C pre-initialized (bias) and accumulated in
+// ascending-k order. The k loop is blocked so each B panel is streamed once
+// per row while hot in cache. It is the portable kernel: gemmPanel's row and
+// column fringes, the whole product where AVX is absent (every non-amd64
+// build), and the path gemm4x16 is tested against.
 //
 // Within a row, four k-steps share one pass over the C row: each output
 // element is loaded once, takes four products in a register and is stored
 // once, instead of a load-add-store per k (the accumulator round trip the
-// thesis removes from its kernels in §4). On one pinned core of a shared
-// 2-vCPU Xeon at the deployed ResNet-18 and MobileNetV1 shapes
-// (BenchmarkGemmDeployedShapes, medians of six interleaved pairs) this took
-// the kernel from 3.3–4.3 to 5.9–7.0 GFLOP/s, 1.4–2.0x per shape. Unrolling
-// by 8 measured no better than by 4, and column panels on top of the unroll
-// gained nothing, so the factor is a fixed 4.
+// thesis removes from its kernels in §4). That took the scalar kernel from
+// 3.3–4.3 to 5.9–7.0 GFLOP/s at the deployed shapes on one core of a shared
+// 2-vCPU Xeon; unrolling by 8 and 4x4 register blocks gained nothing more in
+// scalar Go, whose limit is one multiply and one add per cycle.
 //
 // Every product is converted to float32 explicitly before it is added: the
 // Go spec lets a compiler fuse `x*y + z` into an FMA (arm64 does, even
 // through a temporary) and guarantees the rounding only at an explicit
 // conversion. Each step therefore rounds exactly as the sim interpreter
 // does, and `make fma-check` proves no fused instruction is emitted.
-func gemmRows(a, b, c []float32, k, n, m0, m1 int) {
+func gemmRows(a, b, c []float32, k, n, m0, m1, j0, j1 int) {
+	if j0 == j1 {
+		return
+	}
 	for kb := 0; kb < k; kb += gemmKC {
 		kEnd := min(kb+gemmKC, k)
 		for m := m0; m < m1; m++ {
 			arow := a[m*k : (m+1)*k]
-			crow := c[m*n : (m+1)*n]
+			crow := c[m*n+j0 : m*n+j1]
 			kk := kb
 			for ; kk+4 <= kEnd; kk += 4 {
 				x0, x1, x2, x3 := arow[kk], arow[kk+1], arow[kk+2], arow[kk+3]
-				b0 := b[kk*n : (kk+1)*n]
-				b1 := b[(kk+1)*n : (kk+2)*n][:len(b0)]
-				b2 := b[(kk+2)*n : (kk+3)*n][:len(b0)]
-				b3 := b[(kk+3)*n : (kk+4)*n][:len(b0)]
+				b0 := b[kk*n+j0 : kk*n+j1]
+				b1 := b[(kk+1)*n+j0 : (kk+1)*n+j1][:len(b0)]
+				b2 := b[(kk+2)*n+j0 : (kk+2)*n+j1][:len(b0)]
+				b3 := b[(kk+3)*n+j0 : (kk+3)*n+j1][:len(b0)]
 				cr := crow[:len(b0)]
 				for j := range b0 {
 					v := cr[j]
@@ -144,7 +182,7 @@ func gemmRows(a, b, c []float32, k, n, m0, m1 int) {
 			}
 			for ; kk < kEnd; kk++ {
 				x := arow[kk]
-				brow := b[kk*n : (kk+1)*n]
+				brow := b[kk*n+j0 : kk*n+j1]
 				cr := crow[:len(brow)]
 				for j, bv := range brow {
 					cr[j] += float32(x * bv)
@@ -160,7 +198,7 @@ func gemmRows(a, b, c []float32, k, n, m0, m1 int) {
 // order, so the result is deterministic for every worker count.
 func Gemm(a, b, c []float32, m, k, n, workers int) {
 	if workers <= 1 || m < 2 {
-		gemmRows(a, b, c, k, n, 0, m)
+		gemmPanel(a, b, c, k, n, 0, m)
 		return
 	}
 	if workers > m {
@@ -176,7 +214,7 @@ func Gemm(a, b, c []float32, m, k, n, workers int) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			gemmRows(a, b, c, k, n, m0, m1)
+			gemmPanel(a, b, c, k, n, m0, m1)
 		}()
 	}
 	wg.Wait()

@@ -1,0 +1,10 @@
+//go:build !amd64
+
+package cpuref
+
+// useAVX is always false off amd64: Gemm runs gemmRows alone.
+var useAVX = false
+
+func gemm4x16(a, b, c *float32, kc, lda, ldb, ldc int) {
+	panic("cpuref: gemm4x16 called without AVX")
+}

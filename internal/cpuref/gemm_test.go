@@ -362,31 +362,84 @@ func gemmOracleCase(r *rand.Rand, m, k, n int) (a, b, c []float32) {
 	return a, b, c
 }
 
-// TestGemmRowsBitIdenticalToScalarOracle pins the register-accumulated
-// microkernel to the scalar oracle by math.Float32bits across the unroll
-// remainders (k mod 4), the gemmKC block edges, odd and even m and n
-// (including 1) and serial and row-split runs, on inputs that carry NaN, ±Inf,
-// -0 and subnormals.
+// cpuHasAVX is useAVX as the package set it from the CPU.
+var cpuHasAVX = useAVX
+
+// withAVX runs f with useAVX forced to on, restoring it after; it reports
+// false, running nothing, when AVX is asked for and the CPU has none.
+func withAVX(on bool, f func()) bool {
+	if on && !cpuHasAVX {
+		return false
+	}
+	defer func() { useAVX = cpuHasAVX }()
+	useAVX = on
+	f()
+	return true
+}
+
+// TestGemmRowsBitIdenticalToScalarOracle pins both Gemm kernels — the AVX
+// 4x16 tiles with their gemmRows fringes, and gemmRows alone — to the scalar
+// oracle by math.Float32bits across the unroll remainders (k mod 4), the
+// gemmKC block edges, full tiles and the row (m mod 4) and column (n mod 16)
+// fringes alone and together, and serial and row-split runs (whose panels
+// start off a multiple of 4), on inputs that carry NaN, ±Inf, -0 and
+// subnormals.
 func TestGemmRowsBitIdenticalToScalarOracle(t *testing.T) {
-	r := rand.New(rand.NewPCG(38, 4))
 	ks := []int{1, 2, 3, 4, 5, 7, gemmKC - 1, gemmKC, gemmKC + 1, 2*gemmKC + 3}
-	for _, k := range ks {
-		for _, m := range []int{1, 2, 7} {
-			for _, n := range []int{1, 2, 9, 16} {
-				a, b, c0 := gemmOracleCase(r, m, k, n)
-				want := append([]float32(nil), c0...)
-				gemmOracle(a, b, want, m, k, n)
-				for _, workers := range []int{1, 3} {
-					got := append([]float32(nil), c0...)
-					Gemm(a, b, got, m, k, n, workers)
-					for i := range want {
-						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-							t.Fatalf("m=%d k=%d n=%d workers=%d: c[%d] = %v (%#08x), oracle %v (%#08x)",
-								m, k, n, workers, i, got[i], math.Float32bits(got[i]),
-								want[i], math.Float32bits(want[i]))
+	for _, avx := range []bool{true, false} {
+		r := rand.New(rand.NewPCG(38, 4))
+		ran := withAVX(avx, func() {
+			for _, k := range ks {
+				for _, m := range []int{1, 3, 4, 5, 8} {
+					for _, n := range []int{1, 9, 15, 16, 17, 33, 49} {
+						a, b, c0 := gemmOracleCase(r, m, k, n)
+						want := append([]float32(nil), c0...)
+						gemmOracle(a, b, want, m, k, n)
+						for _, workers := range []int{1, 3} {
+							got := append([]float32(nil), c0...)
+							Gemm(a, b, got, m, k, n, workers)
+							for i := range want {
+								if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+									t.Fatalf("avx=%v m=%d k=%d n=%d workers=%d: c[%d] = %v (%#08x), oracle %v (%#08x)",
+										avx, m, k, n, workers, i, got[i], math.Float32bits(got[i]),
+										want[i], math.Float32bits(want[i]))
+								}
+							}
 						}
 					}
 				}
+			}
+		})
+		if !ran {
+			t.Log("CPU has no AVX: gemm4x16 half skipped, portable gemmRows checked alone")
+		}
+	}
+}
+
+// TestGemmShortSlicePanics pins the AVX path's memory safety: a Gemm whose
+// A, B or C slice is one element short must panic in Go (gemmPanel indexes
+// the last element each gemm4x16 call reaches) rather than let the assembly
+// read or write past the slice.
+func TestGemmShortSlicePanics(t *testing.T) {
+	const m, k, n = 4, 8, 16
+	for _, avx := range []bool{true, false} {
+		for _, short := range []string{"a", "b", "c"} {
+			size := func(name string, l int) int {
+				if name == short {
+					return l - 1
+				}
+				return l
+			}
+			a := make([]float32, size("a", m*k))
+			b := make([]float32, size("b", k*n))
+			c := make([]float32, size("c", m*n))
+			var recovered any
+			ran := withAVX(avx, func() {
+				defer func() { recovered = recover() }()
+				Gemm(a, b, c, m, k, n, 1)
+			})
+			if ran && recovered == nil {
+				t.Errorf("avx=%v: Gemm with %s one element short did not panic", avx, short)
 			}
 		}
 	}
@@ -395,8 +448,10 @@ func TestGemmRowsBitIdenticalToScalarOracle(t *testing.T) {
 // BenchmarkGemmDeployedShapes times the serial kernel at the GEMM shapes the
 // folded networks deploy (m output channels x k reduction x n output pixels):
 // ResNet-18's 3x3 convs at each stage and its 7x7 stem, and MobileNetV1's
-// widest and narrowest pointwise layers. It reports GFLOP/s (2 FLOPs per MAC);
-// run it with -cpu 1 to size the microkernel without worker fan-out.
+// widest and narrowest pointwise layers. Each shape runs twice, on the AVX
+// tiles ("avx") and on the portable gemmRows alone ("portable"), and reports
+// GFLOP/s (2 FLOPs per MAC); run it with -cpu 1 to size the microkernels
+// without worker fan-out.
 func BenchmarkGemmDeployedShapes(b *testing.B) {
 	shapes := []struct {
 		name    string
@@ -411,23 +466,33 @@ func BenchmarkGemmDeployedShapes(b *testing.B) {
 		{"mobilenet/pw128", 128, 128, 3136},
 	}
 	for _, sh := range shapes {
-		b.Run(sh.name, func(b *testing.B) {
-			r := rand.New(rand.NewPCG(1, 2))
-			a := make([]float32, sh.m*sh.k)
-			bb := make([]float32, sh.k*sh.n)
-			c := make([]float32, sh.m*sh.n)
-			for i := range a {
-				a[i] = float32(r.Float32()) - 0.5
-			}
-			for i := range bb {
-				bb[i] = float32(r.Float32()) - 0.5
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				Gemm(a, bb, c, sh.m, sh.k, sh.n, 1)
-			}
-			flops := 2 * float64(sh.m) * float64(sh.k) * float64(sh.n) * float64(b.N)
-			b.ReportMetric(flops/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-		})
+		r := rand.New(rand.NewPCG(1, 2))
+		a := make([]float32, sh.m*sh.k)
+		bb := make([]float32, sh.k*sh.n)
+		c := make([]float32, sh.m*sh.n)
+		for i := range a {
+			a[i] = float32(r.Float32()) - 0.5
+		}
+		for i := range bb {
+			bb[i] = float32(r.Float32()) - 0.5
+		}
+		for _, kernel := range []struct {
+			name string
+			avx  bool
+		}{{"avx", true}, {"portable", false}} {
+			b.Run(sh.name+"/"+kernel.name, func(b *testing.B) {
+				ran := withAVX(kernel.avx, func() {
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						Gemm(a, bb, c, sh.m, sh.k, sh.n, 1)
+					}
+				})
+				if !ran {
+					b.Skip("CPU has no AVX")
+				}
+				flops := 2 * float64(sh.m) * float64(sh.k) * float64(sh.n) * float64(b.N)
+				b.ReportMetric(flops/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
 	}
 }

@@ -165,7 +165,7 @@ func foldBN(l *Layer, scale, shift *tensor.Tensor) {
 		if l.B == nil {
 			l.B = tensor.New(c2)
 		}
-		l.B.Data[k] = l.B.Data[k]*s + shift.At(k)
+		l.B.Data[k] = float32(l.B.Data[k]*s) + shift.At(k)
 	}
 }
 

@@ -292,7 +292,7 @@ func (g *Graph) InitWeights(seed uint64) {
 			n.Shift.FillSeq(seed + uint64(n.ID) + 1000)
 			for i := range n.Scale.Data {
 				// Keep scales near 1 and shifts small.
-				n.Scale.Data[i] = 1 + 0.1*n.Scale.Data[i]
+				n.Scale.Data[i] = 1 + float32(0.1*n.Scale.Data[i])
 				n.Shift.Data[i] *= 0.1
 			}
 		}

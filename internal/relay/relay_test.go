@@ -93,7 +93,7 @@ func TestBatchNormFoldingNumerics(t *testing.T) {
 	x := cpuref.Conv2D(cpuref.Pad2D(in, 1), convN.W, convN.B, 1, 0, false)
 	for k := 0; k < 4; k++ {
 		for i := 0; i < 10*10; i++ {
-			x.Data[k*100+i] = x.Data[k*100+i]*bnN.Scale.At(k) + bnN.Shift.At(k)
+			x.Data[k*100+i] = float32(x.Data[k*100+i]*bnN.Scale.At(k)) + bnN.Shift.At(k)
 		}
 	}
 	x = cpuref.ReLU(x)

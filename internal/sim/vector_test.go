@@ -306,7 +306,7 @@ func TestAliasedReductionKeepsScalarOrder(t *testing.T) {
 	mkData := func() []float32 {
 		d := make([]float32, 16)
 		for j := range d {
-			d[j] = float32(j)*1.25 + 0.1
+			d[j] = float32(float32(j)*1.25) + 0.1
 		}
 		return d
 	}
