@@ -50,8 +50,9 @@ lint:
 # compiler's and assembler's own listings (-S: `go tool objdump` cannot decode
 # VEX instructions, so it would show no amd64 FMA), and fail on any fused
 # multiply-add in those packages: library and test code (the tests' oracles
-# must round too) and the hand-written AVX GEMM tile (gemm_amd64.s), which
-# must stay VMULPS+VADDPS.
+# must round too) and the hand-written AVX kernels, cpuref's GEMM tile
+# (gemm_amd64.s) and sim's lane-parallel window fold and write-back
+# (window_amd64.s), which must stay VMULPS+VADDPS.
 fma-check:
 	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	for arch in arm64 amd64; do \
@@ -65,6 +66,9 @@ fma-check:
 	grep -q 'TEXT.*repro/internal/sim\.(\*windowLoop)\.fold(SB)' "$$dir/sim.arm64.s" || { echo "fma-check: windowLoop.fold not listed"; exit 1; }; \
 	grep -q 'TEXT.*repro/internal/relay\.foldBN(SB)' "$$dir/relay.arm64.s" || { echo "fma-check: foldBN not listed"; exit 1; }; \
 	grep -q 'gemm_amd64\.s:[0-9]*)[[:space:]]*TEXT[[:space:]]*repro/internal/cpuref\.gemm4x16(SB)' "$$dir/cpuref.amd64.s" || { echo "fma-check: gemm4x16 not listed"; exit 1; }; \
+	for sym in foldLanes8 emitLanes8; do \
+		grep -q "window_amd64\.s:[0-9]*)[[:space:]]*TEXT[[:space:]]*repro/internal/sim\.$$sym(SB)" "$$dir/sim.amd64.s" || { echo "fma-check: $$sym not listed"; exit 1; }; \
+	done; \
 	fused=$$(grep -hE '[[:space:]](FMADDS|FMSUBS|FNMADDS|FNMSUBS|VFN?M(ADD|SUB)[0-9A-Z]*)[[:space:]]' "$$dir"/*.s | \
 		awk '{sub(/.*\//, "", $$3); sub(/\)$$/, "", $$3); print $$3, $$4}' | sort -u); \
 	if [ -n "$$fused" ]; then \

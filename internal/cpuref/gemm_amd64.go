@@ -1,22 +1,11 @@
 package cpuref
 
-// useAVX selects gemm4x16 for Gemm's full 4x16 tiles. It is set once, here,
-// from the CPU and OS: AVX in CPUID leaf 1 and the YMM state enabled in
-// XCR0 (an OS that does not save the upper halves of the YMM registers
-// across context switches makes them unusable). Tests clear it to time and
-// check the portable path.
-var useAVX = avxSupported()
+import "repro/internal/cpufeat"
 
-func avxSupported() bool {
-	const osxsave, avx = 1 << 27, 1 << 28
-	_, _, ecx, _ := cpuid(1, 0)
-	if ecx&(osxsave|avx) != osxsave|avx {
-		return false
-	}
-	const xmmYmmState = 0b110
-	eax, _ := xgetbv()
-	return eax&xmmYmmState == xmmYmmState
-}
+// useAVX selects gemm4x16 for Gemm's full 4x16 tiles. It is set once, here,
+// from the shared CPU probe (cpufeat.AVX: AVX in CPUID and the YMM state
+// enabled by the OS). Tests clear it to time and check the portable path.
+var useAVX = cpufeat.AVX
 
 // gemm4x16 is the AVX microkernel in gemm_amd64.s: C[0:4, 0:16] +=
 // A[0:4, 0:kc] * B[0:kc, 0:16], strides in elements, kc >= 1. It does no
@@ -25,7 +14,3 @@ func avxSupported() bool {
 //
 //go:noescape
 func gemm4x16(a, b, c *float32, kc, lda, ldb, ldc int)
-
-func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-
-func xgetbv() (eax, edx uint32)

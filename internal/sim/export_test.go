@@ -1,0 +1,32 @@
+package sim
+
+import "sync/atomic"
+
+// CPUHasLanes is useLanes as the package set it from the CPU.
+var CPUHasLanes = useLanes
+
+// SetLanes turns the lane-parallel window fold on (only where the CPU has
+// it) or off, and returns a func that restores the CPU's setting.
+func SetLanes(on bool) (restore func()) {
+	useLanes = on && CPUHasLanes
+	return func() { useLanes = CPUHasLanes }
+}
+
+// LaneRuns counts window runs by the fold their lane plan chose: a merged
+// lane run or the scalar fold.
+type LaneRuns struct {
+	Merged, Scalar atomic.Int64
+}
+
+// CountLaneRuns counts every window run until stop is called.
+func CountLaneRuns() (runs *LaneRuns, stop func()) {
+	runs = &LaneRuns{}
+	laneHook = func(lanes int64) {
+		if lanes > 0 {
+			runs.Merged.Add(1)
+		} else {
+			runs.Scalar.Add(1)
+		}
+	}
+	return runs, func() { laneHook = nil }
+}

@@ -19,6 +19,12 @@ package sim
 //     order, store it to its slot of the private tile T, and run the
 //     write-back in write-walk order.
 //
+// Where the CPU has AVX2 (useLanes) and the fold has a lane axis, step 3
+// runs on the lane kernels of window_amd64.s instead, 8 outputs per
+// instruction (planLanes): a merged run folds a whole row of outer points
+// and writes it back in one pass. The scalar fold is the portable twin and
+// gives the same bits.
+//
 // Any failed check replays the nest on its twin, counted in
 // ExecStats.GemmBailouts. The numerical contract is exact: each slot sees
 // the same float32 operations in the same order as the scalar nest (products
@@ -28,7 +34,8 @@ package sim
 // window reads happen after the previous point's writes and before its own.
 // The reduction phase writes only T, which is kernel-private, so the
 // destination may alias the operands (or a post-add) and the result is still
-// the scalar one.
+// the scalar one. A merged lane run gives up that order, and is taken only
+// where the destination is disjoint from everything the row reads.
 
 import "repro/internal/ir"
 
@@ -66,7 +73,18 @@ type windowLoop struct {
 
 	rowD, rowW int64   // write-walk innermost strides
 	rowCh      []int64 // … per chain load
+
+	// The lane plan (planLanes): outputs per merged lane run (0: the
+	// scalar fold) and A's element stride between lanes. laneOut receives
+	// a run's results, rounded up to whole 8-lane blocks; laneB the
+	// per-tap B values (1s for a one-load sum).
+	lanes          int64
+	laneStr        int
+	laneOut, laneB []float32
 }
+
+// laneHook, when set (tests only), sees every window run's lane count.
+var laneHook func(lanes int64)
 
 // windowLoop compiles the executor, or returns nil when T's write-back
 // index is not affine in the write-part variables.
@@ -99,6 +117,9 @@ func (wl *windowLoop) run(e *cenv) {
 	case gemmOK:
 		if st := e.m.stats; st != nil {
 			st.WindowRuns.Add(1)
+		}
+		if laneHook != nil {
+			laneHook(wl.lanes)
 		}
 		wl.execute(e)
 	case gemmBail:
@@ -189,7 +210,103 @@ func (wl *windowLoop) prepare(e *cenv) int {
 			wl.rowCh[ch] = wl.faCh[ch].str[last]
 		}
 	}
+	wl.lanes = 0
+	if useLanes {
+		wl.planLanes()
+	}
 	return gemmOK
+}
+
+// planLanes sets the lane plan when the fold has a lane axis: outputs whose
+// A windows start 1 or 2 elements apart and whose B operand, if any, is the
+// same for all of them. The axis is the tile slots (at most one tile
+// level; none in a pool) merged with the innermost outer level, as far as
+// mergeable allows. Every other nest keeps the scalar fold.
+func (wl *windowLoop) planLanes() {
+	m := wl.nOuter - 1
+	if len(wl.tile) > 1 || m < 0 {
+		return
+	}
+	nS, sA := int64(1), wl.faA.str[m]
+	if len(wl.tile) == 1 {
+		r := wl.tile[0]
+		if wl.mul && wl.faB.str[r] != 0 {
+			return
+		}
+		nS, sA = wl.ext[r], wl.faA.str[r]
+	}
+	if sA != 1 && sA != 2 || !wl.mergeable(m, nS, sA) {
+		return
+	}
+	wl.lanes, wl.laneStr = nS*wl.ext[m], int(sA)
+	if n := (wl.lanes + 7) &^ 7; int64(cap(wl.laneOut)) < n {
+		wl.laneOut = make([]float32, n)
+	}
+	n := len(wl.tapA)
+	if cap(wl.laneB) < n {
+		wl.laneB = make([]float32, n)
+	}
+	wl.laneB = wl.laneB[:n]
+	if !wl.mul {
+		for k := range wl.laneB {
+			wl.laneB[k] = 1 // x*1 is exactly x: a sum folds as products
+		}
+	}
+}
+
+// mergeable reports whether the lanes can span outer level m (nS slots per
+// point, lanes sA elements apart on A) as one merged run: one fold of the
+// whole row, then one vector write-back of it (emitLanes). That needs
+// m's A stride to continue the lanes' progression and B constant along m;
+// the write-back to be the row D[0:lanes] = act(T + c): at most one chain
+// load c, constant along the row, the one non-trivial write level (if any)
+// the tile level, D unit-strided along the lanes and T read where the fold
+// stored it; and D's reach disjoint from A's, B's and c's. A merged run
+// reads every window of the row before its first write-back, and reads c
+// once, where the scalar order interleaves them with the writes; the
+// disjointness makes that unobservable.
+func (wl *windowLoop) mergeable(m int, nS, sA int64) bool {
+	if wl.faA.str[m] != nS*sA || wl.mul && wl.faB.str[m] != 0 || wl.faD.str[m] != nS ||
+		len(wl.faCh) > 1 || len(wl.faCh) == 1 && wl.faCh[0].str[m] != 0 || wl.faW.base != wl.faT.base {
+		return false
+	}
+	for l := 0; l < wl.nOuter; l++ {
+		if wl.faW.str[l] != wl.faT.str[l] {
+			return false
+		}
+	}
+	levels := 0
+	for i := wl.nOuter; i < wl.nEpi; i++ {
+		if wl.eext[i] == 1 {
+			continue
+		}
+		if len(wl.tile) == 0 || wl.epiToRed[i] != wl.tile[0] || wl.faD.str[i] != 1 ||
+			wl.faW.str[i] != wl.faT.str[wl.tile[0]] || len(wl.faCh) == 1 && wl.faCh[0].str[i] != 0 {
+			return false
+		}
+		levels++
+	}
+	if levels != len(wl.tile) {
+		return false
+	}
+	d := wl.faD.reach(wl.eext)
+	if overlaps(d, wl.faA.reach(wl.ext)) || wl.mul && overlaps(d, wl.faB.reach(wl.ext)) {
+		return false
+	}
+	return len(wl.faCh) == 0 || !overlaps(d, wl.faCh[0].reach(wl.eext))
+}
+
+// reach returns the elements of fa's binding the nest reaches over ext.
+func (fa *flatAcc) reach(ext []int64) []float32 {
+	lo, hi := fa.base, fa.base
+	for l, s := range fa.str {
+		if s > 0 {
+			hi += s * (ext[l] - 1)
+		} else {
+			lo += s * (ext[l] - 1)
+		}
+	}
+	return fa.data[lo : hi+1]
 }
 
 // grown returns buf resliced to n entries with buf[0] == 0, reallocating
@@ -214,7 +331,8 @@ func expand(tab []int64, size, n, s int64) {
 }
 
 // execute walks the outer odometer: per outer point, the reduction phase
-// (fold) and then the write-back phase, exactly the scalar phase order.
+// (fold) and then the write-back phase, exactly the scalar phase order; or,
+// under a lane plan, the same two phases once per merged row.
 func (wl *windowLoop) execute(e *cenv) {
 	v0 := wl.initVal(e)
 	off := wl.off
@@ -224,9 +342,17 @@ func (wl *windowLoop) execute(e *cenv) {
 	nP := len(off)
 	idx := wl.oIdx
 	clear(idx)
+	if wl.lanes > 0 {
+		idx = idx[:len(idx)-1] // one merged run covers the innermost outer level
+	}
 	for {
-		wl.fold(v0)
-		wl.writeBack()
+		if wl.lanes > 0 {
+			wl.laneFold(v0)
+			wl.emitLanes()
+		} else {
+			wl.fold(v0)
+			wl.writeBack()
+		}
 		l := len(idx) - 1
 		for ; l >= 0; l-- {
 			idx[l]++
@@ -247,12 +373,71 @@ func (wl *windowLoop) execute(e *cenv) {
 	}
 }
 
+// laneMask holds the load masks of a block's lanes: the eight int32s from
+// laneMask[8-k] enable the first k elements of a load.
+var laneMask = [16]int32{-1, -1, -1, -1, -1, -1, -1, -1}
+
+// laneFold folds the current merged run into laneOut: lane i's window starts
+// laneStr·i elements past the run's first, B's values are gathered once per
+// run (constant along the lanes), whole 8-lane blocks run in one kernel call
+// and the tail in a second whose loads are masked to the elements its lanes
+// reach, so no load leaves the box bind checked.
+func (wl *windowLoop) laneFold(v0 float32) {
+	a, taps, bv := wl.faA.data[wl.off[wpA]:], wl.tapA, wl.laneB
+	if wl.mul {
+		b, oB := wl.faB.data, wl.off[wpB]
+		for k, tb := range wl.tapB {
+			bv[k] = b[oB+tb]
+		}
+	}
+	op := 0 // foldLanes8's op: products and sums 0, max 1, min 2
+	switch wl.op {
+	case ir.MaxOp:
+		op = 1
+	case ir.MinOp:
+		op = 2
+	}
+	n, s := int(wl.lanes), wl.laneStr
+	full := n &^ 7
+	if full > 0 {
+		foldLanes8(&wl.laneOut[0], &a[0], &taps[0], &bv[0], &laneMask[0], &laneMask[0],
+			len(taps), full/8, s, op, v0)
+	}
+	if t := n - full; t > 0 {
+		k1, k2 := t, 0
+		if s == 2 {
+			k1, k2 = min(2*t-1, 8), max(2*t-8, 0) // elements 0..2t-2, loaded as 0..7 and 7..14
+		}
+		foldLanes8(&wl.laneOut[full], &a[full*s], &taps[0], &bv[0], &laneMask[8-k1], &laneMask[8-k2],
+			len(taps), 1, s, op, v0)
+	}
+}
+
+// emitLanes writes a merged run back as one row, D[i] = act(T[i] + c) for
+// every lane i, 8 at a time, with the tail block's stores masked to the
+// row.
+func (wl *windowLoop) emitLanes() {
+	d := wl.faD.data[wl.off[wpD]:]
+	c, hasC := float32(0), 0
+	if len(wl.faCh) == 1 {
+		c, hasC = wl.faCh[0].data[wl.off[wpD+2]], 1
+	}
+	n := int(wl.lanes)
+	full := n &^ 7
+	if full > 0 {
+		emitLanes8(&d[0], &wl.laneOut[0], &laneMask[0], full/8, int(wl.act), hasC, c)
+	}
+	if t := n - full; t > 0 {
+		emitLanes8(&d[full], &wl.laneOut[full], &laneMask[8-t], 1, int(wl.act), hasC, c)
+	}
+}
+
 // fold reduces every tile slot's window into a register, starting from the
-// init value, taps in nest order, and stores it to the slot. The op is
-// hoisted out of the loops, so each case is the whole microkernel. Products
-// fold four slots at a time: four independent accumulators keep the adds'
-// latency off the critical path, and each slot still sees its own taps in
-// order.
+// init value, taps in nest order, and stores it to the slot. It is the
+// portable twin of the lane path. The op is hoisted out of the loops, so
+// each case is the whole microkernel. Products fold four slots at a time:
+// four independent accumulators keep the adds' latency off the critical
+// path, and each slot still sees its own taps in order.
 func (wl *windowLoop) fold(v0 float32) {
 	t, a, b := wl.faT.data, wl.faA.data, wl.faB.data
 	oT, oA, oB := wl.off[wpT], wl.off[wpA], wl.off[wpB]

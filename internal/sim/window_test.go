@@ -188,33 +188,177 @@ func depthwiseCase(name string, op *topi.Op, sc map[*ir.Var]int64, c, h, w, f, h
 	return wc
 }
 
+// laneNest builds a window nest with every knob the lane plan reads: per
+// output row of w2 points tiled by tile slots, T[xi] = init, T[xi] ⊕=
+// in[c, s·y+fy, s·(tile·xo+xi)+fx] (times wt[c,fy,fx] when mul) over the F×F
+// window, out[c, y, tile·xo+xi] = act(T[xi] + bias[c]). It returns the
+// kernel and its arguments in binding order, output last.
+func laneNest(op ir.BinOp, mul bool, c, h, w, h2, w2, tile, f, s int, bias bool, act string) (*ir.Kernel, []*ir.Buffer) {
+	in := ir.NewBuffer("in", ir.Global, c, h, w)
+	out := ir.NewBuffer("out", ir.Global, c, h2, w2)
+	tmp := ir.NewBuffer("tmp", ir.Private, tile)
+	args := []*ir.Buffer{in}
+	cc, y, xo, xi, fy, fx := ir.V("c"), ir.V("y"), ir.V("xo"), ir.V("xi"), ir.V("fy"), ir.V("fx")
+	cs := func(v int) ir.Expr { return ir.CInt(int64(v)) }
+	ox := ir.AddE(ir.MulE(xo, cs(tile)), xi)
+	t := []ir.Expr{xi}
+	rhs := ir.Expr(&ir.Load{Buf: in, Index: []ir.Expr{cc, ir.AddE(ir.MulE(cs(s), y), fy), ir.AddE(ir.MulE(cs(s), ox), fx)}})
+	if mul {
+		wt := ir.NewBuffer("wt", ir.Global, c, f, f)
+		args = append(args, wt)
+		rhs = ir.MulE(rhs, &ir.Load{Buf: wt, Index: []ir.Expr{cc, fy, fx}})
+	}
+	init := map[ir.BinOp]float64{ir.Add: 0, ir.MaxOp: -3.402823e38, ir.MinOp: 3.402823e38}[op]
+	wv := ir.Expr(&ir.Load{Buf: tmp, Index: t})
+	if bias {
+		b := ir.NewBuffer("bias", ir.Global, c)
+		args = append(args, b)
+		wv = ir.AddE(wv, &ir.Load{Buf: b, Index: []ir.Expr{cc}})
+	}
+	switch act {
+	case "relu":
+		wv = ir.MaxE(wv, ir.CFloat(0))
+	case "relu6":
+		wv = ir.MinE(ir.MaxE(wv, ir.CFloat(0)), ir.CFloat(6))
+	}
+	body := ir.Loop(cc, c, ir.Loop(y, h2, ir.Loop(xo, w2/tile, ir.Seq(
+		ir.Loop(xi, tile, &ir.Store{Buf: tmp, Index: t, Value: ir.CFloat(init)}),
+		ir.Loop(xi, tile, ir.Loop(fy, f, ir.Loop(fx, f, &ir.Store{Buf: tmp, Index: t,
+			Value: &ir.Binary{Op: op, A: &ir.Load{Buf: tmp, Index: t}, B: rhs}}))),
+		ir.Loop(xi, tile, &ir.Store{Buf: out, Index: []ir.Expr{cc, y, ox}, Value: wv}),
+	))))
+	args = append(args, out)
+	return &ir.Kernel{Name: "lanes", Args: args, Body: ir.Seq(&ir.Alloc{Buf: tmp}, body)}, args
+}
+
+// TestWindowLanesBitIdenticalToScalarFold is the lane path's property: with
+// the lane fold forced on and forced off, every window nest gives the same
+// bits, and the interpreter's. It covers lane counts 1–17, 56 and 112
+// (every row a merged run; tiles of 1 slot, of the whole row, of 7 and of a
+// proper divisor), lane strides 1 and 2 (on the lane path) and 3 (declined
+// to the scalar fold), products, sums, max and min, with and without a bias
+// chain load and under each activation, on data with NaN payloads (max and
+// min; sums and products carry the one NaN their arithmetic makes, see
+// cmpSpecials), ±0, ±Inf and subnormals.
+func TestWindowLanesBitIdenticalToScalarFold(t *testing.T) {
+	const c, h2, f = 2, 2, 3
+	lanes := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 56, 112}
+	kinds := []struct {
+		op  ir.BinOp
+		mul bool
+	}{{ir.Add, true}, {ir.Add, false}, {ir.MaxOp, false}, {ir.MinOp, false}}
+	acts := []string{"none", "relu", "relu6"}
+	combo := 0
+	for _, w2 := range lanes {
+		tiles := []int{1, w2}
+		if w2%7 == 0 && w2 != 7 {
+			tiles = append(tiles, 7)
+		}
+		for d := 2; d < w2 && d < 7; d++ {
+			if w2%d == 0 {
+				tiles = append(tiles, d)
+				break
+			}
+		}
+		for _, tile := range tiles {
+			for _, s := range []int{1, 2, 3} {
+				for _, k := range kinds {
+					combo++
+					bias, act := combo%2 == 0, acts[combo/2%3]
+					h, w := (h2-1)*s+f, (w2-1)*s+f
+					kern, args := laneNest(k.op, k.mul, c, h, w, h2, w2, tile, f, s, bias, act)
+					name := fmt.Sprintf("%s_mul%v_w%d_t%d_s%d_b%v_%s", k.op, k.mul, w2, tile, s, bias, act)
+					sp := cmpSpecials
+					if k.op == ir.Add {
+						sp = addSpecials
+					}
+					lens := []int{c * h * w}
+					if k.mul {
+						lens = append(lens, c*f*f)
+					}
+					if bias {
+						lens = append(lens, c)
+					}
+					wc := &windowCase{name: name, kern: kern, args: args[:len(args)-1], lens: lens,
+						out: args[len(args)-1], outLen: c * h2 * w2, special: sp}
+					want, _ := wc.run(t, sim.TierInterp)
+					restore := sim.SetLanes(false)
+					scalar, _ := wc.run(t, sim.TierVector)
+					restore()
+					runs, stop := sim.CountLaneRuns()
+					got, st := wc.run(t, sim.TierVector)
+					stop()
+					assertBitEqual(t, name+" scalar fold", scalar, want)
+					assertBitEqual(t, name+" lane fold", got, want)
+					if st.WindowRuns != 1 {
+						t.Fatalf("%s: window_runs %d, want 1", name, st.WindowRuns)
+					}
+					wantMerged, wantScalar := int64(1), int64(0)
+					if s == 3 {
+						wantMerged, wantScalar = 0, 1
+					}
+					if m, sc := runs.Merged.Load(), runs.Scalar.Load(); sim.CPUHasLanes && (m != wantMerged || sc != wantScalar) {
+						t.Fatalf("%s: merged lane runs %d, scalar folds %d (want %d, %d)", name, m, sc, wantMerged, wantScalar)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestWindowAliasedOutputIsExact: the depthwise output is bound inside the
 // input's backing array, so later windows read earlier outputs. The window
 // path keeps the scalar phase order per outer point and must reproduce the
-// interpreter's aliased result without bailing.
+// interpreter's aliased result without bailing, at strides 1 and 2, with
+// the lane fold on and off. An output that overlaps the input's reach makes
+// the lane plan decline the merged run, whose row of folds would read
+// outputs the scalar order has not yet written, for the scalar fold. An
+// output inside the input's bound slice but past every element the nest
+// reads keeps the merged run: disjointness is checked by range, not by
+// buffer.
 func TestWindowAliasedOutputIsExact(t *testing.T) {
 	const c, h, w, f = 3, 10, 10, 3
-	op, err := topi.DepthwiseConv2D(topi.DepthwiseSpec{Name: "dwa", C: c, H: h, W: w, F: f, S: 1, Relu6: true, Bias: true},
-		false, 4, topi.ConvIO{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shift := range []int{0, 37} {
-		run := func(tier sim.Tier) ([]float32, sim.StatsSnapshot) {
-			backing := windowInput(1, c*h*w, addSpecials)
-			binds := map[*ir.Buffer][]float32{op.In: backing, op.Weights: windowInput(2, c*f*f, addSpecials),
-				op.Bias: windowInput(3, c, addSpecials), op.Out: backing[shift : shift+c*8*8]}
-			err, st := runKernelTier(t, op.Kernel, tier, binds, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return backing, st
+	for _, s := range []int{1, 2} {
+		o := (h-f)/s + 1 // 8 or 4 outputs a row, tiled by 4 or 2 slots
+		op, err := topi.DepthwiseConv2D(topi.DepthwiseSpec{Name: "dwa", C: c, H: h, W: w, F: f, S: s, Relu6: true, Bias: true},
+			false, o/2, topi.ConvIO{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		want, _ := run(sim.TierInterp)
-		got, st := run(sim.TierVector)
-		assertBitEqual(t, fmt.Sprintf("aliased shift %d", shift), got, want)
-		if st.WindowRuns != 1 || st.GemmBailouts != 0 {
-			t.Errorf("shift %d: window_runs %d, gemm_bailouts %d (want 1, 0)", shift, st.WindowRuns, st.GemmBailouts)
+		for _, shift := range []int{0, 37, c * h * w} {
+			run := func(tier sim.Tier) ([]float32, sim.StatsSnapshot) {
+				backing := windowInput(1, max(c*h*w, shift+c*o*o), addSpecials)
+				binds := map[*ir.Buffer][]float32{op.In: backing, op.Weights: windowInput(2, c*f*f, addSpecials),
+					op.Bias: windowInput(3, c, addSpecials), op.Out: backing[shift : shift+c*o*o]}
+				err, st := runKernelTier(t, op.Kernel, tier, binds, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return backing, st
+			}
+			want, _ := run(sim.TierInterp)
+			for _, lanes := range []bool{false, true} {
+				restore := sim.SetLanes(lanes)
+				runs, stop := sim.CountLaneRuns()
+				got, st := run(sim.TierVector)
+				stop()
+				restore()
+				tag := fmt.Sprintf("aliased s %d shift %d lanes %v", s, shift, lanes)
+				assertBitEqual(t, tag, got, want)
+				if st.WindowRuns != 1 || st.GemmBailouts != 0 {
+					t.Errorf("%s: window_runs %d, gemm_bailouts %d (want 1, 0)", tag, st.WindowRuns, st.GemmBailouts)
+				}
+				if !lanes || !sim.CPUHasLanes {
+					continue
+				}
+				wantMerged := int64(0)
+				if shift == c*h*w {
+					wantMerged = 1
+				}
+				if m, sc := runs.Merged.Load(), runs.Scalar.Load(); m != wantMerged || sc != 1-wantMerged {
+					t.Errorf("%s: merged lane runs %d, scalar folds %d (want %d, %d)", tag, m, sc, wantMerged, 1-wantMerged)
+				}
+			}
 		}
 	}
 }
@@ -251,7 +395,8 @@ func TestWindowOutOfRangeReplaysTwin(t *testing.T) {
 }
 
 // TestWindowWarmMachineAllocatesNothing: once a machine has compiled the
-// kernel and sized its tables, a window run allocates nothing.
+// kernel and sized its tables and lane scratch, a window run allocates
+// nothing, on the lane path where the CPU has it.
 func TestWindowWarmMachineAllocatesNothing(t *testing.T) {
 	p, err := topi.DepthwiseParamAct("dwz", 3, 2, 7, false, true, true, false)
 	if err != nil {
@@ -280,6 +425,8 @@ func TestWindowWarmMachineAllocatesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	runs, stop := sim.CountLaneRuns()
+	defer stop()
 	run()
 	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
 		t.Errorf("warm window runs allocate %.1f times per run, want 0", allocs)
@@ -288,14 +435,19 @@ func TestWindowWarmMachineAllocatesNothing(t *testing.T) {
 	if s := st.Snapshot(); s.WindowRuns != 2*22 || s.GemmBailouts != 0 {
 		t.Errorf("window_runs %d, gemm_bailouts %d (want %d, 0)", s.WindowRuns, s.GemmBailouts, 2*22)
 	}
+	if m := runs.Merged.Load(); sim.CPUHasLanes && m != 2*22 {
+		t.Errorf("merged lane runs %d, want %d: the lane path is off", m, 2*22)
+	}
 }
 
 // BenchmarkWindowDeployedShapes times the window executor at the shapes the
 // deployed networks run it on: MobileNetV1's 13 depthwise layers (F=3,
 // ReLU6, bias, W2 tiled by 7), ResNet-18's 3×3/2 max pool and LeNet-5's two
 // 2×2/2 max pools, each a warm symbolic kernel as the folded plan binds it.
-// It reports wall time per output point and window multiply-adds (or
-// compares) per second.
+// Each shape runs twice, on the lane fold ("lanes") and on the scalar fold
+// ("scalar"), and reports wall time per output point and window
+// multiply-adds per second (GMAC/s), or compares per second (Gcmp/s) for
+// the pools; run it with -cpu 1.
 func BenchmarkWindowDeployedShapes(b *testing.B) {
 	type shape struct {
 		name       string
@@ -322,50 +474,66 @@ func BenchmarkWindowDeployedShapes(b *testing.B) {
 		{"lenet_pool2", 16, 11, 11, 2, true, 2},
 	}
 	for _, sh := range shapes {
-		b.Run(sh.name, func(b *testing.B) {
-			m := sim.NewMachine()
-			h2, w2 := (sh.h-sh.f)/sh.s+1, (sh.w-sh.f)/sh.s+1
-			var kern *ir.Kernel
-			var sc map[*ir.Var]int64
-			var in, out *ir.Buffer
-			if sh.pool {
-				p, err := topi.PoolParam("pool", sh.f, sh.s, false, false)
+		for _, path := range []struct {
+			name  string
+			lanes bool
+		}{{"lanes", true}, {"scalar", false}} {
+			b.Run(sh.name+"/"+path.name, func(b *testing.B) {
+				if path.lanes && !sim.CPUHasLanes {
+					b.Skip("CPU has no AVX2")
+				}
+				defer sim.SetLanes(path.lanes)()
+				m := sim.NewMachine()
+				h2, w2 := (sh.h-sh.f)/sh.s+1, (sh.w-sh.f)/sh.s+1
+				var kern *ir.Kernel
+				var sc map[*ir.Var]int64
+				var in, out *ir.Buffer
+				if sh.pool {
+					p, err := topi.PoolParam("pool", sh.f, sh.s, false, false)
+					if err != nil {
+						b.Fatal(err)
+					}
+					kern, sc, in, out = p.Op.Kernel, p.Bind(sh.c, sh.h, sh.w), p.Op.In, p.Op.Out
+				} else {
+					p, err := topi.DepthwiseParamAct("dw", sh.f, sh.s, 7, false, true, true, false)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if sc, err = p.Bind(sh.c, sh.h, sh.w); err != nil {
+						b.Fatal(err)
+					}
+					kern, in, out = p.Op.Kernel, p.Op.In, p.Op.Out
+					m.Bind(p.Op.Weights, seeded(2, sh.c*sh.f*sh.f).Data)
+					m.Bind(p.Op.Bias, seeded(3, sh.c).Data)
+				}
+				m.Bind(in, seeded(1, sh.c*sh.h*sh.w).Data)
+				m.Bind(out, make([]float32, sh.c*h2*w2))
+				st := &sim.ExecStats{}
+				m.SetStats(st)
+				runs, stop := sim.CountLaneRuns()
+				err := m.Run(kern, sc)
+				stop()
 				if err != nil {
 					b.Fatal(err)
 				}
-				kern, sc, in, out = p.Op.Kernel, p.Bind(sh.c, sh.h, sh.w), p.Op.In, p.Op.Out
-			} else {
-				p, err := topi.DepthwiseParamAct("dw", sh.f, sh.s, 7, false, true, true, false)
-				if err != nil {
-					b.Fatal(err)
+				if s := st.Snapshot(); s.WindowRuns != 1 || path.lanes != (runs.Merged.Load() == 1) {
+					b.Fatalf("%s: not on the %s window path: %+v", sh.name, path.name, s)
 				}
-				if sc, err = p.Bind(sh.c, sh.h, sh.w); err != nil {
-					b.Fatal(err)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := m.Run(kern, sc); err != nil {
+						b.Fatal(err)
+					}
 				}
-				kern, in, out = p.Op.Kernel, p.Op.In, p.Op.Out
-				m.Bind(p.Op.Weights, seeded(2, sh.c*sh.f*sh.f).Data)
-				m.Bind(p.Op.Bias, seeded(3, sh.c).Data)
-			}
-			m.Bind(in, seeded(1, sh.c*sh.h*sh.w).Data)
-			m.Bind(out, make([]float32, sh.c*h2*w2))
-			st := &sim.ExecStats{}
-			m.SetStats(st)
-			if err := m.Run(kern, sc); err != nil {
-				b.Fatal(err)
-			}
-			if s := st.Snapshot(); s.WindowRuns != 1 {
-				b.Fatalf("%s: not on the window path: %+v", sh.name, s)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := m.Run(kern, sc); err != nil {
-					b.Fatal(err)
+				el := b.Elapsed().Seconds()
+				outs := float64(b.N) * float64(sh.c*h2*w2)
+				unit := "GMAC/s"
+				if sh.pool {
+					unit = "Gcmp/s"
 				}
-			}
-			el := b.Elapsed().Seconds()
-			outs := float64(b.N) * float64(sh.c*h2*w2)
-			b.ReportMetric(el*1e9/outs, "ns/output")
-			b.ReportMetric(outs*float64(sh.f*sh.f)/el/1e9, "GMAC/s")
-		})
+				b.ReportMetric(el*1e9/outs, "ns/output")
+				b.ReportMetric(outs*float64(sh.f*sh.f)/el/1e9, unit)
+			})
+		}
 	}
 }
