@@ -1,9 +1,13 @@
 # Development entry points. CI (.github/workflows/ci.yml) runs exactly these
-# targets, so a green `make lint build test race` locally means a green PR.
+# targets: lint, build, bench-build, test, race and fma-check in its test
+# job, bench-serve, bench-fleet and bench-dse in bench-json, bench in
+# bench-smoke. A green `make lint build test race` locally means a green
+# test job. The serving, fleet, DSE, chaos and trace contracts are go tests
+# under `make test` (see README.md, "Where each contract is tested").
 
 GO ?= go
 
-.PHONY: all build bench-build test race lint fma-check bench bench-serve bench-fleet bench-dse chaos trace serve-smoke fleet-smoke dse-smoke fmt
+.PHONY: all build bench-build test race lint fma-check bench bench-serve bench-fleet bench-dse chaos fmt
 
 all: lint build test
 
@@ -22,17 +26,10 @@ bench-build:
 test:
 	$(GO) test ./...
 
-# The concurrency-sensitive packages: the parallel design-space explorer, the
-# sharded compile cache its workers share, the deployment builders it calls
-# into, the runtime event queue, the metrics registry the retried images
-# publish into, the simulator (shared buffer pool + execution-tier stats
-# across batch workers), and the continuous-batching server (mutex-serialized
-# engine + worker pool + drain). The fleet
-# layer (health-monitored devices + failover requeue) runs with -short so its
-# chaos streams stay tractable under the detector.
+# Every package under the race detector, fleet's chaos streams at full
+# length included.
 race:
-	$(GO) test -race ./internal/dse/... ./internal/aoc/... ./internal/host/... ./internal/clrt/... ./internal/trace/... ./internal/sim/... ./internal/serve/...
-	$(GO) test -race -short ./internal/fleet/...
+	$(GO) test -race ./...
 
 lint:
 	@unformatted=$$(gofmt -l .); \
@@ -90,24 +87,6 @@ bench:
 bench-serve:
 	$(GO) run ./cmd/fpgacnn bench-serve -o BENCH_serve.json
 
-# Serve smoke: replay a modest fixed-QPS workload across two fault seeds and
-# assert the drain zero-drop contract, the metrics ledger, and reference-
-# matching answers on every degradation rung; then round-trip the real HTTP
-# server including a drain with a request still queued.
-serve-smoke:
-	$(GO) run ./cmd/fpgacnn serve-smoke
-
-# Fleet smoke: stream a fixed-QPS lenet5 workload into a two-board fleet and
-# kill one board mid-stream, across two load seeds. The fleet CLI itself
-# asserts the contracts — zero dropped requests, a well-formed failover
-# ledger, and bit-identical answers against the cpuref reference — so any
-# violation is a non-zero exit.
-fleet-smoke:
-	for seed in 1 2; do \
-		$(GO) run ./cmd/fpgacnn fleet -boards s10sx:2 -seed $$seed \
-			-kill-board s10sx-0 -kill-at-us 30000 || exit 1; \
-	done
-
 # Fleet benchmark: single board vs data-parallel replication vs pipeline
 # sharding, plus a kill-mid-stream point. Fully modeled on the virtual clock,
 # so BENCH_fleet.json is byte-deterministic and CI diffs it against the
@@ -125,51 +104,13 @@ bench-fleet:
 bench-dse:
 	$(GO) run ./cmd/fpgacnn bench-dse -o BENCH_dse.json
 
-# DSE smoke: the guided explorer's determinism contract end to end. Two seeds,
-# each run at 1 and 8 workers with the result JSON byte-compared (fixed seed +
-# any worker count -> byte-identical result), then a cross-board transfer
-# round trip (serialize A10's model + top-K, warm-start S10SX from it).
-dse-smoke:
-	for seed in 1 2; do \
-		$(GO) run ./cmd/fpgacnn dse -dse-mode=guided -net mobilenetv1 -board S10SX \
-			-dse-max 32 -dse-seed $$seed -dse-workers 1 -json /tmp/dse_$${seed}_w1.json || exit 1; \
-		$(GO) run ./cmd/fpgacnn dse -dse-mode=guided -net mobilenetv1 -board S10SX \
-			-dse-max 32 -dse-seed $$seed -dse-workers 8 -json /tmp/dse_$${seed}_w8.json || exit 1; \
-		cmp /tmp/dse_$${seed}_w1.json /tmp/dse_$${seed}_w8.json || exit 1; \
-	done
-	$(GO) run ./cmd/fpgacnn dse -dse-mode=guided -net mobilenetv1 -board A10 \
-		-dse-max 32 -transfer-out /tmp/dse_a10_state.json
-	$(GO) run ./cmd/fpgacnn dse -dse-mode=guided -net mobilenetv1 -board S10SX \
-		-dse-max 16 -transfer-in /tmp/dse_a10_state.json
-
-# Chaos smoke: the fault-injection matrix (the clrt fault probes, the batch
-# engine's fault ledger, and the serving ladder's rung and fault-ledger tests,
-# which sweep seeds 1-3 internally) under the race detector, the static
-# channel verifier over the example networks plus output verification of
-# every Table 6.4 bitstream on the vector tier (channels elided into buffers;
-# the interpreter cross-check of every variant is
-# TestElidedSessionMatchesInterpOracle), and the chaos CLI across three seeds:
-# LeNet-5 and MobileNetV1 requests through the serving ladder, every answer
-# checked against the CPU reference.
+# The fault-injection matrix alone, for a quick local check: the injector,
+# the clrt fault probes, the batch engine's fault ledger, the serving
+# ladder's rungs and ledger, drains, the fleet's kill-mid-stream failover,
+# and the chaos and verify commands end to end (make race runs all of it
+# under the race detector).
 chaos:
-	$(GO) test -race ./internal/fault/...
-	$(GO) test -race -run 'Fault|Injected|Deadlock|Drain|Ladder' \
-		./internal/clrt/... ./internal/sim/... ./internal/host/... ./internal/serve/...
-	$(GO) run ./cmd/fpgacnn verify
-	for seed in 1 2 3; do \
-		$(GO) run ./cmd/fpgacnn chaos -fault-rate 0.1 -fault-seed $$seed -images 3 || exit 1; \
-	done
-
-# Trace smoke: export Chrome traces of a timed run for both networks twice
-# and require the repeats to be byte-identical (the exporter's determinism
-# contract).
-trace:
-	$(GO) run ./cmd/fpgacnn run -net lenet5 -images 4 -trace /tmp/lenet5.trace.json
-	$(GO) run ./cmd/fpgacnn run -net lenet5 -images 4 -trace /tmp/lenet5.trace2.json
-	cmp /tmp/lenet5.trace.json /tmp/lenet5.trace2.json
-	$(GO) run ./cmd/fpgacnn run -net mobilenetv1 -images 2 -trace /tmp/mobilenet.trace.json
-	$(GO) run ./cmd/fpgacnn run -net mobilenetv1 -images 2 -trace /tmp/mobilenet.trace2.json
-	cmp /tmp/mobilenet.trace.json /tmp/mobilenet.trace2.json
+	$(GO) test -run 'Fault|Injected|Deadlock|Drain|Ladder|Ledger|Chaos' ./...
 
 fmt:
 	gofmt -w .

@@ -6,10 +6,8 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/bench"
@@ -109,7 +107,7 @@ func runDSE(args []string) error {
 			fmt.Printf("wrote transfer state to %s\n", *transferOut)
 		}
 		dumpMetrics()
-		return writeResultJSON(*jsonOut, res)
+		return writeJSON(*jsonOut, res)
 	}
 	res, err := dse.ExploreJointWith(layers, *netName, board, opts)
 	if err != nil {
@@ -117,7 +115,7 @@ func runDSE(args []string) error {
 	}
 	printJointSummary(res, time.Since(t0))
 	dumpMetrics()
-	return writeResultJSON(*jsonOut, res)
+	return writeJSON(*jsonOut, res)
 }
 
 // lowerForDSE resolves a network/board pair to its lowered layer sequence.
@@ -165,28 +163,6 @@ func printGuidedSummary(res *dse.GuidedResult, wall time.Duration) {
 	}
 	fmt.Printf("  cache: %d hits / %d misses (%.0f%%), wall %.2fs\n",
 		res.CacheHits, res.CacheMisses, res.CacheHitRate()*100, wall.Seconds())
-}
-
-// writeResultJSON marshals a result deterministically (encoding/json sorts
-// map keys; the result carries no wall-clock fields).
-func writeResultJSON(path string, v any) error {
-	if path == "" {
-		return nil
-	}
-	buf, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if path == "-" {
-		_, err = os.Stdout.Write(buf)
-		return err
-	}
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
 }
 
 // dseBenchSide is one tier's figures in BENCH_dse.json.
@@ -306,20 +282,7 @@ func runBenchDSE(args []string) error {
 		rep.Mobilenet.SpaceSize, rep.Mobilenet.Exhaust.BestUS, rep.Mobilenet.Guided.BestUS,
 		rep.Mobilenet.SpaceOverGuidedEvalsX, rep.Mobilenet.Guided.RankCorr)
 
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if *out == "-" {
-		_, err = os.Stdout.Write(buf)
-		return err
-	}
-	if err := os.WriteFile(*out, buf, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", *out)
-	return nil
+	return writeJSON(*out, rep)
 }
 
 // benchNetRow folds one exhaustive/guided pair into a report row.

@@ -2,19 +2,17 @@ package main
 
 // The fleet surface: `fpgacnn fleet` replays a seeded open-loop stream
 // against a multi-board fleet with scheduled chaos (board kill, sticky
-// enqueue, brownout) and enforces the zero-drop + bit-identity contract —
-// the CI fleet-smoke gate runs exactly this. `fpgacnn bench-fleet` writes
-// BENCH_fleet.json: single-board vs data-parallel replication (with and
-// without a mid-stream kill) on LeNet-5, and single vs pipeline-sharded
-// ResNet-18 across two board types. Every figure is modeled on the virtual
-// clock, so the JSON is byte-deterministic and CI diffs it against the
-// checked-in copy.
+// enqueue, brownout) and enforces the zero-drop + bit-identity contract
+// (TestChaosKillMidStreamZeroDropBitIdentical in internal/fleet holds it on
+// a killed board). `fpgacnn bench-fleet` writes BENCH_fleet.json:
+// single-board vs data-parallel replication (with and without a mid-stream
+// kill) on LeNet-5, and single vs pipeline-sharded ResNet-18 across two
+// board types. Every figure is modeled on the virtual clock, so the JSON is
+// byte-deterministic and CI diffs it against the checked-in copy.
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"os"
 
 	"repro/internal/fault"
 	"repro/internal/fleet"
@@ -129,9 +127,9 @@ func runFleetStream(fcfg fleet.Config, scfg serve.Config, prof loadgen.Profile, 
 	return sum, rep, checkServed(fcfg.Net, res, input, fl.Reference, verifyN)
 }
 
-// runFleet is the chaos-capable fleet stream command (and the CI fleet-smoke
-// gate): seeded open-loop load against a board mix with optional scheduled
-// faults, failing unless the zero-drop and reference-match contracts hold.
+// runFleet is the chaos-capable fleet stream command: seeded open-loop load
+// against a board mix with optional scheduled faults, failing unless the
+// zero-drop and reference-match contracts hold.
 func runFleet(args []string) error {
 	fs := flag.NewFlagSet("fleet", flag.ContinueOnError)
 	net_ := fs.String("net", "lenet5", "network (see fpgacnn list)")
@@ -322,18 +320,5 @@ func runBenchFleet(args []string) error {
 	fmt.Printf("replication speedup %.2fx, shard speedup %.2fx\n",
 		rep.ReplicationSpeedupX, rep.ShardSpeedupX)
 
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if *out == "-" {
-		_, err = os.Stdout.Write(buf)
-		return err
-	}
-	if err := os.WriteFile(*out, buf, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", *out)
-	return nil
+	return writeJSON(*out, rep)
 }

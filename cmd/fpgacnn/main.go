@@ -1,35 +1,9 @@
 // Command fpgacnn drives the reproduction: it regenerates any table or
 // figure from the thesis's evaluation chapter, dumps the generated OpenCL
-// for a deployment, and runs the functional verification paths.
-//
-// Usage:
-//
-//	fpgacnn list                 # list experiments
-//	fpgacnn all                  # run every experiment (the full evaluation)
-//	fpgacnn <experiment>         # run one experiment (e.g. lenet-ladder)
-//	fpgacnn codegen <net>        # print the generated OpenCL kernels
-//	fpgacnn report <net> <board> # AOC optimization, area and fit reports
-//	fpgacnn verify               # static channel checks + output vs reference
-//	fpgacnn chaos [-fault-seed N] [-fault-rate P] [-images N]
-//	                             # the serving ladder under fault injection
-//	fpgacnn dse [-dse-mode M] [-dse-workers N] [-dse-timeout D] [-dse-max N]
-//	                             # parallel design-space exploration
-//	                             # (-dse-mode=guided: learned-cost-model search)
-//	fpgacnn bench-dse -o BENCH_dse.json
-//	                             # guided vs exhaustive search benchmark
-//	fpgacnn run -net <net> [-images N] [-metrics] [-trace F]
-//	                             # timed run and its timeline, with optional
-//	                             # metrics dump and Chrome trace export
-//	fpgacnn run -batch N -workers K
-//	                             # batched inference through the parallel engine
-//	fpgacnn serve -addr :8080    # continuous-batching HTTP inference server
-//	fpgacnn bench-serve -o BENCH_serve.json
-//	                             # open-loop load benchmark over batching points
-//	fpgacnn serve-smoke          # drain/metrics invariants across fault seeds
-//	fpgacnn fleet -boards s10sx:2 -kill-board s10sx-0 -kill-at-us 30000
-//	                             # multi-board fleet under chaos (zero-drop gate)
-//	fpgacnn bench-fleet -o BENCH_fleet.json
-//	                             # 1-board vs replicated vs sharded fleet bench
+// for a deployment, runs the functional verification paths, and serves,
+// benchmarks and explores deployments. `fpgacnn list` prints the experiment
+// catalogue and every command with its arguments; the commands table below
+// is the one place they are listed.
 //
 // The deployment a subcommand runs, dumps or reports for a network always
 // comes from serve.BuildDeployment; only verify builds the other LeNet
@@ -39,6 +13,7 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -63,9 +38,60 @@ import (
 	"repro/internal/verify"
 )
 
+// command is one subcommand: its name, the arguments and flags it takes (a
+// "\n" wraps a long synopsis), a one-line summary, and what it runs on the
+// arguments after its name.
+type command struct {
+	name, synopsis, summary string
+	run                     func(args []string) error
+}
+
+// commands is the subcommand table that dispatch, the usage text and
+// `fpgacnn list` all read. It is filled in init because list's own row
+// prints the usage built from it.
+var commands []command
+
+func init() {
+	commands = []command{
+		{"list", "", "the experiment catalogue, then this usage", runList},
+		{"all", "", "run every experiment (the full evaluation, EVALUATION.txt)", runAll},
+		{"codegen", "[net]", "print the generated OpenCL kernels",
+			func(args []string) error { return dumpCodegen(arg(args, 0, "lenet5")) }},
+		{"hostgen", "[net]", "print the generated OpenCL host program",
+			func(args []string) error { return dumpHostProgram(arg(args, 0, "lenet5")) }},
+		{"report", "[net] [board]", "AOC optimization, area and fit reports",
+			func(args []string) error { return dumpReport(arg(args, 0, "lenet5"), arg(args, 1, "S10SX")) }},
+		{"graph", "[net]", "the Relay graph and its fused layers",
+			func(args []string) error { return dumpGraph(arg(args, 0, "lenet5")) }},
+		{"verify", "", "static channel checks + every bitstream's output vs the reference", runVerify},
+		{"run", "[-net N] [-board B] [-images N] [-batch N] [-workers K] [-serial] [-no-double-buffer]\n" +
+			"[-profiling] [-metrics] [-trace F] [-cpuprofile F] [-memprofile F]",
+			"timed run and its timeline (-batch N: the parallel batch engine)", runTimed},
+		{"chaos", "[-fault-seed N] [-fault-rate P] [-images N] [-metrics] [-trace F]",
+			"the serving ladder under fault injection, every answer checked", runChaos},
+		{"dse", "[-dse-mode exhaustive|guided] [-dse-workers N] [-dse-timeout D] [-dse-max N]\n" +
+			"[-dse-seed S] [-net N] [-board B] [-json F]\n" +
+			"[-transfer-in F] [-transfer-out F] [-transfer-topk K] [-metrics]",
+			"parallel design-space exploration (guided: learned-cost-model search)", runDSE},
+		{"bench-dse", "[-dse-seed S] [-dse-workers N] [-o F]",
+			"guided vs exhaustive search benchmark (BENCH_dse.json)", runBenchDSE},
+		{"serve", "[-addr A] [-net N] [-board B] [-fleet MIX] [-batch-n N] [-deadline-us T]\n" +
+			"[-workers K] [-tenant-queue Q] [-max-pending P] [-fault-seed S] [-fault-rate R]",
+			"continuous-batching HTTP inference server", runServe},
+		{"bench-serve", "[-net N] [-board B] [-workers K] [-seed S] [-o F]",
+			"open-loop load benchmark over batching points (BENCH_serve.json)", runBenchServe},
+		{"fleet", "[-net N] [-boards MIX] [-shard] [-qps Q] [-dur-us D] [-seed S]\n" +
+			"[-kill-board DEV -kill-at-us T] [-sticky-board DEV -sticky-dur-us D]\n" +
+			"[-brownout-board DEV -brownout-dur-us D -brownout-factor F] [-metrics] [-trace F]",
+			"multi-board fleet stream under chaos (zero-drop gate)", runFleet},
+		{"bench-fleet", "[-seed S] [-o F]",
+			"1-board vs replicated vs sharded fleet benchmark (BENCH_fleet.json)", runBenchFleet},
+	}
+}
+
 func main() {
 	if len(os.Args) < 2 {
-		fmt.Fprintln(os.Stderr, commands)
+		fmt.Fprintln(os.Stderr, usage())
 		os.Exit(2)
 	}
 	err := dispatch(os.Args[1], os.Args[2:])
@@ -83,85 +109,60 @@ func main() {
 	}
 }
 
-// dispatch runs one subcommand; args are the arguments after its name. A
-// name that is neither a command nor an experiment is a usage error.
-func dispatch(cmd string, args []string) error {
-	arg := func(i int, def string) string {
-		if len(args) > i {
-			return args[i]
+// dispatch runs the named command or experiment; args are the arguments
+// after its name. Any other name is a usage error.
+func dispatch(name string, args []string) error {
+	for _, c := range commands {
+		if c.name == name {
+			return c.run(args)
 		}
-		return def
 	}
-	switch cmd {
-	case "list":
-		fmt.Println("experiments:")
-		for _, e := range bench.Experiments {
-			fmt.Println("  " + e)
-		}
-		fmt.Println()
-		fmt.Println(commands)
-		return nil
-	case "all":
-		rep, err := bench.All()
-		fmt.Print(rep)
-		return err
-	case "codegen":
-		return dumpCodegen(arg(0, "lenet5"))
-	case "hostgen":
-		return dumpHostProgram(arg(0, "lenet5"))
-	case "report":
-		return dumpReport(arg(0, "lenet5"), arg(1, "S10SX"))
-	case "graph":
-		return dumpGraph(arg(0, "lenet5"))
-	case "verify":
-		return runVerify(args)
-	case "chaos":
-		return runChaos(args)
-	case "dse":
-		return runDSE(args)
-	case "bench-dse":
-		return runBenchDSE(args)
-	case "run":
-		return runTimed(args)
-	case "serve":
-		return runServe(args)
-	case "bench-serve":
-		return runBenchServe(args)
-	case "serve-smoke":
-		return runServeSmoke(args)
-	case "fleet":
-		return runFleet(args)
-	case "bench-fleet":
-		return runBenchFleet(args)
+	if !slices.Contains(bench.Experiments, name) {
+		return usagef("unknown command %q\n%s", name, usage())
 	}
-	if !slices.Contains(bench.Experiments, cmd) {
-		return usagef("unknown command %q\n%s", cmd, commands)
-	}
-	rep, err := bench.Run(cmd)
+	rep, err := bench.Run(name)
 	fmt.Print(rep)
 	return err
 }
 
-// commands is the usage text: printed on stderr when no command is given,
-// and on stdout by `fpgacnn list` after the experiment catalogue.
-const commands = `usage: fpgacnn <command>
-  list | all | <experiment> | codegen <net> | hostgen <net> | report <net> <board> |
-  graph <net> | verify |
-  run [-net N] [-board B] [-images N] [-batch N] [-workers K] [-serial] [-no-double-buffer]
-      [-profiling] [-metrics] [-trace F] [-cpuprofile F] [-memprofile F] |
-  chaos [-fault-seed N] [-fault-rate P] [-images N] [-metrics] [-trace F] |
-  dse [-dse-mode exhaustive|guided] [-dse-workers N] [-dse-timeout D] [-dse-max N]
-      [-dse-seed S] [-net N] [-board B] [-json F]
-      [-transfer-in F] [-transfer-out F] [-transfer-topk K] [-metrics] |
-  bench-dse [-dse-seed S] [-dse-workers N] [-o F] |
-  serve [-addr A] [-net N] [-board B] [-fleet MIX] [-batch-n N] [-deadline-us T]
-      [-workers K] [-tenant-queue Q] [-max-pending P] [-fault-seed S] [-fault-rate R] |
-  bench-serve [-net N] [-board B] [-workers K] [-seed S] [-o F] |
-  serve-smoke [-fault-rate R] |
-  fleet [-net N] [-boards MIX] [-shard] [-qps Q] [-dur-us D] [-seed S]
-      [-kill-board DEV -kill-at-us T] [-sticky-board DEV -sticky-dur-us D]
-      [-brownout-board DEV -brownout-dur-us D -brownout-factor F] [-metrics] [-trace F] |
-  bench-fleet [-seed S] [-o F]`
+// usage renders the commands table: printed on stderr when no command is
+// given, in an unknown command's error, and on stdout by `fpgacnn list`.
+func usage() string {
+	var b strings.Builder
+	b.WriteString("usage: fpgacnn <command> [arguments] | fpgacnn <experiment>\n\ncommands:")
+	for _, c := range commands {
+		fmt.Fprintf(&b, "\n  %s", c.name)
+		if c.synopsis != "" {
+			fmt.Fprintf(&b, " %s", strings.ReplaceAll(c.synopsis, "\n", "\n    "))
+		}
+		fmt.Fprintf(&b, "\n      %s", c.summary)
+	}
+	return b.String()
+}
+
+// arg is the i-th positional argument, or def when there are fewer.
+func arg(args []string, i int, def string) string {
+	if len(args) > i {
+		return args[i]
+	}
+	return def
+}
+
+func runList([]string) error {
+	fmt.Println("experiments:")
+	for _, e := range bench.Experiments {
+		fmt.Println("  " + e)
+	}
+	fmt.Println()
+	fmt.Println(usage())
+	return nil
+}
+
+func runAll([]string) error {
+	rep, err := bench.All()
+	fmt.Print(rep)
+	return err
+}
 
 // printRunResult reports a timed run with the map-keyed sections (time by
 // event kind, time by kernel) in sorted order, so output is deterministic.
@@ -192,6 +193,29 @@ func writeChromeTrace(tc *trace.Collector, path string) error {
 		return err
 	}
 	return f.Close()
+}
+
+// writeJSON writes v as indented JSON to path ("-" = stdout, "" = nowhere).
+// The bytes are deterministic: encoding/json sorts map keys, and no result
+// or report carries a wall-clock field.
+func writeJSON(path string, v any) error {
+	if path == "" {
+		return nil
+	}
+	buf, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	buf = append(buf, '\n')
+	if path == "-" {
+		_, err = os.Stdout.Write(buf)
+		return err
+	}
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s\n", path)
+	return nil
 }
 
 // startProfiles starts a CPU profile and/or schedules a heap profile per the

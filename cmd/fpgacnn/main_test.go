@@ -2,22 +2,50 @@ package main
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 )
 
 // A name that is neither a command nor an experiment — including the retired
-// trace and timeline subcommands — is a usage error that lists the commands.
+// trace, timeline and serve-smoke subcommands — is a usage error that lists
+// the commands.
 func TestUnknownCommandIsUsageError(t *testing.T) {
-	for _, name := range []string{"trace", "timeline", "bogus"} {
+	for _, name := range []string{"trace", "timeline", "serve-smoke", "bogus"} {
 		err := dispatch(name, nil)
 		var ue *usageError
 		if !errors.As(err, &ue) {
 			t.Fatalf("%s: got %v, want usageError", name, err)
 		}
-		if !strings.Contains(err.Error(), commands) {
+		if !strings.Contains(err.Error(), usage()) {
 			t.Errorf("%s: error does not list the commands: %v", name, err)
 		}
+	}
+}
+
+// The usage text is rendered from the commands table: it names every row,
+// and every command line it shows (two-space indent) is a row.
+func TestUsageListsExactlyTheTable(t *testing.T) {
+	var listed []string
+	for _, line := range strings.Split(usage(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "  "); ok && rest != "" && rest[0] != ' ' {
+			listed = append(listed, strings.Fields(rest)[0])
+		}
+	}
+	var table []string
+	for _, c := range commands {
+		table = append(table, c.name)
+		if !slices.Contains(listed, c.name) {
+			t.Errorf("command %q is missing from the usage text", c.name)
+		}
+	}
+	for _, name := range listed {
+		if !slices.Contains(table, name) {
+			t.Errorf("usage text names %q, which the commands table lacks", name)
+		}
+	}
+	if len(listed) != len(table) {
+		t.Errorf("usage lists %d commands, table has %d", len(listed), len(table))
 	}
 }
 

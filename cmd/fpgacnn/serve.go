@@ -2,26 +2,18 @@ package main
 
 // The serving surface: `fpgacnn serve` (long-running HTTP server with
 // graceful drain), `fpgacnn bench-serve` (deterministic open-loop load
-// benchmark on the simulated clock, writes BENCH_serve.json),
-// `fpgacnn serve-smoke` (the blocking CI gate: drain zero-drop + metrics
-// invariants across fault seeds, plus an HTTP round trip), and
+// benchmark on the simulated clock, writes BENCH_serve.json), and
 // `fpgacnn chaos` (the serving ladder under fault injection, every answer
 // checked against the CPU reference).
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
-	"os"
 	"os/signal"
-	"strings"
-	"sync"
 	"syscall"
-	"time"
 
 	"repro/internal/nn"
 	"repro/internal/serve"
@@ -247,237 +239,7 @@ func runBenchServe(args []string) error {
 	fmt.Printf("dynamic batching over batch-of-1 at %d workers: %.2fx sustained QPS\n",
 		*workers, rep.DynamicOverBatch1X)
 
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if *out == "-" {
-		_, err = os.Stdout.Write(buf)
-		return err
-	}
-	if err := os.WriteFile(*out, buf, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", *out)
-	return nil
-}
-
-// runServeSmoke is the blocking CI gate. Part 1 replays a modest fixed-QPS
-// workload across fault seeds on the simulated clock and asserts the drain
-// and metrics contracts; part 2 round-trips the real HTTP server, including
-// a drain with a request still queued.
-func runServeSmoke(args []string) error {
-	fs := flag.NewFlagSet("serve-smoke", flag.ContinueOnError)
-	rate := fs.Float64("fault-rate", 0.05, "injected fault probability for the sim runs")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	for _, seed := range []int64{1, 2} {
-		if err := smokeSim(seed, *rate); err != nil {
-			return fmt.Errorf("sim smoke (fault seed %d): %w", seed, err)
-		}
-	}
-	if err := smokeHTTP(); err != nil {
-		return fmt.Errorf("http smoke: %w", err)
-	}
-	fmt.Println("serve-smoke: all checks passed")
-	return nil
-}
-
-// smokeSim runs one seeded workload under fault injection and checks the
-// invariants the server promises: zero dropped requests on drain, a
-// consistent metrics ledger, and every answer equal to the CPU reference no
-// matter which ladder rung served it.
-func smokeSim(seed int64, rate float64) error {
-	cfg := serve.Config{
-		Net: "lenet5", Board: "S10SX", BatchN: 8, DeadlineUS: 500, Workers: 2,
-		FaultSeed: seed, FaultRate: rate,
-	}
-	profile := loadgen.Profile{
-		Seed:    seed,
-		Stages:  []loadgen.Stage{{QPS: 1000, DurUS: 100_000}},
-		Tenants: []loadgen.Tenant{{Name: "alpha", Weight: 0.6}, {Name: "beta", Weight: 0.4}},
-	}
-	tc := trace.NewCollector()
-	runner, err := serve.NewLadderRunner(cfg, tc)
-	if err != nil {
-		return err
-	}
-	input := requestInput(cfg.Net, runner.InShape())
-	arrivals := profile.Arrivals(input)
-	res := serve.RunSim(cfg, runner, arrivals, tc)
-	sum := loadgen.Summarize(profile, res, tc.Metrics())
-	fmt.Printf("seed %d: %s\n", seed, sum)
-
-	m := tc.Metrics()
-	if got := m.Counter("serve.requests").Value(); got != int64(res.Offered) {
-		return fmt.Errorf("metrics serve.requests = %d, want %d", got, res.Offered)
-	}
-	if got := m.Counter("serve.completed").Value(); got != int64(res.Completed) {
-		return fmt.Errorf("metrics serve.completed = %d, want %d", got, res.Completed)
-	}
-	rungSum := m.Counter("serve.rung."+serve.RungBatch).Value() +
-		m.Counter("serve.rung."+serve.RungSolo).Value() +
-		m.Counter("serve.rung."+serve.RungCPURef).Value()
-	if rungSum != int64(res.Completed) {
-		return fmt.Errorf("rung counters sum to %d, want %d", rungSum, res.Completed)
-	}
-	shedSum := m.Counter("serve.shed.tenant_queue").Value() +
-		m.Counter("serve.shed.overload").Value() +
-		m.Counter("serve.shed.draining").Value()
-	if shedSum != int64(len(res.Shed)) {
-		return fmt.Errorf("shed counters sum to %d, want %d", shedSum, len(res.Shed))
-	}
-	return checkServed(cfg.Net, res, input, runner.Reference, -1)
-}
-
-// smokeHTTP round-trips the wall-clock server: concurrent posts from two
-// tenants, metrics and health endpoints, then a graceful drain with a
-// request still queued (it must complete, and post-drain posts must shed).
-func smokeHTTP() error {
-	cfg := serve.Config{
-		Net: "lenet5", Board: "S10SX", BatchN: 4, DeadlineUS: 20_000, Workers: 2,
-	}
-	s, err := serve.NewServer(cfg, nil)
-	if err != nil {
-		return err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	hs := &http.Server{Handler: s.Handler()}
-	go hs.Serve(ln)
-	defer hs.Close()
-	base := "http://" + ln.Addr().String()
-
-	post := func(tenant string, digit int) (int, map[string]any, error) {
-		body, _ := json.Marshal(map[string]any{"tenant": tenant, "digit": digit})
-		resp, err := http.Post(base+"/v1/infer", "application/json", bytes.NewReader(body))
-		if err != nil {
-			return 0, nil, err
-		}
-		defer resp.Body.Close()
-		var m map[string]any
-		if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-			return resp.StatusCode, nil, err
-		}
-		return resp.StatusCode, m, nil
-	}
-
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			tenant := "alpha"
-			if i%2 == 1 {
-				tenant = "beta"
-			}
-			code, m, err := post(tenant, i%10)
-			if err != nil {
-				errs <- err
-				return
-			}
-			if code != http.StatusOK {
-				errs <- fmt.Errorf("POST /v1/infer: status %d (%v)", code, m)
-				return
-			}
-			if m["rung"] != serve.RungBatch {
-				errs <- fmt.Errorf("expected rung %q, got %v", serve.RungBatch, m["rung"])
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		return err
-	}
-
-	get := func(path string) (int, string, error) {
-		resp, err := http.Get(base + path)
-		if err != nil {
-			return 0, "", err
-		}
-		defer resp.Body.Close()
-		var sb strings.Builder
-		buf := make([]byte, 64<<10)
-		for {
-			n, err := resp.Body.Read(buf)
-			sb.Write(buf[:n])
-			if err != nil {
-				break
-			}
-		}
-		return resp.StatusCode, sb.String(), nil
-	}
-	if code, body, err := get("/metrics"); err != nil || code != 200 || !strings.Contains(body, "serve.requests") {
-		return fmt.Errorf("GET /metrics: code %d err %v (serve.requests present: %v)",
-			code, err, strings.Contains(body, "serve.requests"))
-	}
-	checkHealth := func(wantCode int, wantStatus string) error {
-		code, body, err := get("/healthz")
-		if err != nil || code != wantCode {
-			return fmt.Errorf("GET /healthz: code %d err %v, want %d", code, err, wantCode)
-		}
-		var h serve.HealthReply
-		if err := json.Unmarshal([]byte(body), &h); err != nil {
-			return fmt.Errorf("GET /healthz: not JSON: %v (%q)", err, body)
-		}
-		if h.Status != wantStatus {
-			return fmt.Errorf("GET /healthz: status %q, want %q", h.Status, wantStatus)
-		}
-		if len(h.Runners) == 0 {
-			return fmt.Errorf("GET /healthz: no per-runner health entries")
-		}
-		for _, r := range h.Runners {
-			if r.Name == "" || r.State == "" {
-				return fmt.Errorf("GET /healthz: malformed runner entry %+v", r)
-			}
-		}
-		return nil
-	}
-	if err := checkHealth(200, "ok"); err != nil {
-		return err
-	}
-
-	// Drain with a request still queued: BatchN 4 and a 20 ms deadline keep
-	// a single post pending until the drain flushes it.
-	pending := make(chan error, 1)
-	go func() {
-		code, m, err := post("gamma", 7)
-		if err != nil {
-			pending <- err
-			return
-		}
-		if code != http.StatusOK {
-			pending <- fmt.Errorf("queued request got status %d (%v) across drain", code, m)
-			return
-		}
-		pending <- nil
-	}()
-	time.Sleep(50 * time.Millisecond) // let the post reach the queue
-	drainCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := s.Drain(drainCtx); err != nil {
-		return err
-	}
-	if err := <-pending; err != nil {
-		return err
-	}
-	if got := s.Metrics().Gauge("serve.drain.dropped").Value(); got != 0 {
-		return fmt.Errorf("serve.drain.dropped = %v, want 0", got)
-	}
-	if code, m, err := post("alpha", 1); err != nil || code != http.StatusServiceUnavailable {
-		return fmt.Errorf("post-drain POST: code %d err %v (%v), want 503", code, err, m)
-	}
-	if err := checkHealth(http.StatusServiceUnavailable, "draining"); err != nil {
-		return fmt.Errorf("post-drain: %w", err)
-	}
-	fmt.Println("http: ingest, metrics, healthz and drain-with-queued-request all OK")
-	return nil
+	return writeJSON(*out, rep)
 }
 
 // runChaos sends -images requests at t = 0 through the degradation ladder

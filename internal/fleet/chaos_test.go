@@ -7,8 +7,8 @@ package fleet
 // run must end with drain_dropped == 0, failover_dropped == 0, every
 // response bit-identical to the CPU reference, and a ledger that attributes
 // every rerouted image to its cause. Checked at multiple seeds, and each
-// seed replayed to prove byte-determinism — this is the test the fleet-smoke
-// CI job mirrors.
+// seed replayed to prove byte-determinism. It holds the contract that
+// `fpgacnn fleet -kill-board` enforces at the command line.
 
 import (
 	"reflect"

@@ -233,7 +233,8 @@ func (e *engine) beginDrain(nowUS float64) {
 func (e *engine) idle() bool { return len(e.pending) == 0 && e.inflight == 0 }
 
 // drainDropped is the number of requests a finished drain abandoned. The
-// zero-drop contract says this is always 0; serve-smoke asserts it.
+// zero-drop contract says this is always 0; TestSustainedFaultedStreamLedger
+// and the drain tests assert it.
 func (e *engine) drainDropped() int {
 	if !e.draining {
 		return 0

@@ -140,8 +140,8 @@ func (s *Server) signalIdleLocked() {
 }
 
 // Submit admits one request and returns a channel carrying its response, or
-// the shed reason. Exposed for in-process callers (tests, smoke drivers);
-// the HTTP handler goes through it too.
+// the shed reason. Exposed for in-process callers (tests, the benchmark's
+// burst workload); the HTTP handler goes through it too.
 func (s *Server) Submit(req *Request) (<-chan Response, ShedReason) {
 	ch := make(chan Response, 1)
 	req.done = func(r Response) { ch <- r }
@@ -339,9 +339,8 @@ type HealthReply struct {
 	Runners     []DeviceHealth `json:"runners,omitempty"`
 }
 
-// Health assembles the current health report (the /healthz body). Exposed
-// for in-process smoke drivers.
-func (s *Server) Health() HealthReply {
+// health assembles the current health report (the /healthz body).
+func (s *Server) health() HealthReply {
 	rep := HealthReply{Status: "ok", Draining: s.Draining(), Outstanding: s.outstanding()}
 	if hr, ok := s.runner.(HealthReporter); ok {
 		rep.Runners = hr.RunnerHealth()
@@ -366,7 +365,7 @@ func (s *Server) Health() HealthReply {
 // handleHealthz reports readiness: 200 with a JSON body while serving
 // (including degraded fleets — cpuref still answers), 503 once draining.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	rep := s.Health()
+	rep := s.health()
 	status := http.StatusOK
 	if rep.Draining {
 		status = http.StatusServiceUnavailable
@@ -380,11 +379,30 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
+// The bounds Serve's HTTP server puts on a connection. A client that stalls
+// mid-header (slow loris), trickles its body or sits idle is cut off instead
+// of holding a connection forever. The write bound runs from the end of the
+// headers to the end of the reply, so it must cover the longest legitimate
+// request: batch formation, the queue and a cpuref answer on the largest
+// net, all of which take seconds at most.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	writeTimeout      = 2 * time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
 // Serve runs the HTTP server on ln until ctx is canceled, then drains
 // gracefully (zero dropped in-flight requests) and shuts the listener down.
 // The cmd layer passes a signal-bound context for SIGTERM/SIGINT handling.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	hs := &http.Server{Handler: s.Handler()}
+	hs := &http.Server{
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(ln) }()
 	select {

@@ -7,8 +7,13 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"strings"
 	"sync"
 	"testing"
@@ -138,5 +143,164 @@ func TestHTTPDrainWithQueuedRequest(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("post-drain POST: %s, want 503", resp.Status)
+	}
+}
+
+// getHealth fetches /healthz and checks its code, status and per-runner
+// entries.
+func getHealth(t *testing.T, url string, wantCode int, wantStatus string) {
+	t.Helper()
+	resp, err := http.Get(url + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var h HealthReply
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		t.Fatalf("GET /healthz: not JSON: %v", err)
+	}
+	if resp.StatusCode != wantCode || h.Status != wantStatus {
+		t.Fatalf("GET /healthz: %s, status %q; want %d, %q", resp.Status, h.Status, wantCode, wantStatus)
+	}
+	if len(h.Runners) == 0 {
+		t.Fatal("GET /healthz: no per-runner health entries")
+	}
+	for _, r := range h.Runners {
+		if r.Name == "" || r.State == "" {
+			t.Fatalf("GET /healthz: malformed runner entry %+v", r)
+		}
+	}
+}
+
+// Concurrent posts from two tenants are all served on the batch rung; then
+// /metrics carries the request ledger and /healthz reports ok with its
+// runner entries, and after a drain /healthz answers 503 "draining" with
+// nothing dropped.
+func TestHTTPMetricsAndHealthAcrossDrain(t *testing.T) {
+	cfg := Config{Net: "lenet5", Board: "S10SX", BatchN: 4, DeadlineUS: 20_000, Workers: 2}
+	s, err := NewServer(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			tenant := [2]string{"alpha", "beta"}[i%2]
+			resp, err := http.Post(ts.URL+"/v1/infer", "application/json",
+				strings.NewReader(fmt.Sprintf(`{"tenant":%q,"digit":%d}`, tenant, i)))
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer resp.Body.Close()
+			var reply inferReply
+			if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil || resp.StatusCode != http.StatusOK {
+				errs <- fmt.Errorf("POST /v1/infer: %s, %v", resp.Status, err)
+				return
+			}
+			if reply.Rung != RungBatch {
+				errs <- fmt.Errorf("request %d served on rung %q, want %q", reply.ID, reply.Rung, RungBatch)
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "serve.requests") {
+		t.Fatalf("GET /metrics: %s, err %v, serve.requests present: %v",
+			resp.Status, err, strings.Contains(string(body), "serve.requests"))
+	}
+	getHealth(t, ts.URL, http.StatusOK, "ok")
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Metrics().Gauge("serve.drain.dropped").Value(); got != 0 {
+		t.Fatalf("serve.drain.dropped = %v, want 0", got)
+	}
+	getHealth(t, ts.URL, http.StatusServiceUnavailable, "draining")
+}
+
+// Serve's server cuts off a client that sends half a request header and
+// stalls (slow loris) once readHeaderTimeout passes, while a keep-alive
+// client's requests still succeed on one reused connection.
+func TestServeDisconnectsStalledHeader(t *testing.T) {
+	s, err := NewServer(Config{Net: "lenet5", Board: "S10SX", BatchN: 1, Workers: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, stop := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(ctx, ln) }()
+	defer func() {
+		stop()
+		if err := <-served; err != nil && err != http.ErrServerClosed {
+			t.Errorf("Serve: %v", err)
+		}
+	}()
+	url := "http://" + ln.Addr().String()
+
+	client := &http.Client{Transport: &http.Transport{}}
+	defer client.CloseIdleConnections()
+	for i := 0; i < 3; i++ {
+		reused := false
+		trace := &httptrace.ClientTrace{GotConn: func(c httptrace.GotConnInfo) { reused = c.Reused }}
+		req, err := http.NewRequestWithContext(httptrace.WithClientTrace(ctx, trace), http.MethodPost,
+			url+"/v1/infer", strings.NewReader(fmt.Sprintf(`{"digit":%d}`, i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("keep-alive request %d: %s", i, resp.Status)
+		}
+		if i > 0 && !reused {
+			t.Fatalf("keep-alive request %d opened a new connection", i)
+		}
+	}
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "POST /v1/infer HTTP/1.1\r\nHost: x\r\nContent-"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(start.Add(readHeaderTimeout + 5*time.Second))
+	_, err = io.ReadAll(conn) // returns at EOF: the server hung up (after a 400)
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatalf("stalled client still connected after %v (header bound %v): %v", elapsed, readHeaderTimeout, err)
+	}
+	if elapsed < readHeaderTimeout-time.Second {
+		t.Fatalf("stalled client cut off after %v, before the %v header bound", elapsed, readHeaderTimeout)
 	}
 }

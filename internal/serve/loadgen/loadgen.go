@@ -4,8 +4,8 @@
 // to measure a server under load (a closed-loop driver self-throttles and
 // hides queueing collapse). A Profile is a QPS ramp (stages) plus a weighted
 // tenant mix; the same seed always produces the same arrival stream, so
-// BENCH_serve.json and the serve-smoke CI assertions are reproducible
-// byte for byte.
+// BENCH_serve.json and the ledger checks of
+// serve.TestSustainedFaultedStreamLedger are reproducible byte for byte.
 package loadgen
 
 import (

@@ -17,7 +17,8 @@
 //   - sim.go: a discrete-event frontend over a virtual microsecond clock.
 //     The load generator (loadgen subpackage) produces seeded arrival
 //     streams; RunSim replays them byte-deterministically, which is how
-//     BENCH_serve.json and the serve-smoke CI gates stay reproducible.
+//     BENCH_serve.json and TestSustainedFaultedStreamLedger stay
+//     reproducible.
 //   - http.go: the wall-clock frontend behind `fpgacnn serve` — HTTP/JSON
 //     ingest, /metrics, /trace and /healthz endpoints, SIGTERM drain.
 //

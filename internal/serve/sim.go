@@ -49,7 +49,7 @@ type SimResult struct {
 	MakespanUS float64
 	// DrainDropped is the zero-drop contract check: accepted requests that
 	// neither completed nor were canceled. Always 0 unless the engine is
-	// broken; serve-smoke blocks on it.
+	// broken; TestSustainedFaultedStreamLedger blocks on it.
 	DrainDropped int
 }
 

@@ -8,6 +8,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Tensor is a dense row-major float32 array with an explicit shape.
@@ -64,7 +65,9 @@ func (t *Tensor) Clone() *Tensor {
 	return c
 }
 
-// offset computes the flat index for the given coordinates.
+// offset computes the flat index for the given coordinates. The panic formats
+// a copy of idx so the variadic slice does not escape: At and Set then keep it
+// on the caller's stack and allocate nothing.
 func (t *Tensor) offset(idx ...int) int {
 	if len(idx) != len(t.Shape) {
 		panic(fmt.Sprintf("tensor: index rank %d vs shape rank %d", len(idx), len(t.Shape)))
@@ -72,7 +75,7 @@ func (t *Tensor) offset(idx ...int) int {
 	off := 0
 	for i, x := range idx {
 		if x < 0 || x >= t.Shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of bounds for shape %v", idx, t.Shape))
+			panic(fmt.Sprintf("tensor: index %v out of bounds for shape %v", slices.Clone(idx), t.Shape))
 		}
 		off = off*t.Shape[i] + x
 	}

@@ -47,6 +47,24 @@ func TestOutOfBoundsPanics(t *testing.T) {
 	New(2, 2).At(2, 0)
 }
 
+// At and Set are the CPU reference's inner-loop accessors: the variadic index
+// must stay on the caller's stack, even though the out-of-bounds panic names
+// it (formatted from a copy, with the same message).
+func TestAtSetAllocateNothing(t *testing.T) {
+	x := New(2, 3, 4, 5)
+	i, j := 1, 2
+	if n := testing.AllocsPerRun(100, func() { x.Set(x.At(i, j, 3, 4)+1, i, j, 3, 4) }); n != 0 {
+		t.Fatalf("At+Set allocate %v times per call, want 0", n)
+	}
+	defer func() {
+		want := "tensor: index [1 2 4 0] out of bounds for shape [2 3 4 5]"
+		if got := recover(); got != want {
+			t.Fatalf("panic = %v, want %q", got, want)
+		}
+	}()
+	x.At(i, j, 4, 0)
+}
+
 func TestBadShapePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
