@@ -56,7 +56,7 @@ type Event struct {
 	Bytes int
 	// StallUS is the portion of a kernel's span spent waiting for channel
 	// producers to finish (the §4.6 rate-mismatch back-pressure): the amount
-	// its end was pushed past start+modeled-duration by chanDone coupling.
+	// its end was pushed past start+modeled-duration by channel coupling.
 	StallUS float64
 	// Corrupt marks a transfer whose payload was damaged in flight by an
 	// injected fault (the host detects it by checksum and re-transfers).
@@ -94,13 +94,41 @@ type Context struct {
 	pcieAvail float64
 	// kernelAvail serializes executions per compute unit.
 	kernelAvail map[string]float64
-	// chanReady is the time a channel's stream becomes available to a
-	// consumer (producer start + stage latency); chanDone is when the full
-	// stream has been written.
-	chanReady map[*ir.Channel]float64
-	chanDone  map[*ir.Channel]float64
-	events    []*Event
-	queues    []*Queue
+	// streams holds, per channel with a producer so far, when its stream
+	// becomes available to a consumer and when it has been fully written.
+	streams map[*ir.Channel]stream
+	events  []*Event
+	queues  []*Queue
+
+	// chans lists the design's kernels that read or write a channel, in
+	// design order, with their channel lists and, for an autorun kernel
+	// (it takes no bindings), its modeled duration: derived once when the
+	// device is programmed instead of on every enqueue. A design without
+	// channels leaves it nil.
+	chans []kernelChans
+}
+
+// stream is one channel's data flow so far: ready is when a consumer may
+// start reading (producer start + stage latency), done when the last
+// element has been written.
+type stream struct{ ready, done float64 }
+
+// kernelChans is one channel-coupled kernel as the runtime sees it.
+type kernelChans struct {
+	m             *aoc.KernelModel
+	reads, writes []*ir.Channel
+	autorunUS     float64
+}
+
+// channels returns the channel lists of model m (nil for a kernel without
+// channels).
+func (c *Context) channels(m *aoc.KernelModel) (reads, writes []*ir.Channel) {
+	for i := range c.chans {
+		if c.chans[i].m == m {
+			return c.chans[i].reads, c.chans[i].writes
+		}
+	}
+	return nil, nil
 }
 
 // NewContext programs the device with a synthesizable design.
@@ -108,12 +136,26 @@ func NewContext(d *aoc.Design) (*Context, error) {
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("clrt: cannot program device: %w", err)
 	}
-	return &Context{
+	c := &Context{
 		Design:      d,
 		kernelAvail: map[string]float64{},
-		chanReady:   map[*ir.Channel]float64{},
-		chanDone:    map[*ir.Channel]float64{},
-	}, nil
+		streams:     map[*ir.Channel]stream{},
+	}
+	for _, m := range d.Kernels {
+		reads, writes := m.Kernel.Channels()
+		if len(reads)+len(writes) == 0 {
+			continue
+		}
+		if c.chans == nil {
+			c.chans = make([]kernelChans, 0, len(d.Kernels))
+		}
+		k := kernelChans{m: m, reads: reads, writes: writes}
+		if m.Kernel.Autorun && len(reads) > 0 {
+			k.autorunUS = m.TimeUS(nil, d.FmaxMHz, d.Board)
+		}
+		c.chans = append(c.chans, k)
+	}
+	return c, nil
 }
 
 // NewBuffer allocates a device buffer.
@@ -261,10 +303,10 @@ func (q *Queue) EnqueueKernel(call KernelCall) (*Event, error) {
 	for _, b := range call.Writes {
 		start = math.Max(start, math.Max(b.readAvail, b.writeAvail))
 	}
-	reads, writes := m.Kernel.Channels()
+	reads, writes := c.channels(m)
 	for _, ch := range reads {
-		if r, ok := c.chanReady[ch]; ok {
-			start = math.Max(start, r)
+		if st, ok := c.streams[ch]; ok {
+			start = math.Max(start, st.ready)
 		}
 	}
 	dur := m.TimeUS(call.Bindings, c.Design.FmaxMHz, c.Design.Board) + dispatchUS
@@ -274,8 +316,8 @@ func (q *Queue) EnqueueKernel(call KernelCall) (*Event, error) {
 	// A channel consumer cannot finish before its producers have finished
 	// producing (unequal rates stall the pipeline, §4.6).
 	for _, ch := range reads {
-		if d, ok := c.chanDone[ch]; ok {
-			end = math.Max(end, d+stageLatencyUS)
+		if st, ok := c.streams[ch]; ok {
+			end = math.Max(end, st.done+stageLatencyUS)
 		}
 	}
 	chanStallUS := end - (start + dur)
@@ -288,8 +330,7 @@ func (q *Queue) EnqueueKernel(call KernelCall) (*Event, error) {
 		b.writeAvail = end
 	}
 	for _, ch := range writes {
-		c.chanReady[ch] = start + stageLatencyUS
-		c.chanDone[ch] = end
+		c.streams[ch] = stream{ready: start + stageLatencyUS, done: end}
 	}
 	if c.Profiling {
 		c.hostUS = math.Max(c.hostUS, end)
@@ -325,39 +366,35 @@ func (c *Context) runAutorun(producer *Event) error {
 			return fmt.Errorf("design %s: autorun propagation exceeded %d iterations after kernel %s: %w",
 				c.Design.Name, maxIters, producer.Name, ErrChannelDrain)
 		}
-		for _, m := range c.Design.Kernels {
-			if !m.Kernel.Autorun {
+		for _, k := range c.chans {
+			if !k.m.Kernel.Autorun || len(k.reads) == 0 {
 				continue
 			}
-			reads, writes := m.Kernel.Channels()
-			if len(reads) == 0 {
-				continue
-			}
+			reads, writes := k.reads, k.writes
 			start := 0.0
 			ok := true
 			for _, ch := range reads {
-				r, has := c.chanReady[ch]
+				st, has := c.streams[ch]
 				if !has {
 					ok = false
 					break
 				}
-				start = math.Max(start, r)
+				start = math.Max(start, st.ready)
 			}
 			if !ok {
 				continue
 			}
-			dur := m.TimeUS(nil, c.Design.FmaxMHz, c.Design.Board)
-			end := start + dur
+			end := start + k.autorunUS
 			for _, ch := range reads {
-				if d, has := c.chanDone[ch]; has {
-					end = math.Max(end, d+stageLatencyUS)
+				if st, has := c.streams[ch]; has {
+					end = math.Max(end, st.done+stageLatencyUS)
 				}
 			}
 			for _, ch := range writes {
 				nr := start + stageLatencyUS
 				nd := end
-				if c.chanReady[ch] != nr || c.chanDone[ch] != nd {
-					c.chanReady[ch], c.chanDone[ch] = nr, nd
+				if c.streams[ch] != (stream{nr, nd}) {
+					c.streams[ch] = stream{nr, nd}
 					changed = true
 				}
 			}
@@ -379,8 +416,8 @@ func (c *Context) Finish() {
 	for _, t := range c.kernelAvail {
 		c.hostUS = math.Max(c.hostUS, t)
 	}
-	for _, d := range c.chanDone {
-		c.hostUS = math.Max(c.hostUS, d)
+	for _, st := range c.streams {
+		c.hostUS = math.Max(c.hostUS, st.done)
 	}
 }
 

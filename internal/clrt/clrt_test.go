@@ -38,7 +38,7 @@ func chainKernels(n int) []*ir.Kernel {
 	return []*ir.Kernel{prod, mid, cons}
 }
 
-func mustDesign(t *testing.T, name string, ks []*ir.Kernel) *aoc.Design {
+func mustDesign(t testing.TB, name string, ks []*ir.Kernel) *aoc.Design {
 	t.Helper()
 	d, err := aoc.Compile(name, ks, fpga.S10SX, aoc.DefaultOptions)
 	if err != nil {

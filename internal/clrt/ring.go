@@ -111,9 +111,23 @@ func (c *Context) OverlapSince(sinceUS float64) Overlap {
 			if ev.Kind != "write" && ev.Kind != "read" {
 				continue
 			}
-			for _, sp := range merged {
-				lo := math.Max(ev.StartUS, sp.s)
-				hi := math.Min(ev.EndUS, sp.e)
+			// merged is sorted and disjoint, so its ends ascend too. A span
+			// ending at or before the transfer starts, or starting at or
+			// after it ends, adds nothing; binary-search the first span
+			// ending after the start and add the rest up to the end in
+			// merged order, the terms and the order of a scan over every
+			// span.
+			i, j := 0, len(merged)
+			for i < j {
+				if h := int(uint(i+j) >> 1); merged[h].e > ev.StartUS {
+					j = h
+				} else {
+					i = h + 1
+				}
+			}
+			for ; i < len(merged) && merged[i].s < ev.EndUS; i++ {
+				lo := math.Max(ev.StartUS, merged[i].s)
+				hi := math.Min(ev.EndUS, merged[i].e)
 				if hi > lo {
 					o.HiddenUS += hi - lo
 				}

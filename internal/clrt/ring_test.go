@@ -1,6 +1,10 @@
 package clrt
 
 import (
+	"fmt"
+	"math"
+	"math/rand/v2"
+	"sort"
 	"testing"
 
 	"repro/internal/ir"
@@ -37,7 +41,7 @@ func runSerial(t *testing.T, images int) *Context {
 // runDoubleBuffered models the batched host loop: depth-2 rings, transfers
 // and kernels on separate queues, software-pipelined so image i+1's H2D and
 // image i-1's D2H run while image i computes.
-func runDoubleBuffered(t *testing.T, images, depth int) *Context {
+func runDoubleBuffered(t testing.TB, images, depth int) *Context {
 	t.Helper()
 	k, _, _ := simpleKernel("k1", 4096)
 	d := mustDesign(t, "db", []*ir.Kernel{k})
@@ -137,6 +141,117 @@ func TestDepthOneRingMatchesSerialHazards(t *testing.T) {
 				t.Fatalf("kernel %q started at %v before previous kernel finished at %v", ev.Name, ev.StartUS, lastKernelEnd)
 			}
 			lastKernelEnd = ev.EndUS
+		}
+	}
+}
+
+// overlapSinceScan is OverlapSince as it was first written: every transfer
+// intersected with every merged kernel span, O(T·K). It is the oracle for
+// the binary-searched version.
+func overlapSinceScan(c *Context, sinceUS float64) Overlap {
+	var o Overlap
+	type span struct{ s, e float64 }
+	var kernels []span
+	events := make([]*Event, 0, len(c.events))
+	for _, ev := range c.events {
+		if ev.StartUS >= sinceUS {
+			events = append(events, ev)
+		}
+	}
+	for _, ev := range events {
+		switch ev.Kind {
+		case "kernel":
+			o.KernelUS += ev.Duration()
+			if ev.EndUS > ev.StartUS {
+				kernels = append(kernels, span{ev.StartUS, ev.EndUS})
+			}
+		case "write", "read":
+			o.TransferUS += ev.Duration()
+		}
+	}
+	if len(kernels) > 0 {
+		sort.Slice(kernels, func(i, j int) bool { return kernels[i].s < kernels[j].s })
+		merged := kernels[:1]
+		for _, sp := range kernels[1:] {
+			last := &merged[len(merged)-1]
+			if sp.s <= last.e {
+				last.e = math.Max(last.e, sp.e)
+			} else {
+				merged = append(merged, sp)
+			}
+		}
+		for _, ev := range events {
+			if ev.Kind != "write" && ev.Kind != "read" {
+				continue
+			}
+			for _, sp := range merged {
+				lo := math.Max(ev.StartUS, sp.s)
+				hi := math.Min(ev.EndUS, sp.e)
+				if hi > lo {
+					o.HiddenUS += hi - lo
+				}
+			}
+		}
+	}
+	if o.TransferUS > 0 {
+		o.Ratio = o.HiddenUS / o.TransferUS
+	}
+	return o
+}
+
+// randomEventLog fills a context with n seeded events: kernels and
+// transfers of random kinds at random, often overlapping or touching,
+// times, some of zero length, on a coarse grid so equal endpoints occur.
+func randomEventLog(seed uint64, n int) *Context {
+	r := rand.New(rand.NewPCG(seed, 7))
+	c := &Context{}
+	kinds := []string{"kernel", "write", "read"}
+	t := 0.0
+	for i := 0; i < n; i++ {
+		t += float64(r.IntN(8)) * 0.25
+		start := t + float64(r.IntN(40))*0.5 - 10
+		dur := float64(r.IntN(12)) * 0.75
+		if r.IntN(10) == 0 {
+			dur = 0
+		}
+		c.events = append(c.events, &Event{Kind: kinds[r.IntN(3)], StartUS: start, EndUS: start + dur})
+	}
+	return c
+}
+
+// TestOverlapSinceMatchesScan: on random event logs, from every cut-off
+// including none, the binary-searched OverlapSince returns bit for bit what
+// the full scan does.
+func TestOverlapSinceMatchesScan(t *testing.T) {
+	for seed := uint64(1); seed <= 200; seed++ {
+		c := randomEventLog(seed, 1+int(seed%97))
+		for _, since := range []float64{math.Inf(-1), 0, 5, 20, 60} {
+			got, want := c.OverlapSince(since), overlapSinceScan(c, since)
+			if math.Float64bits(got.HiddenUS) != math.Float64bits(want.HiddenUS) ||
+				math.Float64bits(got.TransferUS) != math.Float64bits(want.TransferUS) ||
+				math.Float64bits(got.KernelUS) != math.Float64bits(want.KernelUS) ||
+				math.Float64bits(got.Ratio) != math.Float64bits(want.Ratio) {
+				t.Fatalf("seed %d since %v: %+v, scan %+v", seed, since, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkOverlapSince times OverlapSince ("search") and the scan it
+// replaced ("scan") on double-buffered runs of T = 1k, 4k and 16k
+// transfers: two per image, against one merged kernel span per image.
+func BenchmarkOverlapSince(b *testing.B) {
+	for _, n := range []int{1 << 9, 1 << 11, 1 << 13} {
+		c := runDoubleBuffered(b, n, 2)
+		for _, impl := range []struct {
+			name string
+			fn   func(*Context, float64) Overlap
+		}{{"search", (*Context).OverlapSince}, {"scan", overlapSinceScan}} {
+			b.Run(fmt.Sprintf("T=%d/%s", 2*n, impl.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					impl.fn(c, 0)
+				}
+			})
 		}
 	}
 }

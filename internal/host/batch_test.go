@@ -526,12 +526,13 @@ func TestRunBatchPublishesSimStats(t *testing.T) {
 		t.Errorf("sim.exec.guard_bailouts = %d on in-bounds LeNet schedules", v)
 	}
 	// Both max pools compile onto the window executor (once per session
-	// the workers open); each image runs each pool once.
+	// the workers open); each image runs each pool and each of the three
+	// dense GEMVs, which the GEMM declines, there once.
 	if v := m.Counter("sim.exec.window_loops").Value(); v == 0 || v%2 != 0 {
 		t.Errorf("sim.exec.window_loops = %d, want two per compiled session", v)
 	}
-	if v := m.Counter("sim.exec.window_runs").Value(); v != 2*8 {
-		t.Errorf("sim.exec.window_runs = %d, want 16 (two pools per image)", v)
+	if v := m.Counter("sim.exec.window_runs").Value(); v != 5*8 {
+		t.Errorf("sim.exec.window_runs = %d, want 40 (two pools and three dense layers per image)", v)
 	}
 	snap := p.SimStats()
 	if snap.VectorRuns == 0 || snap.CacheMisses == 0 {

@@ -216,7 +216,7 @@ type GemmPart struct {
 //	for outer...:                  # OuterVars (tile coordinates)
 //	  init:  for iv...: T[e] = c          # c nest-invariant
 //	  red:   for rv...: T[e] = T[e] ⊕ rhs
-//	  write: for wv...: D[·] = act(T[e] (+ chain...))
+//	  write: for wv...: D[·] = act(T[e] (·c) (+ chain...))
 //
 // with T's index identical (structurally, and over the same variables) in all
 // three phases. ⊕ is Add with rhs LoadA·LoadB or the single load LoadA, or
@@ -224,8 +224,10 @@ type GemmPart struct {
 // as the accumulator: no rhs or chain load reads it. LoadA/LoadB keep the
 // scalar operand order of the product — the sim tries both (A,B) assignments,
 // since which operand is the weight matrix and which the patch matrix is a
-// stride property, not a syntactic one. Chain holds the write-back's
-// post-accumulator adds (bias, residual skip) in scalar evaluation order.
+// stride property, not a syntactic one. Scale, when set, is the float
+// literal c the accumulator is multiplied by before the chain adds (average
+// pooling's 1/F²). Chain holds the write-back's post-accumulator adds (bias,
+// residual skip) in scalar evaluation order.
 //
 // Matmul marks the nests the GEMM executor can take: an Add of LoadA·LoadB in
 // which no outer or tile variable (a reduction-part variable of T's index)
@@ -242,6 +244,7 @@ type GemmNest struct {
 	Op           BinOp // Add, MaxOp or MinOp
 	LoadA, LoadB *Load
 	TLoad        *Load
+	Scale        *FloatImm
 	Chain        []*Load
 	Act          GemmAct
 	Matmul       bool
@@ -323,7 +326,8 @@ outer:
 	}
 
 	// Write-back: D[·] = act(T[e] + chain loads), left-associated, with the
-	// accumulator as the leftmost (first-evaluated) term.
+	// accumulator, optionally times a float literal, as the leftmost
+	// (first-evaluated) term.
 	val, act := stripGemmAct(g.Write.Store.Value)
 	g.Act = act
 	for {
@@ -340,6 +344,11 @@ outer:
 	}
 	for i, j := 0, len(g.Chain)-1; i < j; i, j = i+1, j-1 {
 		g.Chain[i], g.Chain[j] = g.Chain[j], g.Chain[i]
+	}
+	if m, ok := val.(*Binary); ok && m.Op == Mul {
+		if c, ok := m.B.(*FloatImm); ok {
+			g.Scale, val = c, m.A
+		}
 	}
 	tl, ok := val.(*Load)
 	if !ok || tl.Buf != g.T || !IndexEq(tl.Index, g.Red.Store.Index) {

@@ -2,7 +2,8 @@ package ir_test
 
 // The whole-nest matcher over the kernels topi emits: conv and dense nests
 // are matmul-shaped, depthwise and pooling nests are tile nests for the
-// window executor, and average pooling's scaled write-back is no tile nest.
+// window executor, and average pooling's write-back scaled by 1/F² matches
+// with its literal scale.
 
 import (
 	"testing"
@@ -60,6 +61,7 @@ func TestMatchGemmNestClassifiesTileNests(t *testing.T) {
 		{"dense", dense.Op.Kernel, ir.Add, true, true},
 		{"depthwise", dw.Op.Kernel, ir.Add, true, false},
 		{"maxpool", maxPool.Op.Kernel, ir.MaxOp, false, false},
+		{"avgpool", avgPool.Op.Kernel, ir.Add, false, false},
 	}
 	for _, c := range cases {
 		g := matchKernel(t, c.k)
@@ -70,9 +72,9 @@ func TestMatchGemmNestClassifiesTileNests(t *testing.T) {
 			t.Errorf("%s: op %s, LoadB %v, matmul %v; want %s, %v, %v",
 				c.name, g.Op, g.LoadB != nil, g.Matmul, c.op, c.loadB, c.matmul)
 		}
-	}
-	if g := matchKernel(t, avgPool.Op.Kernel); g != nil {
-		t.Errorf("avgpool: the scaled write-back T·(1/F²) matched")
+		if want := c.name == "avgpool"; (g.Scale != nil) != want || want && g.Scale.Value != 1.0/49 {
+			t.Errorf("%s: scale %v, want the literal 1/49 only on avgpool", c.name, g.Scale)
+		}
 	}
 }
 

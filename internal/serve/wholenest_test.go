@@ -22,17 +22,20 @@ func TestDeployedNetworksRunWholeNests(t *testing.T) {
 		net                              string
 		vectorRuns, windowRuns, gemmRuns int64
 	}{
-		// Both convs on cpuref.Gemm, both max pools on the window path. Of
-		// the 226 vector runs, 214 are the three one-column dense GEMVs
-		// (120 + 84 + 10 outputs), which stay on their vectorized twin
-		// below gemmMinCols; the other 12 are single-entry nests: channel
+		// Both convs on cpuref.Gemm. On the window path: both max pools and
+		// the three one-column dense GEMVs, which the GEMM declines below
+		// gemmMinCols. The 12 vector runs are single-entry nests: channel
 		// staging copies, flatten and softmax.
-		{"lenet5", 226, 2, 2},
-		// 14 pointwise/dense GEMMs, the 13 depthwise layers on the window
-		// path.
-		{"mobilenetv1", 2042, 13, 14},
-		// 20 conv GEMMs and the 3×3/2 max pool.
-		{"resnet18", 1534, 1, 20},
+		{"lenet5", 12, 5, 2},
+		// The first conv and the 13 pointwise convs on cpuref.Gemm; the 13
+		// depthwise layers, the 7×7 average pool and the dense GEMV on the
+		// window path. Of the 18 vector runs, 14 are pad kernels' row
+		// fills and copies (padLoop), 4 single-entry nests.
+		{"mobilenetv1", 18, 15, 14},
+		// 20 conv GEMMs; the 3×3/2 max pool, the 7×7 average pool and the
+		// dense GEMV on the window path. Of the 22 vector runs, 18 are pad
+		// kernels, 4 single-entry nests.
+		{"resnet18", 22, 3, 20},
 	}
 	for _, c := range cases {
 		dep, layers, err := BuildDeployment(c.net, fpga.S10SX)

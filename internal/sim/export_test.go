@@ -12,19 +12,22 @@ func SetLanes(on bool) (restore func()) {
 	return func() { useLanes = CPUHasLanes }
 }
 
-// LaneRuns counts window runs by the fold their lane plan chose: a merged
-// lane run or the scalar fold.
+// LaneRuns counts window runs by the fold their plan chose: a merged lane
+// run, the four-point fold or the per-point scalar fold.
 type LaneRuns struct {
-	Merged, Scalar atomic.Int64
+	Merged, Multi, Scalar atomic.Int64
 }
 
 // CountLaneRuns counts every window run until stop is called.
 func CountLaneRuns() (runs *LaneRuns, stop func()) {
 	runs = &LaneRuns{}
-	laneHook = func(lanes int64) {
-		if lanes > 0 {
+	laneHook = func(lanes int64, multi bool) {
+		switch {
+		case lanes > 0:
 			runs.Merged.Add(1)
-		} else {
+		case multi:
+			runs.Multi.Add(1)
+		default:
 			runs.Scalar.Add(1)
 		}
 	}

@@ -7,7 +7,9 @@ package sim
 // extents, level maps, flattened accesses, replay twin): a matmul-shaped
 // nest (conv, dense) runs here on the cache-blocked cpuref.Gemm, every other
 // tile nest (depthwise convolution, pooling) on the strided-window
-// microkernel of window.go.
+// microkernel of window.go. A matmul-shaped nest the GEMM declines at run
+// time as too narrow or too small (the dense layers' GEMVs) runs on a window
+// loop compiled from the same front end.
 //
 // The GEMM executor fuses the write-back's elementwise tail (bias add,
 // residual add, ReLU/ReLU6) into the epilogue. Everything the matcher could
@@ -47,11 +49,13 @@ import (
 )
 
 const (
-	// gemmMinCols: with fewer output columns than this per row, the
-	// row-at-a-time vector microkernels already saturate — skip (uncounted).
+	// gemmMinCols: with fewer output columns than this per row, most of a
+	// 16-wide GEMM tile's lanes idle, so the nest goes to the window
+	// executor instead (uncounted): a one-column GEMV folds four outputs per
+	// pass there.
 	gemmMinCols = 8
 	// gemmMinMACs: below this many multiply-accumulates the per-entry stride
-	// verification outweighs the GEMM win.
+	// verification outweighs the GEMM win; the window executor takes it.
 	gemmMinMACs = 4096
 )
 
@@ -67,7 +71,7 @@ const (
 // tryGemm outcomes.
 const (
 	gemmOK   = iota // executed on the GEMM path
-	gemmSkip        // unprofitable / zero-trip: run the twin, not a bailout
+	gemmSkip        // unprofitable / zero-trip: run the window or the twin, not a bailout
 	gemmBail        // guard failure: run the twin, counted in ExecStats
 )
 
@@ -107,10 +111,12 @@ type tileNest struct {
 }
 
 // wholeNest lowers a nest the structural matcher recognizes onto one of its
-// two executors: matmul-shaped nests onto cpuref.Gemm (gemmLoop), every other
-// tile nest — depthwise convolution, max/min pooling, single-load sums — onto
-// the strided-window microkernel (window.go). nil means "not recognized", and
-// the caller falls through to the per-loop vectorizer.
+// two executors: matmul-shaped nests onto cpuref.Gemm (gemmLoop), with a
+// window loop over the same front end for the entries the GEMM declines;
+// every other tile nest — depthwise convolution, max/min pooling, sums over
+// one load, and any scaled write-back — onto the strided-window microkernel
+// (window.go). nil means "not recognized", and the caller falls through to
+// the per-loop vectorizer.
 func (c *compiler) wholeNest(f *ir.For) stmtFn {
 	g := ir.MatchGemmNest(f)
 	// The accumulator tile must be kernel-private: allocated here and never
@@ -123,12 +129,17 @@ func (c *compiler) wholeNest(f *ir.For) stmtFn {
 	if tn == nil {
 		return nil
 	}
+	gemm := g.Matmul && g.Scale == nil // the GEMM epilogue has no scale
+	wl := c.windowLoop(g, tn)
 	var run stmtFn
-	if g.Matmul {
-		run = newGemmLoop(tn).run
-	} else if wl := c.windowLoop(g, tn); wl != nil {
+	switch {
+	case gemm:
+		gl := newGemmLoop(tn)
+		gl.win = wl // nil: a declined entry replays on the twin
+		run = gl.run
+	case wl != nil:
 		run = wl.run
-	} else {
+	default:
 		return nil
 	}
 	// Compile the replay twin with whole-nest lowering off (the per-loop
@@ -136,7 +147,7 @@ func (c *compiler) wholeNest(f *ir.For) stmtFn {
 	c.wholeNests = false
 	tn.twin = c.stmtFn(f)
 	c.wholeNests = true
-	if g.Matmul {
+	if gemm {
 		c.nGemm++
 	} else {
 		c.nWindow++
@@ -339,6 +350,7 @@ func (fa *flatAcc) flatten(e *cenv, ext []int64) bool {
 // run-time scratch.
 type gemmLoop struct {
 	*tileNest
+	win *windowLoop // runs the entries tryGemm declines
 
 	cls                          []int8
 	sDr                          []int64 // destination stride per reduction-list var
@@ -399,7 +411,11 @@ func (gl *gemmLoop) run(e *cenv) {
 		}
 		gl.twin(e)
 	default:
-		gl.twin(e)
+		if gl.win != nil {
+			gl.win.run(e)
+		} else {
+			gl.twin(e)
+		}
 	}
 }
 

@@ -1,10 +1,13 @@
 package sim_test
 
-// The deployed window nests stay on the lane path: one image through each
-// deployed network must fold every window run — MobileNetV1's 13 depthwise
-// layers, ResNet-18's 3×3/2 max pool and LeNet-5's two 2×2/2 max pools — as
-// merged lane runs, none on the scalar fold. A refactor that makes the lane
-// plan decline them would otherwise only show as lost speed.
+// The deployed window nests stay on their fast folds: one image through
+// each deployed network must fold every depthwise layer and pool —
+// MobileNetV1's 13 depthwise layers and 7×7 average pool, ResNet-18's 3×3/2
+// max pool and 7×7 average pool, LeNet-5's two 2×2/2 max pools — as merged
+// lane runs, every dense layer's GEMV (LeNet-5's three, one in each of the
+// others) on the four-point fold, and none on the per-point scalar fold. A
+// refactor that makes a plan decline them would otherwise only show as lost
+// speed.
 
 import (
 	"testing"
@@ -19,12 +22,12 @@ import (
 
 func TestDeployedWindowRunsTakeLanes(t *testing.T) {
 	if !sim.CPUHasLanes {
-		t.Skip("CPU has no AVX2: every window run folds on the scalar twin")
+		t.Skip("CPU has no AVX2: no window run takes the lane path")
 	}
 	cases := []struct {
-		net        string
-		windowRuns int64
-	}{{"lenet5", 2}, {"mobilenetv1", 13}, {"resnet18", 1}}
+		net           string
+		merged, multi int64
+	}{{"lenet5", 2, 3}, {"mobilenetv1", 14, 1}, {"resnet18", 2, 1}}
 	for _, c := range cases {
 		dep, layers, err := serve.BuildDeployment(c.net, fpga.S10SX)
 		if err != nil {
@@ -37,8 +40,9 @@ func TestDeployedWindowRunsTakeLanes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.net, err)
 		}
-		if m, sc := runs.Merged.Load(), runs.Scalar.Load(); m != c.windowRuns || sc != 0 {
-			t.Errorf("%s: merged lane runs %d, scalar folds %d, want %d, 0", c.net, m, sc, c.windowRuns)
+		if m, mu, sc := runs.Merged.Load(), runs.Multi.Load(), runs.Scalar.Load(); m != c.merged || mu != c.multi || sc != 0 {
+			t.Errorf("%s: merged lane runs %d, four-point folds %d, scalar folds %d, want %d, %d, 0",
+				c.net, m, mu, sc, c.merged, c.multi)
 		}
 	}
 }
