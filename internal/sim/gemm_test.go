@@ -18,7 +18,8 @@ import (
 // kernels the deployed networks run, at their deployed shapes: each nest
 // lowers whole onto cpuref.Gemm with no fallback loop, bailout or guard
 // failure. lenet_dense1 is a one-column GEMV, below gemmMinCols: it compiles
-// as a GEMM nest but runs on its vectorized twin, so it makes no GEMM run.
+// as a GEMM nest, but the GEMM declines it and it runs on the window
+// executor, so it makes no GEMM run.
 func TestDeployedKernelsLowerToGemm(t *testing.T) {
 	type kcase struct {
 		name     string
