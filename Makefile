@@ -38,8 +38,9 @@ lint:
 	fi
 	$(GO) vet ./...
 
-# The bit-identity contract (GEMM, vector microkernels and cpuref against the
-# interpreter) needs every float32 product rounded before it is accumulated.
+# The bit-identity contract (the GEMM and window executors and cpuref against
+# the interpreter) needs every float32 product rounded before it is
+# accumulated.
 # The Go spec guarantees that only at an explicit float32(...) conversion;
 # arm64 contracts `acc += a*b` into one FMADDS even through a temporary, and
 # amd64 has VFMADD* from GOAMD64=v3 on. Build the cpuref, sim and relay (BN

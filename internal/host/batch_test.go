@@ -499,9 +499,9 @@ func TestRunBatchTraceFaultAccounting(t *testing.T) {
 }
 
 // TestRunBatchPublishesSimStats: the execution-tier counters reach the
-// metrics registry (satellite of the vector-tier work): the vector engine
-// must actually fire on the LeNet kernels, the compiled-kernel cache must be
-// warm across images, and in-bounds schedules must not guard-bail.
+// metrics registry: the copy lowering must fire on LeNet's 8 staging and
+// flatten copies, the compiled-kernel cache must be warm across images, and
+// in-bounds schedules must not guard-bail.
 func TestRunBatchPublishesSimStats(t *testing.T) {
 	layers := lenetLayers(t)
 	p, err := BuildPipelined(layers, PipeTVMAutorun, fpga.S10SX, aoc.DefaultOptions)
@@ -513,11 +513,11 @@ func TestRunBatchPublishesSimStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := tc.Metrics()
-	if v := m.Counter("sim.exec.vector_loops").Value(); v == 0 {
-		t.Error("sim.exec.vector_loops not published or vectorizer never fired")
+	if v := m.Counter("sim.exec.vector_loops").Value(); v == 0 || v%8 != 0 {
+		t.Errorf("sim.exec.vector_loops = %d, want eight copies per compiled session", v)
 	}
-	if v := m.Counter("sim.exec.vector_runs").Value(); v == 0 {
-		t.Error("sim.exec.vector_runs not published")
+	if v := m.Counter("sim.exec.vector_runs").Value(); v != 8*8 {
+		t.Errorf("sim.exec.vector_runs = %d, want 64 (eight copies per image)", v)
 	}
 	if v := m.Counter("sim.compile.cache_hits").Value(); v == 0 {
 		t.Error("sim.compile.cache_hits: warm arenas must hit the kernel cache")

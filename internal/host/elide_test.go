@@ -50,8 +50,8 @@ func elideInputs() []*tensor.Tensor {
 
 // TestElidedSessionMatchesInterpOracle: on every Table 6.4 variant, a session
 // with its channels elided must equal, to the bit, RunGraph over the original
-// channel kernels on the interpreter tier, on the vector tier (GEMM and
-// microkernels).
+// channel kernels on the interpreter tier, on the vector tier (whole-nest
+// executors, copies and closures).
 func TestElidedSessionMatchesInterpOracle(t *testing.T) {
 	layers := lenetLayers(t)
 	inputs := elideInputs()
@@ -79,9 +79,9 @@ func TestElidedSessionMatchesInterpOracle(t *testing.T) {
 }
 
 // TestElidedLeNetCounters pins what elision buys on the deployed LeNet: every
-// conv and dense nest reaches the GEMM matcher, no compute loop is left on
-// the closure fallback, and what remains of the microkernel entries is
-// mostly pooling (13 616 entries per image with the channels in place).
+// conv and dense nest reaches the GEMM matcher, and what is left runs as
+// exactly 8 plain copies (the staging copies and the flatten) plus the
+// softmax's 4 innermost loops on the closures.
 func TestElidedLeNetCounters(t *testing.T) {
 	p, err := BuildPipelined(lenetLayers(t), PipeTVMAutorun, fpga.S10SX, aoc.DefaultOptions)
 	if err != nil {
@@ -91,9 +91,9 @@ func TestElidedLeNetCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := p.SimStats()
-	if s.GemmLoops != 5 || s.FallbackLoops != 0 || s.GemmBailouts != 0 || s.VectorRuns > 2000 {
-		t.Fatalf("one elided LeNet image: gemm_loops %d (want 5), fallback_loops %d (want 0), "+
-			"gemm_bailouts %d (want 0), vector_runs %d (want <= 2000)",
+	if s.GemmLoops != 5 || s.FallbackLoops != 4 || s.GemmBailouts != 0 || s.VectorRuns != 8 {
+		t.Fatalf("one elided LeNet image: gemm_loops %d (want 5), fallback_loops %d (want 4), "+
+			"gemm_bailouts %d (want 0), vector_runs %d (want 8)",
 			s.GemmLoops, s.FallbackLoops, s.GemmBailouts, s.VectorRuns)
 	}
 }

@@ -61,7 +61,7 @@ type engine struct {
 func (e *engine) state() *engine { return e }
 
 // SimStats returns the cumulative execution-tier counters (compile cache,
-// vectorized vs fallback loops, guard bailouts) of every functional run on
+// lowered vs fallback loops, guard bailouts) of every functional run on
 // this deployment.
 func (e *engine) SimStats() sim.StatsSnapshot { return e.simStats.Snapshot() }
 

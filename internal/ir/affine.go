@@ -2,11 +2,9 @@ package ir
 
 // Affine access classification: decompose index expressions into base +
 // stride·var form with respect to a loop nest. This is the analysis half of
-// the simulator's vectorized execution tier (internal/sim/vector.go) and is
-// deliberately kept here, next to Simplify, so the AOC memory model can
-// reuse the same stride/base extraction when classifying global-memory
-// accesses as coalesced/strided (§5.2: the thesis's coalescing argument is
-// exactly "innermost stride == 1").
+// the simulator's nest lowerings: the GEMM and window executors
+// (internal/sim/gemm.go, internal/sim/window.go) and the copy lowering
+// (internal/sim/copy.go) flatten every access they run through it.
 
 // LinearExpr is the affine decomposition of an integer expression with
 // respect to an ordered list of loop variables:
@@ -21,31 +19,6 @@ package ir
 type LinearExpr struct {
 	Coeffs []Expr
 	Base   Expr
-}
-
-// ConstCoeffs returns the coefficient vector as int64s when every
-// coefficient is a literal (the common case for non-parameterized kernels).
-func (l LinearExpr) ConstCoeffs() ([]int64, bool) {
-	out := make([]int64, len(l.Coeffs))
-	for i, c := range l.Coeffs {
-		v, ok := IsConst(c)
-		if !ok {
-			return nil, false
-		}
-		out[i] = v
-	}
-	return out, true
-}
-
-// Invariant reports whether the decomposition has no dependence on any nest
-// variable (all coefficients are the literal zero).
-func (l LinearExpr) Invariant() bool {
-	for _, c := range l.Coeffs {
-		if v, ok := IsConst(c); !ok || v != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // UsesAnyVar reports whether e references any of vars.
@@ -179,10 +152,10 @@ func LinearizeAccess(buf *Buffer, index []Expr, vars []*Var) (AccessPattern, boo
 // ---------------------------------------------------------------------------
 // Whole-nest recognition.
 //
-// The per-loop analysis above vectorizes one innermost loop at a time, which
-// leaves the structure of whole reduction nests on the table: the folded
-// pointwise layers are literally C[m,n] += A[m,k]·B[k,n] after im2col, and a
-// depthwise or pooling nest is one strided window folded per output point.
+// The per-access analysis above sees index arithmetic, not the structure of
+// a whole reduction nest: the folded pointwise layers are literally
+// C[m,n] += A[m,k]·B[k,n] after im2col, and a depthwise or pooling nest is
+// one strided window folded per output point.
 // TVM's CPU schedules win exactly by lowering a recognized operator nest onto
 // one tight kernel. MatchGemmNest recognizes the *shape* of such a nest — a
 // perfect outer loop chain around an {init, reduce, write-back} triple over a

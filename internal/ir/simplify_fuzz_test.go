@@ -21,7 +21,7 @@ import (
 // buildIndexExpr derives a deterministic expression over loop vars i, j and
 // scalar param p from the fuzz bytes. The grammar includes non-affine
 // operators (div/mod/min/max) on purpose: the simplifier must be sound on
-// everything it might meet, not just on what the vectorizer accepts.
+// everything it might meet, not just on what the affine pass accepts.
 func buildIndexExpr(data []byte, i, j, p *ir.Var) ir.Expr {
 	e := ir.Expr(i)
 	for n, b := range data {

@@ -46,17 +46,16 @@ type compiler struct {
 	nSlots   int
 	bufSlots map[*ir.Buffer]int
 	kernel   *ir.Kernel
-	// vectorize enables the affine loop-nest vectorizer (vector.go);
-	// nVector/nFallback count nests lowered to microkernels vs innermost
-	// compute loops left on closures, reported into ExecStats by Run.
-	vectorize bool
-	nVector   int64
-	nFallback int64
-	// wholeNests enables whole-nest recognition (gemm.go), tried before the
-	// per-loop vectorizer; nGemm and nWindow count the recognized nests each
-	// executor took. Cleared while compiling a recognized nest's replay twin.
-	wholeNests     bool
-	nGemm, nWindow int64
+	// lower enables the nest lowerings: whole nests (gemm.go, window.go),
+	// then plain copies (copy.go) and pad nests (pad.go). It is cleared
+	// while compiling a lowered nest's replay twin, which runs on plain
+	// closures and counts nothing. nGemm and nWindow count the whole nests
+	// each executor took, nVector the copy and pad nests, nFallback the
+	// innermost compute loops left on closures; Run reports them into
+	// ExecStats.
+	lower              bool
+	nGemm, nWindow     int64
+	nVector, nFallback int64
 }
 
 func (c *compiler) slot(v *ir.Var) int {
@@ -349,13 +348,11 @@ func (c *compiler) stmtFn(s ir.Stmt) stmtFn {
 			e.bufs[s] = e.m.bufs[buf]
 		}
 	case *ir.For:
-		if c.wholeNests {
+		if c.lower {
 			if fn := c.wholeNest(x); fn != nil {
 				return fn
 			}
-		}
-		if c.vectorize {
-			fn := c.vectorLoop(x)
+			fn := c.copyLoop(x)
 			if fn == nil {
 				fn = c.padLoop(x)
 			}
@@ -364,8 +361,8 @@ func (c *compiler) stmtFn(s ir.Stmt) stmtFn {
 				return fn
 			}
 			if innermostComputeLoop(x) {
-				// Countable bailout: an innermost loop with stores or
-				// channel ops stays on the scalar closures.
+				// Countable fallback: an innermost loop with stores or
+				// channel ops stays on the closures.
 				c.nFallback++
 			}
 		}
@@ -404,6 +401,31 @@ func (c *compiler) stmtFn(s ir.Stmt) stmtFn {
 		}
 	}
 	panic(fmt.Sprintf("unknown stmt %T", s))
+}
+
+// twin compiles f to plain closures: the replay path of a lowered nest,
+// bit-identical to the interpreter by construction.
+func (c *compiler) twin(f *ir.For) stmtFn {
+	c.lower = false
+	fn := c.stmtFn(f)
+	c.lower = true
+	return fn
+}
+
+// innermostComputeLoop reports whether f is an innermost loop (no nested
+// For) that performs stores or channel writes — the unit FallbackLoops
+// counts, so every loop left on the closures is visible in the metrics.
+func innermostComputeLoop(f *ir.For) bool {
+	inner, compute := true, false
+	ir.WalkStmt(f.Body, func(s ir.Stmt) {
+		switch s.(type) {
+		case *ir.For:
+			inner = false
+		case *ir.Store, *ir.ChannelWrite:
+			compute = true
+		}
+	})
+	return inner && compute
 }
 
 func maxI(a, b int64) int64 {

@@ -4,8 +4,8 @@ package sim
 // run concurrently and hand activations over through Intel channels (§4.6,
 // §4.7). The functional engines run each kernel of a graph to completion in
 // order over unbounded FIFOs, so there a channel is only a buffer — but the
-// channel ops still keep the GEMM matcher and the vectorizer away from every
-// nest that touches them. ElideChannels rewrites the channels whose
+// channel ops still keep the whole-nest match and the copy lowering away
+// from every nest that touches them. ElideChannels rewrites the channels whose
 // push/pop order is statically the identity into plain buffer accesses, so
 // the nests around them lower like any other buffer nest.
 //

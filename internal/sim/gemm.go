@@ -28,9 +28,10 @@ package sim
 //     another write's slot), so epilogue order cannot be observed;
 //   - no operand aliases the destination or the accumulator tile.
 //
-// Any failed check replays the nest on the scalar/vector twin, counted in
-// ExecStats.GemmBailouts — the same bit-identity discipline as the per-loop
-// vectorizer. The numerical contract is exact: cpuref.Gemm accumulates in
+// Any failed check replays the nest on its twin, plain closures compiled
+// from the same nest, counted in ExecStats.GemmBailouts — the same
+// bit-identity discipline as the pad and copy lowerings' guard bailouts.
+// The numerical contract is exact: cpuref.Gemm accumulates in
 // ascending-k order with per-step float32 rounding (no FMA contraction), the
 // bias/residual adds happen after the full k sum in scalar evaluation order,
 // and the activation helpers are bit-identical to the scalar closures'
@@ -75,11 +76,40 @@ const (
 	gemmBail        // guard failure: run the twin, counted in ExecStats
 )
 
+// affineAcc is one buffer access in compiled form: everything needed to
+// evaluate its flat base/strides and its bounds box once per nest entry.
+type affineAcc struct {
+	ref   func(*cenv) []float32
+	dims  []intFn   // buffer extents (possibly symbolic)
+	bases []intFn   // per-dim affine base
+	coefs [][]intFn // per-dim, per-nest-var affine coefficient
+}
+
+// access compiles the affine decomposition (ir.LinearizeAccess) of one
+// buffer access, or nil when any index is not affine in the nest.
+func (c *compiler) access(buf *ir.Buffer, index []ir.Expr, vars []*ir.Var) *affineAcc {
+	ap, ok := ir.LinearizeAccess(buf, index, vars)
+	if !ok {
+		return nil
+	}
+	a := &affineAcc{ref: c.bufferRef(buf)}
+	for d, lin := range ap.Dims {
+		a.dims = append(a.dims, c.intFn(buf.Shape[d]))
+		a.bases = append(a.bases, c.intFn(lin.Base))
+		cf := make([]intFn, len(vars))
+		for i, coeff := range lin.Coeffs {
+			cf[i] = c.intFn(coeff)
+		}
+		a.coefs = append(a.coefs, cf)
+	}
+	return a
+}
+
 // flatAcc is a compiled buffer access plus its per-entry flattening: the
 // flat base/stride form evaluated against the current environment, with the
 // bounds box already checked.
 type flatAcc struct {
-	acc  *vecAccess
+	acc  *affineAcc
 	str  []int64
 	base int64
 	data []float32
@@ -115,8 +145,8 @@ type tileNest struct {
 // window loop over the same front end for the entries the GEMM declines;
 // every other tile nest — depthwise convolution, max/min pooling, sums over
 // one load, and any scaled write-back — onto the strided-window microkernel
-// (window.go). nil means "not recognized", and the caller falls through to
-// the per-loop vectorizer.
+// (window.go). nil means "not recognized", and the caller tries the copy and
+// pad lowerings, then the closures.
 func (c *compiler) wholeNest(f *ir.For) stmtFn {
 	g := ir.MatchGemmNest(f)
 	// The accumulator tile must be kernel-private: allocated here and never
@@ -142,11 +172,7 @@ func (c *compiler) wholeNest(f *ir.For) stmtFn {
 	default:
 		return nil
 	}
-	// Compile the replay twin with whole-nest lowering off (the per-loop
-	// vectorizer still applies, so bailouts replay fast).
-	c.wholeNests = false
-	tn.twin = c.stmtFn(f)
-	c.wholeNests = true
+	tn.twin = c.twin(f)
 	if gemm {
 		c.nGemm++
 	} else {
@@ -310,8 +336,9 @@ func (tn *tileNest) bind(e *cenv) int {
 }
 
 // flatten evaluates fa's flat base/strides over the given extents and checks
-// the per-dimension bounds box plus the flat upper bound, exactly like the
-// per-loop vectorizer's setup.
+// the per-dimension bounds box plus the flat upper bound: false means some
+// access of the nest would leave its buffer, and the caller replays the
+// closures to reproduce the exact panic.
 func (fa *flatAcc) flatten(e *cenv, ext []int64) bool {
 	a := fa.acc
 	fa.data = a.ref(e)

@@ -15,11 +15,11 @@ import (
 )
 
 // TestDeployedKernelsLowerToGemm pins the GEMM tier on the conv and dense
-// kernels the deployed networks run, at their deployed shapes: each nest
-// lowers whole onto cpuref.Gemm with no fallback loop, bailout or guard
-// failure. lenet_dense1 is a one-column GEMV, below gemmMinCols: it compiles
-// as a GEMM nest, but the GEMM declines it and it runs on the window
-// executor, so it makes no GEMM run.
+// kernels the deployed networks run, at their deployed shapes: each kernel
+// is one nest that compiles as one GEMM loop and runs as one GEMM run, with
+// no row run, fallback loop, bailout or guard failure. lenet_dense1 is a
+// one-column GEMV, below gemmMinCols: it compiles as a GEMM nest, but the
+// GEMM declines it and it runs as one window run instead.
 func TestDeployedKernelsLowerToGemm(t *testing.T) {
 	type kcase struct {
 		name     string
@@ -78,12 +78,16 @@ func TestDeployedKernelsLowerToGemm(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if st.GemmLoops < 1 || st.FallbackLoops != 0 || st.GemmBailouts != 0 || st.GuardBailouts != 0 {
-			t.Errorf("%s: gemm_loops %d, fallback_loops %d, gemm_bailouts %d, guard_bailouts %d (want >= 1, 0, 0, 0)",
-				c.name, st.GemmLoops, st.FallbackLoops, st.GemmBailouts, st.GuardBailouts)
+		if st.GemmLoops != 1 || st.VectorRuns != 0 || st.FallbackLoops != 0 || st.GemmBailouts != 0 || st.GuardBailouts != 0 {
+			t.Errorf("%s: gemm_loops %d, vector_runs %d, fallback_loops %d, gemm_bailouts %d, guard_bailouts %d (want 1, 0, 0, 0, 0)",
+				c.name, st.GemmLoops, st.VectorRuns, st.FallbackLoops, st.GemmBailouts, st.GuardBailouts)
 		}
-		if got := st.GemmRuns >= 1; got != c.gemmRuns {
-			t.Errorf("%s: gemm_runs %d, want runs on cpuref.Gemm: %v", c.name, st.GemmRuns, c.gemmRuns)
+		wantGemm := int64(0)
+		if c.gemmRuns {
+			wantGemm = 1
+		}
+		if st.GemmRuns != wantGemm || st.WindowRuns != 1-wantGemm {
+			t.Errorf("%s: gemm_runs %d, window_runs %d, want %d, %d", c.name, st.GemmRuns, st.WindowRuns, wantGemm, 1-wantGemm)
 		}
 	}
 }

@@ -176,7 +176,7 @@ type Machine struct {
 	// reused machine stops allocating per image.
 	pool *BufPool
 	// tier selects the execution engine (tier.go); stats, when set, counts
-	// cache and vectorization events (shared across a deployment's workers).
+	// cache and lowering events (shared across a deployment's workers).
 	tier  Tier
 	stats *ExecStats
 }
@@ -244,9 +244,10 @@ func (m *Machine) Channel(ch *ir.Channel) *Fifo {
 // created automatically. Returns an error on any fault a real OpenCL run
 // would surface (out-of-bounds access, read from empty channel, unbound
 // argument). Execution goes through the engine the machine's tier selects:
-// the closure compiler (compile.go) with GEMM lowering (gemm.go) and the
-// affine vectorizer (vector.go), or the tree-walking interpreter. RunInterp
-// is kept as a cross-checking oracle.
+// the closure compiler (compile.go) with its three nest lowerings — whole
+// nests (gemm.go, window.go), pad nests (pad.go) and plain copies (copy.go)
+// — or the tree-walking interpreter. RunInterp is kept as a cross-checking
+// oracle.
 func (m *Machine) Run(k *ir.Kernel, scalars map[*ir.Var]int64) (err error) {
 	if m.tier == TierInterp {
 		return m.RunInterp(k, scalars)
@@ -269,7 +270,7 @@ func (m *Machine) Run(k *ir.Kernel, scalars map[*ir.Var]int64) (err error) {
 			m.stats.CacheMisses.Add(1)
 		}
 		c := &compiler{m: m, slots: map[*ir.Var]int{}, bufSlots: map[*ir.Buffer]int{}, kernel: k,
-			vectorize: true, wholeNests: true}
+			lower: true}
 		// Reserve scalar-argument slots before compiling the body.
 		for _, v := range k.ScalarArgs {
 			c.slot(v)

@@ -10,12 +10,12 @@ package sim
 //	           in[i/D, y-ky, x-kx], fill)
 //
 // with y, x the second and third index pieces and every bound and shift
-// nest-invariant. The affine pass cannot see through div/mod, so the
-// per-loop vectorizer leaves this nest alone; padLoop recognizes it
-// structurally (topi.Pad2D and topi.PadParam both emit it) and, when the
-// evaluated n, D and W tile exactly (D > 0, W > 0, D % W == 0, n % D == 0),
-// runs it as C = n/D planes of H = D/W rows, each row
-// [fill | copy(input row) | fill] over the interior box clamped to
+// nest-invariant. The affine pass cannot see through div/mod, so neither
+// the whole-nest match nor the copy lowering (copy.go) takes this nest;
+// padLoop recognizes it structurally (topi.Pad2D and topi.PadParam both
+// emit it) and, when the evaluated n, D and W tile exactly (D > 0, W > 0,
+// D % W == 0, n % D == 0), runs it as C = n/D planes of H = D/W rows, each
+// row [fill | copy(input row) | fill] over the interior box clamped to
 // [0,H) × [0,W). The modeled clock still prices the div/mod form; only the
 // wall clock changes.
 //
@@ -134,10 +134,7 @@ func (c *compiler) padLoop(f *ir.For) stmtFn {
 		pl.inDims[d] = c.intFn(ld.Buf.Shape[d])
 	}
 
-	saved := c.vectorize
-	c.vectorize = false
-	pl.scalar = c.stmtFn(f)
-	c.vectorize = saved
+	pl.scalar = c.twin(f)
 	return pl.run
 }
 

@@ -3,12 +3,12 @@ package sim
 // Execution tiers. The machine has two engines with bit-identical
 // semantics:
 //
-//	TierVector — closure compiler (compile.go) + whole-nest lowering
-//	             (gemm.go, window.go) + affine loop-nest vectorizer
-//	             (vector.go, pad.go); recognized nests run as cpuref.Gemm
-//	             calls, strided-window kernels or flat slice microkernels,
-//	             everything else runs on per-element closures. The default
-//	             and the only production engine.
+//	TierVector — closure compiler (compile.go) with three nest
+//	             lowerings: whole nests (gemm.go, window.go) run as
+//	             cpuref.Gemm calls or strided-window kernels, pad nests
+//	             (pad.go) and plain copies (copy.go) as row fills and row
+//	             copies; everything else runs on per-element closures. The
+//	             default and the only production engine.
 //	TierInterp — tree-walking interpreter (interp.go); the oracle tests
 //	             select per machine with SetTier.
 
@@ -50,14 +50,14 @@ type ExecStats struct {
 	// CacheHits / CacheMisses count compiled-kernel cache lookups in Run.
 	CacheHits   atomic.Int64
 	CacheMisses atomic.Int64
-	// VectorLoops / FallbackLoops are compile-time counts: loop nests
-	// lowered to microkernels vs innermost compute loops left on the
-	// scalar closures (every vectorization bailout is countable).
+	// VectorLoops / FallbackLoops are compile-time counts: copy and pad
+	// nests lowered to row copies vs innermost compute loops left on the
+	// closures. Replay twins count neither.
 	VectorLoops   atomic.Int64
 	FallbackLoops atomic.Int64
-	// VectorRuns / GuardBailouts are run-time counts: microkernel
-	// executions vs nests whose pre-loop span check failed (out-of-bounds
-	// or aliasing) and were re-run on the scalar closures.
+	// VectorRuns / GuardBailouts are run-time counts: copy and pad
+	// executions vs entries whose pre-loop bounds or overlap check failed
+	// and were replayed on the closures.
 	VectorRuns    atomic.Int64
 	GuardBailouts atomic.Int64
 	// GemmLoops / WindowLoops are compile-time counts of whole nests

@@ -2,14 +2,14 @@ package sim
 
 // Strided-window lowering — the whole-nest match's second executor. The
 // thesis unrolls a depthwise convolution's W2×F×F window and a pooling
-// window fully (Tables 6.7 and 6.13); to the per-loop vectorizer that
-// unrolling is one tiny nest entry per output point, each re-evaluating its
-// extents, strides and bounds box for a handful of multiply-adds. Every tile
-// nest ir.MatchGemmNest recognizes that the GEMM does not take — depthwise
-// convolution, max/min and average pooling (a write-back scaled by a float
-// literal), sums over one load, and the matmul-shaped nests the GEMM
-// declines at run time, the dense layers' GEMVs — runs here instead, once
-// per kernel call:
+// window fully (Tables 6.7 and 6.13); lowered one loop at a time, that
+// unrolling would be one tiny nest entry per output point, each
+// re-evaluating its extents, strides and bounds box for a handful of
+// multiply-adds. Every tile nest ir.MatchGemmNest recognizes that the GEMM
+// does not take — depthwise convolution, max/min and average pooling (a
+// write-back scaled by a float literal), sums over one load, and the
+// matmul-shaped nests the GEMM declines at run time, the dense layers'
+// GEMVs — runs here instead, once per kernel call:
 //
 //  1. evaluate the extents and flatten and box-check every access once
 //     (tileNest.bind, shared with the GEMM executor);
