@@ -52,8 +52,10 @@ lint:
 # (gemm_amd64.s) and sim's lane-parallel window fold and write-back
 # (window_amd64.s), which must stay VMULPS+VADDPS. The portable folds the
 # contract rests on (the window's per-point fold and its four-point GEMV
-# fold dot4, cpuref's gemmRows, relay's foldBN) must appear in the
-# listings, so a rename cannot take them out of the check.
+# fold dot4, the write-back's scalar twin emitScalar, whose scaled value
+# float32(v*scale) must round before a chain adds to it, cpuref's gemmRows,
+# relay's foldBN) must appear in the listings, so a rename cannot take them
+# out of the check.
 fma-check:
 	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	for arch in arm64 amd64; do \
@@ -65,7 +67,7 @@ fma-check:
 	done; \
 	grep -q 'TEXT.*repro/internal/cpuref\.gemmRows(SB)' "$$dir/cpuref.arm64.s" || { echo "fma-check: gemmRows not listed"; exit 1; }; \
 	for arch in arm64 amd64; do \
-		for sym in '(\*windowLoop)\.fold' dot4; do \
+		for sym in '(\*windowLoop)\.fold' dot4 '(\*tileNest)\.emitScalar'; do \
 			grep -q "TEXT.*repro/internal/sim\.$$sym(SB)" "$$dir/sim.$$arch.s" || { echo "fma-check: sim.$$sym not listed on $$arch"; exit 1; }; \
 		done; \
 	done; \

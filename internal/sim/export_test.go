@@ -5,8 +5,9 @@ import "sync/atomic"
 // CPUHasLanes is useLanes as the package set it from the CPU.
 var CPUHasLanes = useLanes
 
-// SetLanes turns the lane-parallel window fold on (only where the CPU has
-// it) or off, and returns a func that restores the CPU's setting.
+// SetLanes turns the lane kernels (the window fold's and the write-back's)
+// on (only where the CPU has them) or off, and returns a func that restores
+// the CPU's setting.
 func SetLanes(on bool) (restore func()) {
 	useLanes = on && CPUHasLanes
 	return func() { useLanes = CPUHasLanes }
@@ -32,4 +33,23 @@ func CountLaneRuns() (runs *LaneRuns, stop func()) {
 		}
 	}
 	return runs, func() { laneHook = nil }
+}
+
+// EmitRows counts write-back rows by path: the lane kernel or the scalar
+// twin.
+type EmitRows struct {
+	Lanes, Scalar atomic.Int64
+}
+
+// CountEmitRows counts every write-back row until stop is called.
+func CountEmitRows() (rows *EmitRows, stop func()) {
+	rows = &EmitRows{}
+	rowHook = func(lanes bool) {
+		if lanes {
+			rows.Lanes.Add(1)
+		} else {
+			rows.Scalar.Add(1)
+		}
+	}
+	return rows, func() { rowHook = nil }
 }

@@ -12,8 +12,9 @@ package sim
 // loop compiled from the same front end.
 //
 // The GEMM executor fuses the write-back's elementwise tail (bias add,
-// residual add, ReLU/ReLU6) into the epilogue. Everything the matcher could
-// not prove syntactically is verified here at run time, once per nest
+// residual add, ReLU/ReLU6) into its epilogue, one pass of the write-back
+// both executors share (emit.go) over the C tile. Everything the matcher
+// could not prove syntactically is verified here at run time, once per nest
 // entry, against the evaluated strides:
 //
 //   - every reduction-nest level classifies as exactly one of k (reduction),
@@ -135,9 +136,12 @@ type tileNest struct {
 
 	initVal floatFn
 	act     ir.GemmAct
+	scaled  bool // the write-back reads T·scale (the window executor only)
+	scale   float32
 	twin    stmtFn // scalar/vector replay for skips and bailouts
 
 	ext, eext, iext []int64
+	wb              writeBack
 }
 
 // wholeNest lowers a nest the structural matcher recognizes onto one of its
@@ -191,6 +195,10 @@ func (c *compiler) tileNest(g *ir.GemmNest) *tileNest {
 		nRed:   len(redVars),
 		nEpi:   len(epiVars),
 		act:    g.Act,
+		scaled: g.Scale != nil,
+	}
+	if tn.scaled {
+		tn.scale = float32(g.Scale.Value) // the interpreter's rounding of the literal
 	}
 	for _, x := range g.OuterExtents {
 		tn.redExt = append(tn.redExt, c.intFn(x))
@@ -255,6 +263,7 @@ func (c *compiler) tileNest(g *ir.GemmNest) *tileNest {
 	for i := range tn.faCh {
 		tn.faCh[i].str = make([]int64, nE)
 	}
+	tn.wb = newWriteBack(nE, len(tn.faCh))
 	return tn
 }
 
@@ -327,9 +336,16 @@ func (tn *tileNest) bind(e *cenv) int {
 		!tn.faD.flatten(e, tn.eext) {
 		return gemmBail
 	}
+	// A write-back row may read its operands before its first store only
+	// where D's reach is disjoint from every chain's.
+	d := tn.faD.reach(tn.eext)
+	tn.wb.lanes = true
 	for i := range tn.faCh {
 		if !tn.faCh[i].flatten(e, tn.eext) {
 			return gemmBail
+		}
+		if overlaps(d, tn.faCh[i].reach(tn.eext)) {
+			tn.wb.lanes = false
 		}
 	}
 	return gemmOK
@@ -390,11 +406,7 @@ type gemmLoop struct {
 	direct                   bool
 	icC1, icH, icW, icF, icS int64
 
-	rowExt, rowD, rowC []int64
-	rowCh              [][]int64
-	chOff              []int64
-	chCol              []bool
-	rowIdx             []int64
+	chRow []int64 // each chain's stride along a row: 1 column-shaped, 0 row-invariant
 
 	cbuf, patches []float32
 }
@@ -413,16 +425,7 @@ func newGemmLoop(tn *tileNest) *gemmLoop {
 	gl.nIdx = make([]int, 0, nR)
 	gl.eIdx = make([]int, 0, nE)
 	gl.dIdx = make([]int, 0, nE)
-	gl.rowExt = make([]int64, nE)
-	gl.rowD = make([]int64, nE)
-	gl.rowC = make([]int64, nE)
-	gl.rowCh = make([][]int64, nCh)
-	for i := range gl.rowCh {
-		gl.rowCh[i] = make([]int64, nE)
-	}
-	gl.chOff = make([]int64, nCh)
-	gl.chCol = make([]bool, nCh)
-	gl.rowIdx = make([]int64, nE)
+	gl.chRow = make([]int64, nCh)
 	return gl
 }
 
@@ -763,7 +766,10 @@ func (gl *gemmLoop) verifyEpi() bool {
 		if !col && !inv {
 			return false
 		}
-		gl.chCol[ch] = col
+		gl.chRow[ch] = 0
+		if col {
+			gl.chRow[ch] = 1
+		}
 	}
 	dIdx := gl.dIdx[:0]
 	for i := 0; i < gl.nEpi; i++ {
@@ -814,165 +820,37 @@ func (gl *gemmLoop) execute(e *cenv) {
 	gl.epilogue(cb)
 }
 
-// epilogue walks the write-back rows in nest order, fusing the post-add
-// chain and activation into one pass over each [0,nCov) column range.
+// epilogue writes the C tile back through the shared write-back (emit.go):
+// one walk level per write-back level outside the column range, in nest
+// order, and the [0,nCov) column range as the row, contiguous in D, in the
+// tile and in every column-shaped chain.
 func (gl *gemmLoop) epilogue(cb []float32) {
-	nCov := gl.nCov
-	nch := len(gl.faCh)
-	nRow := 0
+	wb := &gl.wb
+	wb.ext, wb.str = wb.ext[:0], wb.str[:0]
 	for i := 0; i < gl.nEpi; i++ {
 		r := gl.epiToRed[i]
 		if r >= 0 && gl.cls[r] == gclsN {
 			continue
 		}
-		gl.rowExt[nRow] = gl.eext[i]
-		gl.rowD[nRow] = gl.faD.str[i]
-		cs := int64(0)
+		sC := int64(0)
 		if r >= 0 && gl.cls[r] == gclsM {
-			cs = gl.gA.str[r] / gl.K * gl.N
+			sC = gl.gA.str[r] / gl.K * gl.N
 		}
-		gl.rowC[nRow] = cs
-		for ch := 0; ch < nch; ch++ {
-			gl.rowCh[ch][nRow] = gl.faCh[ch].str[i]
-		}
-		nRow++
-	}
-	offD, cRow := gl.faD.base, int64(0)
-	for ch := 0; ch < nch; ch++ {
-		gl.chOff[ch] = gl.faCh[ch].base
-	}
-	idx := gl.rowIdx[:nRow]
-	for i := range idx {
-		idx[i] = 0
-	}
-	dD := gl.faD.data
-	for {
-		gl.emitRow(dD[offD:offD+nCov], cb[cRow:cRow+nCov])
-		l := nRow - 1
-		for ; l >= 0; l-- {
-			idx[l]++
-			if idx[l] < gl.rowExt[l] {
-				offD += gl.rowD[l]
-				cRow += gl.rowC[l]
-				for ch := 0; ch < nch; ch++ {
-					gl.chOff[ch] += gl.rowCh[ch][l]
-				}
-				break
-			}
-			idx[l] = 0
-			offD -= (gl.rowExt[l] - 1) * gl.rowD[l]
-			cRow -= (gl.rowExt[l] - 1) * gl.rowC[l]
-			for ch := 0; ch < nch; ch++ {
-				gl.chOff[ch] -= (gl.rowExt[l] - 1) * gl.rowCh[ch][l]
-			}
-		}
-		if l < 0 {
-			return
-		}
-	}
-}
-
-// emitRow writes one output row: d[i] = act(c[i] + chain…), with the adds in
-// scalar evaluation order (each one rounding to float32 before the next).
-func (gl *gemmLoop) emitRow(d, c []float32) {
-	switch len(gl.faCh) {
-	case 0:
-		switch gl.act {
-		case ir.GemmActRelu:
-			for i, v := range c {
-				d[i] = reluFast(v)
-			}
-		case ir.GemmActRelu6:
-			for i, v := range c {
-				d[i] = relu6Fast(v)
-			}
-		default:
-			copy(d, c)
-		}
-		return
-	case 1:
-		ch := &gl.faCh[0]
-		if gl.chCol[0] {
-			s := ch.data[gl.chOff[0] : gl.chOff[0]+int64(len(c))]
-			switch gl.act {
-			case ir.GemmActRelu:
-				for i, v := range c {
-					d[i] = reluFast(v + s[i])
-				}
-			case ir.GemmActRelu6:
-				for i, v := range c {
-					d[i] = relu6Fast(v + s[i])
-				}
-			default:
-				for i, v := range c {
-					d[i] = v + s[i]
-				}
-			}
-			return
-		}
-		b := ch.data[gl.chOff[0]]
-		switch gl.act {
-		case ir.GemmActRelu:
-			for i, v := range c {
-				d[i] = reluFast(v + b)
-			}
-		case ir.GemmActRelu6:
-			for i, v := range c {
-				d[i] = relu6Fast(v + b)
-			}
-		default:
-			for i, v := range c {
-				d[i] = v + b
-			}
-		}
-		return
-	}
-	for i, v := range c {
+		wb.ext = append(wb.ext, gl.eext[i])
+		wb.str = append(wb.str, gl.faD.str[i], sC)
 		for ch := range gl.faCh {
-			if gl.chCol[ch] {
-				v += gl.faCh[ch].data[gl.chOff[ch]+int64(i)]
-			} else {
-				v += gl.faCh[ch].data[gl.chOff[ch]]
-			}
+			wb.str = append(wb.str, gl.faCh[ch].str[i])
 		}
-		d[i] = actFast(gl.act, v)
 	}
-}
-
-// actFast applies a recognized write-back activation through the fast
-// helpers below.
-func actFast(act ir.GemmAct, v float32) float32 {
-	switch act {
-	case ir.GemmActRelu:
-		return reluFast(v)
-	case ir.GemmActRelu6:
-		return relu6Fast(v)
+	wb.ext = append(wb.ext, gl.nCov)
+	wb.str = append(wb.str, 1, 1)
+	wb.str = append(wb.str, gl.chRow...)
+	wb.plan()
+	wb.off[0], wb.off[1] = gl.faD.base, 0
+	for ch := range gl.faCh {
+		wb.off[2+ch] = gl.faCh[ch].base
 	}
-	return v
-}
-
-// reluFast is bit-identical to float32(math.Max(float64(v), 0)) — the
-// scalar closures' max — including -0 → +0 and NaN → the canonical NaN
-// math.Max returns (whatever the input NaN's sign and payload).
-func reluFast(v float32) float32 {
-	if v > 0 {
-		return v
-	}
-	if v == v {
-		return 0
-	}
-	return canonNaN
-}
-
-var canonNaN = float32(math.NaN())
-
-// relu6Fast is bit-identical to min(max(v, 0), 6) through the same helpers.
-func relu6Fast(v float32) float32 {
-	v = reluFast(v)
-	if v > 6 {
-		return 6
-	}
-	return v
+	gl.walk(cb)
 }
 
 // sortIdxBy insertion-sorts idx ascending by key — the lists are a handful

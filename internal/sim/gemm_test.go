@@ -6,6 +6,7 @@ package sim_test
 // to the interpreter under the same (aliased) bindings.
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -180,30 +181,50 @@ func TestGemmCleanBindingsDoNotBail(t *testing.T) {
 // TestGemmReluEpilogueNaNBits: a window summing +Inf and −Inf yields the
 // hardware's default NaN, which is negative on amd64; the scalar tiers' ReLU
 // (math.Max) returns the canonical positive NaN, so the fused epilogue must
-// too. −0 inputs ride along.
+// too. −0 inputs ride along. The residual conv adds a skip input after the
+// bias — the write-back's two chains, broadcast then per column — holding
+// NaNs of either sign and payload (quiet and signaling), ±Inf and −0. Each
+// runs with the lane write-back on and off.
 func TestGemmReluEpilogueNaNBits(t *testing.T) {
-	for _, relu6 := range []bool{false, true} {
-		op, err := topi.Conv2D(topi.ConvSpec{Name: "nan", C1: 3, H: 10, W: 10, C2: 4, F: 3, S: 1,
-			Relu: !relu6, Relu6: relu6, Bias: true}, topi.OptSched(4, 2, 1), topi.ConvIO{})
-		if err != nil {
-			t.Fatal(err)
+	specials := []uint32{0x7fc00000, 0xffc12345, 0x7f800001, 0x7f800000, 0xff800000, 0x80000000}
+	for _, residual := range []bool{false, true} {
+		for _, relu6 := range []bool{false, true} {
+			op, err := topi.Conv2D(topi.ConvSpec{Name: "nan", C1: 3, H: 10, W: 10, C2: 4, F: 3, S: 1,
+				Relu: !relu6, Relu6: relu6, Bias: true, Residual: residual}, topi.OptSched(4, 2, 1), topi.ConvIO{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := seeded(1, 3, 10, 10)
+			in.Data[0], in.Data[1] = float32(math.Inf(1)), float32(math.Inf(-1))
+			in.Data[50] = float32(math.Copysign(0, -1))
+			w := seeded(2, 4, 3, 3, 3)
+			for i, v := range w.Data {
+				w.Data[i] = float32(math.Abs(float64(v)))
+			}
+			b := seeded(3, 4)
+			skip := seeded(4, 4, 8, 8)
+			for i, bits := range specials {
+				skip.Data[43*i+7] = math.Float32frombits(bits)
+			}
+			tag := fmt.Sprintf("residual=%v relu6=%v", residual, relu6)
+			want, _ := runOpTier(t, op, sim.TierInterp, in, w, b, skip)
+			for _, lanes := range []bool{true, false} {
+				restore := sim.SetLanes(lanes)
+				rows, stop := sim.CountEmitRows()
+				got, s := runOpTier(t, op, sim.TierVector, in, w, b, skip)
+				stop()
+				restore()
+				if s.GemmRuns == 0 || s.GemmBailouts != 0 {
+					t.Fatalf("%s lanes=%v: conv did not take the GEMM path cleanly: %+v", tag, lanes, s)
+				}
+				if onLanes := rows.Lanes.Load() > 0; onLanes != (lanes && sim.CPUHasLanes) {
+					t.Fatalf("%s lanes=%v: rows on the lane kernel %d, on the twin %d", tag, lanes, rows.Lanes.Load(), rows.Scalar.Load())
+				}
+				if v := got.Data[0]; v == v {
+					t.Fatalf("%s lanes=%v: out[0] = %v, want NaN from +Inf + −Inf", tag, lanes, v)
+				}
+				assertBitEqual(t, fmt.Sprintf("GEMM epilogue vs interpreter, %s lanes=%v", tag, lanes), got.Data, want.Data)
+			}
 		}
-		in := seeded(1, 3, 10, 10)
-		in.Data[0], in.Data[1] = float32(math.Inf(1)), float32(math.Inf(-1))
-		in.Data[50] = float32(math.Copysign(0, -1))
-		w := seeded(2, 4, 3, 3, 3)
-		for i, v := range w.Data {
-			w.Data[i] = float32(math.Abs(float64(v)))
-		}
-		b := seeded(3, 4)
-		want, _ := runOpTier(t, op, sim.TierInterp, in, w, b, nil)
-		got, s := runOpTier(t, op, sim.TierVector, in, w, b, nil)
-		if s.GemmRuns == 0 {
-			t.Fatalf("relu6=%v: conv did not take the GEMM path: %+v", relu6, s)
-		}
-		if v := got.Data[0]; v == v {
-			t.Fatalf("relu6=%v: out[0] = %v, want NaN from +Inf + −Inf", relu6, v)
-		}
-		assertBitEqual(t, "GEMM epilogue vs interpreter", got.Data, want.Data)
 	}
 }

@@ -19,12 +19,13 @@ package sim
 //  3. walk the outer odometer advancing only the flat bases, and at each
 //     outer point fold every tile slot's window into a register in nest
 //     order, store it to its slot of the private tile T, and run the
-//     write-back in write-walk order.
+//     write-back in write-walk order, through the write-back both
+//     executors share (emit.go).
 //
-// Where the CPU has AVX2 (useLanes) and the fold has a lane axis, step 3
-// runs on the lane kernels of window_amd64.s instead, 8 outputs per
+// Where the CPU has AVX2 (useLanes) and the fold has a lane axis, the fold
+// runs on the lane kernel of window_amd64.s instead, 8 outputs per
 // instruction (planLanes): a merged run folds a whole row of outer points
-// and writes it back in one pass. The scalar fold is the portable twin and
+// and writes it back as one row. The scalar fold is the portable twin and
 // gives the same bits. A product nest with one slot per outer point — a
 // GEMV — has no lane axis, and its single accumulator chain would wait on
 // the add latency at every tap; where its taps are contiguous it folds four
@@ -59,17 +60,13 @@ const (
 // per-entry scratch.
 type windowLoop struct {
 	*tileNest
-	faW    flatAcc  // T as the write-back reads it, over the write-part levels
-	op     ir.BinOp // Add, MaxOp or MinOp
-	mul    bool     // the rhs is LoadA·LoadB
-	scaled bool     // the write-back reads T·scale
-	scale  float32
+	faW flatAcc  // T as the write-back reads it, over the write-part levels
+	op  ir.BinOp // Add, MaxOp or MinOp
+	mul bool     // the rhs is LoadA·LoadB
 
 	ptrs []*flatAcc // T, A, B, D, W, chain…: advanced together per outer point
 	off  []int64
-	woff []int64 // write-walk offsets: D, W, chain…
 	oIdx []int64 // outer odometer
-	wIdx []int64 // write-walk odometer
 
 	tile, red []int // reduction-part levels: accumulator-strided, reduction
 
@@ -80,9 +77,6 @@ type windowLoop struct {
 	slotT, slotA, slotB []int64
 	tapA, tapB          []int64
 	ostr, orew          []int64
-
-	rowD, rowW int64   // write-walk innermost strides
-	rowCh      []int64 // … per chain load
 
 	// The lane plan (planLanes): outputs per merged lane run (0: the
 	// scalar fold) and A's element stride between lanes. laneOut receives
@@ -107,10 +101,7 @@ var laneHook func(lanes int64, multi bool)
 // index is not affine in the write-part variables.
 func (c *compiler) windowLoop(g *ir.GemmNest, tn *tileNest) *windowLoop {
 	epiVars := append(append([]*ir.Var{}, g.OuterVars...), g.Write.Vars...)
-	wl := &windowLoop{tileNest: tn, op: g.Op, mul: g.LoadB != nil, scaled: g.Scale != nil}
-	if wl.scaled {
-		wl.scale = float32(g.Scale.Value) // the interpreter's rounding of the literal
-	}
+	wl := &windowLoop{tileNest: tn, op: g.Op, mul: g.LoadB != nil}
 	wl.faW = flatAcc{acc: c.access(g.T, g.TLoad.Index, epiVars), str: make([]int64, tn.nEpi)}
 	if wl.faW.acc == nil {
 		return nil
@@ -121,14 +112,11 @@ func (c *compiler) windowLoop(g *ir.GemmNest, tn *tileNest) *windowLoop {
 	}
 	nR, nP := tn.nRed, len(wl.ptrs)
 	wl.off = make([]int64, nP)
-	wl.woff = make([]int64, nP-wpD)
 	wl.oIdx = make([]int64, tn.nOuter)
-	wl.wIdx = make([]int64, tn.nEpi)
 	wl.tile = make([]int, 0, nR)
 	wl.red = make([]int, 0, nR)
 	wl.ostr = make([]int64, tn.nOuter*nP)
 	wl.orew = make([]int64, tn.nOuter*nP)
-	wl.rowCh = make([]int64, len(tn.faCh))
 	return wl
 }
 
@@ -222,14 +210,6 @@ func (wl *windowLoop) prepare(e *cenv) int {
 			wl.orew[l*nP+p] = (wl.ext[l] - 1) * fa.str[l]
 		}
 	}
-	wl.rowD, wl.rowW = 0, 0
-	clear(wl.rowCh)
-	if last := wl.nEpi - 1; last >= wl.nOuter {
-		wl.rowD, wl.rowW = wl.faD.str[last], wl.faW.str[last]
-		for ch := range wl.faCh {
-			wl.rowCh[ch] = wl.faCh[ch].str[last]
-		}
-	}
 	wl.lanes, wl.multi = 0, false
 	if useLanes {
 		wl.planLanes()
@@ -237,6 +217,26 @@ func (wl *windowLoop) prepare(e *cenv) int {
 	if wl.lanes == 0 {
 		wl.planMulti()
 	}
+
+	// The write-back walk: the write-part levels, the innermost the row; or
+	// one row, of a merged run's lanes (T their results in laneOut, the
+	// chain constant along them) or of a single point.
+	wb := &wl.wb
+	wb.ext, wb.str = wb.ext[:0], wb.str[:0]
+	for l := wl.nOuter; l < wl.nEpi && wl.lanes == 0; l++ {
+		wb.ext = append(wb.ext, wl.eext[l])
+		for _, fa := range wl.ptrs[wpD:] {
+			wb.str = append(wb.str, fa.str[l])
+		}
+	}
+	if len(wb.ext) == 0 {
+		wb.ext = append(wb.ext, max(wl.lanes, 1))
+		wb.str = append(wb.str, 1, 1)
+		for range wl.faCh {
+			wb.str = append(wb.str, 0)
+		}
+	}
+	wb.plan()
 	return gemmOK
 }
 
@@ -320,7 +320,7 @@ func (wl *windowLoop) planLanes() {
 
 // mergeable reports whether the lanes can span outer level m (nS slots per
 // point, lanes sA elements apart on A) as one merged run: one fold of the
-// whole row, then one vector write-back of it (emitLanes). That needs
+// whole row, then one write-back row of it. That needs
 // m's A stride to continue the lanes' progression and B constant along m;
 // the write-back to be the row D[0:lanes] = act(T + c): at most one chain
 // load c, constant along the row, the one non-trivial write level (if any)
@@ -353,19 +353,11 @@ func (wl *windowLoop) mergeable(m int, nS, sA int64) bool {
 	return levels == len(wl.tile) && wl.disjointD()
 }
 
-// disjointD reports whether D's reach is disjoint from A's, B's and every
-// chain load's.
+// disjointD reports whether D's reach is disjoint from A's, B's and (as bind
+// found for the write-back) every chain load's.
 func (wl *windowLoop) disjointD() bool {
 	d := wl.faD.reach(wl.eext)
-	if overlaps(d, wl.faA.reach(wl.ext)) || wl.mul && overlaps(d, wl.faB.reach(wl.ext)) {
-		return false
-	}
-	for i := range wl.faCh {
-		if overlaps(d, wl.faCh[i].reach(wl.eext)) {
-			return false
-		}
-	}
-	return true
+	return wl.wb.lanes && !overlaps(d, wl.faA.reach(wl.ext)) && !(wl.mul && overlaps(d, wl.faB.reach(wl.ext)))
 }
 
 // reach returns the elements of fa's binding the nest reaches over ext.
@@ -422,7 +414,12 @@ func (wl *windowLoop) execute(e *cenv) {
 		switch {
 		case wl.lanes > 0:
 			wl.laneFold(v0)
-			wl.emitLanes()
+			o := wl.wb.off
+			o[0], o[1] = off[wpD], 0 // T: the run's results, from laneOut[0]
+			for ch := range wl.faCh {
+				o[2+ch] = off[wpD+2+ch]
+			}
+			wl.emit(wl.laneOut, o)
 		case wl.multi:
 			wl.multiRow(v0)
 		default:
@@ -486,30 +483,6 @@ func (wl *windowLoop) laneFold(v0 float32) {
 		}
 		foldLanes8(&wl.laneOut[full], &a[full*s], &taps[0], &bv[0], &laneMask[8-k1], &laneMask[8-k2],
 			len(taps), 1, s, op, v0)
-	}
-}
-
-// emitLanes writes a merged run back as one row, D[i] = act(T[i] + c) for
-// every lane i (T[i]·scale, rounded, under a scaled write-back), 8 at a time,
-// with the tail block's stores masked to the row.
-func (wl *windowLoop) emitLanes() {
-	d := wl.faD.data[wl.off[wpD]:]
-	c, hasC := float32(0), 0
-	if len(wl.faCh) == 1 {
-		c, hasC = wl.faCh[0].data[wl.off[wpD+2]], 1
-	}
-	n := int(wl.lanes)
-	if wl.scaled {
-		for i := range wl.laneOut[:n] {
-			wl.laneOut[i] *= wl.scale
-		}
-	}
-	full := n &^ 7
-	if full > 0 {
-		emitLanes8(&d[0], &wl.laneOut[0], &laneMask[0], full/8, int(wl.act), hasC, c)
-	}
-	if t := n - full; t > 0 {
-		emitLanes8(&d[full], &wl.laneOut[full], &laneMask[8-t], 1, int(wl.act), hasC, c)
 	}
 }
 
@@ -637,75 +610,8 @@ func dot4(x, w0, w1, w2, w3 []float32, v0 float32) (a0, a1, a2, a3 float32) {
 	return a0, a1, a2, a3
 }
 
-// writeBack runs the write-part nest at the current outer point in
-// write-walk order: rows of the innermost write level under an odometer
-// over the others.
+// writeBack runs the write-part nest at the current outer point.
 func (wl *windowLoop) writeBack() {
-	copy(wl.woff, wl.off[wpD:])
-	last := wl.nEpi - 1
-	if last < wl.nOuter {
-		wl.emitRow(1)
-		return
-	}
-	idx := wl.wIdx[:last-wl.nOuter]
-	clear(idx)
-	n := wl.eext[last]
-	for {
-		wl.emitRow(n)
-		l := len(idx) - 1
-		for ; l >= 0; l-- {
-			lv := wl.nOuter + l
-			idx[l]++
-			if idx[l] < wl.eext[lv] {
-				for q := range wl.woff {
-					wl.woff[q] += wl.ptrs[wpD+q].str[lv]
-				}
-				break
-			}
-			idx[l] = 0
-			for q := range wl.woff {
-				wl.woff[q] -= (wl.eext[lv] - 1) * wl.ptrs[wpD+q].str[lv]
-			}
-		}
-		if l < 0 {
-			return
-		}
-	}
-}
-
-// emitRow writes n write-back points from the current write offsets:
-// D = act(T (·scale) + chain…), the scale and each add rounding to float32
-// in scalar order, every read of a point before its store.
-func (wl *windowLoop) emitRow(n int64) {
-	d, t, act := wl.faD.data, wl.faW.data, wl.act
-	oD, oW, sD, sW := wl.woff[0], wl.woff[1], wl.rowD, wl.rowW
-	switch {
-	case len(wl.faCh) == 0 && !wl.scaled:
-		for i := int64(0); i < n; i++ {
-			d[oD] = actFast(act, t[oW])
-			oD += sD
-			oW += sW
-		}
-	case len(wl.faCh) == 1 && !wl.scaled:
-		c, oC, sC := wl.faCh[0].data, wl.woff[2], wl.rowCh[0]
-		for i := int64(0); i < n; i++ {
-			d[oD] = actFast(act, t[oW]+c[oC])
-			oD += sD
-			oW += sW
-			oC += sC
-		}
-	default:
-		for i := int64(0); i < n; i++ {
-			v := t[oW]
-			if wl.scaled {
-				v = float32(v * wl.scale)
-			}
-			for ch := range wl.faCh {
-				v += wl.faCh[ch].data[wl.woff[2+ch]+i*wl.rowCh[ch]]
-			}
-			d[oD] = actFast(act, v)
-			oD += sD
-			oW += sW
-		}
-	}
+	copy(wl.wb.off, wl.off[wpD:])
+	wl.walk(wl.faW.data)
 }

@@ -192,33 +192,57 @@ max2tap:
 	VZEROUPPER
 	RET
 
-// func emitLanes8(d, t *float32, m *int32, nblk, act, hasC int, c float32)
+// func emitLanes8(d, t, c *float32, m *int32, n, act, cstr int)
 //
-// Writes nblk blocks of 8 lanes back: d[i] = act(t[i] + c), the add only
-// when hasC != 0 (t first, as the scalar t + c), act 0 none, 1 ReLU, 2
-// ReLU6 with reluFast/relu6Fast's bits: VMAXPS against +0 gives +0 for
-// -0 and every negative, VMINPS against 6 caps, and a NaN lane, which
-// VMAXPS would turn into +0, becomes the canonical NaN. Stores go through
-// the mask at m (eight int32s), so a tail block writes only its lanes.
-// Requires nblk >= 1.
-TEXT ·emitLanes8(SB), NOSPLIT, $0-52
+// Writes n lanes back, 8 per block: d[i] = act(t[i] + c[i·cstr]), the add
+// only when c is not nil (t first, as the scalar t + c), the chain c
+// broadcast (cstr 0) or per column (cstr 1); act 0 none, 1 ReLU, 2 ReLU6
+// with reluFast/relu6Fast's bits: VMAXPS against +0 gives +0 for -0 and
+// every negative, VMINPS against 6 caps, and a NaN lane, which VMAXPS would
+// turn into +0, becomes the canonical NaN. Loads of t and of a column chain,
+// and the stores, are masked: whole blocks through all ones, a last block
+// of fewer than 8 lanes through the mask at m (eight int32s), so it touches
+// only its lanes. Requires n >= 1.
+TEXT ·emitLanes8(SB), NOSPLIT, $0-56
 	MOVQ         d+0(FP), DI
 	MOVQ         t+8(FP), SI
-	MOVQ         m+16(FP), AX
+	MOVQ         c+16(FP), R8
+	MOVQ         m+24(FP), AX
 	VMOVUPS      (AX), Y14
-	MOVQ         nblk+24(FP), BX
-	MOVQ         act+32(FP), CX
-	MOVQ         hasC+40(FP), DX
-	VBROADCASTSS c+48(FP), Y4
+	VPCMPEQD     Y13, Y13, Y13
+	MOVQ         n+32(FP), BX
+	MOVQ         act+40(FP), CX
+	MOVQ         cstr+48(FP), DX
 	VXORPS       Y5, Y5, Y5
 	VBROADCASTSS laneConst<>+16(SB), Y6
 	VBROADCASTSS laneConst<>+8(SB), Y8
+	TESTQ        R8, R8
+	JZ           emit
+	TESTQ        DX, DX
+	JNZ          emit
+	VBROADCASTSS (R8), Y4
 
 emit:
+	VMOVAPS Y13, Y12
+	CMPQ    BX, $8
+	JGE     emitfull
+	VMOVAPS    Y14, Y12
+	VMASKMOVPS (SI), Y12, Y0
+	JMP        emitchain
+
+emitfull:
 	VMOVUPS (SI), Y0
-	TESTQ   DX, DX
-	JZ      emitact
-	VADDPS  Y4, Y0, Y0
+
+emitchain:
+	TESTQ      R8, R8
+	JZ         emitact
+	TESTQ      DX, DX
+	JZ         emitadd
+	VMASKMOVPS (R8), Y12, Y4
+	ADDQ       $32, R8
+
+emitadd:
+	VADDPS Y4, Y0, Y0
 
 emitact:
 	TESTQ     CX, CX
@@ -233,10 +257,10 @@ emitnan:
 	VBLENDVPS Y1, Y8, Y0, Y0
 
 emitstore:
-	VMASKMOVPS Y0, Y14, (DI)
+	VMASKMOVPS Y0, Y12, (DI)
 	ADDQ       $32, SI
 	ADDQ       $32, DI
-	DECQ       BX
-	JNZ        emit
+	SUBQ       $8, BX
+	JG         emit
 	VZEROUPPER
 	RET
