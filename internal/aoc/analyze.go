@@ -392,7 +392,7 @@ func collectStmtLoads(s ir.Stmt, fn func(*ir.Buffer)) {
 // names ax1 and rc, not ry/rx): if the parent loop carries the same
 // dependence, this one stays pipelined at the accumulation II.
 func (a *analyzer) isOuterGlobalAccum(f *ir.For, ctx []loopCtx) bool {
-	if !a.carriesGlobalAccum(f) {
+	if global, _ := accumulates(f); !global {
 		return false
 	}
 	hasInnerLoop := false
@@ -408,18 +408,20 @@ func (a *analyzer) isOuterGlobalAccum(f *ir.For, ctx []loopCtx) bool {
 		if ctx[i].unrolled {
 			continue
 		}
-		return !a.carriesGlobalAccum(ctx[i].f)
+		global, _ := accumulates(ctx[i].f)
+		return !global
 	}
 	return true
 }
 
-// carriesGlobalAccum reports whether the loop carries a dependence through a
-// global self-accumulating store whose address is invariant to the loop.
-func (a *analyzer) carriesGlobalAccum(f *ir.For) bool {
-	found := false
+// accumulates reports whether the loop carries an accumulation dependence:
+// a store in its body of buf[idx] = g(load buf[...]) with idx invariant to
+// the loop variable. It reports separately whether such a store's buffer is
+// global and whether one is on-chip.
+func accumulates(f *ir.For) (global, onChip bool) {
 	ir.WalkStmt(f.Body, func(s ir.Stmt) {
 		st, ok := s.(*ir.Store)
-		if !ok || st.Buf.Scope != ir.Global {
+		if !ok {
 			return
 		}
 		selfRead := false
@@ -436,54 +438,28 @@ func (a *analyzer) carriesGlobalAccum(f *ir.For) bool {
 				return
 			}
 		}
-		found = true
+		if st.Buf.Scope == ir.Global {
+			global = true
+		} else {
+			onChip = true
+		}
 	})
-	return found
+	return global, onChip
 }
 
-// loopII returns the initiation interval the loop sustains. A loop carries an
-// accumulation dependence when its body stores buf[idx] = f(load buf[idx])
-// with idx invariant to the loop variable; the II then depends on where the
-// accumulator lives (§5.1.1) and on -fp-relaxed.
+// loopII returns the initiation interval the loop sustains: an accumulation
+// it carries (see accumulates) sets the II by where the accumulator lives
+// (§5.1.1) and by -fp-relaxed.
 func (a *analyzer) loopII(f *ir.For) int {
-	ii := 1
-	ir.WalkStmt(f.Body, func(s ir.Stmt) {
-		st, ok := s.(*ir.Store)
-		if !ok {
-			return
-		}
-		selfRead := false
-		ir.WalkExpr(st.Value, func(e ir.Expr) {
-			if l, ok := e.(*ir.Load); ok && l.Buf == st.Buf {
-				selfRead = true
-			}
-		})
-		if !selfRead {
-			return
-		}
-		// Dependence carried by f only if the address does not advance with f.
-		varies := false
-		for _, ix := range st.Index {
-			if ir.UsesVar(ix, f.Var) {
-				varies = true
-			}
-		}
-		if varies {
-			return
-		}
-		var want int
-		if st.Buf.Scope == ir.Global {
-			want = iiGlobalAccum
-		} else if a.opts.FPRelaxed {
-			want = iiLocalAccumRelaxed
-		} else {
-			want = iiLocalAccumStrict
-		}
-		if want > ii {
-			ii = want
-		}
-	})
-	return ii
+	switch global, onChip := accumulates(f); {
+	case global:
+		return iiGlobalAccum
+	case onChip && a.opts.FPRelaxed:
+		return iiLocalAccumRelaxed
+	case onChip:
+		return iiLocalAccumStrict
+	}
+	return 1
 }
 
 // accessSite infers the LSU for one load/store site given the enclosing loops.
@@ -621,16 +597,23 @@ func (a *analyzer) accessSite(buf *ir.Buffer, idx []ir.Expr, isWrite bool, ctx [
 }
 
 // flatCoef computes d(flatAddress)/d(v) for a multi-dimensional access,
-// returning (coef, known). Row-major strides come from the buffer shape;
-// symbolic extents make any dimension with a v-dependent subscript unknown,
-// except the innermost (whose stride is the constant 1) — exactly the
-// property the thesis exploits with its stride-1 workaround (Listing 5.11).
+// returning (coef, known). Each dimension's coefficient of v comes from ir's
+// affine analysis (LinearizeAccess over v alone, so a subscript that is not
+// affine in some other loop does not hide v's stride); row-major strides come
+// from the buffer shape. A symbolic coefficient is unknown, and symbolic
+// extents make any dimension with a v-dependent subscript unknown, except the
+// innermost (whose stride is the constant 1) — exactly the property the
+// thesis exploits with its stride-1 workaround (Listing 5.11).
 func flatCoef(buf *ir.Buffer, idx []ir.Expr, v *ir.Var) (int64, bool) {
+	ap, ok := ir.LinearizeAccess(buf, idx, []*ir.Var{v})
+	if !ok {
+		return 0, false
+	}
 	total := int64(0)
 	stride := int64(1)
 	strideKnown := true
 	for d := len(idx) - 1; d >= 0; d-- {
-		c, ok := linCoef(idx[d], v)
+		c, ok := ir.IsConst(ap.Dims[d].Coeffs[0])
 		if !ok {
 			return 0, false
 		}
@@ -649,56 +632,6 @@ func flatCoef(buf *ir.Buffer, idx []ir.Expr, v *ir.Var) (int64, bool) {
 		}
 	}
 	return total, true
-}
-
-// linCoef extracts the linear coefficient of v in e; ok=false when e is not
-// affine in v.
-func linCoef(e ir.Expr, v *ir.Var) (int64, bool) {
-	switch x := e.(type) {
-	case *ir.IntImm, *ir.FloatImm:
-		return 0, true
-	case *ir.Var:
-		if x == v {
-			return 1, true
-		}
-		return 0, true
-	case *ir.Binary:
-		a, aok := linCoef(x.A, v)
-		b, bok := linCoef(x.B, v)
-		switch x.Op {
-		case ir.Add:
-			if aok && bok {
-				return a + b, true
-			}
-		case ir.Sub:
-			if aok && bok {
-				return a - b, true
-			}
-		case ir.Mul:
-			ca, isA := ir.IsConst(x.A)
-			cb, isB := ir.IsConst(x.B)
-			if isA && bok {
-				return ca * b, true
-			}
-			if isB && aok {
-				return a * cb, true
-			}
-			if aok && bok && a == 0 && b == 0 {
-				return 0, true
-			}
-		case ir.Div, ir.Mod:
-			if aok && bok && a == 0 && b == 0 {
-				return 0, true
-			}
-		}
-		return 0, false
-	default:
-		// Loads/calls/selects in address math: affine only if v-free.
-		if !ir.UsesVar(e, v) {
-			return 0, true
-		}
-		return 0, false
-	}
 }
 
 // countDSPs charges datapath DSPs for a store's value expression, replicated

@@ -95,15 +95,6 @@ func (c *CompileCache) Stats() (hits, misses int64) {
 	return c.hits.Load(), c.misses.Load()
 }
 
-// HitRate returns hits/(hits+misses), or 0 before any lookup. Nil-safe.
-func (c *CompileCache) HitRate() float64 {
-	h, m := c.Stats()
-	if h+m == 0 {
-		return 0
-	}
-	return float64(h) / float64(h+m)
-}
-
 // Len returns the number of distinct kernels cached. Nil-safe.
 func (c *CompileCache) Len() int {
 	if c == nil {

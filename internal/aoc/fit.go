@@ -3,7 +3,6 @@ package aoc
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/fpga"
 	"repro/internal/ir"
@@ -194,16 +193,4 @@ func (d *Design) RoutingMap(cols, rows int) []string {
 		out[r] = string(grid[r])
 	}
 	return out
-}
-
-// SortKernelsByDemand returns kernel names ordered by congestion demand,
-// highest first (used in reports).
-func (d *Design) SortKernelsByDemand() []string {
-	ms := append([]*KernelModel{}, d.Kernels...)
-	sort.Slice(ms, func(i, j int) bool { return ms[i].Demand > ms[j].Demand })
-	names := make([]string, len(ms))
-	for i, m := range ms {
-		names[i] = m.Kernel.Name
-	}
-	return names
 }

@@ -1,10 +1,13 @@
 package ir
 
 // Affine access classification: decompose index expressions into base +
-// stride·var form with respect to a loop nest. This is the analysis half of
-// the simulator's nest lowerings: the GEMM and window executors
+// stride·var form with respect to a loop nest. Both clocks read accesses
+// through it. On the executed clock it is the analysis half of the
+// simulator's nest lowerings: the GEMM and window executors
 // (internal/sim/gemm.go, internal/sim/window.go) and the copy lowering
-// (internal/sim/copy.go) flatten every access they run through it.
+// (internal/sim/copy.go) flatten every access they run through it. On the
+// modeled clock the offline-compiler model (internal/aoc, flatCoef) takes
+// each LSU's stride along a loop from it, one loop variable at a time.
 
 // LinearExpr is the affine decomposition of an integer expression with
 // respect to an ordered list of loop variables:
@@ -129,8 +132,9 @@ func invariantLin(base Expr, vars []*Var) LinearExpr {
 
 // AccessPattern is the affine decomposition of one multi-dimensional buffer
 // access: Index[d] = Dims[d].Base + Σ Dims[d].Coeffs[i]·vars[i]. The sim's
-// vector tier turns this into flat base/stride pairs after evaluating the
-// (possibly symbolic) buffer shape at run time.
+// nest lowerings flatten it into base/stride pairs after evaluating the
+// (possibly symbolic) buffer shape at run time; aoc flattens constant
+// coefficients through the buffer's constant extents at compile time.
 type AccessPattern struct {
 	Buf  *Buffer
 	Dims []LinearExpr

@@ -10,6 +10,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -245,10 +246,21 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxInferBody caps a /v1/infer request body; a larger one is answered 413.
+const maxInferBody = 8 << 20
+
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	var p inferPayload
-	body := http.MaxBytesReader(w, r.Body, 8<<20)
+	body := http.MaxBytesReader(w, r.Body, maxInferBody)
 	if err := json.NewDecoder(body).Decode(&p); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeJSON(w, http.StatusRequestEntityTooLarge, errorReply{
+				Error:  fmt.Sprintf("request body over %d bytes", tooLarge.Limit),
+				Reason: "body_too_large",
+			})
+			return
+		}
 		writeJSON(w, http.StatusBadRequest, errorReply{Error: "bad JSON: " + err.Error(), Reason: "bad_request"})
 		return
 	}

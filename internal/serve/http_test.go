@@ -304,3 +304,49 @@ func TestServeDisconnectsStalledHeader(t *testing.T) {
 		t.Fatalf("stalled client cut off after %v, before the %v header bound", elapsed, readHeaderTimeout)
 	}
 }
+
+// Malformed bodies are refused before admission: a body over the 8 MiB cap
+// answers 413 "body_too_large", and one truncated mid-JSON answers 400
+// "bad_request" naming the unexpected EOF. Neither reaches the queue.
+func TestHTTPRejectsOversizedAndTruncatedBodies(t *testing.T) {
+	s, err := NewServer(Config{Net: "lenet5", Board: "S10SX", Workers: 1, BatchN: 1, DeadlineUS: 1000}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, c := range []struct {
+		name, body string
+		status     int
+		reason     string
+		errPart    string
+	}{
+		{"oversized", `{"tenant":"` + strings.Repeat("a", maxInferBody) + `"}`,
+			http.StatusRequestEntityTooLarge, "body_too_large", "request body over 8388608 bytes"},
+		{"truncated", `{"tenant":"alpha","digit":`,
+			http.StatusBadRequest, "bad_request", "unexpected EOF"},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/infer", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		var reply errorReply
+		err = json.NewDecoder(resp.Body).Decode(&reply)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: reply not JSON: %v", c.name, err)
+		}
+		if resp.StatusCode != c.status || reply.Reason != c.reason || !strings.Contains(reply.Error, c.errPart) {
+			t.Errorf("%s body: %s, reason %q, error %q; want %d, %q, error naming %q",
+				c.name, resp.Status, reply.Reason, reply.Error, c.status, c.reason, c.errPart)
+		}
+	}
+	if got := s.Metrics().Counter("serve.accepted").Value(); got != 0 {
+		t.Errorf("serve.accepted = %v after two refused bodies, want 0", got)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+}

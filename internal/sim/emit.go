@@ -13,8 +13,8 @@ package sim
 // each broadcast (stride 0) or per column (stride 1) goes to the AVX2
 // kernel emitLanes8 (window_amd64.s) where the CPU has it (useLanes) and D
 // is disjoint from every chain. Every other row goes to the scalar twin
-// emitScalar: one-point rows (a GEMV's outputs, an average pool's one-lane
-// runs), which stay off the assembly call, strided rows, CPUs without AVX2
+// emitScalar: one-point rows (a GEMV's outputs, a global average pool's
+// per-channel outputs), which stay off the assembly call, strided rows, CPUs without AVX2
 // and non-amd64 builds. A lane row with a scale or more than one chain
 // keeps the scalar order through a scratch row: T·scale rounded in Go, then
 // one kernel pass per chain but the last, each add rounded in chain order,

@@ -285,7 +285,9 @@ func (wl *windowLoop) unitTaps(str []int64) bool {
 // A windows start 1 or 2 elements apart and whose B operand, if any, is the
 // same for all of them. The axis is the tile slots (at most one tile
 // level; none in a pool) merged with the innermost outer level, as far as
-// mergeable allows. Every other nest keeps the scalar fold.
+// mergeable allows, and it needs two lanes or more: a one-lane run (a
+// global average pool's 1×1 output) would fold one output per lane-kernel
+// call. Every other nest keeps the scalar fold.
 func (wl *windowLoop) planLanes() {
 	m := wl.nOuter - 1
 	if len(wl.tile) > 1 || m < 0 {
@@ -299,7 +301,7 @@ func (wl *windowLoop) planLanes() {
 		}
 		nS, sA = wl.ext[r], wl.faA.str[r]
 	}
-	if sA != 1 && sA != 2 || !wl.mergeable(m, nS, sA) {
+	if nS*wl.ext[m] < 2 || sA != 1 && sA != 2 || !wl.mergeable(m, nS, sA) {
 		return
 	}
 	wl.lanes, wl.laneStr = nS*wl.ext[m], int(sA)

@@ -1,19 +1,20 @@
 package sim_test
 
 // The deployed window nests stay on their fast folds: one image through
-// each deployed network must fold every depthwise layer and pool —
-// MobileNetV1's 13 depthwise layers and 7×7 average pool, ResNet-18's 3×3/2
-// max pool and 7×7 average pool, LeNet-5's two 2×2/2 max pools — as merged
-// lane runs, every dense layer's GEMV (LeNet-5's three, one in each of the
-// others) on the four-point fold, and none on the per-point scalar fold. A
-// refactor that makes a plan decline them would otherwise only show as lost
-// speed.
+// each deployed network must fold every depthwise layer and max pool —
+// MobileNetV1's 13 depthwise layers, ResNet-18's 3×3/2 max pool, LeNet-5's
+// two 2×2/2 max pools — as merged lane runs, every dense layer's GEMV
+// (LeNet-5's three, one in each of the others) on the four-point fold, and
+// only the global 7×7 average pools (MobileNetV1's and ResNet-18's) on the
+// per-point scalar fold: their output is one point per channel, so a lane
+// run would hold one lane. A refactor that makes a plan decline the others
+// would otherwise only show as lost speed.
 //
 // The same image pins the write-back rows' paths. Every GEMM row (a conv
 // output channel's plane, bias and residual adds and activation fused) and
 // every merged run takes the lane kernel, except the one-point rows, which
 // stay on the scalar twin: the GEMVs' outputs (LeNet-5's 120 + 84 + 10, the
-// others' 1000) and the average pools' one-lane runs (MobileNetV1's 1024
+// others' 1000) and the average pools' outputs (MobileNetV1's 1024
 // channels, ResNet-18's 512). With the lanes off no row takes the lane
 // kernel.
 
@@ -33,13 +34,13 @@ func TestDeployedWindowRunsTakeLanes(t *testing.T) {
 		t.Skip("CPU has no AVX2: no window run takes the lane path")
 	}
 	cases := []struct {
-		net                string
-		merged, multi      int64
-		laneRows, twinRows int64
+		net                   string
+		merged, multi, scalar int64
+		laneRows, twinRows    int64
 	}{
-		{"lenet5", 2, 3, 180, 120 + 84 + 10},
-		{"mobilenetv1", 14, 1, 81248, 1024 + 1000},
-		{"resnet18", 2, 1, 8384, 512 + 1000},
+		{"lenet5", 2, 3, 0, 180, 120 + 84 + 10},
+		{"mobilenetv1", 13, 1, 1, 81248, 1024 + 1000},
+		{"resnet18", 1, 1, 1, 8384, 512 + 1000},
 	}
 	for _, c := range cases {
 		dep, layers, err := serve.BuildDeployment(c.net, fpga.S10SX)
@@ -59,9 +60,9 @@ func TestDeployedWindowRunsTakeLanes(t *testing.T) {
 		runs, stop := sim.CountLaneRuns()
 		lanes, twin := run()
 		stop()
-		if m, mu, sc := runs.Merged.Load(), runs.Multi.Load(), runs.Scalar.Load(); m != c.merged || mu != c.multi || sc != 0 {
-			t.Errorf("%s: merged lane runs %d, four-point folds %d, scalar folds %d, want %d, %d, 0",
-				c.net, m, mu, sc, c.merged, c.multi)
+		if m, mu, sc := runs.Merged.Load(), runs.Multi.Load(), runs.Scalar.Load(); m != c.merged || mu != c.multi || sc != c.scalar {
+			t.Errorf("%s: merged lane runs %d, four-point folds %d, scalar folds %d, want %d, %d, %d",
+				c.net, m, mu, sc, c.merged, c.multi, c.scalar)
 		}
 		if lanes != c.laneRows || twin != c.twinRows {
 			t.Errorf("%s: write-back rows on lanes %d, on the twin %d, want %d, %d", c.net, lanes, twin, c.laneRows, c.twinRows)

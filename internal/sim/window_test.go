@@ -234,9 +234,10 @@ func laneNest(op ir.BinOp, mul bool, c, h, w, h2, w2, tile, f, s int, bias bool,
 // TestWindowLanesBitIdenticalToScalarFold is the lane path's property: with
 // the lane fold forced on and forced off, every window nest gives the same
 // bits, and the interpreter's. It covers lane counts 1–17, 56 and 112
-// (every row a merged run; tiles of 1 slot, of the whole row, of 7 and of a
-// proper divisor), lane strides 1 and 2 (on the lane path) and 3 (declined
-// to the scalar fold), products, sums, max and min, with and without a bias
+// (every row of two or more lanes a merged run; tiles of 1 slot, of the
+// whole row, of 7 and of a proper divisor), lane strides 1 and 2 (on the
+// lane path) and 3 (declined to the scalar fold), one-lane rows (declined
+// too), products, sums, max and min, with and without a bias
 // chain load and under each activation, on data with NaN payloads (max and
 // min; sums and products carry the one NaN their arithmetic makes, see
 // cmpSpecials), ±0, ±Inf and subnormals.
@@ -297,7 +298,7 @@ func TestWindowLanesBitIdenticalToScalarFold(t *testing.T) {
 					// fold: an F×F window's taps have gaps, so a product
 					// with one slot per point is no four-point GEMV.
 					wantMerged, wantMulti, wantScalar := int64(1), int64(0), int64(0)
-					if s == 3 {
+					if s == 3 || w2 == 1 {
 						wantMerged, wantScalar = 0, 1
 					}
 					if m, mu, sc := runs.Merged.Load(), runs.Multi.Load(), runs.Scalar.Load(); sim.CPUHasLanes &&
@@ -404,7 +405,8 @@ func TestWindowOutOfRangeReplaysTwin(t *testing.T) {
 // kernels and sized their tables and lane scratch, window runs allocate
 // nothing: a depthwise layer and a max pool on the lane path where the CPU
 // has it, LeNet-5's dense1 (a GEMV the GEMM declines) on the four-point
-// fold, and MobileNetV1's 7×7 average pool (a scaled write-back).
+// fold, and MobileNetV1's 7×7 average pool (a scaled write-back, one output
+// per channel, so on the per-point fold).
 func TestWindowWarmMachineAllocatesNothing(t *testing.T) {
 	p, err := topi.DepthwiseParamAct("dwz", 3, 2, 7, false, true, true, false)
 	if err != nil {
@@ -468,43 +470,52 @@ func TestWindowWarmMachineAllocatesNothing(t *testing.T) {
 	if m := runs.Multi.Load(); m != 22 {
 		t.Errorf("four-point folds %d, want 22: dense1 left the four-point fold", m)
 	}
-	if m := runs.Merged.Load(); sim.CPUHasLanes && m != 3*22 {
-		t.Errorf("merged lane runs %d, want %d: the lane path is off", m, 3*22)
+	if m := runs.Merged.Load(); sim.CPUHasLanes && m != 2*22 {
+		t.Errorf("merged lane runs %d, want %d: the lane path is off", m, 2*22)
+	}
+	if sc := runs.Scalar.Load(); sim.CPUHasLanes && sc != 22 {
+		t.Errorf("per-point folds %d, want 22: the average pool left the per-point fold", sc)
 	}
 }
 
 // BenchmarkWindowDeployedShapes times the window executor at the shapes the
 // deployed networks run it on: MobileNetV1's 13 depthwise layers (F=3,
-// ReLU6, bias, W2 tiled by 7), ResNet-18's 3×3/2 max pool and LeNet-5's two
-// 2×2/2 max pools, each a warm symbolic kernel as the folded plan binds it.
-// Each shape runs twice, on the lane fold ("lanes") and on the scalar fold
-// ("scalar"), and reports wall time per output point and window
-// multiply-adds per second (GMAC/s), or compares per second (Gcmp/s) for
-// the pools; run it with -cpu 1.
+// ReLU6, bias, W2 tiled by 7), ResNet-18's 3×3/2 max pool, LeNet-5's two
+// 2×2/2 max pools and the global 7×7 average pools of MobileNetV1 and
+// ResNet-18, each a warm symbolic kernel as the folded plan binds it. Each
+// shape runs twice, with the lane kernels on ("lanes") and off ("scalar"),
+// and reports wall time per output point and window multiply-adds per
+// second (GMAC/s), or compares (Gcmp/s) or adds (Gadd/s) per second for
+// the pools; run it with -cpu 1. An average pool's output is one point per
+// channel, which has no lane axis, so both of its runs take the scalar
+// fold.
 func BenchmarkWindowDeployedShapes(b *testing.B) {
 	type shape struct {
 		name       string
 		c, h, w, s int
 		pool       bool
 		f          int
+		avg        bool
 	}
 	shapes := []shape{
-		{"mobilenet_dw1", 32, 114, 114, 1, false, 3},
-		{"mobilenet_dw2", 64, 114, 114, 2, false, 3},
-		{"mobilenet_dw3", 128, 58, 58, 1, false, 3},
-		{"mobilenet_dw4", 128, 58, 58, 2, false, 3},
-		{"mobilenet_dw5", 256, 30, 30, 1, false, 3},
-		{"mobilenet_dw6", 256, 30, 30, 2, false, 3},
-		{"mobilenet_dw7", 512, 16, 16, 1, false, 3},
-		{"mobilenet_dw8", 512, 16, 16, 1, false, 3},
-		{"mobilenet_dw9", 512, 16, 16, 1, false, 3},
-		{"mobilenet_dw10", 512, 16, 16, 1, false, 3},
-		{"mobilenet_dw11", 512, 16, 16, 1, false, 3},
-		{"mobilenet_dw12", 512, 16, 16, 2, false, 3},
-		{"mobilenet_dw13", 1024, 9, 9, 1, false, 3},
-		{"resnet18_maxpool", 64, 114, 114, 2, true, 3},
-		{"lenet_pool1", 6, 26, 26, 2, true, 2},
-		{"lenet_pool2", 16, 11, 11, 2, true, 2},
+		{"mobilenet_dw1", 32, 114, 114, 1, false, 3, false},
+		{"mobilenet_dw2", 64, 114, 114, 2, false, 3, false},
+		{"mobilenet_dw3", 128, 58, 58, 1, false, 3, false},
+		{"mobilenet_dw4", 128, 58, 58, 2, false, 3, false},
+		{"mobilenet_dw5", 256, 30, 30, 1, false, 3, false},
+		{"mobilenet_dw6", 256, 30, 30, 2, false, 3, false},
+		{"mobilenet_dw7", 512, 16, 16, 1, false, 3, false},
+		{"mobilenet_dw8", 512, 16, 16, 1, false, 3, false},
+		{"mobilenet_dw9", 512, 16, 16, 1, false, 3, false},
+		{"mobilenet_dw10", 512, 16, 16, 1, false, 3, false},
+		{"mobilenet_dw11", 512, 16, 16, 1, false, 3, false},
+		{"mobilenet_dw12", 512, 16, 16, 2, false, 3, false},
+		{"mobilenet_dw13", 1024, 9, 9, 1, false, 3, false},
+		{"resnet18_maxpool", 64, 114, 114, 2, true, 3, false},
+		{"lenet_pool1", 6, 26, 26, 2, true, 2, false},
+		{"lenet_pool2", 16, 11, 11, 2, true, 2, false},
+		{name: "mobilenet_avgpool", c: 1024, h: 7, w: 7, s: 1, pool: true, f: 7, avg: true},
+		{name: "resnet18_avgpool", c: 512, h: 7, w: 7, s: 1, pool: true, f: 7, avg: true},
 	}
 	for _, sh := range shapes {
 		for _, path := range []struct {
@@ -522,7 +533,7 @@ func BenchmarkWindowDeployedShapes(b *testing.B) {
 				var sc map[*ir.Var]int64
 				var in, out *ir.Buffer
 				if sh.pool {
-					p, err := topi.PoolParam("pool", sh.f, sh.s, false, false)
+					p, err := topi.PoolParam("pool", sh.f, sh.s, sh.avg, false)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -549,7 +560,7 @@ func BenchmarkWindowDeployedShapes(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if s := st.Snapshot(); s.WindowRuns != 1 || path.lanes != (runs.Merged.Load() == 1) {
+				if s := st.Snapshot(); s.WindowRuns != 1 || (path.lanes && w2 > 1) != (runs.Merged.Load() == 1) {
 					b.Fatalf("%s: not on the %s window path: %+v", sh.name, path.name, s)
 				}
 				b.ResetTimer()
@@ -561,7 +572,10 @@ func BenchmarkWindowDeployedShapes(b *testing.B) {
 				el := b.Elapsed().Seconds()
 				outs := float64(b.N) * float64(sh.c*h2*w2)
 				unit := "GMAC/s"
-				if sh.pool {
+				switch {
+				case sh.avg:
+					unit = "Gadd/s"
+				case sh.pool:
 					unit = "Gcmp/s"
 				}
 				b.ReportMetric(el*1e9/outs, "ns/output")
