@@ -48,9 +48,10 @@ lint:
 # compiler's and assembler's own listings (-S: `go tool objdump` cannot decode
 # VEX instructions, so it would show no amd64 FMA), and fail on any fused
 # multiply-add in those packages: library and test code (the tests' oracles
-# must round too) and the hand-written AVX kernels, cpuref's GEMM tile
-# (gemm_amd64.s) and sim's lane-parallel window fold and write-back
-# (window_amd64.s), which must stay VMULPS+VADDPS. The portable folds the
+# must round too) and the hand-written AVX kernels, cpuref's GEMM tile and
+# fringe kernel (gemm_amd64.s: gemm4x16, gemmEdge) and sim's lane-parallel
+# window fold and write-back (window_amd64.s), which must stay VMULPS+VADDPS.
+# Each of those must be in the amd64 listing too. The portable folds the
 # contract rests on (the window's per-point fold and its four-point GEMV
 # fold dot4, the write-back's scalar twin emitScalar, whose scaled value
 # float32(v*scale) must round before a chain adds to it, cpuref's gemmRows,
@@ -72,7 +73,9 @@ fma-check:
 		done; \
 	done; \
 	grep -q 'TEXT.*repro/internal/relay\.foldBN(SB)' "$$dir/relay.arm64.s" || { echo "fma-check: foldBN not listed"; exit 1; }; \
-	grep -q 'gemm_amd64\.s:[0-9]*)[[:space:]]*TEXT[[:space:]]*repro/internal/cpuref\.gemm4x16(SB)' "$$dir/cpuref.amd64.s" || { echo "fma-check: gemm4x16 not listed"; exit 1; }; \
+	for sym in gemm4x16 gemmEdge; do \
+		grep -q "gemm_amd64\.s:[0-9]*)[[:space:]]*TEXT[[:space:]]*repro/internal/cpuref\.$$sym(SB)" "$$dir/cpuref.amd64.s" || { echo "fma-check: $$sym not listed"; exit 1; }; \
+	done; \
 	for sym in foldLanes8 emitLanes8; do \
 		grep -q "window_amd64\.s:[0-9]*)[[:space:]]*TEXT[[:space:]]*repro/internal/sim\.$$sym(SB)" "$$dir/sim.amd64.s" || { echo "fma-check: $$sym not listed"; exit 1; }; \
 	done; \

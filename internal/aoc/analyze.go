@@ -605,6 +605,9 @@ func (a *analyzer) accessSite(buf *ir.Buffer, idx []ir.Expr, isWrite bool, ctx [
 // innermost (whose stride is the constant 1) — exactly the property the
 // thesis exploits with its stride-1 workaround (Listing 5.11).
 func flatCoef(buf *ir.Buffer, idx []ir.Expr, v *ir.Var) (int64, bool) {
+	if invariantIn(idx, v) {
+		return 0, true
+	}
 	ap, ok := ir.LinearizeAccess(buf, idx, []*ir.Var{v})
 	if !ok {
 		return 0, false
@@ -632,6 +635,33 @@ func flatCoef(buf *ir.Buffer, idx []ir.Expr, v *ir.Var) (int64, bool) {
 		}
 	}
 	return total, true
+}
+
+// invariantIn reports whether no subscript names v or any Load, Call,
+// ChannelRead or FloatImm. ir.Linearize accepts every such subscript with
+// coefficient 0 on v, so the address does not move along v; this one walk
+// answers the common case without LinearizeAccess's allocations.
+func invariantIn(idx []ir.Expr, v *ir.Var) bool {
+	for _, e := range idx {
+		if !freeOf(e, v) {
+			return false
+		}
+	}
+	return true
+}
+
+func freeOf(e ir.Expr, v *ir.Var) bool {
+	switch x := e.(type) {
+	case *ir.IntImm:
+		return true
+	case *ir.Var:
+		return x != v
+	case *ir.Binary:
+		return freeOf(x.A, v) && freeOf(x.B, v)
+	case *ir.Select:
+		return freeOf(x.Cond, v) && freeOf(x.A, v) && freeOf(x.B, v)
+	}
+	return false
 }
 
 // countDSPs charges datapath DSPs for a store's value expression, replicated

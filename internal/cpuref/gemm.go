@@ -17,6 +17,7 @@ package cpuref
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/tensor"
 )
@@ -102,44 +103,52 @@ func Im2colSlice(data []float32, c1, h1, w1, f, s, p int, dst []float32) []float
 }
 
 // gemmPanel computes rows [m0,m1) of C[M,N] += A[M,K] * B[K,N]. With AVX
-// the 4-row x 16-column tiles run on gemm4x16 and the fringes (m1-m0 mod 4
-// rows, n mod 16 columns) on gemmRows; without it gemmRows does it all. The
-// two produce the same bits, so which ran is invisible in the output.
+// every block runs on an AVX kernel: 4-row x 16-column tiles on gemm4x16,
+// and the fringe blocks (the last (m1-m0) mod 4 rows, the last n mod 16
+// columns, and every block of a panel under 4 rows or a product under 16
+// columns) on gemmEdge. Without AVX gemmRows does it all. They produce the
+// same bits, so which ran is invisible in the output.
 //
 // Loop order: per gemmKC block of k, column strips outside and 4-row blocks
 // inside, so one 16-wide strip of the B panel (gemmKC x 16 floats, 15 KiB)
 // stays in L1 while every row block streams its A rows past it. With row
 // blocks outside, each block would re-read the whole B panel from L2.
 func gemmPanel(a, b, c []float32, k, n, m0, m1 int) {
-	mt := m0 + (m1-m0)/4*4
-	nt := n / 16 * 16
-	if !useAVX || mt == m0 || nt == 0 {
-		gemmRows(a, b, c, k, n, m0, m1, 0, n)
+	if !useAVX {
+		gemmRows(a, b, c, k, n, m0, m1)
 		return
 	}
 	for kb := 0; kb < k; kb += gemmKC {
 		kEnd := min(kb+gemmKC, k)
-		for j := 0; j < nt; j += 16 {
-			for m := m0; m < mt; m += 4 {
+		for j := 0; j < n; j += 16 {
+			cols := min(n-j, 16)
+			for m := m0; m < m1; m += 4 {
+				rows := min(m1-m, 4)
 				// The last element each pointer reaches: a short slice
 				// panics here instead of being read or written past its end.
-				_ = a[(m+3)*k+kEnd-1]
-				_ = b[(kEnd-1)*n+j+15]
-				_ = c[(m+3)*n+j+15]
-				gemm4x16(&a[m*k+kb], &b[kb*n+j], &c[m*n+j], kEnd-kb, k, n, n)
+				_ = a[(m+rows-1)*k+kEnd-1]
+				_ = b[(kEnd-1)*n+j+cols-1]
+				_ = c[(m+rows-1)*n+j+cols-1]
+				if rows == 4 && cols == 16 {
+					gemm4x16(&a[m*k+kb], &b[kb*n+j], &c[m*n+j], kEnd-kb, k, n, n)
+				} else {
+					gemmEdge(&a[m*k+kb], &b[kb*n+j], &c[m*n+j], kEnd-kb, k, n, n, rows, cols)
+				}
 			}
 		}
 	}
-	gemmRows(a, b, c, k, n, m0, mt, nt, n)
-	gemmRows(a, b, c, k, n, mt, m1, 0, n)
 }
 
-// gemmRows computes the block rows [m0,m1) x columns [j0,j1) of C[M,N] =
-// A[M,K] * B[K,N], with C pre-initialized (bias) and accumulated in
-// ascending-k order. The k loop is blocked so each B panel is streamed once
-// per row while hot in cache. It is the portable kernel: gemmPanel's row and
-// column fringes, the whole product where AVX is absent (every non-amd64
-// build), and the path gemm4x16 is tested against.
+// gemmRowsMACs, when a test sets it, counts the multiply-accumulates
+// gemmRows runs, so a test can pin which products leave the AVX kernels.
+var gemmRowsMACs *atomic.Int64
+
+// gemmRows computes rows [m0,m1) of C[M,N] += A[M,K] * B[K,N], with C
+// pre-initialized (bias) and accumulated in ascending-k order. The k loop is
+// blocked so each B panel is streamed once per row while hot in cache. It
+// is the portable twin of the AVX kernels: the whole product where AVX is
+// absent (every non-amd64 build, and CPUs without AVX) and the path they are
+// tested against.
 //
 // Within a row, four k-steps share one pass over the C row: each output
 // element is loaded once, takes four products in a register and is stored
@@ -154,22 +163,22 @@ func gemmPanel(a, b, c []float32, k, n, m0, m1 int) {
 // through a temporary) and guarantees the rounding only at an explicit
 // conversion. Each step therefore rounds exactly as the sim interpreter
 // does, and `make fma-check` proves no fused instruction is emitted.
-func gemmRows(a, b, c []float32, k, n, m0, m1, j0, j1 int) {
-	if j0 == j1 {
-		return
+func gemmRows(a, b, c []float32, k, n, m0, m1 int) {
+	if gemmRowsMACs != nil {
+		gemmRowsMACs.Add(int64(m1-m0) * int64(k) * int64(n))
 	}
 	for kb := 0; kb < k; kb += gemmKC {
 		kEnd := min(kb+gemmKC, k)
 		for m := m0; m < m1; m++ {
 			arow := a[m*k : (m+1)*k]
-			crow := c[m*n+j0 : m*n+j1]
+			crow := c[m*n : (m+1)*n]
 			kk := kb
 			for ; kk+4 <= kEnd; kk += 4 {
 				x0, x1, x2, x3 := arow[kk], arow[kk+1], arow[kk+2], arow[kk+3]
-				b0 := b[kk*n+j0 : kk*n+j1]
-				b1 := b[(kk+1)*n+j0 : (kk+1)*n+j1][:len(b0)]
-				b2 := b[(kk+2)*n+j0 : (kk+2)*n+j1][:len(b0)]
-				b3 := b[(kk+3)*n+j0 : (kk+3)*n+j1][:len(b0)]
+				b0 := b[kk*n : (kk+1)*n]
+				b1 := b[(kk+1)*n : (kk+2)*n][:len(b0)]
+				b2 := b[(kk+2)*n : (kk+3)*n][:len(b0)]
+				b3 := b[(kk+3)*n : (kk+4)*n][:len(b0)]
 				cr := crow[:len(b0)]
 				for j := range b0 {
 					v := cr[j]
@@ -182,7 +191,7 @@ func gemmRows(a, b, c []float32, k, n, m0, m1, j0, j1 int) {
 			}
 			for ; kk < kEnd; kk++ {
 				x := arow[kk]
-				brow := b[kk*n+j0 : kk*n+j1]
+				brow := b[kk*n : (kk+1)*n]
 				cr := crow[:len(brow)]
 				for j, bv := range brow {
 					cr[j] += float32(x * bv)

@@ -1,0 +1,59 @@
+//go:build linux
+
+package cpuref
+
+// gemmEdge's memory safety: its masked loads of B and loads and stores of C
+// must touch only the block's columns. Here B's and C's last fringe column
+// ends a page that an inaccessible page follows, so an unmasked access past
+// it faults and kills the test binary.
+
+import (
+	"math"
+	"math/rand/v2"
+	"syscall"
+	"testing"
+	"unsafe"
+)
+
+// guardedTail returns n float32s that end where an inaccessible page begins.
+func guardedTail(t *testing.T, n int) []float32 {
+	t.Helper()
+	page := syscall.Getpagesize()
+	pages := (4*n+page-1)/page + 1
+	mem, err := syscall.Mmap(-1, 0, pages*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if err != nil {
+		t.Skipf("mmap: %v", err)
+	}
+	t.Cleanup(func() { syscall.Munmap(mem) })
+	fence := (pages - 1) * page
+	if err := syscall.Mprotect(mem[fence:], syscall.PROT_NONE); err != nil {
+		t.Fatal(err)
+	}
+	return unsafe.Slice((*float32)(unsafe.Pointer(&mem[fence-4*n])), n)
+}
+
+func TestGemmEdgeStaysInsideItsColumns(t *testing.T) {
+	if !cpuHasAVX {
+		t.Skip("CPU has no AVX: gemmEdge cannot run")
+	}
+	r := rand.New(rand.NewPCG(48, 1))
+	for _, w := range []int{1, 8, 9, 15} {
+		for _, n := range []int{w, 16 + w} {
+			for _, m := range []int{4, 5} {
+				const k = 3
+				a0, b0, c0 := gemmOracleCase(r, m, k, n)
+				a, b, c := guardedTail(t, m*k), guardedTail(t, k*n), guardedTail(t, m*n)
+				copy(a, a0)
+				copy(b, b0)
+				copy(c, c0)
+				gemmOracle(a0, b0, c0, m, k, n)
+				withAVX(true, func() { Gemm(a, b, c, m, k, n, 1) })
+				for i := range c {
+					if math.Float32bits(c[i]) != math.Float32bits(c0[i]) {
+						t.Fatalf("m=%d n=%d: c[%d] = %#08x, oracle %#08x", m, n, i, math.Float32bits(c[i]), math.Float32bits(c0[i]))
+					}
+				}
+			}
+		}
+	}
+}

@@ -8,3 +8,7 @@ var useAVX = false
 func gemm4x16(a, b, c *float32, kc, lda, ldb, ldc int) {
 	panic("cpuref: gemm4x16 called without AVX")
 }
+
+func gemmEdge(a, b, c *float32, kc, lda, ldb, ldc, rows, cols int) {
+	panic("cpuref: gemmEdge called without AVX")
+}

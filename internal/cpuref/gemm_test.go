@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/tensor"
@@ -377,21 +378,29 @@ func withAVX(on bool, f func()) bool {
 	return true
 }
 
-// TestGemmRowsBitIdenticalToScalarOracle pins both Gemm kernels — the AVX
-// 4x16 tiles with their gemmRows fringes, and gemmRows alone — to the scalar
-// oracle by math.Float32bits across the unroll remainders (k mod 4), the
-// gemmKC block edges, full tiles and the row (m mod 4) and column (n mod 16)
-// fringes alone and together, and serial and row-split runs (whose panels
-// start off a multiple of 4), on inputs that carry NaN, ±Inf, -0 and
-// subnormals.
+// TestGemmRowsBitIdenticalToScalarOracle pins both Gemm paths — the AVX
+// kernels (gemm4x16 tiles and gemmEdge fringe blocks), and gemmRows alone —
+// to the scalar oracle by math.Float32bits across the unroll remainders (k
+// mod 4), the gemmKC block edges, every (m mod 4, n mod 16) pair, each
+// fringe alone (m < 4, n < 16) and beside full tiles, and serial and
+// row-split runs (whose panels start off a multiple of 4), on inputs that
+// carry NaN, ±Inf, -0 and subnormals.
 func TestGemmRowsBitIdenticalToScalarOracle(t *testing.T) {
 	ks := []int{1, 2, 3, 4, 5, 7, gemmKC - 1, gemmKC, gemmKC + 1, 2*gemmKC + 3}
+	ms := []int{1, 2, 3, 4, 5, 6, 7, 8}
+	ns := []int{49}
+	for r := 0; r < 16; r++ {
+		if r > 0 {
+			ns = append(ns, r)
+		}
+		ns = append(ns, 16+r)
+	}
 	for _, avx := range []bool{true, false} {
 		r := rand.New(rand.NewPCG(38, 4))
 		ran := withAVX(avx, func() {
 			for _, k := range ks {
-				for _, m := range []int{1, 3, 4, 5, 8} {
-					for _, n := range []int{1, 9, 15, 16, 17, 33, 49} {
+				for _, m := range ms {
+					for _, n := range ns {
 						a, b, c0 := gemmOracleCase(r, m, k, n)
 						want := append([]float32(nil), c0...)
 						gemmOracle(a, b, want, m, k, n)
@@ -411,35 +420,86 @@ func TestGemmRowsBitIdenticalToScalarOracle(t *testing.T) {
 			}
 		})
 		if !ran {
-			t.Log("CPU has no AVX: gemm4x16 half skipped, portable gemmRows checked alone")
+			t.Log("CPU has no AVX: the AVX half skipped, portable gemmRows checked alone")
 		}
 	}
 }
 
 // TestGemmShortSlicePanics pins the AVX path's memory safety: a Gemm whose
 // A, B or C slice is one element short must panic in Go (gemmPanel indexes
-// the last element each gemm4x16 call reaches) rather than let the assembly
-// read or write past the slice.
+// the last element each gemm4x16 or gemmEdge call reaches) rather than let
+// the assembly read or write past the slice. m = 5 puts A's and C's last
+// row, and n = 17 B's and C's last column, in fringe blocks only; 3x9 has no
+// full tile at all.
 func TestGemmShortSlicePanics(t *testing.T) {
-	const m, k, n = 4, 8, 16
-	for _, avx := range []bool{true, false} {
-		for _, short := range []string{"a", "b", "c"} {
-			size := func(name string, l int) int {
-				if name == short {
-					return l - 1
+	for _, sh := range []struct{ m, k, n int }{{4, 8, 16}, {5, 8, 16}, {4, 8, 17}, {5, 8, 17}, {3, 8, 9}} {
+		m, k, n := sh.m, sh.k, sh.n
+		for _, avx := range []bool{true, false} {
+			for _, short := range []string{"a", "b", "c"} {
+				size := func(name string, l int) int {
+					if name == short {
+						return l - 1
+					}
+					return l
 				}
-				return l
+				a := make([]float32, size("a", m*k))
+				b := make([]float32, size("b", k*n))
+				c := make([]float32, size("c", m*n))
+				var recovered any
+				ran := withAVX(avx, func() {
+					defer func() { recovered = recover() }()
+					Gemm(a, b, c, m, k, n, 1)
+				})
+				if ran && recovered == nil {
+					t.Errorf("avx=%v %dx%dx%d: Gemm with %s one element short did not panic", avx, m, k, n, short)
+				}
 			}
-			a := make([]float32, size("a", m*k))
-			b := make([]float32, size("b", k*n))
-			c := make([]float32, size("c", m*n))
-			var recovered any
-			ran := withAVX(avx, func() {
-				defer func() { recovered = recover() }()
-				Gemm(a, b, c, m, k, n, 1)
-			})
-			if ran && recovered == nil {
-				t.Errorf("avx=%v: Gemm with %s one element short did not panic", avx, short)
+		}
+	}
+}
+
+// TestGemmRowsIdleWithAVX pins which products leave the AVX kernels: none of
+// the GEMM shapes the folded MobileNetV1 and ResNet-18/34 and LeNet-5 deploy
+// with a fringe (the rest are whole 4x16 tiles) runs a multiply-accumulate
+// on gemmRows when AVX is on, serial or row-split, and with AVX off gemmRows
+// runs all of them.
+func TestGemmRowsIdleWithAVX(t *testing.T) {
+	// m output channels x k reduction x n output pixels.
+	shapes := []struct {
+		name    string
+		m, k, n int
+	}{
+		{"mobilenet/pw256to512", 512, 256, 196},
+		{"mobilenet/pw512", 512, 512, 196},
+		{"mobilenet/pw512to1024", 1024, 512, 49},
+		{"mobilenet/pw1024", 1024, 1024, 49},
+		{"resnet18/conv4_x-down", 256, 128, 196},
+		{"resnet18/conv4_x-first", 256, 1152, 196},
+		{"resnet18/conv4_x", 256, 2304, 196},
+		{"resnet18/conv5_x-down", 512, 256, 49},
+		{"resnet18/conv5_x-first", 512, 2304, 49},
+		{"resnet18/conv5_x", 512, 4608, 49},
+		{"lenet/conv1", 6, 9, 676},
+		{"lenet/conv2", 16, 54, 121},
+	}
+	var macs atomic.Int64
+	gemmRowsMACs = &macs
+	defer func() { gemmRowsMACs = nil }()
+	for _, sh := range shapes {
+		a := make([]float32, sh.m*sh.k)
+		b := make([]float32, sh.k*sh.n)
+		c := make([]float32, sh.m*sh.n)
+		for _, run := range []struct {
+			avx     bool
+			workers int
+			want    int64
+		}{{true, 1, 0}, {true, 3, 0}, {false, 1, int64(sh.m) * int64(sh.k) * int64(sh.n)}} {
+			macs.Store(0)
+			if !withAVX(run.avx, func() { Gemm(a, b, c, sh.m, sh.k, sh.n, run.workers) }) {
+				continue
+			}
+			if got := macs.Load(); got != run.want {
+				t.Errorf("%s avx=%v workers=%d: gemmRows ran %d MACs, want %d", sh.name, run.avx, run.workers, got, run.want)
 			}
 		}
 	}
@@ -447,9 +507,11 @@ func TestGemmShortSlicePanics(t *testing.T) {
 
 // BenchmarkGemmDeployedShapes times the serial kernel at the GEMM shapes the
 // folded networks deploy (m output channels x k reduction x n output pixels):
-// ResNet-18's 3x3 convs at each stage and its 7x7 stem, and MobileNetV1's
-// widest and narrowest pointwise layers. Each shape runs twice, on the AVX
-// tiles ("avx") and on the portable gemmRows alone ("portable"), and reports
+// ResNet-18's 3x3 convs at each stage and its 7x7 stem, MobileNetV1's widest
+// and narrowest pointwise layers and its deepest (pw1024, n = 49: one
+// fringe column per 48), and LeNet-5's two convs (m = 6 rows, n = 676 and
+// 121: row and column fringes). Each shape runs twice, on the AVX kernels
+// ("avx") and on the portable gemmRows alone ("portable"), and reports
 // GFLOP/s (2 FLOPs per MAC); run it with -cpu 1 to size the microkernels
 // without worker fan-out.
 func BenchmarkGemmDeployedShapes(b *testing.B) {
@@ -464,6 +526,9 @@ func BenchmarkGemmDeployedShapes(b *testing.B) {
 		{"resnet18/stem7x7", 64, 147, 12544},
 		{"mobilenet/pw512", 512, 512, 196},
 		{"mobilenet/pw128", 128, 128, 3136},
+		{"mobilenet/pw1024", 1024, 1024, 49},
+		{"lenet/conv1", 6, 9, 676},
+		{"lenet/conv2", 16, 54, 121},
 	}
 	for _, sh := range shapes {
 		r := rand.New(rand.NewPCG(1, 2))

@@ -8,9 +8,10 @@ package host
 // per-deployment cache, so every functional path runs the same code on the
 // same warm state. A warm image is bit-identical to one on a cold machine
 // because every piece of machine state a kernel can observe — scratches,
-// outputs, channels, Alloc-ed temporaries — is reset to the cold-start
-// contents (all zeros, empty FIFOs) before each image; the cold reference is
-// exactly that: a fresh, unpooled session per image.
+// outputs, channels, Alloc-ed temporaries — is either reset to the
+// cold-start contents (all zeros, empty FIFOs) before each image or, like a
+// folded plan's activations, written whole before any kernel reads it; the
+// cold reference is exactly that: a fresh, unpooled session per image.
 //
 // A pipelined session off the interpreter tier runs rewritten kernels: when
 // it is built, sim.ElideChannels turns every balanced channel into a
@@ -122,7 +123,8 @@ func (c *sessionCache) checkout(sh shape) (*session, error) {
 }
 
 // checkin returns a session to the cache. A session whose image failed is
-// safe to reuse: the next image resets everything the failed one touched.
+// safe to reuse: the next image resets or rewrites everything the failed one
+// touched before reading it.
 func (c *sessionCache) checkin(s *session) {
 	c.mu.Lock()
 	c.free = append(c.free, s)
