@@ -186,17 +186,17 @@ func ExploreGuided(layers []*relay.Layer, net string, board *fpga.Board, opts Gu
 			}
 		}
 	}
-	// Preference seeds: the exhaustive tier's §4.11 enumeration order
-	// (largest total unroll first, balanced channel factors breaking ties)
-	// embeds the thesis's factor-selection heuristics, and the same
-	// routability probe screens out tilings whose dominant kernel cannot
-	// route alone (cheap: one kernel compile each, memoized). Seeding the
-	// population with the surviving frontier starts guided search in
-	// exhaustive's best region, so the budget is spent refining the axes
-	// exhaustive fixes (dense kvec, depthwise width, F×F unroll, workaround)
-	// rather than rediscovering the 1x1 tiling from scratch. Probe compiles
-	// are not full evaluations and do not count against the budget — the
-	// exhaustive tier accounts them identically.
+	// Preference seeds: the thesis view's §4.11 preference order (largest
+	// total unroll first, balanced channel factors breaking ties) embeds the
+	// thesis's factor-selection heuristics, and the same routability probe
+	// screens out tilings whose dominant kernel cannot route alone (cheap:
+	// one kernel compile each, memoized). Seeding the population with the
+	// surviving frontier starts guided search in the thesis tier's best
+	// region, so the budget is spent refining the axes the thesis view pins
+	// (dense kvec, depthwise width, F×F unroll, workaround) rather than
+	// rediscovering the 1x1 tiling from scratch. Probe compiles are not full
+	// evaluations and do not count against the budget, as in the thesis
+	// tier.
 	seedsPref, probePruned := s.preferenceSeeds(space, popSize-2)
 	res.Pruned += probePruned
 	res.PrunedRoute += probePruned
@@ -415,13 +415,17 @@ func mutate(s *Space, p Point, rng *splitmix64, temp float64) Point {
 	return child
 }
 
-// preferenceSeeds returns up to k feasible points from the exhaustive
-// tier's enumeration frontier: the dominant conv tiling axes (1x1 when the
-// network has them, else 3x3) enumerated in §4.11 preference order — total
-// unroll descending, balanced channel factors breaking ties, each 1x1
-// tiling screened by the driver's routability probe — with every
-// other axis at its maximum (3x3 output-channel unroll at 1, matching the
-// exhaustive tier's OptSched(w2, 1, c1)). Deterministic: pure function of
+// preferenceSeeds returns up to k feasible points from a §4.11 preference
+// frontier: the dominant conv tiling axes (1x1 when the network has them,
+// else 3x3) ranked by total unroll descending, balanced channel factors
+// breaking ties, each 1x1 tiling screened by the driver's routability probe,
+// with every other axis at its maximum (3x3 output-channel unroll at 1, as
+// the thesis view pins it). The order follows the thesis view's preference
+// but not its sequence: this frontier is a stable sort over every tiling
+// combination, where the thesis tier runs an unstable sort over the
+// feasible tilings only, so the two break ties differently. Guided keeps its
+// own frontier because its seeds, and so its trajectory, golden hash and
+// bench gates, are pinned to this order. Deterministic: pure function of
 // the space, board and probe outcomes. The second return value counts
 // combos whose probe failed to route (the caller reports them as route
 // prunes).
@@ -433,7 +437,7 @@ func (sr *search) preferenceSeeds(s *Space, k int) ([]Point, int) {
 	for i := range base {
 		base[i] = len(s.Axes[i].Values) - 1
 	}
-	// The exhaustive tier schedules 3x3 convs as OptSched(w2, 1, c1): output-
+	// The thesis view pins the 3x3 group to OptSched(w2, 1, c1): output-
 	// channel unroll on the (secondary) 3x3 group multiplies into the F×F
 	// unroll and blows the DSP budget on big boards' stems. Seeds mirror
 	// that; the annealer is free to raise it later.

@@ -15,15 +15,19 @@
 // publishes the dse.* metrics. Three strategies decide what to propose:
 //
 //   - ExploreWith, the thesis tier (this file): the §4.11 factor-selection
-//     rules — the unroll width must not exceed what external memory bandwidth
-//     can feed at the design clock, factors must evenly divide every layer's
-//     extent they tile, and the design must fit and route. Tilings are
-//     enumerated in preference order (largest total unroll first, balanced
-//     channel factors breaking ties), each 1x1 tiling is routability-probed
-//     by compiling its dominant kernel alone, and survivors take evaluation
-//     slots in enumeration order until MaxCandidates are reserved.
+//     rules as a pinned view of the joint schedule space (space.go). Every
+//     axis the thesis does not search is pinned to its thesis value, which
+//     leaves the 1x1 and 3x3 tilings free. The space's axes make every
+//     factor divide each extent it tiles, and its one bandwidth rule
+//     (Space.Feasible) screens the view's points: the unroll width must not
+//     exceed what external memory bandwidth can feed at the design clock.
+//     The 1x1 tilings are ranked in preference order (largest total unroll
+//     first, balanced channel factors breaking ties), each is
+//     routability-probed by compiling its dominant kernel alone, and the
+//     survivors, crossed with the four widest 3x3 tilings, take evaluation
+//     slots in that order until MaxCandidates are reserved.
 //   - ExploreJointWith (joint.go): every bandwidth-feasible point of the joint
-//     schedule space (space.go), in odometer order.
+//     schedule space, in odometer order.
 //   - ExploreGuided (anneal.go): seeded annealing over the joint space,
 //     ranking mutation batches with an online cost model (model.go) and
 //     optionally warm-started from another board's run (transfer.go).
@@ -42,6 +46,7 @@ package dse
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/fpga"
@@ -58,7 +63,8 @@ type Options struct {
 	// Workers bounds evaluation concurrency; <= 0 means runtime.GOMAXPROCS.
 	Workers int
 	// MaxCandidates bounds the number of fully compiled designs (the
-	// expensive step); <= 0 means 64.
+	// expensive step). <= 0 means 64 for ExploreWith and ExploreGuided, and
+	// unbounded (the whole feasible space) for ExploreJointWith.
 	MaxCandidates int
 	// Ctx cancels or bounds the search; nil means context.Background().
 	Ctx context.Context
@@ -95,10 +101,10 @@ type Result struct {
 	// Evaluated is the number of fully compiled designs; it always equals
 	// len(Candidates), even under concurrency or cancellation.
 	Evaluated int
-	Pruned    int // rejected before full compilation (divisibility/bandwidth/probe)
+	Pruned    int // rejected before full compilation (bandwidth/probe)
 	// PrunedBandwidth/PrunedRoute split Pruned by cause: the §4.11 bandwidth
-	// rule (at enumeration, and infeasible mutations in guided mode) vs the
-	// 1x1 routability probe.
+	// rule (one per infeasible joint point a tier enumerates or proposes) vs
+	// the 1x1 routability probe.
 	PrunedBandwidth int
 	PrunedRoute     int
 	// Canceled reports that Options.Ctx expired before the search finished;
@@ -132,167 +138,100 @@ func (r *Result) Best() (*Candidate, error) {
 	return nil, fmt.Errorf("dse: no synthesizable configuration for %s on %s", r.Net, r.Board.Name)
 }
 
-// layerFacts summarizes the constraints the network's layers impose.
-type layerFacts struct {
-	// common divisors per tiled dimension across all layers of a group.
-	pwW2, pwC2, pwC1 int
-	c33W2, c33C1     int
-	hasPW, has33     bool
-	// strided 1x1 projections (ResNet shortcuts).
-	projC1   int
-	hasProj  bool
-	dwW2     int
-	hasDW    bool
-	denseN   int
-	hasDense bool
-}
-
-func gcd(a, b int) int {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
-func gatherFacts(layers []*relay.Layer) layerFacts {
-	f := layerFacts{}
-	acc := func(cur *int, v int) {
-		if *cur == 0 {
-			*cur = v
-		} else {
-			*cur = gcd(*cur, v)
+// thesisPins fixes every axis §4.11 does not search at its thesis value: the
+// 3x3 group as OptSched(w2, 1, c1) (no output-channel unroll, the F×F window
+// unrolled), the projection and depthwise unrolls at their largest, the
+// stride-1 coalescing workaround on, and one reduction unroll for every dense
+// signature: the largest all of them accept, which is the largest divisor
+// ≤ 32 of the gcd over all dense layers.
+func thesisPins(s *Space) map[string]int {
+	pins := map[string]int{axC33C2: 1, axC33FF: 1, axWkrd: 1}
+	for _, name := range []string{axProjC1, axDWW2} {
+		if i, ok := s.idx[name]; ok {
+			pins[name] = s.Axes[i].Max()
 		}
 	}
-	for _, l := range layers {
-		switch l.Kind {
-		case relay.KConv:
-			w2 := l.OutShape[2]
-			switch {
-			case l.F == 1 && l.S == 1:
-				f.hasPW = true
-				acc(&f.pwW2, w2)
-				acc(&f.pwC2, l.OutShape[0])
-				acc(&f.pwC1, l.InShape[0])
-			case l.F == 1:
-				f.hasProj = true
-				acc(&f.projC1, l.InShape[0])
-			case l.F == 3:
-				f.has33 = true
-				acc(&f.c33W2, w2)
-				acc(&f.c33C1, l.InShape[0])
-			}
-		case relay.KDepthwise:
-			f.hasDW = true
-			acc(&f.dwW2, l.OutShape[2])
-		case relay.KDense:
-			f.hasDense = true
-			acc(&f.denseN, l.InShape[0])
+	accepts := map[int]int{} // kvec -> dense signatures whose axis has it
+	for _, sig := range s.denseSigs {
+		for _, v := range s.Axes[s.idx[denseAxis(sig)]].Values {
+			accepts[v]++
 		}
 	}
-	return f
-}
-
-// divisorsOf returns the divisors of n not exceeding cap, ascending.
-func divisorsOf(n, cap int) []int {
-	var out []int
-	for d := 1; d <= n && d <= cap; d++ {
-		if n%d == 0 {
-			out = append(out, d)
+	kvec := 1
+	for v, n := range accepts {
+		if n == len(s.denseSigs) && v > kvec {
+			kvec = v
 		}
 	}
-	return out
+	for _, sig := range s.denseSigs {
+		pins[denseAxis(sig)] = kvec
+	}
+	return pins
 }
-
-// pwCfg is one 1x1-convolution tiling group from the enumeration phase.
-type pwCfg struct{ w2, c2, c1 int }
 
 // ExploreWith is the thesis-tier strategy: it enumerates and ranks §4.11
 // tilings under the given Options. See the package comment for the
 // determinism and cancellation guarantees.
 func ExploreWith(layers []*relay.Layer, net string, board *fpga.Board, opts Options) (*Result, error) {
 	s := newSearch(layers, board, opts)
-	facts := gatherFacts(layers)
+	space := BuildSpace(layers, net)
+	view := space.pin(thesisPins(space))
 	res := &Result{Board: board, Net: net}
 
-	// --- Enumeration (sequential, deterministic order) ---
-
-	// Rule 1 (§4.11): the widest memory access must not exceed the memory
-	// system's bytes/cycle at a conservative clock.
-	maxFloats := int(board.BytesPerCycleAt(board.BaseFmaxMHz*0.7) / 4)
-
-	var pws []pwCfg
-	if facts.hasPW {
-		for _, w2 := range divisorsOf(facts.pwW2, 14) {
-			for _, c2 := range divisorsOf(facts.pwC2, 64) {
-				for _, c1 := range divisorsOf(facts.pwC1, 32) {
-					if w2*c1 > 4*maxFloats || w2 < 2 {
-						res.Pruned++
-						res.PrunedBandwidth++
-						continue
-					}
-					pws = append(pws, pwCfg{w2, c2, c1})
-				}
-			}
+	// --- Enumeration (sequential, odometer order) ---
+	// What the view leaves free is the 1x1 tiling (outer) and the 3x3
+	// tiling (inner). Each point the bandwidth rule rejects is a prune; the
+	// feasible ones yield both groups' tilings in first-seen order. The rule
+	// screens each group on its own, so every pair of feasible tilings is a
+	// feasible point.
+	type pair struct{ pw, c33 topi.ConvSched }
+	points := map[pair]Point{}
+	var pws, c33s []topi.ConvSched
+	view.Enumerate(func(p Point) bool {
+		if ok, _ := view.Feasible(p, board); !ok {
+			res.Pruned++
+			res.PrunedBandwidth++
+			return true
 		}
-	} else {
-		pws = []pwCfg{{1, 1, 1}}
-	}
+		pw, c33, _ := view.scheds(p)
+		if !slices.Contains(pws, pw) {
+			pws = append(pws, pw)
+		}
+		if !slices.Contains(c33s, c33) {
+			c33s = append(c33s, c33)
+		}
+		points[pair{pw, c33}] = p.Clone()
+		return true
+	})
 	// Prefer larger total unroll first (throughput), break ties toward
 	// balanced C2/C1. Not a stable sort: the tie order it produces is part
 	// of the tier's output.
 	sort.Slice(pws, func(i, j int) bool {
-		vi := pws[i].w2 * pws[i].c2 * pws[i].c1
-		vj := pws[j].w2 * pws[j].c2 * pws[j].c1
+		vi := pws[i].W2vec * pws[i].C2vec * pws[i].C1vec
+		vj := pws[j].W2vec * pws[j].C2vec * pws[j].C1vec
 		if vi != vj {
 			return vi > vj
 		}
-		di := abs(pws[i].c2 - pws[i].c1)
-		dj := abs(pws[j].c2 - pws[j].c1)
+		di := abs(pws[i].C2vec - pws[i].C1vec)
+		dj := abs(pws[j].C2vec - pws[j].C1vec)
 		return di < dj
 	})
-
-	var c33s []topi.ConvSched
-	if facts.has33 {
-		for _, w2 := range divisorsOf(facts.c33W2, 7) {
-			for _, c1 := range divisorsOf(facts.c33C1, 16) {
-				if w2*c1*9 > 16*maxFloats {
-					res.Pruned++
-					res.PrunedBandwidth++
-					continue
-				}
-				c33s = append(c33s, topi.OptSched(w2, 1, c1))
-			}
-		}
-		sort.Slice(c33s, func(i, j int) bool {
-			return c33s[i].W2vec*c33s[i].C1vec > c33s[j].W2vec*c33s[j].C1vec
-		})
-		if len(c33s) > 4 {
-			c33s = c33s[:4] // the 3x3 knob is secondary; keep the frontier
-		}
-	} else {
-		c33s = []topi.ConvSched{topi.OptSched(1, 1, 1)}
-	}
-
-	denseVec := 1
-	if facts.hasDense {
-		dv := divisorsOf(facts.denseN, 32)
-		denseVec = dv[len(dv)-1]
-	}
-	dwVec := 1
-	if facts.hasDW {
-		dw := divisorsOf(facts.dwW2, 7)
-		dwVec = dw[len(dw)-1]
+	sort.Slice(c33s, func(i, j int) bool {
+		return c33s[i].W2vec*c33s[i].C1vec > c33s[j].W2vec*c33s[j].C1vec
+	})
+	if len(c33s) > 4 {
+		c33s = c33s[:4] // the 3x3 knob is secondary; keep the frontier
 	}
 
 	// --- Routability probes (parallel) ---
-	// A 1x1 group whose dominant kernel cannot route alone skips its whole
+	// A 1x1 tiling whose dominant kernel cannot route alone skips its whole
 	// candidate row before any whole-network build. A probe compile error
 	// aborts the search.
 	pass := make([]bool, len(pws))
-	if facts.hasPW {
+	if space.hasPW {
 		done, errs := runJobs(s.ctx, len(pws), s.workers, func(i int) error {
 			var err error
-			pass[i], err = s.routes(pws[i].w2, pws[i].c2, pws[i].c1)
+			pass[i], err = s.routes(pws[i].W2vec, pws[i].C2vec, pws[i].C1vec)
 			return err
 		})
 		for _, err := range errs {
@@ -315,11 +254,7 @@ func ExploreWith(layers []*relay.Layer, net string, board *fpga.Board, opts Opti
 	// --- Slot assignment (sequential, exact accounting) ---
 	// Every reserved slot is exactly one full evaluation, so the
 	// MaxCandidates cap holds before any worker starts.
-	type slot struct {
-		pw  pwCfg
-		c33 topi.ConvSched
-	}
-	var slots []slot
+	var slots []pair
 assign:
 	for i, pw := range pws {
 		if !pass[i] {
@@ -329,14 +264,14 @@ assign:
 			if len(slots) >= s.budget {
 				break assign
 			}
-			slots = append(slots, slot{pw, c33})
+			slots = append(slots, pair{pw, c33})
 		}
 	}
 
 	// --- Evaluation (parallel, in the driver) ---
 	cfgs := make([]host.FoldedConfig, len(slots))
 	for i, sl := range slots {
-		cfgs[i] = buildConfig(layers, facts, sl.pw, sl.c33, dwVec, denseVec)
+		cfgs[i] = view.Config(points[sl])
 	}
 	cands, err := s.eval(cfgs)
 	if err != nil {
@@ -344,8 +279,7 @@ assign:
 	}
 	for i, c := range cands {
 		if c != nil {
-			c.PW = topi.OptSched(slots[i].pw.w2, slots[i].pw.c2, slots[i].pw.c1)
-			c.Conv33 = slots[i].c33
+			c.PW, c.Conv33 = slots[i].pw, slots[i].c33
 		}
 	}
 	s.finish(res)
@@ -357,36 +291,4 @@ func abs(x int) int {
 		return -x
 	}
 	return x
-}
-
-// buildConfig assembles a FoldedConfig covering every conv signature the
-// network uses. Strided 1x1 projections get their own channel unroll (they
-// are small in FLOPs but crippling at 1 MAC/cycle).
-func buildConfig(layers []*relay.Layer, facts layerFacts, pw pwCfg, c33 topi.ConvSched, dwVec, denseVec int) host.FoldedConfig {
-	conv := map[string]topi.ConvSched{}
-	dw := map[string]int{}
-	projC1 := 1
-	if facts.hasProj {
-		pd := divisorsOf(facts.projC1, 8)
-		projC1 = pd[len(pd)-1]
-	}
-	for _, l := range layers {
-		switch l.Kind {
-		case relay.KConv:
-			key := host.ConfigKey(l)
-			switch {
-			case l.F == 1 && l.S == 1:
-				conv[key] = topi.OptSched(pw.w2, pw.c2, pw.c1)
-			case l.F == 1:
-				conv[key] = topi.OptSched(1, 1, projC1)
-			case l.F == 3:
-				conv[key] = c33
-			default:
-				conv[key] = topi.OptSched(1, 1, 1)
-			}
-		case relay.KDepthwise:
-			dw[host.ConfigKey(l)] = dwVec
-		}
-	}
-	return host.FoldedConfig{Conv: conv, DWVec: dw, DenseVec: denseVec, Workaround: true}
 }

@@ -3,6 +3,7 @@ package dse
 import (
 	"context"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -35,20 +36,37 @@ func TestDivisorsOf(t *testing.T) {
 	}
 }
 
-func TestGatherFactsMobileNet(t *testing.T) {
-	f := gatherFacts(mobilenetLayers(t))
-	if !f.hasPW || !f.hasDW || !f.hasDense || !f.has33 {
-		t.Fatalf("facts incomplete: %+v", f)
+// TestBuildSpaceFactsMobileNet: the space's axes carry the network's divisor
+// facts, the common divisors of each tiled extent over its layer group.
+func TestBuildSpaceFactsMobileNet(t *testing.T) {
+	s := BuildSpace(mobilenetLayers(t), "mobilenetv1")
+	axis := func(name string) []int {
+		t.Helper()
+		i, ok := s.idx[name]
+		if !ok {
+			t.Fatalf("no axis %s in %s", name, s.Sig())
+		}
+		return s.Axes[i].Values
 	}
-	// 1x1 output widths are {112,56,28,14,7}: gcd 7. Channels gcd 32/64.
-	if f.pwW2 != 7 {
-		t.Fatalf("pw W2 gcd = %d, want 7", f.pwW2)
+	// 1x1 output widths are {112,56,28,14,7}: gcd 7, and the scalar-store
+	// w2 = 1 is left out. Channels: gcd 64 out, 32 in.
+	if got := axis(axPWW2); !reflect.DeepEqual(got, []int{7}) {
+		t.Fatalf("pw.w2 = %v, want [7]", got)
 	}
-	if f.pwC1%32 != 0 || f.pwC2%64 != 0 {
-		t.Fatalf("channel gcds: c1=%d c2=%d", f.pwC1, f.pwC2)
+	if got := axis(axPWC2); got[len(got)-1] != 64 {
+		t.Fatalf("pw.c2 = %v, want up to 64", got)
 	}
-	if f.denseN != 1024 {
-		t.Fatalf("dense N = %d", f.denseN)
+	if got := axis(axPWC1); got[len(got)-1] != 32 {
+		t.Fatalf("pw.c1 = %v, want up to 32", got)
+	}
+	axis(axC33W2)
+	axis(axDWW2)
+	if len(s.denseSigs) != 1 {
+		t.Fatalf("dense signatures %v, want one", s.denseSigs)
+	}
+	// The classifier reduces over 1024 inputs.
+	if got := axis(denseAxis(s.denseSigs[0])); !reflect.DeepEqual(got, []int{1, 2, 4, 8, 16, 32}) {
+		t.Fatalf("dense kvec = %v", got)
 	}
 }
 
@@ -296,4 +314,110 @@ func TestExploreResNetMatchesHandConfig(t *testing.T) {
 		t.Fatalf("DSE best (%.1f ms) too far behind hand config (%.1f ms)", best.TimeUS/1e3, handUS/1e3)
 	}
 	t.Logf("ResNet-18 DSE best %.1f ms vs hand %.1f ms", best.TimeUS/1e3, handUS/1e3)
+}
+
+// TestThesisCandidatesAreSpacePoints: the thesis tier is a view of the joint
+// schedule space. Every candidate it evaluates is a feasible point of
+// BuildSpace with the §4.11 pins (3x3 output-channel unroll 1 with the F×F
+// window unrolled, projection and depthwise unrolls at their largest, every
+// dense signature at the largest divisor ≤ 32 of the gcd over all dense
+// layers, the coalescing workaround on), and that point's Config models the
+// same design. The exhaustive joint search, which sees every such point,
+// can then never do worse than the thesis tier.
+func TestThesisCandidatesAreSpacePoints(t *testing.T) {
+	lower := func(net string) []*relay.Layer {
+		t.Helper()
+		g, err := nn.ByName(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		layers, err := relay.Lower(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return layers
+	}
+	cases := []struct {
+		net   string
+		board *fpga.Board
+	}{
+		{"mobilenetv1", fpga.A10},
+		{"mobilenetv1", fpga.S10SX},
+		{"mobilenetv1", fpga.S10MX},
+		{"resnet18", fpga.S10SX},
+		{"googlenet", fpga.S10SX},
+		{"lenet5", fpga.A10},
+	}
+	for _, c := range cases {
+		layers := lower(c.net)
+		res, err := ExploreWith(layers, c.net, c.board, Options{})
+		if err != nil {
+			t.Fatalf("%s/%s: %v", c.net, c.board.Name, err)
+		}
+		if res.Evaluated == 0 {
+			t.Fatalf("%s/%s: nothing evaluated", c.net, c.board.Name)
+		}
+		space := BuildSpace(layers, c.net)
+		denseN := 0
+		for _, l := range layers {
+			if l.Kind == relay.KDense {
+				denseN = gcd(denseN, l.InShape[0])
+			}
+		}
+		kvecs := divisorsOf(denseN, 32)
+		cache := aoc.NewCompileCache()
+		for ci, cand := range res.Candidates {
+			want := map[string]int{
+				axPWW2: cand.PW.W2vec, axPWC2: cand.PW.C2vec, axPWC1: cand.PW.C1vec,
+				axC33W2: cand.Conv33.W2vec, axC33C2: 1, axC33C1: cand.Conv33.C1vec, axC33FF: 1,
+				axWkrd: 1,
+			}
+			for _, sig := range space.denseSigs {
+				want[denseAxis(sig)] = kvecs[len(kvecs)-1]
+			}
+			p := make(Point, len(space.Axes))
+			for i, ax := range space.Axes {
+				v, ok := want[ax.Name]
+				if !ok { // proj.c1, dw.w2
+					v = ax.Max()
+				}
+				if p[i] = slices.Index(ax.Values, v); p[i] < 0 {
+					t.Fatalf("%s/%s candidate %d: %s = %d is not on the axis %v", c.net, c.board.Name, ci, ax.Name, v, ax.Values)
+				}
+			}
+			if q, err := space.PointFromKey(space.Key(p)); err != nil || !slices.Equal(p, q) {
+				t.Fatalf("%s/%s candidate %d: key %q round-trips to %v, %v", c.net, c.board.Name, ci, space.Key(p), q, err)
+			}
+			if ok, why := space.Feasible(p, c.board); !ok {
+				t.Fatalf("%s/%s candidate %d: point %s infeasible: %s", c.net, c.board.Name, ci, space.Key(p), why)
+			}
+			got, err := evaluate(layers, space.Config(p), c.board, cache)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.TimeUS != cand.TimeUS || got.Synthesizable != cand.Synthesizable || got.DSPs != cand.DSPs {
+				t.Fatalf("%s/%s candidate %d: point %s models %v us synth %v %d DSPs, candidate %v us synth %v %d DSPs",
+					c.net, c.board.Name, ci, space.Key(p), got.TimeUS, got.Synthesizable, got.DSPs,
+					cand.TimeUS, cand.Synthesizable, cand.DSPs)
+			}
+		}
+		if c.net != "lenet5" {
+			continue
+		}
+		joint, err := ExploreJointWith(layers, c.net, c.board, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jb, err := joint.Best()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb, err := res.Best()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if jb.TimeUS > tb.TimeUS {
+			t.Fatalf("lenet5/%s: joint best %v us worse than thesis best %v us", c.board.Name, jb.TimeUS, tb.TimeUS)
+		}
+	}
 }

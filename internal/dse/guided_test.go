@@ -222,35 +222,69 @@ func TestGuidedTransferWarmStart(t *testing.T) {
 
 // TestGuidedPruningCounters: the published dse.pruned_bandwidth and
 // dse.pruned_route counters must equal the Result's split exactly, and the
-// split must account for every prune.
+// split must account for every prune, for the guided tier and, as further
+// inputs, the thesis and exhaustive joint tiers.
 func TestGuidedPruningCounters(t *testing.T) {
-	reg := trace.NewRegistry()
-	res, err := ExploreGuided(mobilenetLayers(t), "mobilenetv1", fpga.A10, GuidedOptions{
-		Options: Options{MaxCandidates: 48, Metrics: reg}, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
+	mobilenet, lenet := mobilenetLayers(t), lenetLayers(t)
+	cases := []struct {
+		name string
+		// run searches with the registry and returns the result and the
+		// gauges the strategy must have published.
+		run func(reg *trace.Registry) (*Result, map[string]float64, error)
+		// routePrunes: the search must show the routability probe pruning.
+		routePrunes bool
+	}{
+		{"guided/mobilenetv1/A10", func(reg *trace.Registry) (*Result, map[string]float64, error) {
+			res, err := ExploreGuided(mobilenet, "mobilenetv1", fpga.A10, GuidedOptions{
+				Options: Options{MaxCandidates: 48, Metrics: reg}, Seed: 1,
+			})
+			if err != nil {
+				return nil, nil, err
+			}
+			return &res.Result, map[string]float64{
+				"dse.model_rank_corr": res.RankCorr,
+				"dse.space_size":      float64(res.SpaceSize),
+			}, nil
+		}, true},
+		{"thesis/mobilenetv1/A10", func(reg *trace.Registry) (*Result, map[string]float64, error) {
+			res, err := ExploreWith(mobilenet, "mobilenetv1", fpga.A10, Options{MaxCandidates: 24, Metrics: reg})
+			return res, nil, err
+		}, true},
+		{"joint/lenet5/A10", func(reg *trace.Registry) (*Result, map[string]float64, error) {
+			res, err := ExploreJointWith(lenet, "lenet5", fpga.A10, Options{Metrics: reg})
+			if err != nil {
+				return nil, nil, err
+			}
+			return &res.Result, map[string]float64{"dse.space_size": float64(res.SpaceSize)}, nil
+		}, false},
 	}
-	if res.Pruned != res.PrunedBandwidth+res.PrunedRoute {
-		t.Fatalf("Pruned %d != bandwidth %d + route %d", res.Pruned, res.PrunedBandwidth, res.PrunedRoute)
-	}
-	if res.PrunedRoute == 0 {
-		t.Fatal("expected the routability probe to prune unroutable preference seeds on A10")
-	}
-	if got := reg.Counter("dse.pruned_bandwidth").Value(); got != int64(res.PrunedBandwidth) {
-		t.Fatalf("dse.pruned_bandwidth = %d, want %d", got, res.PrunedBandwidth)
-	}
-	if got := reg.Counter("dse.pruned_route").Value(); got != int64(res.PrunedRoute) {
-		t.Fatalf("dse.pruned_route = %d, want %d", got, res.PrunedRoute)
-	}
-	if got := reg.Counter("dse.evaluated").Value(); got != int64(res.Evaluated) {
-		t.Fatalf("dse.evaluated = %d, want %d", got, res.Evaluated)
-	}
-	if got := reg.Gauge("dse.model_rank_corr").Value(); got != res.RankCorr {
-		t.Fatalf("dse.model_rank_corr = %v, want %v", got, res.RankCorr)
-	}
-	if got := reg.Gauge("dse.space_size").Value(); got != float64(res.SpaceSize) {
-		t.Fatalf("dse.space_size = %v, want %v", got, res.SpaceSize)
+	for _, c := range cases {
+		reg := trace.NewRegistry()
+		res, gauges, err := c.run(reg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if res.Pruned != res.PrunedBandwidth+res.PrunedRoute {
+			t.Fatalf("%s: Pruned %d != bandwidth %d + route %d", c.name, res.Pruned, res.PrunedBandwidth, res.PrunedRoute)
+		}
+		if c.routePrunes && res.PrunedRoute == 0 {
+			t.Fatalf("%s: expected the routability probe to prune unroutable 1x1 tilings on A10", c.name)
+		}
+		for name, want := range map[string]int{
+			"dse.pruned":           res.Pruned,
+			"dse.pruned_bandwidth": res.PrunedBandwidth,
+			"dse.pruned_route":     res.PrunedRoute,
+			"dse.evaluated":        res.Evaluated,
+		} {
+			if got := reg.Counter(name).Value(); got != int64(want) {
+				t.Fatalf("%s: %s = %d, want %d", c.name, name, got, want)
+			}
+		}
+		for name, want := range gauges {
+			if got := reg.Gauge(name).Value(); got != want {
+				t.Fatalf("%s: %s = %v, want %v", c.name, name, got, want)
+			}
+		}
 	}
 }
 

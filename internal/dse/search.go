@@ -1,8 +1,8 @@
 package dse
 
 // The one explore loop. Each entry point is a proposal strategy — ExploreWith
-// proposes the §4.11 enumeration, ExploreJointWith the joint space in
-// odometer order, ExploreGuided annealed batches — and a search pays for what
+// proposes the §4.11 view of the joint space, ExploreJointWith the whole
+// joint space in odometer order, ExploreGuided annealed batches — and a search pays for what
 // it proposes: it owns the option defaults, the run's compile cache, parallel
 // evaluation, the ranking order, the routability probe and the published
 // metrics.
@@ -29,8 +29,9 @@ type search struct {
 	layers  []*relay.Layer
 	board   *fpga.Board
 	workers int
-	// budget is Options.MaxCandidates with the default applied; the joint
-	// strategy reads the raw option instead, where <= 0 means unbounded.
+	// budget is Options.MaxCandidates with the default applied (<= 0 means
+	// 64), which the thesis and guided strategies read; the joint strategy
+	// reads the raw option instead, where <= 0 means unbounded.
 	budget  int
 	ctx     context.Context
 	metrics *trace.Registry

@@ -2,16 +2,16 @@ package dse
 
 // The joint schedule space (§4.11's "tiling × unroll × kvec × fold factor").
 //
-// The exhaustive explorer in dse.go searches the two dominant knobs (the 1x1
-// tiling cross the 3x3 tiling) and fixes everything else at its largest legal
-// value. The guided tier searches the *joint* space instead: every
-// per-signature schedule axis the folded deployment exposes — 1x1 tiling
-// (w2/c2/c1), 3x3 tiling (w2/c2/c1 plus the F×F unroll toggle), projection
-// channel unroll, depthwise width unroll, a per-signature dense reduction
-// unroll, and the stride-1 coalescing workaround toggle. The cross product is
-// orders of magnitude larger than what exhaustive enumeration can cover
-// (hundreds of points for LeNet, hundreds of thousands for MobileNet), which
-// is exactly the regime the learned cost model is for.
+// Every search tier enumerates, screens and deploys through this one space:
+// its axes are every per-signature schedule knob the folded deployment
+// exposes — 1x1 tiling (w2/c2/c1), 3x3 tiling (w2/c2/c1 plus the F×F unroll
+// toggle), projection channel unroll, depthwise width unroll, a
+// per-signature dense reduction unroll, and the stride-1 coalescing
+// workaround toggle. The thesis tier (dse.go) searches a view of it with
+// every axis but the 1x1 and 3x3 tilings pinned to its thesis value; the
+// joint tier sweeps all of it; the guided tier anneals over all of it. The
+// cross product has 560 points for LeNet-5 and 96 768 for MobileNetV1, which
+// one exhaustive joint sweep on S10SX covers in about 17 s on a 2-vCPU Xeon.
 //
 // A Space is a pure function of the lowered network: axis names and value
 // lists are derived only from layer shapes (divisor sets), never from the
@@ -80,14 +80,12 @@ const (
 	densePref = "dense."
 )
 
-// BuildSpace derives the joint schedule space from a lowered network.
+// BuildSpace derives the joint schedule space from a lowered network. Each
+// tiled dimension's axis holds the divisors (up to the axis cap) of the gcd
+// of that extent over every layer of the group, because a factor must divide
+// every extent it tiles.
 func BuildSpace(layers []*relay.Layer, net string) *Space {
-	facts := gatherFacts(layers)
-	s := &Space{Net: net, layers: layers, idx: map[string]int{},
-		denseMACs: map[string]float64{},
-		hasPW:     facts.hasPW, has33: facts.has33,
-		hasProj: facts.hasProj, hasDW: facts.hasDW}
-
+	s := &Space{Net: net, layers: layers, idx: map[string]int{}, denseMACs: map[string]float64{}}
 	add := func(name string, values []int) {
 		if len(values) == 0 {
 			values = []int{1}
@@ -96,71 +94,93 @@ func BuildSpace(layers []*relay.Layer, net string) *Space {
 		s.Axes = append(s.Axes, Axis{Name: name, Values: values})
 	}
 
-	// MAC totals per group (feature weights for the cost model).
+	// Common divisors per group (gcd(0, v) = v starts each one) and MAC
+	// totals per group (feature weights for the cost model).
+	var pwW2, pwC2, pwC1, c33W2, c33C2, c33C1, projC1, dwW2 int
 	denseN := map[string]int{}
-	c33C2 := 0
 	for _, l := range layers {
 		macs := float64(l.FLOPs()) / 2
 		switch l.Kind {
 		case relay.KConv:
 			switch {
 			case l.F == 1 && l.S == 1:
+				s.hasPW = true
 				s.pwMACs += macs
+				pwW2, pwC2, pwC1 = gcd(pwW2, l.OutShape[2]), gcd(pwC2, l.OutShape[0]), gcd(pwC1, l.InShape[0])
 			case l.F == 1:
+				// Strided 1x1 projections (ResNet shortcuts).
+				s.hasProj = true
 				s.projMACs += macs
+				projC1 = gcd(projC1, l.InShape[0])
 			case l.F == 3:
+				s.has33 = true
 				s.c33MACs += macs
-				if c33C2 == 0 {
-					c33C2 = l.OutShape[0]
-				} else {
-					c33C2 = gcd(c33C2, l.OutShape[0])
-				}
+				c33W2, c33C2, c33C1 = gcd(c33W2, l.OutShape[2]), gcd(c33C2, l.OutShape[0]), gcd(c33C1, l.InShape[0])
 			}
 		case relay.KDepthwise:
+			s.hasDW = true
 			s.dwMACs += macs
+			dwW2 = gcd(dwW2, l.OutShape[2])
 		case relay.KDense:
 			sig := host.ConfigKey(l)
 			s.denseMACs[sig] += macs
-			if denseN[sig] == 0 {
-				denseN[sig] = l.InShape[0]
-			} else {
-				denseN[sig] = gcd(denseN[sig], l.InShape[0])
-			}
+			denseN[sig] = gcd(denseN[sig], l.InShape[0])
 		}
 	}
 
-	if facts.hasPW {
-		// w2 = 1 means scalar stores; the thesis tier's enumeration prunes it
-		// outright, so the joint space excludes it from the axis.
-		w2s := divisorsOf(facts.pwW2, 14)
+	if s.hasPW {
+		// w2 = 1 means scalar stores, so the axis leaves it out whenever a
+		// wider store divides every 1x1 output width.
+		w2s := divisorsOf(pwW2, 14)
 		if len(w2s) > 1 && w2s[0] == 1 {
 			w2s = w2s[1:]
 		}
 		add(axPWW2, w2s)
-		add(axPWC2, divisorsOf(facts.pwC2, 64))
-		add(axPWC1, divisorsOf(facts.pwC1, 32))
+		add(axPWC2, divisorsOf(pwC2, 64))
+		add(axPWC1, divisorsOf(pwC1, 32))
 	}
-	if facts.has33 {
-		add(axC33W2, divisorsOf(facts.c33W2, 7))
+	if s.has33 {
+		add(axC33W2, divisorsOf(c33W2, 7))
 		add(axC33C2, divisorsOf(c33C2, 64))
-		add(axC33C1, divisorsOf(facts.c33C1, 16))
+		add(axC33C1, divisorsOf(c33C1, 16))
 		add(axC33FF, []int{0, 1})
 	}
-	if facts.hasProj {
-		add(axProjC1, divisorsOf(facts.projC1, 8))
+	if s.hasProj {
+		add(axProjC1, divisorsOf(projC1, 8))
 	}
-	if facts.hasDW {
-		add(axDWW2, divisorsOf(facts.dwW2, 7))
+	if s.hasDW {
+		add(axDWW2, divisorsOf(dwW2, 7))
 	}
 	for sig := range denseN {
 		s.denseSigs = append(s.denseSigs, sig)
 	}
 	sort.Strings(s.denseSigs)
 	for _, sig := range s.denseSigs {
-		add(densePref+sig+".kvec", divisorsOf(denseN[sig], 32))
+		add(denseAxis(sig), divisorsOf(denseN[sig], 32))
 	}
 	add(axWkrd, []int{0, 1})
 	return s
+}
+
+// denseAxis names the reduction-unroll axis of one dense signature.
+func denseAxis(sig string) string { return densePref + sig + ".kvec" }
+
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}
+
+// divisorsOf returns the divisors of n not exceeding cap, ascending.
+func divisorsOf(n, cap int) []int {
+	var out []int
+	for d := 1; d <= n && d <= cap; d++ {
+		if n%d == 0 {
+			out = append(out, d)
+		}
+	}
+	return out
 }
 
 // Size returns the total number of joint points (feasible or not).
@@ -242,18 +262,24 @@ func (s *Space) Values(p Point) map[string]int {
 	return out
 }
 
-// Config assembles the FoldedConfig a point denotes, covering every signature
-// the network uses (mirrors buildConfig for the knobs both tiers share).
-func (s *Space) Config(p Point) host.FoldedConfig {
-	pwSched := topi.OptSched(s.value(p, axPWW2, 1), s.value(p, axPWC2, 1), s.value(p, axPWC1, 1))
-	c33Sched := topi.ConvSched{
+// scheds returns the 1x1, 3x3 and projection schedules a point denotes.
+func (s *Space) scheds(p Point) (pw, c33, proj topi.ConvSched) {
+	pw = topi.OptSched(s.value(p, axPWW2, 1), s.value(p, axPWC2, 1), s.value(p, axPWC1, 1))
+	c33 = topi.ConvSched{
 		W2vec:    s.value(p, axC33W2, 1),
 		C2vec:    s.value(p, axC33C2, 1),
 		C1vec:    s.value(p, axC33C1, 1),
 		UnrollFF: s.value(p, axC33FF, 1) == 1,
 	}
-	projSched := topi.OptSched(1, 1, s.value(p, axProjC1, 1))
+	proj = topi.OptSched(1, 1, s.value(p, axProjC1, 1))
+	return pw, c33, proj
+}
 
+// Config assembles the FoldedConfig a point denotes, covering every signature
+// the network uses. It is the one config builder every search tier deploys
+// through.
+func (s *Space) Config(p Point) host.FoldedConfig {
+	pwSched, c33Sched, projSched := s.scheds(p)
 	conv := map[string]topi.ConvSched{}
 	dw := map[string]int{}
 	for _, l := range s.layers {
@@ -276,29 +302,58 @@ func (s *Space) Config(p Point) host.FoldedConfig {
 	}
 	dense := map[string]int{}
 	for _, sig := range s.denseSigs {
-		dense[sig] = s.value(p, densePref+sig+".kvec", 1)
+		dense[sig] = s.value(p, denseAxis(sig), 1)
 	}
 	return host.FoldedConfig{Conv: conv, DWVec: dw, DenseVec: 1, Dense: dense,
 		Workaround: s.value(p, axWkrd, 1) == 1}
 }
 
-// Feasible applies the cheap board-dependent screens (§4.11 rule 1: the
-// widest memory access must not exceed external bandwidth at a conservative
-// clock). Infeasible points are never compiled; the guided tier counts them
-// as bandwidth prunes. The reason string is empty when feasible.
-func (s *Space) Feasible(p Point, board *fpga.Board) (bool, string) {
-	maxFloats := int(board.BytesPerCycleAt(board.BaseFmaxMHz*0.7) / 4)
+// pressure returns each conv group's widest memory access over the share of
+// external bandwidth §4.11 grants it at a conservative clock (0 when the
+// network has no such group): the 1x1 group may read 4 and the 3x3 group 16
+// times the floats memory delivers per cycle, the 3x3 access counting its
+// F×F window. Feasible rejects a ratio above 1; the cost model takes the
+// ratios as features.
+func (s *Space) pressure(p Point, board *fpga.Board) (pw, c33 float64) {
+	maxFloats := float64(int(board.BytesPerCycleAt(board.BaseFmaxMHz*0.7) / 4))
 	if s.hasPW {
-		if w2, c1 := s.value(p, axPWW2, 1), s.value(p, axPWC1, 1); w2*c1 > 4*maxFloats {
-			return false, "bandwidth: 1x1"
-		}
+		pw = float64(s.value(p, axPWW2, 1)*s.value(p, axPWC1, 1)) / (4 * maxFloats)
 	}
 	if s.has33 {
-		if w2, c1 := s.value(p, axC33W2, 1), s.value(p, axC33C1, 1); w2*c1*9 > 16*maxFloats {
-			return false, "bandwidth: 3x3"
-		}
+		c33 = float64(s.value(p, axC33W2, 1)*s.value(p, axC33C1, 1)*9) / (16 * maxFloats)
+	}
+	return pw, c33
+}
+
+// Feasible applies the cheap board-dependent screen, §4.11 rule 1: the
+// widest memory access must not exceed external bandwidth at a conservative
+// clock. It is the package's one bandwidth rule. Infeasible points are never
+// compiled; every tier counts them as bandwidth prunes. The reason string is
+// empty when feasible.
+func (s *Space) Feasible(p Point, board *fpga.Board) (bool, string) {
+	pw, c33 := s.pressure(p, board)
+	if pw > 1 {
+		return false, "bandwidth: 1x1"
+	}
+	if c33 > 1 {
+		return false, "bandwidth: 3x3"
 	}
 	return true, ""
+}
+
+// pin returns a view of the space with each named axis narrowed to the one
+// given value (names the space lacks are ignored). The view keeps the axis
+// order and the network, so Feasible and Config read its points exactly as
+// the same settings in s; only value indices differ on the pinned axes.
+func (s *Space) pin(vals map[string]int) *Space {
+	v := *s
+	v.Axes = append([]Axis(nil), s.Axes...)
+	for name, val := range vals {
+		if i, ok := s.idx[name]; ok {
+			v.Axes[i].Values = []int{val}
+		}
+	}
+	return &v
 }
 
 // Enumerate walks every point of the space in odometer order (last axis
