@@ -1,9 +1,12 @@
 # Development entry points. CI (.github/workflows/ci.yml) runs exactly these
 # targets: lint, build, bench-build, test, race and fma-check in its test
 # job, bench-serve, bench-fleet and bench-dse in bench-json, bench in
-# bench-smoke. A green `make lint build test race` locally means a green
-# test job. The serving, fleet, DSE, chaos and trace contracts are go tests
-# under `make test` (see README.md, "Where each contract is tested").
+# bench-smoke. Its test job also fuzzes the /v1/infer parser for 15 s
+# (FuzzInferPayload; its seed corpus runs under `make test`). A green
+# `make lint build test race` locally means a green test job, short of what
+# that fuzzing finds. The serving, fleet, DSE, chaos and trace contracts are
+# go tests under `make test` (see README.md, "Where each contract is
+# tested").
 
 GO ?= go
 

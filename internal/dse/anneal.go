@@ -125,7 +125,7 @@ func ExploreGuided(layers []*relay.Layer, net string, board *fpga.Board, opts Gu
 
 	// feasible screens a proposal, counting each distinct infeasible key once.
 	feasible := func(p Point, key string) bool {
-		ok, _ := space.Feasible(p, board)
+		ok := space.Feasible(p, board)
 		if !ok && !infeasibleSeen[key] {
 			infeasibleSeen[key] = true
 			res.Pruned++
@@ -210,7 +210,7 @@ func ExploreGuided(layers []*relay.Layer, net string, board *fpga.Board, opts Gu
 		greedy[i] = len(space.Axes[i].Values) - 1
 	}
 	for tries := 0; tries < 64; tries++ {
-		if ok, _ := space.Feasible(greedy, board); ok {
+		if space.Feasible(greedy, board) {
 			break
 		}
 		bestAx, bestVal := -1, 0
@@ -503,7 +503,7 @@ func (sr *search) preferenceSeeds(s *Space, k int) ([]Point, int) {
 		// conv group's unrolls down (the tiling axes themselves stay fixed —
 		// an infeasible combo is simply skipped).
 		for tries := 0; tries < 32; tries++ {
-			if ok, _ := s.Feasible(p, sr.board); ok {
+			if s.Feasible(p, sr.board) {
 				break
 			}
 			moved := false
@@ -529,7 +529,7 @@ func (sr *search) preferenceSeeds(s *Space, k int) ([]Point, int) {
 				break
 			}
 		}
-		if ok, _ := s.Feasible(p, sr.board); ok {
+		if s.Feasible(p, sr.board) {
 			out = append(out, p)
 		}
 	}

@@ -188,7 +188,7 @@ func ExploreWith(layers []*relay.Layer, net string, board *fpga.Board, opts Opti
 	points := map[pair]Point{}
 	var pws, c33s []topi.ConvSched
 	view.Enumerate(func(p Point) bool {
-		if ok, _ := view.Feasible(p, board); !ok {
+		if !view.Feasible(p, board) {
 			res.Pruned++
 			res.PrunedBandwidth++
 			return true

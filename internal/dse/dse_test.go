@@ -388,8 +388,9 @@ func TestThesisCandidatesAreSpacePoints(t *testing.T) {
 			if q, err := space.PointFromKey(space.Key(p)); err != nil || !slices.Equal(p, q) {
 				t.Fatalf("%s/%s candidate %d: key %q round-trips to %v, %v", c.net, c.board.Name, ci, space.Key(p), q, err)
 			}
-			if ok, why := space.Feasible(p, c.board); !ok {
-				t.Fatalf("%s/%s candidate %d: point %s infeasible: %s", c.net, c.board.Name, ci, space.Key(p), why)
+			if !space.Feasible(p, c.board) {
+				pw, c33 := space.pressure(p, c.board)
+				t.Fatalf("%s/%s candidate %d: point %s infeasible: bandwidth pressure 1x1 %v, 3x3 %v", c.net, c.board.Name, ci, space.Key(p), pw, c33)
 			}
 			got, err := evaluate(layers, space.Config(p), c.board, cache)
 			if err != nil {

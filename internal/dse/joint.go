@@ -39,7 +39,7 @@ func ExploreJointWith(layers []*relay.Layer, net string, board *fpga.Board, opts
 	// work), so the parallel phase has exact accounting.
 	var cfgs []host.FoldedConfig
 	space.Enumerate(func(p Point) bool {
-		if ok, _ := space.Feasible(p, board); !ok {
+		if !space.Feasible(p, board) {
 			res.Pruned++
 			res.PrunedBandwidth++
 			return true

@@ -328,17 +328,10 @@ func (s *Space) pressure(p Point, board *fpga.Board) (pw, c33 float64) {
 // Feasible applies the cheap board-dependent screen, §4.11 rule 1: the
 // widest memory access must not exceed external bandwidth at a conservative
 // clock. It is the package's one bandwidth rule. Infeasible points are never
-// compiled; every tier counts them as bandwidth prunes. The reason string is
-// empty when feasible.
-func (s *Space) Feasible(p Point, board *fpga.Board) (bool, string) {
+// compiled; every tier counts them as bandwidth prunes.
+func (s *Space) Feasible(p Point, board *fpga.Board) bool {
 	pw, c33 := s.pressure(p, board)
-	if pw > 1 {
-		return false, "bandwidth: 1x1"
-	}
-	if c33 > 1 {
-		return false, "bandwidth: 3x3"
-	}
-	return true, ""
+	return !(pw > 1 || c33 > 1)
 }
 
 // pin returns a view of the space with each named axis narrowed to the one

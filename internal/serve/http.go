@@ -8,6 +8,7 @@ package serve
 // slot, so the mutex is never held across an inference.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -210,15 +211,6 @@ func (s *Server) Draining() bool {
 	return s.eng.draining
 }
 
-// inferPayload is the /v1/infer request body: a tenant plus either an MNIST
-// digit (LeNet-5 convenience) or a flat image of the deployment's input
-// shape.
-type inferPayload struct {
-	Tenant string    `json:"tenant"`
-	Digit  *int      `json:"digit,omitempty"`
-	Image  []float32 `json:"image,omitempty"`
-}
-
 // inferReply is the /v1/infer response body.
 type inferReply struct {
 	ID        int64   `json:"id"`
@@ -249,10 +241,29 @@ func (s *Server) Handler() http.Handler {
 // maxInferBody caps a /v1/infer request body; a larger one is answered 413.
 const maxInferBody = 8 << 20
 
+// inferBufs recycles /v1/infer body buffers. One that grew past
+// maxPooledBody (a LeNet-5 body is about 8 KiB) goes to the garbage
+// collector instead, so a large body never stays pinned in the pool.
+var inferBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 64 << 10
+
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
-	var p inferPayload
-	body := http.MaxBytesReader(w, r.Body, maxInferBody)
-	if err := json.NewDecoder(body).Decode(&p); err != nil {
+	buf := inferBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxInferBody))
+	var p inferBody
+	var input *tensor.Tensor // allocated only once the body opens an image array
+	if err == nil {
+		p, err = parseInferBody(buf.Bytes(), func() []float32 {
+			input = tensor.New(s.runner.InShape()...)
+			return input.Data
+		})
+	}
+	if buf.Cap() <= maxPooledBody {
+		inferBufs.Put(buf)
+	}
+	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			writeJSON(w, http.StatusRequestEntityTooLarge, errorReply{
@@ -264,37 +275,34 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorReply{Error: "bad JSON: " + err.Error(), Reason: "bad_request"})
 		return
 	}
-	if p.Tenant == "" {
-		p.Tenant = "default"
+	if p.tenant == "" {
+		p.tenant = "default"
 	}
-	var input *tensor.Tensor
 	switch {
-	case p.Digit != nil:
+	case p.hasDigit:
 		if s.cfg.Net != "lenet5" {
 			writeJSON(w, http.StatusBadRequest, errorReply{Error: "digit payloads are lenet5-only", Reason: "bad_request"})
 			return
 		}
-		if *p.Digit < 0 || *p.Digit > 9 {
+		if p.digit < 0 || p.digit > 9 {
 			writeJSON(w, http.StatusBadRequest, errorReply{Error: "digit must be 0..9", Reason: "bad_request"})
 			return
 		}
-		input = nn.Digit(*p.Digit)
-	case p.Image != nil:
-		if len(p.Image) != s.runner.InputLen() {
+		input = nn.Digit(p.digit)
+	case p.hasImage:
+		if p.pixels != s.runner.InputLen() {
 			writeJSON(w, http.StatusBadRequest, errorReply{
-				Error:  fmt.Sprintf("image must have %d elements for shape %v, got %d", s.runner.InputLen(), s.runner.InShape(), len(p.Image)),
+				Error:  fmt.Sprintf("image must have %d elements for shape %v, got %d", s.runner.InputLen(), s.runner.InShape(), p.pixels),
 				Reason: "bad_request",
 			})
 			return
 		}
-		input = tensor.New(s.runner.InShape()...)
-		copy(input.Data, p.Image)
 	default:
 		writeJSON(w, http.StatusBadRequest, errorReply{Error: "payload needs \"digit\" or \"image\"", Reason: "bad_request"})
 		return
 	}
 
-	req := &Request{Tenant: p.Tenant, Input: input}
+	req := &Request{Tenant: p.tenant, Input: input}
 	ch, reason := s.Submit(req)
 	if reason != ShedNone {
 		w.Header().Set("Retry-After", "1")

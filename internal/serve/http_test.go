@@ -306,8 +306,9 @@ func TestServeDisconnectsStalledHeader(t *testing.T) {
 }
 
 // Malformed bodies are refused before admission: a body over the 8 MiB cap
-// answers 413 "body_too_large", and one truncated mid-JSON answers 400
-// "bad_request" naming the unexpected EOF. Neither reaches the queue.
+// answers 413 "body_too_large"; one truncated mid-JSON, one with bytes after
+// its object and one with a null pixel answer 400 "bad_request" naming the
+// fault. None reaches the queue.
 func TestHTTPRejectsOversizedAndTruncatedBodies(t *testing.T) {
 	s, err := NewServer(Config{Net: "lenet5", Board: "S10SX", Workers: 1, BatchN: 1, DeadlineUS: 1000}, nil)
 	if err != nil {
@@ -325,6 +326,12 @@ func TestHTTPRejectsOversizedAndTruncatedBodies(t *testing.T) {
 			http.StatusRequestEntityTooLarge, "body_too_large", "request body over 8388608 bytes"},
 		{"truncated", `{"tenant":"alpha","digit":`,
 			http.StatusBadRequest, "bad_request", "unexpected EOF"},
+		{"second value", `{"tenant":"a","digit":3}{"x":1}`,
+			http.StatusBadRequest, "bad_request", "after the object"},
+		{"trailing garbage", `{"tenant":"a","digit":3} garbage`,
+			http.StatusBadRequest, "bad_request", "after the object"},
+		{"null pixel", `{"tenant":"a","image":[null` + strings.Repeat(",0.5", 28*28-1) + `]}`,
+			http.StatusBadRequest, "bad_request", "image[0] is null"},
 	} {
 		resp, err := http.Post(ts.URL+"/v1/infer", "application/json", strings.NewReader(c.body))
 		if err != nil {
@@ -342,7 +349,7 @@ func TestHTTPRejectsOversizedAndTruncatedBodies(t *testing.T) {
 		}
 	}
 	if got := s.Metrics().Counter("serve.accepted").Value(); got != 0 {
-		t.Errorf("serve.accepted = %v after two refused bodies, want 0", got)
+		t.Errorf("serve.accepted = %v after refused bodies only, want 0", got)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
