@@ -6,7 +6,9 @@
 # `make lint build test race` locally means a green test job, short of what
 # that fuzzing finds. The serving, fleet, DSE, chaos and trace contracts are
 # go tests under `make test` (see README.md, "Where each contract is
-# tested").
+# tested"), and so is the reachability audit (reach_test.go): an exported
+# identifier under internal/ that no non-test code outside its package
+# reaches, or an unexported declaration nothing references, fails it.
 
 GO ?= go
 

@@ -102,9 +102,9 @@ type siteLoop struct {
 // lsuCacheBytes is the inferred cache capacity (512 kbit).
 const lsuCacheBytes = 65536
 
-// TrafficBytes evaluates this site's external-memory traffic for one kernel
+// trafficBytes evaluates this site's external-memory traffic for one kernel
 // invocation under the given symbolic-shape bindings.
-func (l *LSU) TrafficBytes(bind map[*ir.Var]int64) int64 {
+func (l *LSU) trafficBytes(bind map[*ir.Var]int64) int64 {
 	if l.Kind == Pipelined {
 		return 0
 	}
@@ -201,7 +201,7 @@ type analyzer struct {
 // is immutable after init. Callers may therefore analyze distinct kernels,
 // or even the same *ir.Kernel, from multiple goroutines, provided they do
 // not concurrently mutate the kernel themselves. The returned KernelModel is
-// immutable: Cycles, TrafficBytes and TimeUS are pure reads, so one model
+// immutable: Cycles, trafficBytes and TimeUS are pure reads, so one model
 // may be shared across designs and goroutines (CompileCache relies on this).
 func Analyze(k *ir.Kernel, board *fpga.Board, opts Options) (*KernelModel, error) {
 	if err := k.Validate(); err != nil {
@@ -542,7 +542,7 @@ func (a *analyzer) accessSite(buf *ir.Buffer, idx []ir.Expr, isWrite bool, ctx [
 	// reuse loops. A read with any non-trivial reuse loop gets a cached
 	// burst-coalesced LSU (§2.4.3 "when the access pattern seems
 	// repetitive"); whether the cache actually captures the reuse is decided
-	// per invocation in TrafficBytes against the cache capacity.
+	// per invocation in trafficBytes against the cache capacity.
 	var innermostDep *ir.Var
 	hasReuse := false
 	for _, c := range ctx {

@@ -148,10 +148,10 @@ func TestLSUCoalescingAndCaching(t *testing.T) {
 		t.Fatal("W has no reuse; must not be cached")
 	}
 	// Traffic: W reads the full matrix once (120*400*4 bytes); I only once.
-	if got := wLSU.TrafficBytes(nil); got != 120*400*4 {
+	if got := wLSU.trafficBytes(nil); got != 120*400*4 {
 		t.Fatalf("W traffic = %d, want %d", got, 120*400*4)
 	}
-	if got := iLSU.TrafficBytes(nil); got != 400*4 {
+	if got := iLSU.trafficBytes(nil); got != 400*4 {
 		t.Fatalf("I traffic = %d, want %d", got, 400*4)
 	}
 }

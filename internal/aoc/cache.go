@@ -15,7 +15,7 @@ package aoc
 // worker interleaving: entry creation happens under the shard lock, so
 // exactly one lookup per fingerprint counts as a miss. The cached
 // *KernelModel is shared across designs; this is sound because a KernelModel
-// is immutable after Analyze returns — Cycles, TrafficBytes and TimeUS are
+// is immutable after Analyze returns — Cycles, trafficBytes and TimeUS are
 // pure functions of the model and the bindings.
 //
 // The entry map is sharded across cacheShards independently locked segments
@@ -95,8 +95,8 @@ func (c *CompileCache) Stats() (hits, misses int64) {
 	return c.hits.Load(), c.misses.Load()
 }
 
-// Len returns the number of distinct kernels cached. Nil-safe.
-func (c *CompileCache) Len() int {
+// size returns the number of distinct kernels cached. Nil-safe.
+func (c *CompileCache) size() int {
 	if c == nil {
 		return 0
 	}
@@ -116,7 +116,7 @@ func (c *CompileCache) analyze(k *ir.Kernel, board *fpga.Board, opts Options) (*
 	if c == nil {
 		return Analyze(k, board, opts)
 	}
-	key := Fingerprint(k, board, opts)
+	key := fingerprint(k, board, opts)
 	sh := &c.shards[shardFor(key)]
 	sh.mu.Lock()
 	e, ok := sh.entries[key]
@@ -134,7 +134,7 @@ func (c *CompileCache) analyze(k *ir.Kernel, board *fpga.Board, opts Options) (*
 	return e.m, e.err
 }
 
-// Fingerprint renders a canonical structural key for a kernel compilation:
+// fingerprint renders a canonical structural key for a kernel compilation:
 // everything Analyze reads — board, compiler options, kernel name and autorun
 // flag, scalar args, argument buffer metadata (scope, element type, shape
 // expressions, the ExplicitStrides flag that drives the §5.3 alignment
@@ -148,7 +148,7 @@ func (c *CompileCache) analyze(k *ir.Kernel, board *fpga.Board, opts Options) (*
 // the explorer fingerprints every kernel of every candidate, so on a warm
 // cache this is the whole cost of a lookup and must stay well under the cost
 // of Analyze itself.
-func Fingerprint(k *ir.Kernel, board *fpga.Board, opts Options) string {
+func fingerprint(k *ir.Kernel, board *fpga.Board, opts Options) string {
 	f := fingerprinter{buf: make([]byte, 0, 1<<12)}
 	f.str(board.Name)
 	f.bools(opts.FPRelaxed, opts.FPC, opts.Int8, k.Autorun)

@@ -40,8 +40,8 @@ func TestCompileCacheHitsStructurallyIdenticalKernels(t *testing.T) {
 	if h, m := cache.Stats(); h != 1 || m != 1 {
 		t.Fatalf("stats = %d hits / %d misses, want 1/1", h, m)
 	}
-	if cache.Len() != 1 {
-		t.Fatalf("cache holds %d entries, want 1", cache.Len())
+	if cache.size() != 1 {
+		t.Fatalf("cache holds %d entries, want 1", cache.size())
 	}
 }
 
@@ -89,7 +89,7 @@ func TestCachedModelRebindsForeignVars(t *testing.T) {
 	if own != foreign {
 		t.Fatalf("cached model must honor foreign bindings: own %d vs foreign %d", own, foreign)
 	}
-	if tr := d2.Kernels[0].TrafficBytes(map[*ir.Var]int64{n2: 1000}); tr != d1.Kernels[0].TrafficBytes(map[*ir.Var]int64{n1: 1000}) {
+	if tr := d2.Kernels[0].trafficBytes(map[*ir.Var]int64{n2: 1000}); tr != d1.Kernels[0].trafficBytes(map[*ir.Var]int64{n1: 1000}) {
 		t.Fatal("traffic must match under foreign bindings")
 	}
 }
@@ -135,8 +135,8 @@ func TestCompileCacheShardedSingleflight(t *testing.T) {
 	if h+m != goroutines*distinct {
 		t.Fatalf("lookups = %d, want %d", h+m, goroutines*distinct)
 	}
-	if cache.Len() != distinct {
-		t.Fatalf("cache holds %d entries, want %d", cache.Len(), distinct)
+	if cache.size() != distinct {
+		t.Fatalf("cache holds %d entries, want %d", cache.size(), distinct)
 	}
 }
 
@@ -170,8 +170,8 @@ func TestCompileCacheConcurrent(t *testing.T) {
 	if h+m != goroutines*distinct {
 		t.Fatalf("lookups = %d, want %d", h+m, goroutines*distinct)
 	}
-	if cache.Len() != distinct {
-		t.Fatalf("cache holds %d entries, want %d", cache.Len(), distinct)
+	if cache.size() != distinct {
+		t.Fatalf("cache holds %d entries, want %d", cache.size(), distinct)
 	}
 	if m != distinct {
 		t.Fatalf("misses = %d, want %d (each kernel analyzed once)", m, distinct)

@@ -25,12 +25,12 @@ func (m *KernelModel) Cycles(bind map[*ir.Var]int64) int64 {
 	return evalNode(m.root, m.rebind(bind))
 }
 
-// TrafficBytes sums external-memory traffic over all LSU sites.
-func (m *KernelModel) TrafficBytes(bind map[*ir.Var]int64) int64 {
+// trafficBytes sums external-memory traffic over all LSU sites.
+func (m *KernelModel) trafficBytes(bind map[*ir.Var]int64) int64 {
 	bind = m.rebind(bind)
 	var n int64
 	for _, l := range m.LSUs {
-		n += l.TrafficBytes(bind)
+		n += l.trafficBytes(bind)
 	}
 	return n
 }
@@ -71,7 +71,7 @@ func (m *KernelModel) rebind(bind map[*ir.Var]int64) map[*ir.Var]int64 {
 func (m *KernelModel) TimeUS(bind map[*ir.Var]int64, fmaxMHz float64, board *fpga.Board) float64 {
 	compute := float64(m.Cycles(bind)) / fmaxMHz        // cycles / (MHz) = microseconds
 	memBW := board.PeakGBps * board.MemEfficiency * 1e3 // bytes per microsecond
-	mem := float64(m.TrafficBytes(bind)) / memBW
+	mem := float64(m.trafficBytes(bind)) / memBW
 	if mem > compute {
 		return mem
 	}

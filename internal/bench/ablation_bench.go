@@ -11,14 +11,14 @@ import (
 	"repro/internal/relay"
 )
 
-// AblationRow is one design-choice measurement.
-type AblationRow struct {
+// ablationRow is one design-choice measurement.
+type ablationRow struct {
 	Name   string
 	Metric string
 	Value  float64
 }
 
-// Ablations quantifies each design choice DESIGN.md calls out, using the
+// ablations quantifies each design choice DESIGN.md calls out, using the
 // full deployments (kernel-level ablations live in bench_test.go):
 //
 //   - fused+cached schedules vs the naive TVM default (folded LeNet);
@@ -26,10 +26,10 @@ type AblationRow struct {
 //   - autorun vs host-dispatched weight-less kernels;
 //   - concurrent execution vs a single queue;
 //   - the Listing 5.11 symbolic-stride workaround, end to end on MobileNet.
-func Ablations() ([]AblationRow, string, error) {
-	var rows []AblationRow
+func ablations() ([]ablationRow, string, error) {
+	var rows []ablationRow
 	add := func(name, metric string, v float64) {
-		rows = append(rows, AblationRow{Name: name, Metric: metric, Value: v})
+		rows = append(rows, ablationRow{Name: name, Metric: metric, Value: v})
 	}
 
 	lenet, err := relay.Lower(nn.LeNet5())

@@ -12,11 +12,11 @@ import (
 	"repro/internal/topi"
 )
 
-// AlexNetConfig is the folded tiling for AlexNet on the Arria 10. Output
+// alexNetConfig is the folded tiling for AlexNet on the Arria 10. Output
 // widths per group: 11x11/s4 -> 55, 5x5 -> 27, 3x3 -> 13 (prime), so the
 // spatial tile must divide those; parallelism comes mainly from the channel
 // dimensions.
-func AlexNetConfig() host.FoldedConfig {
+func alexNetConfig() host.FoldedConfig {
 	return host.FoldedConfig{
 		Conv: map[string]topi.ConvSched{
 			// The fully-unrolled F x F product already costs 121/25/9 DSPs
@@ -30,9 +30,9 @@ func AlexNetConfig() host.FoldedConfig {
 	}
 }
 
-// AlexNetResult is the §6.6.2 extension: the AlexNet-to-AlexNet comparison
+// alexNetResult is the §6.6.2 extension: the AlexNet-to-AlexNet comparison
 // against DNNWeaver that the thesis could only approximate with MobileNet.
-type AlexNetResult struct {
+type alexNetResult struct {
 	FPS, GFLOPS   float64
 	DNNWeaver     float64 // GFLOPS reported by Venieris et al. for DNNWeaver on the A10
 	FLOPs         int64
@@ -40,17 +40,17 @@ type AlexNetResult struct {
 	FailReason    string
 }
 
-// AlexNetComparison deploys AlexNet (folded) on the Arria 10 and compares
+// alexNetComparison deploys AlexNet (folded) on the Arria 10 and compares
 // directly against DNNWeaver's published 184.33 GFLOPS — removing the
 // MobileNet-vs-AlexNet caveat of Table 6.19.
-func AlexNetComparison() (*AlexNetResult, string, error) {
+func alexNetComparison() (*alexNetResult, string, error) {
 	g := nn.AlexNet()
 	layers, err := relay.Lower(g)
 	if err != nil {
 		return nil, "", err
 	}
-	res := &AlexNetResult{DNNWeaver: 184.33, FLOPs: g.FLOPs()}
-	dep, err := host.BuildFolded(layers, AlexNetConfig(), fpga.A10, aoc.DefaultOptions)
+	res := &alexNetResult{DNNWeaver: 184.33, FLOPs: g.FLOPs()}
+	dep, err := host.BuildFolded(layers, alexNetConfig(), fpga.A10, aoc.DefaultOptions)
 	if err != nil {
 		return nil, "", err
 	}

@@ -8,13 +8,13 @@ import (
 	"repro/internal/fpga"
 )
 
-// GatherRelatedWork runs the measurements the Tables 6.17–6.19 comparison
+// gatherRelatedWork runs the measurements the Tables 6.17–6.19 comparison
 // needs and fills the inputs struct.
-func GatherRelatedWork() (RelatedWorkInputs, error) {
-	var in RelatedWorkInputs
+func gatherRelatedWork() (relatedWorkInputs, error) {
+	var in relatedWorkInputs
 
 	// ResNet-34 per-op profile on the S10SX.
-	prof, _, err := OpsProfile("resnet34")
+	prof, _, err := opsProfile("resnet34")
 	if err != nil {
 		return in, err
 	}
@@ -25,7 +25,7 @@ func GatherRelatedWork() (RelatedWorkInputs, error) {
 	}
 
 	// LeNet on the S10SX.
-	lenet, _, err := LeNetInference()
+	lenet, _, err := lenetInference()
 	if err != nil {
 		return in, err
 	}
@@ -41,13 +41,13 @@ func GatherRelatedWork() (RelatedWorkInputs, error) {
 	}
 
 	// ResNet-34 and MobileNet deployments.
-	r34, _, err := FoldedInference("resnet34")
+	r34, _, err := foldedInference("resnet34")
 	if err != nil {
 		return in, err
 	}
 	in.ResNet34GFLOPS = r34.GFLOPS["S10SX"]
 
-	mob, _, err := FoldedInference("mobilenetv1")
+	mob, _, err := foldedInference("mobilenetv1")
 	if err != nil {
 		return in, err
 	}
@@ -75,17 +75,17 @@ var Experiments = []string{
 func Run(name string) (string, error) {
 	switch name {
 	case "platforms":
-		return Platforms(), nil
+		return platforms(), nil
 	case "models":
-		return Models()
+		return models()
 	case "lenet-ladder":
-		_, rep, err := LeNetLadder()
+		_, rep, err := lenetLadder()
 		return rep, err
 	case "lenet-profile":
-		_, rep, err := LeNetProfile()
+		_, rep, err := lenetProfile()
 		return rep, err
 	case "lenet-inference":
-		_, rep, err := LeNetInference()
+		_, rep, err := lenetInference()
 		return rep, err
 	case "tiling-sweep":
 		_, rep, err := TilingSweep(fpga.A10)
@@ -96,61 +96,61 @@ func Run(name string) (string, error) {
 	case "routing-map":
 		return RoutingMap()
 	case "mobilenet-kernels":
-		return KernelTable("mobilenetv1")
+		return kernelTable("mobilenetv1")
 	case "mobilenet-ops":
-		_, rep, err := OpsProfile("mobilenetv1")
+		_, rep, err := opsProfile("mobilenetv1")
 		return rep, err
 	case "mobilenet-inference":
-		_, rep, err := FoldedInference("mobilenetv1")
+		_, rep, err := foldedInference("mobilenetv1")
 		return rep, err
 	case "resnet-kernels":
-		return KernelTable("resnet18")
+		return kernelTable("resnet18")
 	case "resnet-ops":
-		r18, rep18, err := OpsProfile("resnet18")
+		r18, rep18, err := opsProfile("resnet18")
 		if err != nil {
 			return "", err
 		}
 		_ = r18
-		_, rep34, err := OpsProfile("resnet34")
+		_, rep34, err := opsProfile("resnet34")
 		if err != nil {
 			return "", err
 		}
 		return rep18 + "\n" + rep34, nil
 	case "resnet-inference":
-		_, rep18, err := FoldedInference("resnet18")
+		_, rep18, err := foldedInference("resnet18")
 		if err != nil {
 			return "", err
 		}
-		_, rep34, err := FoldedInference("resnet34")
+		_, rep34, err := foldedInference("resnet34")
 		if err != nil {
 			return "", err
 		}
 		return rep18 + "\n" + rep34, nil
 	case "related-work":
-		in, err := GatherRelatedWork()
+		in, err := gatherRelatedWork()
 		if err != nil {
 			return "", err
 		}
-		return RelatedWork(in), nil
+		return relatedWork(in), nil
 	case "dse":
 		_, rep, err := DSEExperiment(dse.Options{})
 		return rep, err
 	case "quantization":
-		_, rep, err := QuantizationProjection()
+		_, rep, err := quantizationProjection()
 		return rep, err
 	case "alexnet":
-		_, rep, err := AlexNetComparison()
+		_, rep, err := alexNetComparison()
 		return rep, err
 	case "googlenet":
 		_, rep, err := GoogLeNetFeasibility()
 		return rep, err
 	case "ablations":
-		_, rep, err := Ablations()
+		_, rep, err := ablations()
 		return rep, err
 	case "pubcount":
-		return PubCount(), nil
+		return pubCount(), nil
 	case "transfer-speeds":
-		_, rep := TransferSpeeds()
+		_, rep := transferSpeeds()
 		return rep, nil
 	}
 	return "", fmt.Errorf("bench: unknown experiment %q (have: %s)", name, strings.Join(Experiments, ", "))

@@ -14,7 +14,7 @@ import (
 // the paper-vs-measured accounting).
 
 func TestLeNetLadderShapes(t *testing.T) {
-	res, rep, err := LeNetLadder()
+	res, rep, err := lenetLadder()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestLeNetLadderShapes(t *testing.T) {
 }
 
 func TestLeNetProfileShapes(t *testing.T) {
-	res, _, err := LeNetProfile()
+	res, _, err := lenetProfile()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestLeNetProfileShapes(t *testing.T) {
 }
 
 func TestLeNetInferenceCrossovers(t *testing.T) {
-	res, rep, err := LeNetInference()
+	res, rep, err := lenetInference()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestRoutingMapRenders(t *testing.T) {
 }
 
 func TestMobileNetInferenceCrossovers(t *testing.T) {
-	res, _, err := FoldedInference("mobilenetv1")
+	res, _, err := foldedInference("mobilenetv1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestMobileNetInferenceCrossovers(t *testing.T) {
 
 func TestResNetInferenceCrossovers(t *testing.T) {
 	for _, net := range []string{"resnet18", "resnet34"} {
-		res, _, err := FoldedInference(net)
+		res, _, err := foldedInference(net)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,7 +274,7 @@ func TestResNetInferenceCrossovers(t *testing.T) {
 }
 
 func TestOpsProfilesShapes(t *testing.T) {
-	mob, _, err := OpsProfile("mobilenetv1")
+	mob, _, err := opsProfile("mobilenetv1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestOpsProfilesShapes(t *testing.T) {
 			t.Errorf("%s: 1x1 GFLOPS must exceed depthwise", board)
 		}
 	}
-	r34, _, err := OpsProfile("resnet34")
+	r34, _, err := opsProfile("resnet34")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,27 +307,27 @@ func TestOpsProfilesShapes(t *testing.T) {
 }
 
 func TestKernelTables(t *testing.T) {
-	mob, err := KernelTable("mobilenetv1")
+	mob, err := kernelTable("mobilenetv1")
 	if err != nil || !strings.Contains(mob, "7/32/4") {
 		t.Fatalf("MobileNet kernel table wrong: %v\n%s", err, mob)
 	}
-	rn, err := KernelTable("resnet18")
+	rn, err := kernelTable("resnet18")
 	if err != nil || !strings.Contains(rn, "7/8/3/3") {
 		t.Fatalf("ResNet kernel table wrong: %v", err)
 	}
-	if _, err := KernelTable("vgg"); err == nil {
+	if _, err := kernelTable("vgg"); err == nil {
 		t.Fatal("unknown net must error")
 	}
 }
 
 func TestTransferSpeedsShapes(t *testing.T) {
-	rows, rep := TransferSpeeds()
+	rows, rep := transferSpeeds()
 	if !strings.Contains(rep, "Appendix A") {
 		t.Fatal("header missing")
 	}
 	// Bandwidth grows with size (latency amortized), and the S10MX writes
 	// are the slowest at every size.
-	byBoard := map[string][]TransferRow{}
+	byBoard := map[string][]transferRow{}
 	for _, r := range rows {
 		byBoard[r.Board] = append(byBoard[r.Board], r)
 	}
@@ -346,7 +346,7 @@ func TestTransferSpeedsShapes(t *testing.T) {
 }
 
 func TestPubCount(t *testing.T) {
-	rep := PubCount()
+	rep := pubCount()
 	if !strings.Contains(rep, "329") || !strings.Contains(rep, "2018") {
 		t.Fatalf("pubcount must total 329 over the survey years:\n%s", rep)
 	}
@@ -386,7 +386,7 @@ func TestDSEExperimentBeatsOrMatchesHandConfig(t *testing.T) {
 }
 
 func TestQuantizationProjectionShapes(t *testing.T) {
-	results, rep, err := QuantizationProjection()
+	results, rep, err := quantizationProjection()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +429,7 @@ func TestQuantizationProjectionShapes(t *testing.T) {
 }
 
 func TestAblationsExperiment(t *testing.T) {
-	rows, rep, err := Ablations()
+	rows, rep, err := ablations()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +447,7 @@ func TestAblationsExperiment(t *testing.T) {
 }
 
 func TestAlexNetComparison(t *testing.T) {
-	res, rep, err := AlexNetComparison()
+	res, rep, err := alexNetComparison()
 	if err != nil {
 		t.Fatal(err)
 	}

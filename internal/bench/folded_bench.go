@@ -13,11 +13,11 @@ import (
 
 const foldedImages = 4
 
-// FoldedInference reproduces the folded-deployment comparisons: Tables
+// foldedInference reproduces the folded-deployment comparisons: Tables
 // 6.11/6.12 + Fig 6.5 for MobileNetV1, Tables 6.14/6.15 + Figs 6.6/6.7 for
 // the ResNets. Base (naive per-layer) bitstreams that do not fit report
 // their failure, as on the Arria 10 in the thesis.
-func FoldedInference(net string) (*InferenceResult, string, error) {
+func foldedInference(net string) (*inferenceResult, string, error) {
 	g, err := nn.ByName(net)
 	if err != nil {
 		return nil, "", err
@@ -90,9 +90,9 @@ func FoldedInference(net string) (*InferenceResult, string, error) {
 	return res, report + areaNote.String(), nil
 }
 
-// KernelTable reproduces Tables 6.7/6.13: the parameterized kernels and
+// kernelTable reproduces Tables 6.7/6.13: the parameterized kernels and
 // unroll factors used for each board's deployment.
-func KernelTable(net string) (string, error) {
+func kernelTable(net string) (string, error) {
 	var b strings.Builder
 	switch net {
 	case "mobilenetv1":
@@ -120,10 +120,10 @@ func KernelTable(net string) (string, error) {
 	return b.String(), nil
 }
 
-// OpsProfile reproduces Tables 6.8/6.16: per-operation GFLOPS and runtime
+// opsProfile reproduces Tables 6.8/6.16: per-operation GFLOPS and runtime
 // share for the optimized folded deployment on each Stratix 10 board (and
 // the A10 for MobileNet).
-func OpsProfile(net string) (map[string][]host.OpProfile, string, error) {
+func opsProfile(net string) (map[string][]host.OpProfile, string, error) {
 	g, err := nn.ByName(net)
 	if err != nil {
 		return nil, "", err

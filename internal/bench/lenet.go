@@ -13,35 +13,35 @@ import (
 
 const ladderImages = 40
 
-// LadderResult holds Table 6.4 / Fig 6.1 data: FPS per bitstream per board,
+// ladderResult holds Table 6.4 / Fig 6.1 data: FPS per bitstream per board,
 // serial and concurrent.
-type LadderResult struct {
+type ladderResult struct {
 	Boards   []string
 	Variants []string
 	// FPS[board][variant], FPSCE[board][variant]
 	FPS   map[string]map[string]float64
 	FPSCE map[string]map[string]float64
 	// Area[board][variant] carries the Table 6.5 fitter numbers.
-	Area map[string]map[string]AreaRow
+	Area map[string]map[string]areaRow
 }
 
-// AreaRow is one Table 6.5 cell group.
-type AreaRow struct {
+// areaRow is one Table 6.5 cell group.
+type areaRow struct {
 	Logic, RAM, DSP float64
 	FmaxMHz         float64
 }
 
-// LeNetLadder reproduces Table 6.4, Fig 6.1 and Table 6.5: five bitstreams
+// lenetLadder reproduces Table 6.4, Fig 6.1 and Table 6.5: five bitstreams
 // per board, serial and concurrent execution.
-func LeNetLadder() (*LadderResult, string, error) {
+func lenetLadder() (*ladderResult, string, error) {
 	layers, err := relay.Lower(nn.LeNet5())
 	if err != nil {
 		return nil, "", err
 	}
-	res := &LadderResult{
+	res := &ladderResult{
 		FPS:   map[string]map[string]float64{},
 		FPSCE: map[string]map[string]float64{},
-		Area:  map[string]map[string]AreaRow{},
+		Area:  map[string]map[string]areaRow{},
 	}
 	for _, v := range host.PipeVariants {
 		res.Variants = append(res.Variants, v.String())
@@ -53,7 +53,7 @@ func LeNetLadder() (*LadderResult, string, error) {
 		res.Boards = append(res.Boards, board.Name)
 		res.FPS[board.Name] = map[string]float64{}
 		res.FPSCE[board.Name] = map[string]float64{}
-		res.Area[board.Name] = map[string]AreaRow{}
+		res.Area[board.Name] = map[string]areaRow{}
 		var base float64
 		for _, v := range host.PipeVariants {
 			p, err := host.BuildPipelined(layers, v, board, aoc.DefaultOptions)
@@ -69,7 +69,7 @@ func LeNetLadder() (*LadderResult, string, error) {
 				return nil, "", err
 			}
 			logic, ram, dsp := p.Design.Utilization()
-			row := AreaRow{Logic: logic, RAM: ram, DSP: dsp, FmaxMHz: p.Design.FmaxMHz}
+			row := areaRow{Logic: logic, RAM: ram, DSP: dsp, FmaxMHz: p.Design.FmaxMHz}
 			res.FPS[board.Name][v.String()] = serial.FPS
 			res.FPSCE[board.Name][v.String()] = ce.FPS
 			res.Area[board.Name][v.String()] = row
@@ -103,21 +103,21 @@ func LeNetLadder() (*LadderResult, string, error) {
 	return res, b.String(), nil
 }
 
-// ProfileResult holds Fig 6.2 data: runtime share by event kind.
-type ProfileResult struct {
+// profileResult holds Fig 6.2 data: runtime share by event kind.
+type profileResult struct {
 	// Share[board][bitstream][kind] in [0,1].
 	Share map[string]map[string]map[string]float64
 }
 
-// LeNetProfile reproduces Fig 6.2: the kernel/write/read breakdown for the
+// lenetProfile reproduces Fig 6.2: the kernel/write/read breakdown for the
 // Base and Autorun bitstreams on each platform, measured with the OpenCL
 // event profiler enabled (which is why the thesis notes the overhead).
-func LeNetProfile() (*ProfileResult, string, error) {
+func lenetProfile() (*profileResult, string, error) {
 	layers, err := relay.Lower(nn.LeNet5())
 	if err != nil {
 		return nil, "", err
 	}
-	res := &ProfileResult{Share: map[string]map[string]map[string]float64{}}
+	res := &profileResult{Share: map[string]map[string]map[string]float64{}}
 	var b strings.Builder
 	fmt.Fprintf(&b, "== Fig 6.2: LeNet runtime breakdown (OpenCL event profiling) ==\n\n")
 	tb := &table{header: []string{"Board", "Bitstream", "Kernel", "Write", "Read"}}
@@ -145,8 +145,8 @@ func LeNetProfile() (*ProfileResult, string, error) {
 	return res, b.String(), nil
 }
 
-// InferenceResult holds one network's Tables 6.9–6.15 comparison.
-type InferenceResult struct {
+// inferenceResult holds one network's Tables 6.9–6.15 comparison.
+type inferenceResult struct {
 	Net string
 	// Per-board optimized and base FPS (0 when the design does not build).
 	FPS, BaseFPS map[string]float64
@@ -162,9 +162,9 @@ type InferenceResult struct {
 	Params     int64
 }
 
-// LeNetInference reproduces Tables 6.9/6.10 and Fig 6.4: the optimized
+// lenetInference reproduces Tables 6.9/6.10 and Fig 6.4: the optimized
 // pipelined deployment on all three boards against the CPU/GPU baselines.
-func LeNetInference() (*InferenceResult, string, error) {
+func lenetInference() (*inferenceResult, string, error) {
 	g := nn.LeNet5()
 	layers, err := relay.Lower(g)
 	if err != nil {
@@ -196,15 +196,15 @@ func LeNetInference() (*InferenceResult, string, error) {
 	return res, report, err
 }
 
-func newInference(net string, flops, params int64) *InferenceResult {
-	return &InferenceResult{
+func newInference(net string, flops, params int64) *inferenceResult {
+	return &inferenceResult{
 		Net: net, FLOPs: flops, Params: params,
 		FPS: map[string]float64{}, BaseFPS: map[string]float64{},
 		GFLOPS: map[string]float64{}, FailReason: map[string]string{},
 	}
 }
 
-func fillBaselines(res *InferenceResult) error {
+func fillBaselines(res *inferenceResult) error {
 	var err error
 	res.TFCPUFPS, _, err = cpurefTF(res.Net)
 	if err != nil {
@@ -222,7 +222,7 @@ func fillBaselines(res *InferenceResult) error {
 	return err
 }
 
-func renderInference(res *InferenceResult, title string) (string, error) {
+func renderInference(res *inferenceResult, title string) (string, error) {
 	if err := fillBaselines(res); err != nil {
 		return "", err
 	}

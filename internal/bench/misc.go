@@ -7,12 +7,12 @@ import (
 	"repro/internal/fpga"
 )
 
-// RelatedWork reproduces Tables 6.17–6.19: the comparison against
+// relatedWork reproduces Tables 6.17–6.19: the comparison against
 // Caffeinated FPGAs (DiCecco et al.), TensorFlow-to-Cloud-FPGAs (Hadjis et
 // al.) and DNNWeaver (Sharma et al.). The external numbers are quoted from
 // the respective papers as the thesis quotes them; our side is measured from
 // the simulated deployments passed in.
-type RelatedWorkInputs struct {
+type relatedWorkInputs struct {
 	// ResNet34Conv3x3GFLOPS is our measured 3×3 s=1 convolution throughput
 	// in ResNet-34 on the S10SX (Table 6.17's comparison point).
 	ResNet34Conv3x3GFLOPS float64
@@ -27,8 +27,8 @@ type RelatedWorkInputs struct {
 	MobileNetVsCPU     float64
 }
 
-// RelatedWork renders the three comparison tables.
-func RelatedWork(in RelatedWorkInputs) string {
+// relatedWork renders the three comparison tables.
+func relatedWork(in relatedWorkInputs) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== Table 6.17: vs Caffeinated FPGAs (DiCecco et al. 2016) ==\n\n")
 	t1 := &table{header: []string{"", "DiCecco et al.", "This work"}}
@@ -76,8 +76,8 @@ var pubCounts = []struct {
 	{2015, 14}, {2016, 36}, {2017, 61}, {2018, 77}, {2019, 79}, {2020, 62},
 }
 
-// PubCount renders Fig 7.1.
-func PubCount() string {
+// pubCount renders Fig 7.1.
+func pubCount() string {
 	labels := make([]string, len(pubCounts))
 	vals := make([]float64, len(pubCounts))
 	total := 0
@@ -92,19 +92,19 @@ func PubCount() string {
 	return b.String()
 }
 
-// TransferRow is one Appendix A measurement.
-type TransferRow struct {
+// transferRow is one Appendix A measurement.
+type transferRow struct {
 	Board     string
 	Bytes     int
 	WriteGBps float64
 	ReadGBps  float64
 }
 
-// TransferSpeeds reproduces Appendix A: effective host<->device bandwidth
+// transferSpeeds reproduces Appendix A: effective host<->device bandwidth
 // versus buffer size on each platform.
-func TransferSpeeds() ([]TransferRow, string) {
+func transferSpeeds() ([]transferRow, string) {
 	sizes := []int{4 << 10, 64 << 10, 1 << 20, 16 << 20, 256 << 20}
-	var rows []TransferRow
+	var rows []transferRow
 	var b strings.Builder
 	fmt.Fprintf(&b, "== Appendix A: FPGA buffer transfer speeds ==\n\n")
 	tb := &table{header: []string{"Board", "Size", "Write GB/s", "Read GB/s"}}
@@ -112,7 +112,7 @@ func TransferSpeeds() ([]TransferRow, string) {
 		for _, sz := range sizes {
 			w := float64(sz) / (board.PCIe.WriteTimeUS(sz) * 1e3)
 			r := float64(sz) / (board.PCIe.ReadTimeUS(sz) * 1e3)
-			rows = append(rows, TransferRow{Board: board.Name, Bytes: sz, WriteGBps: w, ReadGBps: r})
+			rows = append(rows, transferRow{Board: board.Name, Bytes: sz, WriteGBps: w, ReadGBps: r})
 			tb.add(board.Name, sizeLabel(sz), fmt.Sprintf("%.3f", w), fmt.Sprintf("%.3f", r))
 		}
 	}

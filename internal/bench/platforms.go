@@ -10,10 +10,10 @@ import (
 	"repro/internal/relay"
 )
 
-// Platforms renders Tables 6.1–6.3 from the board models and baseline
+// platforms renders Tables 6.1–6.3 from the board models and baseline
 // profiles, so the simulated platform parameters are inspectable next to the
 // results they produce.
-func Platforms() string {
+func platforms() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== Table 6.1: FPGA platforms ==\n\n")
 	t1 := &table{header: []string{"Platform", "SKU", "External memory", "Peak BW", "Enqueue", "Quartus"}}
@@ -51,9 +51,9 @@ func Platforms() string {
 	return b.String()
 }
 
-// Models renders the network-architecture tables (Tables 2.1–2.3 plus
+// models renders the network-architecture tables (Tables 2.1–2.3 plus
 // AlexNet) as fused layer listings.
-func Models() (string, error) {
+func models() (string, error) {
 	var b strings.Builder
 	for _, net := range []string{"lenet5", "mobilenetv1", "resnet18", "resnet34", "alexnet"} {
 		g, err := nn.ByName(net)

@@ -11,8 +11,8 @@ import (
 	"repro/internal/relay"
 )
 
-// QuantResult compares the FP32 deployment against the int8 projection.
-type QuantResult struct {
+// quantResult compares the FP32 deployment against the int8 projection.
+type quantResult struct {
 	Net, Board         string
 	FP32FPS, Int8FPS   float64
 	FP32DSPs, Int8DSPs int
@@ -20,12 +20,12 @@ type QuantResult struct {
 	Int8FailReason     string
 }
 
-// QuantizationProjection runs the §8.1 future-work experiment: the same
+// quantizationProjection runs the §8.1 future-work experiment: the same
 // folded deployments recompiled under the int8 analysis mode (two packed
 // multiplies per DSP, 4x narrower LSUs/caches/traffic). No int8 kernel is
 // executed: this is an area/throughput projection, clearly labeled as such.
-func QuantizationProjection() ([]QuantResult, string, error) {
-	var out []QuantResult
+func quantizationProjection() ([]quantResult, string, error) {
+	var out []quantResult
 	var b strings.Builder
 	fmt.Fprintf(&b, "== Future work (§8.1): int8 quantization projection ==\n\n")
 	tb := &table{header: []string{"Net", "Board", "FP32 FPS", "int8 FPS", "gain", "FP32 DSPs", "int8 DSPs", "int8 status"}}
@@ -43,7 +43,7 @@ func QuantizationProjection() ([]QuantResult, string, error) {
 			if err != nil {
 				return nil, "", err
 			}
-			r := QuantResult{Net: net, Board: board.Name}
+			r := quantResult{Net: net, Board: board.Name}
 			fp, err := host.BuildFolded(layers, cfg, board, aoc.DefaultOptions)
 			if err != nil {
 				return nil, "", err

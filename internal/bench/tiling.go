@@ -18,8 +18,8 @@ type TilingConfig struct {
 	W2vec, C2vec, C1vec int
 }
 
-// TilingConfigs are the seven featured configurations of Table 6.6.
-var TilingConfigs = []TilingConfig{
+// tilingConfigs are the seven featured configurations of Table 6.6.
+var tilingConfigs = []TilingConfig{
 	{1, 7, 4, 8},
 	{2, 7, 4, 16},
 	{3, 7, 8, 4},
@@ -90,7 +90,7 @@ func TilingSweep(board *fpga.Board) (*TilingSweepResult, string, error) {
 	}
 	res.BaseTimeMS = baseUS / 1e3
 
-	for _, cfg := range TilingConfigs {
+	for _, cfg := range tilingConfigs {
 		pc, err := topi.ConvParam(fmt.Sprintf("pw_%d_%d_%d", cfg.W2vec, cfg.C2vec, cfg.C1vec),
 			1, 1, topi.OptSched(cfg.W2vec, cfg.C2vec, cfg.C1vec), true, true, false, true)
 		if err != nil {

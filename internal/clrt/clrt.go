@@ -24,10 +24,10 @@ import (
 	"repro/internal/ir"
 )
 
-// ErrChannelDrain marks a channel dataflow whose fixed-point propagation
+// errChannelDrain marks a channel dataflow whose fixed-point propagation
 // never converges: a cyclic channel topology that can never drain. On
 // hardware this is a hang; here it is a returned diagnostic.
-var ErrChannelDrain = errors.New("clrt: channel dataflow does not converge (cyclic channel topology that can never drain)")
+var errChannelDrain = errors.New("clrt: channel dataflow does not converge (cyclic channel topology that can never drain)")
 
 const (
 	// dispatchUS is the device-side cost of launching a host-controlled
@@ -66,8 +66,8 @@ type Event struct {
 	Stalled bool
 }
 
-// Duration returns the command's execution span in microseconds.
-func (e *Event) Duration() float64 { return e.EndUS - e.StartUS }
+// duration returns the command's execution span in microseconds.
+func (e *Event) duration() float64 { return e.EndUS - e.StartUS }
 
 // Buffer is a device-side cl_mem allocation.
 type Buffer struct {
@@ -171,9 +171,6 @@ type Queue struct {
 	id    int
 	avail float64
 }
-
-// ID returns the queue's index in context creation order.
-func (q *Queue) ID() int { return q.id }
 
 // NewQueue creates an in-order command queue.
 func (c *Context) NewQueue() *Queue {
@@ -351,7 +348,7 @@ func (q *Queue) EnqueueKernel(call KernelCall) (*Event, error) {
 // topology the fixed point is reached within one pass per pipeline stage; a
 // cycle through autorun kernels keeps pushing channel timestamps forward
 // forever — on hardware, a design that can never drain. The loop is
-// therefore bounded: exceeding the cap returns ErrChannelDrain instead of
+// therefore bounded: exceeding the cap returns errChannelDrain instead of
 // hanging the simulator.
 func (c *Context) runAutorun(producer *Event) error {
 	// Any DAG converges in at most one iteration per autorun stage (plus one
@@ -364,7 +361,7 @@ func (c *Context) runAutorun(producer *Event) error {
 		changed = false
 		if iters++; iters > maxIters {
 			return fmt.Errorf("design %s: autorun propagation exceeded %d iterations after kernel %s: %w",
-				c.Design.Name, maxIters, producer.Name, ErrChannelDrain)
+				c.Design.Name, maxIters, producer.Name, errChannelDrain)
 		}
 		for _, k := range c.chans {
 			if !k.m.Kernel.Autorun || len(k.reads) == 0 {
@@ -440,7 +437,7 @@ func (c *Context) Events() []*Event { return c.events }
 func (c *Context) Breakdown() map[string]float64 {
 	out := map[string]float64{}
 	for _, e := range c.events {
-		out[e.Kind] += e.Duration()
+		out[e.Kind] += e.duration()
 	}
 	return out
 }
@@ -451,7 +448,7 @@ func (c *Context) BreakdownByName() map[string]float64 {
 	out := map[string]float64{}
 	for _, e := range c.events {
 		if e.Kind == "kernel" {
-			out[e.Name] += e.Duration()
+			out[e.Name] += e.duration()
 		}
 	}
 	return out

@@ -299,7 +299,7 @@ func TestTimelineRendersLanes(t *testing.T) {
 	q.EnqueueKernel(KernelCall{Name: "beta"})
 	q.EnqueueRead(in, 8192) //nolint:errcheck
 	ctx.Finish()
-	tl := ctx.Timeline(40)
+	tl := ctx.TimelineSince(40, 0)
 	for _, want := range []string{"kernel alpha", "kernel beta", "write in", "read in", "#", "W", "R"} {
 		if !strings.Contains(tl, want) {
 			t.Fatalf("timeline missing %q:\n%s", want, tl)
@@ -340,7 +340,7 @@ func TestTimelineSinceFilters(t *testing.T) {
 	if !strings.Contains(tl, "kernel alpha") {
 		t.Fatalf("TimelineSince lost the measured event:\n%s", tl)
 	}
-	if ctx.Timeline(40) == tl {
+	if ctx.TimelineSince(40, 0) == tl {
 		t.Fatal("full timeline should differ from the filtered one")
 	}
 }
@@ -349,7 +349,7 @@ func TestTimelineEmpty(t *testing.T) {
 	k1, _, _ := simpleKernel("alpha", 64)
 	d := mustDesign(t, "tl3", []*ir.Kernel{k1})
 	ctx, _ := NewContext(d)
-	if tl := ctx.Timeline(40); !strings.Contains(tl, "no events") {
+	if tl := ctx.TimelineSince(40, 0); !strings.Contains(tl, "no events") {
 		t.Fatalf("empty timeline should say so: %q", tl)
 	}
 }
@@ -422,7 +422,7 @@ func TestInjectedTransferFaultsSurfaceAsErrors(t *testing.T) {
 	if !sawHard || !sawCorrupt {
 		t.Fatalf("expected both failure modes within 16 draws (hard=%v corrupt=%v)", sawHard, sawCorrupt)
 	}
-	if ctx.Injector.Count() == 0 {
+	if len(ctx.Injector.Records()) == 0 {
 		t.Fatal("injector ledger must record fired faults")
 	}
 }
@@ -440,14 +440,13 @@ func TestInjectedStallLengthensKernel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ev.Duration()
+		return ev.duration()
 	}()
 
 	ctx, _ := NewContext(d)
 	// Rate below 1 so the enqueue probe (checked first) lets some kernels
 	// through to the stall probe.
 	inj := fault.NewInjector(3, 0.5)
-	inj.SetStallFactor(64)
 	ctx.Injector = inj
 	q := ctx.NewQueue()
 	var stalled *Event
@@ -464,8 +463,8 @@ func TestInjectedStallLengthensKernel(t *testing.T) {
 	if stalled == nil {
 		t.Fatal("injector never stalled a kernel in 200 attempts at rate 0.5")
 	}
-	if stalled.Duration() <= base {
-		t.Fatalf("stalled kernel (%v us) must exceed baseline (%v us)", stalled.Duration(), base)
+	if stalled.duration() <= base {
+		t.Fatalf("stalled kernel (%v us) must exceed baseline (%v us)", stalled.duration(), base)
 	}
 }
 
@@ -508,7 +507,7 @@ func TestEventInvariants(t *testing.T) {
 			t.Fatalf("in-order queue overlap: %s starts %v before %v", e.Name, e.StartUS, prevEnd)
 		}
 		prevEnd = e.EndUS
-		sums[e.Kind] += e.Duration()
+		sums[e.Kind] += e.duration()
 	}
 	bd := ctx.Breakdown()
 	for k, v := range sums {

@@ -45,9 +45,6 @@ func (r *BufferRing) Next() *Buffer {
 	return b
 }
 
-// Depth returns the number of buffers in the ring.
-func (r *BufferRing) Depth() int { return len(r.bufs) }
-
 // Overlap quantifies how much transfer time the schedule hid behind kernel
 // execution — the payoff of double buffering. All figures are simulated
 // microseconds over the context's whole event history.
@@ -63,17 +60,12 @@ type Overlap struct {
 	Ratio float64
 }
 
-// OverlapStats scans the recorded events and measures transfer/compute
-// overlap: for each transfer event, the length of its span covered by the
-// union of kernel execution spans. A serial schedule scores ~0; ideal double
-// buffering approaches 1 on the steady-state transfers.
-func (c *Context) OverlapStats() Overlap {
-	return c.OverlapSince(0)
-}
-
-// OverlapSince is OverlapStats restricted to events starting at or after
-// sinceUS — batch runs pass the post-setup timestamp so one-time parameter
-// uploads (which nothing can overlap) do not dilute the steady-state ratio.
+// OverlapSince scans the events starting at or after sinceUS and measures
+// transfer/compute overlap: for each transfer event, the length of its span
+// covered by the union of kernel execution spans. A serial schedule scores
+// ~0; ideal double buffering approaches 1 on the steady-state transfers.
+// Batch runs pass the post-setup timestamp so one-time parameter uploads
+// (which nothing can overlap) do not dilute the steady-state ratio.
 func (c *Context) OverlapSince(sinceUS float64) Overlap {
 	var o Overlap
 	type span struct{ s, e float64 }
@@ -87,12 +79,12 @@ func (c *Context) OverlapSince(sinceUS float64) Overlap {
 	for _, ev := range events {
 		switch ev.Kind {
 		case "kernel":
-			o.KernelUS += ev.Duration()
+			o.KernelUS += ev.duration()
 			if ev.EndUS > ev.StartUS {
 				kernels = append(kernels, span{ev.StartUS, ev.EndUS})
 			}
 		case "write", "read":
-			o.TransferUS += ev.Duration()
+			o.TransferUS += ev.duration()
 		}
 	}
 	if len(kernels) > 0 {

@@ -83,15 +83,15 @@ func TestBufferRingRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := ctx.NewBufferRing("act", 64, 2)
-	if r.Depth() != 2 {
-		t.Fatalf("depth = %d", r.Depth())
+	if len(r.bufs) != 2 {
+		t.Fatalf("depth = %d", len(r.bufs))
 	}
 	a, b, c, d2 := r.Next(), r.Next(), r.Next(), r.Next()
 	if a == b || a != c || b != d2 {
 		t.Fatal("ring must alternate between exactly two buffers")
 	}
-	if r0 := ctx.NewBufferRing("one", 64, 0); r0.Depth() != 1 {
-		t.Fatalf("depth must clamp to 1, got %d", r0.Depth())
+	if r0 := ctx.NewBufferRing("one", 64, 0); len(r0.bufs) != 1 {
+		t.Fatalf("depth must clamp to 1, got %d", len(r0.bufs))
 	}
 }
 
@@ -103,7 +103,7 @@ func TestDoubleBufferingOverlapsTransfers(t *testing.T) {
 	serial := runSerial(t, images)
 	db := runDoubleBuffered(t, images, 2)
 
-	so, do := serial.OverlapStats(), db.OverlapStats()
+	so, do := serial.OverlapSince(0), db.OverlapSince(0)
 	if db.ElapsedUS() >= serial.ElapsedUS() {
 		t.Fatalf("double buffering did not help: %v >= %v us", db.ElapsedUS(), serial.ElapsedUS())
 	}
@@ -161,12 +161,12 @@ func overlapSinceScan(c *Context, sinceUS float64) Overlap {
 	for _, ev := range events {
 		switch ev.Kind {
 		case "kernel":
-			o.KernelUS += ev.Duration()
+			o.KernelUS += ev.duration()
 			if ev.EndUS > ev.StartUS {
 				kernels = append(kernels, span{ev.StartUS, ev.EndUS})
 			}
 		case "write", "read":
-			o.TransferUS += ev.Duration()
+			o.TransferUS += ev.duration()
 		}
 	}
 	if len(kernels) > 0 {

@@ -7,16 +7,13 @@ import (
 	"strings"
 )
 
-// Timeline renders the recorded events as an ASCII Gantt chart: one row per
-// distinct command (kernel name or buffer transfer), bars spanning
-// [StartUS, EndUS]. It makes queue serialization, channel-pipeline overlap
-// and the PCIe bottleneck visible at a glance — the picture behind the
-// thesis's serial-vs-concurrent-execution results.
-func (c *Context) Timeline(width int) string { return c.TimelineSince(width, 0) }
-
-// TimelineSince renders only events starting at or after sinceUS — used to
-// exclude one-time setup transfers (parameter loading) from the steady-state
-// picture.
+// TimelineSince renders the events starting at or after sinceUS as an ASCII
+// Gantt chart: one row per distinct command (kernel name or buffer
+// transfer), bars spanning [StartUS, EndUS]. It makes queue serialization,
+// channel-pipeline overlap and the PCIe bottleneck visible at a glance — the
+// picture behind the thesis's serial-vs-concurrent-execution results. A
+// nonzero sinceUS excludes one-time setup transfers (parameter loading) from
+// the steady-state picture.
 func (c *Context) TimelineSince(width int, sinceUS float64) string {
 	events := make([]*Event, 0, len(c.events))
 	for _, e := range c.events {

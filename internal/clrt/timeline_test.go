@@ -78,7 +78,7 @@ func TestTimelineHeaderUsPerCol(t *testing.T) {
 	// span 117 us over width 40: 117/39 = 3.0 us/col (the old width divisor
 	// would print 2.9).
 	c := &Context{events: []*Event{{Kind: "kernel", Name: "k", StartUS: 0, EndUS: 117}}}
-	tl := c.Timeline(40)
+	tl := c.TimelineSince(40, 0)
 	if !strings.Contains(tl, "3.0 us/col") {
 		t.Fatalf("header should report span/(width-1) us per column:\n%s", tl)
 	}

@@ -22,8 +22,8 @@ import (
 // are too small to parallelize, §6.4.2); MobileNet scales near-linearly to 16
 // threads; the ResNets land between.
 
-// CPUProfile holds the calibrated baseline parameters for one network.
-type CPUProfile struct {
+// cpuProfile holds the calibrated baseline parameters for one network.
+type cpuProfile struct {
 	Net   string
 	FLOPs float64 // multiply+add operations per forward pass
 
@@ -36,7 +36,7 @@ type CPUProfile struct {
 	GPUFPS      float64 // TensorFlow + cuDNN on the GTX 1060
 }
 
-var profiles = map[string]*CPUProfile{
+var profiles = map[string]*cpuProfile{
 	"lenet5": {
 		Net: "lenet5", FLOPs: 389e3,
 		TParUS: 100, TSerUS: 326, TaxUS: 18, Alpha: 1.0,
@@ -59,8 +59,8 @@ var profiles = map[string]*CPUProfile{
 	},
 }
 
-// Profile returns the calibrated baseline profile for a network.
-func Profile(net string) (*CPUProfile, error) {
+// profile returns the calibrated baseline profile for a network.
+func profile(net string) (*cpuProfile, error) {
 	p, ok := profiles[net]
 	if !ok {
 		return nil, fmt.Errorf("cpuref: no baseline profile for %q (have %v)", net, Nets())
@@ -80,7 +80,7 @@ func Nets() []string {
 
 // TVMCPUFPS models TVM's LLVM backend at n threads.
 func TVMCPUFPS(net string, threads int) (float64, error) {
-	p, err := Profile(net)
+	p, err := profile(net)
 	if err != nil {
 		return 0, err
 	}
@@ -95,7 +95,7 @@ func TVMCPUFPS(net string, threads int) (float64, error) {
 // TFCPUFPS returns the Keras/TensorFlow CPU anchor and the thread count the
 // thesis observed TF using.
 func TFCPUFPS(net string) (fps float64, threads int, err error) {
-	p, err := Profile(net)
+	p, err := profile(net)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -104,21 +104,11 @@ func TFCPUFPS(net string) (fps float64, threads int, err error) {
 
 // GPUFPS returns the TensorFlow+cuDNN (GTX 1060) anchor.
 func GPUFPS(net string) (float64, error) {
-	p, err := Profile(net)
+	p, err := profile(net)
 	if err != nil {
 		return 0, err
 	}
 	return p.GPUFPS, nil
-}
-
-// GFLOPS converts an FPS figure for a network into billions of float
-// operations per second, the thesis's second metric (§6.1.2).
-func GFLOPS(net string, fps float64) (float64, error) {
-	p, err := Profile(net)
-	if err != nil {
-		return 0, err
-	}
-	return fps * p.FLOPs / 1e9, nil
 }
 
 // BestTVMThreads sweeps 1..56 threads and returns the fastest configuration,

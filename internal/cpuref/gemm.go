@@ -39,17 +39,17 @@ const gemmKC = 240
 // serial, and lets anything at or above it fan out.
 const gemmParallelMinMACs = 1 << 21
 
-// Im2col unfolds a [C1,H1,W1] input into the [C1*F*F, H2*W2] patch matrix of
+// im2col unfolds a [C1,H1,W1] input into the [C1*F*F, H2*W2] patch matrix of
 // a (f,s,p) convolution: row k = (c*F+fy)*F+fx holds input element
 // in[c, s*y+fy-p, s*x+fx-p] for each output pixel n = y*W2+x (zero where the
 // tap falls outside the input). The result is written into dst, which is
 // grown as needed and returned, so callers can reuse one scratch buffer
 // across images.
-func Im2col(in *tensor.Tensor, f, s, p int, dst []float32) []float32 {
+func im2col(in *tensor.Tensor, f, s, p int, dst []float32) []float32 {
 	return Im2colSlice(in.Data, in.Shape[0], in.Shape[1], in.Shape[2], f, s, p, dst)
 }
 
-// Im2colSlice is Im2col over a raw [c1*h1*w1] row-major slice, for callers
+// Im2colSlice is im2col over a raw [c1*h1*w1] row-major slice, for callers
 // (the sim's GEMM lowering) that hold flat buffers rather than tensors.
 func Im2colSlice(data []float32, c1, h1, w1, f, s, p int, dst []float32) []float32 {
 	h2 := (h1-f+2*p)/s + 1
@@ -253,7 +253,7 @@ func Conv2DGEMM(in, w, bias *tensor.Tensor, s, p int, relu bool, workers int) *t
 			}
 		}
 	}
-	patches := Im2col(in, f, s, p, nil)
+	patches := im2col(in, f, s, p, nil)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

@@ -90,7 +90,7 @@ func TestIm2colShape(t *testing.T) {
 	in.FillSeq(7)
 	h2 := (tc.h-tc.f+2*tc.p)/tc.s + 1
 	w2 := (tc.w-tc.f+2*tc.p)/tc.s + 1
-	m := Im2col(in, tc.f, tc.s, tc.p, nil)
+	m := im2col(in, tc.f, tc.s, tc.p, nil)
 	if len(m) != tc.c1*tc.f*tc.f*h2*w2 {
 		t.Fatalf("im2col size %d", len(m))
 	}
@@ -119,10 +119,10 @@ func TestIm2colShape(t *testing.T) {
 func TestIm2colReusesScratch(t *testing.T) {
 	in := tensor.New(3, 8, 8)
 	in.FillSeq(3)
-	scratch := Im2col(in, 3, 1, 0, nil)
-	again := Im2col(in, 3, 1, 0, scratch)
+	scratch := im2col(in, 3, 1, 0, nil)
+	again := im2col(in, 3, 1, 0, scratch)
 	if &again[0] != &scratch[0] {
-		t.Fatal("Im2col allocated despite sufficient scratch")
+		t.Fatal("im2col allocated despite sufficient scratch")
 	}
 }
 

@@ -14,7 +14,6 @@ package cpuref
 import (
 	"fmt"
 	"math"
-	"runtime"
 
 	"repro/internal/tensor"
 )
@@ -274,24 +273,4 @@ func Add(a, b *tensor.Tensor) *tensor.Tensor {
 		out.Data[i] += b.Data[i]
 	}
 	return out
-}
-
-// Conv2DParallel is Conv2D with output-channel row panels distributed over
-// worker goroutines — the same axis TVM's x86 schedule parallelizes (§6.4.2).
-// It is used to validate the threading-efficiency story (LeNet's small C2
-// gains nothing; MobileNet's wide layers scale). The panels are contiguous
-// and statically assigned, so the result is identical for every worker count.
-func Conv2DParallel(in, w, bias *tensor.Tensor, s, p int, relu bool, workers int) *tensor.Tensor {
-	// Cap at the CPU count: the GEMM workers are pure compute, so anything
-	// beyond NumCPU only adds scheduler churn. Callers already running inside
-	// a parallel context (host.RunBatch workers, the fleet's cpuref rung) must
-	// pass workers=1 — nesting a fan-out inside a fan-out oversubscribes the
-	// machine W-fold (see relay.ExecuteWorkers).
-	if workers > runtime.NumCPU() {
-		workers = runtime.NumCPU()
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return Conv2DGEMM(in, w, bias, s, p, relu, workers)
 }

@@ -111,8 +111,8 @@ func ExploreGuided(layers []*relay.Layer, net string, board *fpga.Board, opts Gu
 	res := &GuidedResult{
 		JointResult: JointResult{
 			Result:    Result{Board: board, Net: net},
-			SpaceSize: space.Size(),
-			SpaceSig:  space.Sig(),
+			SpaceSize: space.size(),
+			SpaceSig:  space.sig(),
 		},
 		Seed: opts.Seed,
 	}
@@ -125,7 +125,7 @@ func ExploreGuided(layers []*relay.Layer, net string, board *fpga.Board, opts Gu
 
 	// feasible screens a proposal, counting each distinct infeasible key once.
 	feasible := func(p Point, key string) bool {
-		ok := space.Feasible(p, board)
+		ok := space.feasible(p, board)
 		if !ok && !infeasibleSeen[key] {
 			infeasibleSeen[key] = true
 			res.Pruned++
@@ -149,7 +149,7 @@ func ExploreGuided(layers []*relay.Layer, net string, board *fpga.Board, opts Gu
 			if c == nil {
 				continue // canceled before this slot ran
 			}
-			recs = append(recs, &evalRec{p: points[i], key: space.Key(points[i]), pred: preds[i], cand: c})
+			recs = append(recs, &evalRec{p: points[i], key: space.key(points[i]), pred: preds[i], cand: c})
 			model.observe(points[i], c)
 		}
 		model.fit()
@@ -163,15 +163,15 @@ func ExploreGuided(layers []*relay.Layer, net string, board *fpga.Board, opts Gu
 		if len(seedPts) >= popSize || len(seedPts) >= s.budget {
 			return
 		}
-		key := space.Key(p)
+		key := space.key(p)
 		if seen[key] || !feasible(p, key) {
 			return
 		}
 		seen[key] = true
-		seedPts = append(seedPts, p.Clone())
+		seedPts = append(seedPts, p.clone())
 		seedPreds = append(seedPreds, model.score(p))
 	}
-	if t := opts.Transfer; t != nil && t.SpaceSig == space.Sig() {
+	if t := opts.Transfer; t != nil && t.SpaceSig == space.sig() {
 		model.warmStart(t.Model.TimeWeights, t.Model.FeasWeights, t.Model.MaxTimeUS)
 		// Transferred points take at most half the population: the source
 		// board's frontier is a prior, not a substitute for this board's own
@@ -181,7 +181,7 @@ func ExploreGuided(layers []*relay.Layer, net string, board *fpga.Board, opts Gu
 			if len(seedPts) >= popSize/2 {
 				break
 			}
-			if p, err := space.PointFromKey(e.Key); err == nil {
+			if p, err := space.pointFromKey(e.Key); err == nil {
 				addSeed(p)
 			}
 		}
@@ -210,7 +210,7 @@ func ExploreGuided(layers []*relay.Layer, net string, board *fpga.Board, opts Gu
 		greedy[i] = len(space.Axes[i].Values) - 1
 	}
 	for tries := 0; tries < 64; tries++ {
-		if space.Feasible(greedy, board) {
+		if space.feasible(greedy, board) {
 			break
 		}
 		bestAx, bestVal := -1, 0
@@ -261,7 +261,7 @@ func ExploreGuided(layers []*relay.Layer, net string, board *fpga.Board, opts Gu
 		for _, par := range parents {
 			for m := 0; m < mutPerParent; m++ {
 				child := mutate(space, par.p, rng, temp)
-				key := space.Key(child)
+				key := space.key(child)
 				if seen[key] || inGen[key] {
 					continue
 				}
@@ -275,7 +275,7 @@ func ExploreGuided(layers []*relay.Layer, net string, board *fpga.Board, opts Gu
 		// Random restarts keep the pool alive when mutation dries up.
 		for tries := 0; tries < 50 && len(props) == 0; tries++ {
 			p := randomPoint(space, rng)
-			key := space.Key(p)
+			key := space.key(p)
 			if seen[key] || inGen[key] || !feasible(p, key) {
 				continue
 			}
@@ -327,7 +327,7 @@ func ExploreGuided(layers []*relay.Layer, net string, board *fpga.Board, opts Gu
 	s.finish(&res.Result)
 	for _, r := range rankRecs(recs) {
 		res.Ranked = append(res.Ranked, GuidedCandidate{
-			Key: r.key, Axes: space.Values(r.p), Predicted: r.pred, Candidate: *r.cand,
+			Key: r.key, Axes: space.values(r.p), Predicted: r.pred, Candidate: *r.cand,
 		})
 	}
 	// Model quality: rank correlation between the *final* fitted model's
@@ -384,7 +384,7 @@ func rankRecs(recs []*evalRec) []*evalRec {
 // parent's value reassigns the axis uniformly instead, so mutation always
 // moves when the axis has more than one value.
 func mutate(s *Space, p Point, rng *splitmix64, temp float64) Point {
-	child := p.Clone()
+	child := p.clone()
 	nAxes := 1 + rng.intn(2)
 	for a := 0; a < nAxes; a++ {
 		ax := rng.intn(len(s.Axes))
@@ -484,7 +484,7 @@ func (sr *search) preferenceSeeds(s *Space, k int) ([]Point, int) {
 		if len(out) >= k {
 			break
 		}
-		p := base.Clone()
+		p := base.clone()
 		for i, ax := range axes {
 			p[ax] = c.idx[i]
 		}
@@ -503,7 +503,7 @@ func (sr *search) preferenceSeeds(s *Space, k int) ([]Point, int) {
 		// conv group's unrolls down (the tiling axes themselves stay fixed —
 		// an infeasible combo is simply skipped).
 		for tries := 0; tries < 32; tries++ {
-			if s.Feasible(p, sr.board) {
+			if s.feasible(p, sr.board) {
 				break
 			}
 			moved := false
@@ -529,7 +529,7 @@ func (sr *search) preferenceSeeds(s *Space, k int) ([]Point, int) {
 				break
 			}
 		}
-		if s.Feasible(p, sr.board) {
+		if s.feasible(p, sr.board) {
 			out = append(out, p)
 		}
 	}

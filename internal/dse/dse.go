@@ -19,7 +19,7 @@
 //     axis the thesis does not search is pinned to its thesis value, which
 //     leaves the 1x1 and 3x3 tilings free. The space's axes make every
 //     factor divide each extent it tiles, and its one bandwidth rule
-//     (Space.Feasible) screens the view's points: the unroll width must not
+//     (Space.feasible) screens the view's points: the unroll width must not
 //     exceed what external memory bandwidth can feed at the design clock.
 //     The 1x1 tilings are ranked in preference order (largest total unroll
 //     first, balanced channel factors breaking ties), each is
@@ -148,7 +148,7 @@ func thesisPins(s *Space) map[string]int {
 	pins := map[string]int{axC33C2: 1, axC33FF: 1, axWkrd: 1}
 	for _, name := range []string{axProjC1, axDWW2} {
 		if i, ok := s.idx[name]; ok {
-			pins[name] = s.Axes[i].Max()
+			pins[name] = s.Axes[i].max()
 		}
 	}
 	accepts := map[int]int{} // kvec -> dense signatures whose axis has it
@@ -187,8 +187,8 @@ func ExploreWith(layers []*relay.Layer, net string, board *fpga.Board, opts Opti
 	type pair struct{ pw, c33 topi.ConvSched }
 	points := map[pair]Point{}
 	var pws, c33s []topi.ConvSched
-	view.Enumerate(func(p Point) bool {
-		if !view.Feasible(p, board) {
+	view.enumerate(func(p Point) bool {
+		if !view.feasible(p, board) {
 			res.Pruned++
 			res.PrunedBandwidth++
 			return true
@@ -200,7 +200,7 @@ func ExploreWith(layers []*relay.Layer, net string, board *fpga.Board, opts Opti
 		if !slices.Contains(c33s, c33) {
 			c33s = append(c33s, c33)
 		}
-		points[pair{pw, c33}] = p.Clone()
+		points[pair{pw, c33}] = p.clone()
 		return true
 	})
 	// Prefer larger total unroll first (throughput), break ties toward

@@ -44,7 +44,7 @@ func TestBuildSpaceFactsMobileNet(t *testing.T) {
 		t.Helper()
 		i, ok := s.idx[name]
 		if !ok {
-			t.Fatalf("no axis %s in %s", name, s.Sig())
+			t.Fatalf("no axis %s in %s", name, s.sig())
 		}
 		return s.Axes[i].Values
 	}
@@ -379,18 +379,18 @@ func TestThesisCandidatesAreSpacePoints(t *testing.T) {
 			for i, ax := range space.Axes {
 				v, ok := want[ax.Name]
 				if !ok { // proj.c1, dw.w2
-					v = ax.Max()
+					v = ax.max()
 				}
 				if p[i] = slices.Index(ax.Values, v); p[i] < 0 {
 					t.Fatalf("%s/%s candidate %d: %s = %d is not on the axis %v", c.net, c.board.Name, ci, ax.Name, v, ax.Values)
 				}
 			}
-			if q, err := space.PointFromKey(space.Key(p)); err != nil || !slices.Equal(p, q) {
-				t.Fatalf("%s/%s candidate %d: key %q round-trips to %v, %v", c.net, c.board.Name, ci, space.Key(p), q, err)
+			if q, err := space.pointFromKey(space.key(p)); err != nil || !slices.Equal(p, q) {
+				t.Fatalf("%s/%s candidate %d: key %q round-trips to %v, %v", c.net, c.board.Name, ci, space.key(p), q, err)
 			}
-			if !space.Feasible(p, c.board) {
+			if !space.feasible(p, c.board) {
 				pw, c33 := space.pressure(p, c.board)
-				t.Fatalf("%s/%s candidate %d: point %s infeasible: bandwidth pressure 1x1 %v, 3x3 %v", c.net, c.board.Name, ci, space.Key(p), pw, c33)
+				t.Fatalf("%s/%s candidate %d: point %s infeasible: bandwidth pressure 1x1 %v, 3x3 %v", c.net, c.board.Name, ci, space.key(p), pw, c33)
 			}
 			got, err := evaluate(layers, space.Config(p), c.board, cache)
 			if err != nil {
@@ -398,7 +398,7 @@ func TestThesisCandidatesAreSpacePoints(t *testing.T) {
 			}
 			if got.TimeUS != cand.TimeUS || got.Synthesizable != cand.Synthesizable || got.DSPs != cand.DSPs {
 				t.Fatalf("%s/%s candidate %d: point %s models %v us synth %v %d DSPs, candidate %v us synth %v %d DSPs",
-					c.net, c.board.Name, ci, space.Key(p), got.TimeUS, got.Synthesizable, got.DSPs,
+					c.net, c.board.Name, ci, space.key(p), got.TimeUS, got.Synthesizable, got.DSPs,
 					cand.TimeUS, cand.Synthesizable, cand.DSPs)
 			}
 		}

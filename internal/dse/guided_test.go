@@ -339,18 +339,18 @@ func TestSpacePointKeyRoundTrip(t *testing.T) {
 	rng := newRNG(3)
 	for i := 0; i < 100; i++ {
 		p := randomPoint(s, rng)
-		q, err := s.PointFromKey(s.Key(p))
+		q, err := s.pointFromKey(s.key(p))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(p, q) {
-			t.Fatalf("round trip: %v -> %q -> %v", p, s.Key(p), q)
+			t.Fatalf("round trip: %v -> %q -> %v", p, s.key(p), q)
 		}
 	}
-	if _, err := s.PointFromKey("not.a.key"); err == nil {
+	if _, err := s.pointFromKey("not.a.key"); err == nil {
 		t.Fatal("malformed key must error")
 	}
-	if _, err := s.PointFromKey("9999.0.0"); err == nil {
+	if _, err := s.pointFromKey("9999.0.0"); err == nil {
 		t.Fatal("out-of-range key must error")
 	}
 }

@@ -32,14 +32,14 @@ func ExploreJointWith(layers []*relay.Layer, net string, board *fpga.Board, opts
 	space := BuildSpace(layers, net)
 	res := &JointResult{
 		Result:    Result{Board: board, Net: net},
-		SpaceSize: space.Size(),
-		SpaceSig:  space.Sig(),
+		SpaceSize: space.size(),
+		SpaceSig:  space.sig(),
 	}
 	// Slot assignment: enumerate feasible points up front (cheap integer
 	// work), so the parallel phase has exact accounting.
 	var cfgs []host.FoldedConfig
-	space.Enumerate(func(p Point) bool {
-		if !space.Feasible(p, board) {
+	space.enumerate(func(p Point) bool {
+		if !space.feasible(p, board) {
 			res.Pruned++
 			res.PrunedBandwidth++
 			return true

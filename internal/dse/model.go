@@ -65,7 +65,7 @@ func featurize(s *Space, board *fpga.Board, p Point) []float64 {
 	f = append(f, 1) // bias
 
 	for i := range s.Axes {
-		f = append(f, float64(s.Axes[i].Values[p[i]])/float64(s.Axes[i].Max()))
+		f = append(f, float64(s.Axes[i].Values[p[i]])/float64(s.Axes[i].max()))
 	}
 
 	const macScale = 1e6

@@ -18,7 +18,7 @@ package dse
 // board, so a Space signature identifies the same coordinate system across
 // boards and transfer tuning can map one board's history onto another's
 // search. Board-dependent constraints (the §4.11 bandwidth rule) live in
-// Feasible, which takes the board explicitly.
+// feasible, which takes the board explicitly.
 
 import (
 	"fmt"
@@ -41,14 +41,14 @@ type Axis struct {
 	Values []int
 }
 
-// Max returns the largest value of the axis (axes are never empty).
-func (a *Axis) Max() int { return a.Values[len(a.Values)-1] }
+// max returns the largest value of the axis (axes are never empty).
+func (a *Axis) max() int { return a.Values[len(a.Values)-1] }
 
 // Point is one joint configuration: a value index per axis, in axis order.
 type Point []int
 
-// Clone returns an independent copy of the point.
-func (p Point) Clone() Point { return append(Point(nil), p...) }
+// clone returns an independent copy of the point.
+func (p Point) clone() Point { return append(Point(nil), p...) }
 
 // Space is the joint schedule space of one lowered network.
 type Space struct {
@@ -183,8 +183,8 @@ func divisorsOf(n, cap int) []int {
 	return out
 }
 
-// Size returns the total number of joint points (feasible or not).
-func (s *Space) Size() int64 {
+// size returns the total number of joint points (feasible or not).
+func (s *Space) size() int64 {
 	n := int64(1)
 	for i := range s.Axes {
 		n *= int64(len(s.Axes[i].Values))
@@ -192,11 +192,11 @@ func (s *Space) Size() int64 {
 	return n
 }
 
-// Sig returns the space signature: a canonical rendering of every axis name
+// sig returns the space signature: a canonical rendering of every axis name
 // and value list. Two spaces with equal signatures share a coordinate system
 // (points and serialized history transfer between them verbatim); the
 // signature is board-independent by construction.
-func (s *Space) Sig() string {
+func (s *Space) sig() string {
 	var b strings.Builder
 	b.WriteString(s.Net)
 	for i := range s.Axes {
@@ -213,9 +213,9 @@ func (s *Space) Sig() string {
 	return b.String()
 }
 
-// Key renders a point as a compact canonical string (value indices joined),
+// key renders a point as a compact canonical string (value indices joined),
 // used for dedup sets, deterministic tie-breaks and transfer serialization.
-func (s *Space) Key(p Point) string {
+func (s *Space) key(p Point) string {
 	var b strings.Builder
 	for i, vi := range p {
 		if i > 0 {
@@ -226,8 +226,8 @@ func (s *Space) Key(p Point) string {
 	return b.String()
 }
 
-// PointFromKey parses a Key back into a point, validating bounds.
-func (s *Space) PointFromKey(key string) (Point, error) {
+// pointFromKey parses a key back into a point, validating bounds.
+func (s *Space) pointFromKey(key string) (Point, error) {
 	parts := strings.Split(key, ".")
 	if len(parts) != len(s.Axes) {
 		return nil, fmt.Errorf("dse: key %q has %d axes, space has %d", key, len(parts), len(s.Axes))
@@ -253,8 +253,8 @@ func (s *Space) value(p Point, name string, def int) int {
 	return s.Axes[i].Values[p[i]]
 }
 
-// Values maps axis names to chosen values at p (for reports and JSON).
-func (s *Space) Values(p Point) map[string]int {
+// values maps axis names to chosen values at p (for reports and JSON).
+func (s *Space) values(p Point) map[string]int {
 	out := make(map[string]int, len(s.Axes))
 	for i := range s.Axes {
 		out[s.Axes[i].Name] = s.Axes[i].Values[p[i]]
@@ -312,7 +312,7 @@ func (s *Space) Config(p Point) host.FoldedConfig {
 // external bandwidth §4.11 grants it at a conservative clock (0 when the
 // network has no such group): the 1x1 group may read 4 and the 3x3 group 16
 // times the floats memory delivers per cycle, the 3x3 access counting its
-// F×F window. Feasible rejects a ratio above 1; the cost model takes the
+// F×F window. feasible rejects a ratio above 1; the cost model takes the
 // ratios as features.
 func (s *Space) pressure(p Point, board *fpga.Board) (pw, c33 float64) {
 	maxFloats := float64(int(board.BytesPerCycleAt(board.BaseFmaxMHz*0.7) / 4))
@@ -325,18 +325,18 @@ func (s *Space) pressure(p Point, board *fpga.Board) (pw, c33 float64) {
 	return pw, c33
 }
 
-// Feasible applies the cheap board-dependent screen, §4.11 rule 1: the
+// feasible applies the cheap board-dependent screen, §4.11 rule 1: the
 // widest memory access must not exceed external bandwidth at a conservative
 // clock. It is the package's one bandwidth rule. Infeasible points are never
 // compiled; every tier counts them as bandwidth prunes.
-func (s *Space) Feasible(p Point, board *fpga.Board) bool {
+func (s *Space) feasible(p Point, board *fpga.Board) bool {
 	pw, c33 := s.pressure(p, board)
 	return !(pw > 1 || c33 > 1)
 }
 
 // pin returns a view of the space with each named axis narrowed to the one
 // given value (names the space lacks are ignored). The view keeps the axis
-// order and the network, so Feasible and Config read its points exactly as
+// order and the network, so feasible and Config read its points exactly as
 // the same settings in s; only value indices differ on the pinned axes.
 func (s *Space) pin(vals map[string]int) *Space {
 	v := *s
@@ -349,10 +349,10 @@ func (s *Space) pin(vals map[string]int) *Space {
 	return &v
 }
 
-// Enumerate walks every point of the space in odometer order (last axis
+// enumerate walks every point of the space in odometer order (last axis
 // fastest) and calls fn with a reused buffer; fn must copy the point if it
 // keeps it. Enumeration stops early when fn returns false.
-func (s *Space) Enumerate(fn func(p Point) bool) {
+func (s *Space) enumerate(fn func(p Point) bool) {
 	p := make(Point, len(s.Axes))
 	for {
 		if !fn(p) {

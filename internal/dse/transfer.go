@@ -7,7 +7,7 @@ package dse
 // begins where the old one ended instead of from the heuristic. The space
 // signature is board-independent (space.go), so the coordinate systems match
 // whenever the same lowered network is searched; boards only differ in the
-// Feasible screen and the evaluator, which is exactly what transfer re-learns.
+// feasible screen and the evaluator, which is exactly what transfer re-learns.
 
 import (
 	"encoding/json"

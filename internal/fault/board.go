@@ -15,7 +15,7 @@ const (
 	// DeviceLoss: the board drops off the bus entirely (XCVR loss, shell
 	// crash, host hot-unplugs the PAC). In-flight work is gone; the host only
 	// notices when heartbeats stop or a dispatch wedges past the watchdog.
-	DeviceLoss Kind = iota + FitFlake + 1
+	DeviceLoss Kind = iota + EnqueueFail + 1
 	// StickyEnqueue: every enqueue to the board fails for a window (exhausted
 	// device memory pool, wedged command queue). The board still heartbeats,
 	// so only dispatch failures reveal it.

@@ -1,8 +1,8 @@
 // Package fault is a deterministic, seed-driven fault injector for the
 // runtime simulator. Channel-coupled OpenCL pipelines are the fragile part
 // of the stack (§4.6): on real boards, PCIe transfers fail or corrupt data,
-// kernels stall past any reasonable deadline, enqueue calls return transient
-// CL_OUT_OF_* statuses, and fit/route occasionally flakes on a reprogram.
+// kernels stall past any reasonable deadline, and enqueue calls return
+// transient CL_OUT_OF_* statuses.
 // The injector reproduces those failures on demand so the batch engine's
 // retry policy (internal/host) and the server's per-request degradation
 // ladder (internal/serve) can be exercised and tested without hardware.
@@ -31,7 +31,6 @@ const (
 	MemObjectAllocationFail  Code = -4
 	OutOfResources           Code = -5
 	OutOfHostMemory          Code = -6
-	BuildProgramFailure      Code = -11
 	ExecStatusErrorForEvents Code = -14
 )
 
@@ -47,8 +46,6 @@ func (c Code) String() string {
 		return "CL_OUT_OF_RESOURCES"
 	case OutOfHostMemory:
 		return "CL_OUT_OF_HOST_MEMORY"
-	case BuildProgramFailure:
-		return "CL_BUILD_PROGRAM_FAILURE"
 	case ExecStatusErrorForEvents:
 		return "CL_EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST"
 	}
@@ -71,9 +68,6 @@ const (
 	KernelStall
 	// EnqueueFail: the enqueue call itself fails transiently.
 	EnqueueFail
-	// FitFlake: programming the device fails (fit/route flakiness on
-	// reconfiguration).
-	FitFlake
 )
 
 func (k Kind) String() string {
@@ -86,8 +80,6 @@ func (k Kind) String() string {
 		return "kernel-stall"
 	case EnqueueFail:
 		return "enqueue-fail"
-	case FitFlake:
-		return "fit-flake"
 	}
 	if name, ok := boardKindName(k); ok {
 		return name
@@ -143,34 +135,23 @@ type Injector struct {
 	mu      sync.Mutex
 	state   uint64
 	rate    float64
-	stallX  float64
 	records []Record
 	seq     int
 }
 
-// defaultStallFactor inflates a stalled kernel's modeled duration; large
-// enough that the stall dominates the image's modeled time.
-const defaultStallFactor = 64
+// stallFactor inflates a stalled kernel's modeled duration; large enough
+// that the stall dominates the image's modeled time.
+const stallFactor = 64
 
 // NewInjector returns an injector that fires each probe with probability
 // rate, deterministically derived from seed. rate <= 0 yields an inert
 // injector; rate >= 1 faults every probe.
 func NewInjector(seed int64, rate float64) *Injector {
-	return &Injector{state: uint64(seed)*0x9E3779B97F4A7C15 + 0x1234567, rate: rate, stallX: defaultStallFactor}
+	return &Injector{state: uint64(seed)*0x9E3779B97F4A7C15 + 0x1234567, rate: rate}
 }
 
-// SetStallFactor overrides the kernel-stall duration multiplier (tests).
-func (in *Injector) SetStallFactor(x float64) {
-	if in == nil {
-		return
-	}
-	in.mu.Lock()
-	in.stallX = x
-	in.mu.Unlock()
-}
-
-// Enabled reports whether the injector can fire at all.
-func (in *Injector) Enabled() bool { return in != nil && in.rate > 0 }
+// enabled reports whether the injector can fire at all.
+func (in *Injector) enabled() bool { return in != nil && in.rate > 0 }
 
 // next advances the splitmix64 stream. Callers hold in.mu.
 func (in *Injector) next() uint64 {
@@ -200,7 +181,7 @@ func (in *Injector) fire(kind Kind, code Code, op string, atUS float64) bool {
 // failure or (half the time) an in-flight corruption; both are transient —
 // re-transferring is the correct recovery.
 func (in *Injector) Transfer(op string, atUS float64) *Error {
-	if !in.Enabled() {
+	if !in.enabled() {
 		return nil
 	}
 	in.mu.Lock()
@@ -219,7 +200,7 @@ func (in *Injector) Transfer(op string, atUS float64) *Error {
 
 // Enqueue probes one kernel-enqueue call (transient CL_OUT_OF_HOST_MEMORY).
 func (in *Injector) Enqueue(op string, atUS float64) *Error {
-	if !in.Enabled() {
+	if !in.enabled() {
 		return nil
 	}
 	in.mu.Lock()
@@ -234,7 +215,7 @@ func (in *Injector) Enqueue(op string, atUS float64) *Error {
 // multiplier > 1 (the kernel wedges), otherwise 1. Stalls carry no CL error:
 // they only lengthen the modeled time.
 func (in *Injector) Stall(op string, atUS float64) float64 {
-	if !in.Enabled() {
+	if !in.enabled() {
 		return 1
 	}
 	in.mu.Lock()
@@ -242,20 +223,7 @@ func (in *Injector) Stall(op string, atUS float64) float64 {
 	if !in.fire(KernelStall, Success, op, atUS) {
 		return 1
 	}
-	return in.stallX
-}
-
-// Program probes one device-programming attempt (fit/route flakiness).
-func (in *Injector) Program(op string, atUS float64) *Error {
-	if !in.Enabled() {
-		return nil
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if !in.fire(FitFlake, BuildProgramFailure, op, atUS) {
-		return nil
-	}
-	return &Error{Kind: FitFlake, Code: BuildProgramFailure, Op: op, Transient: true}
+	return stallFactor
 }
 
 // Records returns a copy of the fault ledger in injection order.
@@ -268,14 +236,4 @@ func (in *Injector) Records() []Record {
 	out := make([]Record, len(in.records))
 	copy(out, in.records)
 	return out
-}
-
-// Count returns the number of faults injected so far.
-func (in *Injector) Count() int {
-	if in == nil {
-		return 0
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return len(in.records)
 }

@@ -1,6 +1,6 @@
 package fleet
 
-// Device wraps one execution resource with the heartbeat/watchdog health
+// device wraps one execution resource with the heartbeat/watchdog health
 // state machine. Two evidence streams drive it: simulated time (a device
 // loss is noticed when heartbeats stop — Suspect after suspectBeats missed
 // beats, Dead after deadBeats) and dispatch outcomes (a sticky-enqueue
@@ -30,8 +30,8 @@ type transition struct {
 	cause string
 }
 
-// Device is one health-monitored execution resource in the fleet.
-type Device struct {
+// device is one health-monitored execution resource in the fleet.
+type device struct {
 	Name  string
 	Board string
 	// Components lists sub-resources chaos flags can target (the shard
@@ -57,7 +57,7 @@ type Device struct {
 
 // buildTransitions precomputes the time-driven part of the state machine
 // from the device's fault schedule.
-func (d *Device) buildTransitions() {
+func (d *device) buildTransitions() {
 	for _, bf := range d.faults {
 		switch bf.Kind {
 		case fault.DeviceLoss:
@@ -86,7 +86,7 @@ func (d *Device) buildTransitions() {
 }
 
 // lossCovering returns the device-loss fault whose window covers t, if any.
-func (d *Device) lossCovering(t float64) (fault.BoardFault, bool) {
+func (d *device) lossCovering(t float64) (fault.BoardFault, bool) {
 	for _, bf := range d.faults {
 		if bf.Kind == fault.DeviceLoss && bf.AtUS <= t && t < bf.EndUS() {
 			return bf, true
@@ -96,7 +96,7 @@ func (d *Device) lossCovering(t float64) (fault.BoardFault, bool) {
 }
 
 // lossDuring returns the first device-loss fault striking inside (from, to).
-func (d *Device) lossDuring(from, to float64) (fault.BoardFault, bool) {
+func (d *device) lossDuring(from, to float64) (fault.BoardFault, bool) {
 	for _, bf := range d.faults {
 		if bf.Kind == fault.DeviceLoss && bf.AtUS > from && bf.AtUS < to {
 			return bf, true
@@ -106,7 +106,7 @@ func (d *Device) lossDuring(from, to float64) (fault.BoardFault, bool) {
 }
 
 // stickyAt returns the sticky-enqueue fault active at t, if any.
-func (d *Device) stickyAt(t float64) (fault.BoardFault, bool) {
+func (d *device) stickyAt(t float64) (fault.BoardFault, bool) {
 	for _, bf := range d.faults {
 		if bf.Kind == fault.StickyEnqueue && bf.AtUS <= t && t < bf.EndUS() {
 			return bf, true
@@ -116,7 +116,7 @@ func (d *Device) stickyAt(t float64) (fault.BoardFault, bool) {
 }
 
 // brownoutFactorAt returns the service-time stretch at t (1 when none).
-func (d *Device) brownoutFactorAt(t float64) float64 {
+func (d *device) brownoutFactorAt(t float64) float64 {
 	for _, bf := range d.faults {
 		if bf.Kind == fault.Brownout && bf.AtUS <= t && t < bf.EndUS() {
 			return bf.Factor
@@ -127,7 +127,7 @@ func (d *Device) brownoutFactorAt(t float64) float64 {
 
 // advanceTo applies every scheduled transition up to t, in time order
 // across the static and dynamic schedules.
-func (d *Device) advanceTo(f *Fleet, t float64) {
+func (d *device) advanceTo(f *Fleet, t float64) {
 	for {
 		var tr transition
 		src := 0
@@ -162,7 +162,7 @@ func (d *Device) advanceTo(f *Fleet, t float64) {
 // setState performs one health transition: state gauge, trace instant, and
 // consecutive-failure reset on recovery. No-op when already in the target
 // state.
-func (d *Device) setState(f *Fleet, atUS float64, to State, cause string) {
+func (d *device) setState(f *Fleet, atUS float64, to State, cause string) {
 	if d.state == to {
 		return
 	}
@@ -189,7 +189,7 @@ func (d *Device) setState(f *Fleet, atUS float64, to State, cause string) {
 
 // scheduleDyn inserts a dispatch-driven recovery transition, keeping dyn
 // sorted.
-func (d *Device) scheduleDyn(tr transition) {
+func (d *device) scheduleDyn(tr transition) {
 	d.dyn = append(d.dyn, tr)
 	sort.SliceStable(d.dyn, func(i, j int) bool { return d.dyn[i].atUS < d.dyn[j].atUS })
 }
@@ -197,7 +197,7 @@ func (d *Device) scheduleDyn(tr transition) {
 // noteDispatchFailure escalates health on dispatch evidence: consecutive
 // failures walk Healthy → Suspect → Dead at the same thresholds as missed
 // heartbeats, and the window's end schedules the recovery path.
-func (d *Device) noteDispatchFailure(f *Fleet, atUS float64, bf fault.BoardFault) {
+func (d *device) noteDispatchFailure(f *Fleet, atUS float64, bf fault.BoardFault) {
 	d.consecFail++
 	switch {
 	case d.consecFail >= deadBeats && d.state != Dead:
@@ -348,7 +348,7 @@ func (e *refExec) run(inputs []*tensor.Tensor, readyUS float64, _ int64, stretch
 // the host *notices* (sticky enqueues fail fast; a lost board wedges until
 // the watchdog fires) and cause attributes it for the failover ledger; a
 // failed run's execResult, if any, carries only its retries and faults.
-func (f *Fleet) dispatchOn(d *Device, inputs []*tensor.Tensor, readyUS float64, seq int64) (res *execResult, failAt float64, cause string) {
+func (f *Fleet) dispatchOn(d *device, inputs []*tensor.Tensor, readyUS float64, seq int64) (res *execResult, failAt float64, cause string) {
 	cfg := f.cfg
 	enqueueAt := readyUS + cfg.DispatchUS
 	if avail := d.exec.availableAt(); avail > enqueueAt {

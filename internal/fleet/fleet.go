@@ -195,7 +195,7 @@ type Failover struct {
 }
 
 // Fleet is the scheduler over the device pool. It implements serve.Runner
-// (and serve.FrontendRunner / serve.HealthReporter); safe for concurrent Run
+// (and serve.FrontendRunner and the server's health interface); safe for concurrent Run
 // calls — one mutex serializes scheduling state, which is exact on the
 // simulated clock and conservative on the wall clock.
 type Fleet struct {
@@ -205,7 +205,7 @@ type Fleet struct {
 	inLen  int
 
 	mu          sync.Mutex
-	devs        []*Device
+	devs        []*device
 	nowUS       float64 // watermark: latest time health has advanced to
 	dispatchSeq int64
 	ledger      []Failover
@@ -278,7 +278,7 @@ func New(cfg Config, tc *trace.Collector) (*Fleet, error) {
 		if err != nil {
 			return nil, err
 		}
-		f.devs = append(f.devs, &Device{
+		f.devs = append(f.devs, &device{
 			Name:       fmt.Sprintf("shard-%s+%s", a.name, b.name),
 			Board:      a.board.Name + "+" + b.board.Name,
 			Components: []string{a.name, b.name},
@@ -296,10 +296,10 @@ func New(cfg Config, tc *trace.Collector) (*Fleet, error) {
 		if err != nil {
 			return nil, err
 		}
-		f.devs = append(f.devs, &Device{Name: s.name, Board: s.board.Name, exec: ex})
+		f.devs = append(f.devs, &device{Name: s.name, Board: s.board.Name, exec: ex})
 	}
 	// The cpuref tier: the routing floor that cannot die.
-	f.devs = append(f.devs, &Device{
+	f.devs = append(f.devs, &device{
 		Name:  "cpuref",
 		Board: "cpu",
 		exec:  &refExec{layers: layers, perImageUS: cfg.CPURefUS},
@@ -313,7 +313,7 @@ func New(cfg Config, tc *trace.Collector) (*Fleet, error) {
 		d := f.deviceForFault(bf.Device)
 		if d == nil {
 			return nil, fmt.Errorf("fleet: fault targets unknown device %q (have %s)",
-				bf.Device, strings.Join(f.DeviceNames(), ", "))
+				bf.Device, strings.Join(f.deviceNames(), ", "))
 		}
 		if d.Name == "cpuref" {
 			return nil, fmt.Errorf("fleet: the cpuref tier cannot take board faults (it is the failover floor)")
@@ -329,7 +329,7 @@ func New(cfg Config, tc *trace.Collector) (*Fleet, error) {
 
 // deviceForFault resolves a chaos target: a device name, or a shard
 // component name (killing a component kills the composite device).
-func (f *Fleet) deviceForFault(name string) *Device {
+func (f *Fleet) deviceForFault(name string) *device {
 	for _, d := range f.devs {
 		if d.Name == name {
 			return d
@@ -365,8 +365,8 @@ func ExpandDeviceNames(cfg Config) []string {
 	return append(names, "cpuref")
 }
 
-// DeviceNames lists the fleet's device names in routing order.
-func (f *Fleet) DeviceNames() []string {
+// deviceNames lists the fleet's device names in routing order.
+func (f *Fleet) deviceNames() []string {
 	names := make([]string, len(f.devs))
 	for i, d := range f.devs {
 		names[i] = d.Name
@@ -390,7 +390,7 @@ func (f *Fleet) Reference(in *tensor.Tensor) (*tensor.Tensor, error) {
 	return relay.Execute(f.layers, in)
 }
 
-// RunnerHealth implements serve.HealthReporter: one entry per device.
+// RunnerHealth reports the server's /healthz devices: one entry per device.
 func (f *Fleet) RunnerHealth() []serve.DeviceHealth {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -451,23 +451,6 @@ func (f *Fleet) Report() Report {
 	return rep
 }
 
-// Ledger returns a copy of the failover ledger in event order.
-func (f *Fleet) Ledger() []Failover {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]Failover, len(f.ledger))
-	copy(out, f.ledger)
-	return out
-}
-
-// FailoverDropped returns the count of images no device (including cpuref)
-// could take — always 0 by construction; the chaos gates assert it.
-func (f *Fleet) FailoverDropped() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.dropped
-}
-
 // advanceAll processes time-driven health transitions up to t on every
 // device. Monotonic: earlier timestamps are no-ops.
 func (f *Fleet) advanceAll(t float64) {
@@ -486,8 +469,8 @@ func (f *Fleet) advanceAll(t float64) {
 // recovering devices (and the exclude set) are skipped; ties break by
 // routing order (device construction order), which makes routing fully
 // deterministic.
-func (f *Fleet) route(t float64, n int, exclude map[string]bool) *Device {
-	var best *Device
+func (f *Fleet) route(t float64, n int, exclude map[string]bool) *device {
+	var best *device
 	bestScore := math.Inf(1)
 	for _, d := range f.devs {
 		if exclude[d.Name] || d.state == Dead || d.state == Recovering {

@@ -269,16 +269,16 @@ func TestSplitLayersBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cuts := ValidCuts(layers)
+	cuts := validCuts(layers)
 	if len(cuts) == 0 {
 		t.Fatal("resnet18 has no valid pipeline cut")
 	}
-	cut, err := PickCut(layers)
+	cut, err := pickCut(layers)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("resnet18: %d layers, %d valid cuts, balanced cut at %d", len(layers), len(cuts), cut)
-	head, tail, err := SplitLayers(layers, cut)
+	head, tail, err := splitLayers(layers, cut)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,15 +308,15 @@ func TestSplitLayersBitIdentical(t *testing.T) {
 	}
 	// Rebasing must not mutate the original chain.
 	if layers[cut].In != tail[0].In+cut {
-		t.Fatal("SplitLayers mutated the source chain")
+		t.Fatal("splitLayers mutated the source chain")
 	}
 	// A cut through a residual block must be rejected.
 	bad := false
 	for c := 1; c < len(layers); c++ {
 		if !cutValid(layers, c) {
 			bad = true
-			if _, _, err := SplitLayers(layers, c); err == nil {
-				t.Fatalf("SplitLayers accepted invalid cut %d", c)
+			if _, _, err := splitLayers(layers, c); err == nil {
+				t.Fatalf("splitLayers accepted invalid cut %d", c)
 			}
 			break
 		}

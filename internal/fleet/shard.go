@@ -51,8 +51,8 @@ func cutValid(layers []*relay.Layer, cut int) bool {
 	return true
 }
 
-// ValidCuts lists every layer index the chain can split at.
-func ValidCuts(layers []*relay.Layer) []int {
+// validCuts lists every layer index the chain can split at.
+func validCuts(layers []*relay.Layer) []int {
 	var out []int
 	for c := 1; c < len(layers); c++ {
 		if cutValid(layers, c) {
@@ -62,11 +62,11 @@ func ValidCuts(layers []*relay.Layer) []int {
 	return out
 }
 
-// SplitLayers splits the lowered chain at cut into two independently
+// splitLayers splits the lowered chain at cut into two independently
 // executable half-chains. The head is the original prefix; the tail is a
 // rebased clone (indices shifted by -cut, with cut-1 becoming the network
 // input) so relay.Execute runs it stand-alone on the head's output.
-func SplitLayers(layers []*relay.Layer, cut int) (head, tail []*relay.Layer, err error) {
+func splitLayers(layers []*relay.Layer, cut int) (head, tail []*relay.Layer, err error) {
 	if !cutValid(layers, cut) {
 		return nil, nil, fmt.Errorf("fleet: cannot cut %s-layer chain at %d (cross-cut reference or out of range)",
 			fmt.Sprint(len(layers)), cut)
@@ -99,10 +99,10 @@ func chainFLOPs(layers []*relay.Layer) int64 {
 	return sum
 }
 
-// PickCut returns the valid cut that best balances compute between the two
+// pickCut returns the valid cut that best balances compute between the two
 // halves (by FLOPs — cheap and monotone with the modeled stage times).
-func PickCut(layers []*relay.Layer) (int, error) {
-	cuts := ValidCuts(layers)
+func pickCut(layers []*relay.Layer) (int, error) {
+	cuts := validCuts(layers)
 	if len(cuts) == 0 {
 		return 0, fmt.Errorf("fleet: chain has no valid pipeline cut")
 	}
@@ -139,12 +139,12 @@ func newShardExec(net string, layers []*relay.Layer, boardA, boardB *fpga.Board,
 	cut := forceCut
 	if cut == 0 {
 		var err error
-		cut, err = PickCut(layers)
+		cut, err = pickCut(layers)
 		if err != nil {
 			return nil, err
 		}
 	}
-	head, tail, err := SplitLayers(layers, cut)
+	head, tail, err := splitLayers(layers, cut)
 	if err != nil {
 		return nil, err
 	}
@@ -177,9 +177,6 @@ func newShardExec(net string, layers []*relay.Layer, boardA, boardB *fpga.Board,
 		pcieA: boardA.PCIe, pcieB: boardB.PCIe,
 	}, nil
 }
-
-// Cut returns the shard's cut layer index (head length).
-func (e *shardExec) Cut() int { return len(e.headLayers) }
 
 // xferUS prices moving n cut activations between the boards: device A
 // readback plus device B write, each one command (latency) plus bandwidth.

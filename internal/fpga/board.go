@@ -23,11 +23,6 @@ func (r Resources) Add(o Resources) Resources {
 	return Resources{r.ALUTs + o.ALUTs, r.FFs + o.FFs, r.RAMs + o.RAMs, r.DSPs + o.DSPs}
 }
 
-// Scale returns r with every field multiplied by n.
-func (r Resources) Scale(n int) Resources {
-	return Resources{r.ALUTs * n, r.FFs * n, r.RAMs * n, r.DSPs * n}
-}
-
 // Utilization returns per-class utilization fractions of r against total.
 func (r Resources) Utilization(total Resources) (logic, ff, ram, dsp float64) {
 	return float64(r.ALUTs) / float64(total.ALUTs),

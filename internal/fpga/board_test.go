@@ -47,14 +47,11 @@ func TestFitsIn(t *testing.T) {
 	}
 }
 
-func TestResourcesAddScaleUtilization(t *testing.T) {
+func TestResourcesAddUtilization(t *testing.T) {
 	a := Resources{1, 2, 3, 4}
 	b := a.Add(a)
 	if b != (Resources{2, 4, 6, 8}) {
 		t.Fatalf("Add = %+v", b)
-	}
-	if a.Scale(3) != (Resources{3, 6, 9, 12}) {
-		t.Fatal("Scale wrong")
 	}
 	logic, _, _, dsp := (Resources{ALUTs: 740500 / 2, DSPs: 1518}).Utilization(A10.Total)
 	if math.Abs(logic-0.5) > 1e-9 || math.Abs(dsp-1.0) > 1e-9 {

@@ -72,11 +72,11 @@ func batchDeployments(t *testing.T) map[string]batchDeployment {
 }
 
 // coldInfer is the independent oracle now that Infer itself is warm: a
-// fresh, unpooled session per image — the same code on cold state (new
+// fresh session per image — the same code on cold state (new
 // machine, nothing compiled, plain make()d buffers, empty FIFOs).
 func coldInfer(t *testing.T, sh shape, in *tensor.Tensor) *tensor.Tensor {
 	t.Helper()
-	s, err := sh.newSession(nil)
+	s, err := sh.newSession()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +484,7 @@ func TestRunBatchTraceFaultAccounting(t *testing.T) {
 		t.Fatal("fault rate 0.05 over 8 LeNet images injected nothing; test is vacuous")
 	}
 	var counted int64
-	for _, k := range []fault.Kind{fault.TransferFail, fault.TransferCorrupt, fault.KernelStall, fault.EnqueueFail, fault.FitFlake} {
+	for _, k := range []fault.Kind{fault.TransferFail, fault.TransferCorrupt, fault.KernelStall, fault.EnqueueFail} {
 		counted += tc.Metrics().Counter("fault." + k.String()).Value()
 	}
 	instants := 0

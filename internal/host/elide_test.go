@@ -12,7 +12,7 @@ import (
 	"repro/internal/tensor"
 )
 
-// sessionOn builds a cold, unpooled session whose machine runs on tier. The
+// sessionOn builds a cold session whose machine runs on tier. The
 // tier is fixed when the session is built, so the deployment's own tier is
 // restored before returning.
 func sessionOn(t *testing.T, sh shape, tier sim.Tier) *session {
@@ -21,7 +21,7 @@ func sessionOn(t *testing.T, sh shape, tier sim.Tier) *session {
 	prev := e.tier
 	e.tier = tier
 	defer func() { e.tier = prev }()
-	s, err := sh.newSession(nil)
+	s, err := sh.newSession()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/fpga"
 	"repro/internal/ir"
 	"repro/internal/relay"
-	"repro/internal/sim"
 	"repro/internal/tensor"
 	"repro/internal/topi"
 	"repro/internal/trace"
@@ -386,17 +385,17 @@ func opClass(l *relay.Layer) string {
 // the whole plan, so each parameterized kernel compiles once per session;
 // per-invocation buffer arguments are rebound the way the host passes new
 // cl_mem arguments to the same kernel.
-func (f *Folded) newSession(pool *sim.BufPool) (*session, error) {
-	m := f.newMachine(pool)
+func (f *Folded) newSession() (*session, error) {
+	m := f.newMachine()
 	outs := make([][]float32, len(f.Layers))
 	scratch := map[*ir.Buffer][]float32{}
 	for _, inv := range f.plan {
 		if outs[inv.outIdx] == nil {
-			outs[inv.outIdx] = m.Grab(f.outBytes[inv.outIdx] / 4)
+			outs[inv.outIdx] = make([]float32, f.outBytes[inv.outIdx]/4)
 		}
 		for _, sc := range inv.op.Scratches {
 			if n, ok := sc.ConstLen(); ok && scratch[sc] == nil {
-				scratch[sc] = m.Grab(int(n))
+				scratch[sc] = make([]float32, n)
 			}
 		}
 	}

@@ -247,8 +247,8 @@ func applyHandUnroll(op *topi.Op, l *relay.Layer) error {
 // not strictly precede it would alias a buffer nothing has written yet, so it
 // is refused with a TopologyError. Channel elision happens here, once per
 // session, never per image and never at build time.
-func (p *Pipelined) newSession(pool *sim.BufPool) (*session, error) {
-	m := p.newMachine(pool)
+func (p *Pipelined) newSession() (*session, error) {
+	m := p.newMachine()
 	// zero collects every slice that must be cleared before each image so a
 	// warm run starts from the same state as a cold one.
 	var zero [][]float32
@@ -259,7 +259,7 @@ func (p *Pipelined) newSession(pool *sim.BufPool) (*session, error) {
 			return
 		}
 		n, _ := b.ConstLen()
-		data := m.Grab(int(n))
+		data := make([]float32, n)
 		m.Bind(b, data)
 		zero = append(zero, data)
 	}

@@ -2,7 +2,7 @@ package host
 
 // Sessions: the one functional description of a deployment. A session is a
 // warm sim.Machine with every tensor of the deployment bound — kernels
-// compile once, output/scratch slices come from a sync.Pool-backed pool and
+// compile once, output/scratch slices are allocated once per session and
 // channel FIFO storage persists — plus the shape's plan walker. Infer,
 // RunBatch workers and DumpActivations all check sessions out of the same
 // per-deployment cache, so every functional path runs the same code on the
@@ -11,7 +11,7 @@ package host
 // outputs, channels, Alloc-ed temporaries — is either reset to the
 // cold-start contents (all zeros, empty FIFOs) before each image or, like a
 // folded plan's activations, written whole before any kernel reads it; the
-// cold reference is exactly that: a fresh, unpooled session per image.
+// cold reference is exactly that: a fresh session per image.
 //
 // A pipelined session off the interpreter tier runs rewritten kernels: when
 // it is built, sim.ElideChannels turns every balanced channel into a
@@ -40,9 +40,9 @@ import (
 type shape interface {
 	state() *engine
 	design() *aoc.Design
-	// newSession binds the deployment to a fresh machine drawing buffers from
-	// pool (nil = plain allocation, the cold reference).
-	newSession(pool *sim.BufPool) (*session, error)
+	// newSession binds the deployment to a fresh machine with freshly
+	// allocated buffers; a fresh session is also the cold reference.
+	newSession() (*session, error)
 	// program loads the deployment onto a freshly programmed device; see
 	// program.
 	program(ctx *clrt.Context, concurrent bool, try tryFn) (*program, error)
@@ -67,10 +67,9 @@ func (e *engine) state() *engine { return e }
 func (e *engine) SimStats() sim.StatsSnapshot { return e.simStats.Snapshot() }
 
 // newMachine is the one place the host creates a simulator machine.
-func (e *engine) newMachine(pool *sim.BufPool) *sim.Machine {
+func (e *engine) newMachine() *sim.Machine {
 	m := sim.NewMachine()
 	m.SetTier(e.tier)
-	m.SetPool(pool)
 	m.SetStats(&e.simStats)
 	return m
 }
@@ -105,7 +104,6 @@ func (s *session) run(input *tensor.Tensor, tap tapFn) (*tensor.Tensor, error) {
 // simply build extra sessions instead of sharing one.
 type sessionCache struct {
 	mu   sync.Mutex
-	bufs sim.BufPool
 	free []*session
 }
 
@@ -119,7 +117,7 @@ func (c *sessionCache) checkout(sh shape) (*session, error) {
 		return s, nil
 	}
 	c.mu.Unlock()
-	return sh.newSession(&c.bufs)
+	return sh.newSession()
 }
 
 // checkin returns a session to the cache. A session whose image failed is

@@ -277,7 +277,7 @@ outer:
 	}
 	g.Op = red.Op
 	accLd, ok := red.A.(*Load)
-	if !ok || accLd.Buf != g.T || !IndexEq(accLd.Index, g.Red.Store.Index) {
+	if !ok || accLd.Buf != g.T || !indexEq(accLd.Index, g.Red.Store.Index) {
 		return nil
 	}
 	switch rhs := red.B.(type) {
@@ -298,7 +298,7 @@ outer:
 	}
 
 	// Init: same tile slot walk, nest-invariant value.
-	if g.Init.Store.Buf != g.T || !IndexEq(g.Init.Store.Index, g.Red.Store.Index) {
+	if g.Init.Store.Buf != g.T || !indexEq(g.Init.Store.Index, g.Red.Store.Index) {
 		return nil
 	}
 
@@ -328,7 +328,7 @@ outer:
 		}
 	}
 	tl, ok := val.(*Load)
-	if !ok || tl.Buf != g.T || !IndexEq(tl.Index, g.Red.Store.Index) {
+	if !ok || tl.Buf != g.T || !indexEq(tl.Index, g.Red.Store.Index) {
 		return nil
 	}
 	g.TLoad = tl
@@ -584,7 +584,7 @@ func ExprEq(a, b Expr) bool {
 		return ok && x.Op == y.Op && ExprEq(x.A, y.A) && ExprEq(x.B, y.B)
 	case *Load:
 		y, ok := b.(*Load)
-		return ok && x.Buf == y.Buf && IndexEq(x.Index, y.Index)
+		return ok && x.Buf == y.Buf && indexEq(x.Index, y.Index)
 	case *Call:
 		y, ok := b.(*Call)
 		if !ok || x.Fn != y.Fn || len(x.Args) != len(y.Args) {
@@ -606,8 +606,8 @@ func ExprEq(a, b Expr) bool {
 	return false
 }
 
-// IndexEq is ExprEq over index vectors.
-func IndexEq(a, b []Expr) bool {
+// indexEq is ExprEq over index vectors.
+func indexEq(a, b []Expr) bool {
 	if len(a) != len(b) {
 		return false
 	}

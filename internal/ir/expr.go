@@ -288,9 +288,9 @@ func WalkExpr(e Expr, fn func(Expr)) {
 	}
 }
 
-// SubstVar returns a copy of e with every occurrence of v replaced by repl.
+// substVar returns a copy of e with every occurrence of v replaced by repl.
 // Shared Buffer and Channel pointers are preserved.
-func SubstVar(e Expr, v *Var, repl Expr) Expr {
+func substVar(e Expr, v *Var, repl Expr) Expr {
 	switch x := e.(type) {
 	case nil:
 		return nil
@@ -302,21 +302,21 @@ func SubstVar(e Expr, v *Var, repl Expr) Expr {
 		}
 		return x
 	case *Binary:
-		return fold(x.Op, SubstVar(x.A, v, repl), SubstVar(x.B, v, repl))
+		return fold(x.Op, substVar(x.A, v, repl), substVar(x.B, v, repl))
 	case *Call:
 		args := make([]Expr, len(x.Args))
 		for i, a := range x.Args {
-			args[i] = SubstVar(a, v, repl)
+			args[i] = substVar(a, v, repl)
 		}
 		return &Call{Fn: x.Fn, Args: args}
 	case *Load:
 		idx := make([]Expr, len(x.Index))
 		for i, a := range x.Index {
-			idx[i] = SubstVar(a, v, repl)
+			idx[i] = substVar(a, v, repl)
 		}
 		return &Load{Buf: x.Buf, Index: idx}
 	case *Select:
-		return &Select{Cond: SubstVar(x.Cond, v, repl), A: SubstVar(x.A, v, repl), B: SubstVar(x.B, v, repl)}
+		return &Select{Cond: substVar(x.Cond, v, repl), A: substVar(x.A, v, repl), B: substVar(x.B, v, repl)}
 	}
 	// Invariant: exhaustive over the package's own expression kinds.
 	panic(fmt.Sprintf("ir: unknown expr %T", e))

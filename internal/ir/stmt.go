@@ -74,12 +74,6 @@ func (b *Buffer) ConstLen() (int64, bool) {
 	return n, true
 }
 
-// Symbolic reports whether any extent is non-constant.
-func (b *Buffer) Symbolic() bool {
-	_, ok := b.ConstLen()
-	return !ok
-}
-
 // Channel is an Intel OpenCL channel (§4.6): a register FIFO between kernels.
 // Depth 0 means an unbuffered channel.
 type Channel struct {
@@ -330,19 +324,19 @@ func SubstStmt(s Stmt, v *Var, repl Expr) Stmt {
 	case *For:
 		if x.Var == v {
 			// Shadowed: extent may still reference v.
-			return &For{Var: x.Var, Extent: SubstVar(x.Extent, v, repl), Body: x.Body, Unroll: x.Unroll}
+			return &For{Var: x.Var, Extent: substVar(x.Extent, v, repl), Body: x.Body, Unroll: x.Unroll}
 		}
-		return &For{Var: x.Var, Extent: SubstVar(x.Extent, v, repl), Body: SubstStmt(x.Body, v, repl), Unroll: x.Unroll}
+		return &For{Var: x.Var, Extent: substVar(x.Extent, v, repl), Body: SubstStmt(x.Body, v, repl), Unroll: x.Unroll}
 	case *Store:
 		idx := make([]Expr, len(x.Index))
 		for i, e := range x.Index {
-			idx[i] = SubstVar(e, v, repl)
+			idx[i] = substVar(e, v, repl)
 		}
-		return &Store{Buf: x.Buf, Index: idx, Value: SubstVar(x.Value, v, repl)}
+		return &Store{Buf: x.Buf, Index: idx, Value: substVar(x.Value, v, repl)}
 	case *ChannelWrite:
-		return &ChannelWrite{Ch: x.Ch, Value: SubstVar(x.Value, v, repl)}
+		return &ChannelWrite{Ch: x.Ch, Value: substVar(x.Value, v, repl)}
 	case *IfThen:
-		return &IfThen{Cond: SubstVar(x.Cond, v, repl), Then: SubstStmt(x.Then, v, repl), Else: SubstStmt(x.Else, v, repl)}
+		return &IfThen{Cond: substVar(x.Cond, v, repl), Then: SubstStmt(x.Then, v, repl), Else: SubstStmt(x.Else, v, repl)}
 	}
 	// Invariant: exhaustive over the package's own statement kinds.
 	panic(fmt.Sprintf("ir: unknown stmt %T", s))

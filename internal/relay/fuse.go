@@ -53,7 +53,7 @@ func Lower(g *Graph) ([]*Layer, error) {
 	if g.Output == nil {
 		return nil, fmt.Errorf("relay: empty graph")
 	}
-	if err := g.Err(); err != nil {
+	if err := g.err; err != nil {
 		return nil, fmt.Errorf("relay: graph construction failed: %w", err)
 	}
 	var layers []*Layer

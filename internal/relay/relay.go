@@ -105,9 +105,6 @@ type Graph struct {
 // NewGraph creates an empty graph.
 func NewGraph() *Graph { return &Graph{} }
 
-// Err returns the first graph-construction error, or nil.
-func (g *Graph) Err() error { return g.err }
-
 func (g *Graph) fail(format string, args ...any) {
 	if g.err == nil {
 		g.err = fmt.Errorf(format, args...)
@@ -129,8 +126,8 @@ func (g *Graph) Input(c, h, w int) *Node {
 	return g.add(&Node{Kind: KInput, OutShape: []int{c, h, w}})
 }
 
-// Pad zero-pads spatial dims by p.
-func (g *Graph) Pad(x *Node, p int) *Node {
+// pad zero-pads spatial dims by p.
+func (g *Graph) pad(x *Node, p int) *Node {
 	s := x.OutShape
 	return g.add(&Node{Kind: KPad, Inputs: []*Node{x}, P: p,
 		OutShape: []int{s[0], s[1] + 2*p, s[2] + 2*p}})
@@ -140,7 +137,7 @@ func (g *Graph) Pad(x *Node, p int) *Node {
 // materialized as a distinct Pad node, as TVM's lowering does.
 func (g *Graph) Conv(x *Node, name string, c2, f, s, p int) *Node {
 	if p > 0 {
-		x = g.Pad(x, p)
+		x = g.pad(x, p)
 	}
 	in := x.OutShape
 	h2 := (in[1]-f)/s + 1
@@ -156,7 +153,7 @@ func (g *Graph) Conv(x *Node, name string, c2, f, s, p int) *Node {
 // Depthwise adds a depthwise convolution.
 func (g *Graph) Depthwise(x *Node, name string, f, s, p int) *Node {
 	if p > 0 {
-		x = g.Pad(x, p)
+		x = g.pad(x, p)
 	}
 	in := x.OutShape
 	h2 := (in[1]-f)/s + 1
@@ -216,7 +213,7 @@ func (g *Graph) Concat(xs ...*Node) *Node {
 // for non-negative activations; callers place it after ReLU, as ResNet does.
 func (g *Graph) MaxPool(x *Node, f, s, p int) *Node {
 	if p > 0 {
-		x = g.Pad(x, p)
+		x = g.pad(x, p)
 	}
 	in := x.OutShape
 	return g.add(&Node{Kind: KMaxPool, Inputs: []*Node{x}, F: f, S: s,

@@ -190,8 +190,8 @@ func TestAddShapeMismatchDefersError(t *testing.T) {
 	b := g.Conv(a, "c", 3, 3, 1, 1)
 	g.Add(a, b) // shape mismatch: must not panic, must poison the graph
 	g.Softmax(g.Output)
-	if g.Err() == nil || !strings.Contains(g.Err().Error(), "add shape mismatch") {
-		t.Fatalf("want deferred add-shape error, got %v", g.Err())
+	if g.err == nil || !strings.Contains(g.err.Error(), "add shape mismatch") {
+		t.Fatalf("want deferred add-shape error, got %v", g.err)
 	}
 	g.InitWeights(1)
 	if _, err := Lower(g); err == nil || !strings.Contains(err.Error(), "add shape mismatch") {
@@ -205,8 +205,8 @@ func TestGraphErrKeepsFirstCause(t *testing.T) {
 	g.Conv(x, "tiny", 4, 5, 1, 0) // 2x2 input, 5x5 filter: empty output
 	y := g.Conv(g.Output, "n", 2, 1, 1, 0)
 	g.Dense(y, "fc", 3) // unflattened input: second error
-	if g.Err() == nil || !strings.Contains(g.Err().Error(), "output empty") {
-		t.Fatalf("Err must keep the first cause, got %v", g.Err())
+	if g.err == nil || !strings.Contains(g.err.Error(), "output empty") {
+		t.Fatalf("the graph error must keep the first cause, got %v", g.err)
 	}
 	if _, err := Lower(g); err == nil {
 		t.Fatal("Lower must reject a poisoned graph")
@@ -217,15 +217,15 @@ func TestConcatConstructionErrors(t *testing.T) {
 	g := NewGraph()
 	a := g.Input(2, 4, 4)
 	g.Concat(a) // single input
-	if g.Err() == nil || !strings.Contains(g.Err().Error(), "two inputs") {
-		t.Fatalf("want concat arity error, got %v", g.Err())
+	if g.err == nil || !strings.Contains(g.err.Error(), "two inputs") {
+		t.Fatalf("want concat arity error, got %v", g.err)
 	}
 	g2 := NewGraph()
 	x := g2.Input(2, 4, 4)
 	y := g2.MaxPool(x, 2, 2, 0) // 2x2x2: spatial mismatch with x
 	g2.Concat(x, y)
-	if g2.Err() == nil || !strings.Contains(g2.Err().Error(), "spatial mismatch") {
-		t.Fatalf("want concat spatial error, got %v", g2.Err())
+	if g2.err == nil || !strings.Contains(g2.err.Error(), "spatial mismatch") {
+		t.Fatalf("want concat spatial error, got %v", g2.err)
 	}
 }
 

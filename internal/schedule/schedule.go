@@ -1,9 +1,9 @@
 // Package schedule implements the loop-nest transformations the thesis applies
-// to TVM-generated kernels (Ch. 4/5): loop splitting / strip-mining / tiling,
-// unrolling (pragma annotation), fusion of adjacent loops and loop-invariant
-// code motion. Like TVM's schedule primitives, these are *user-directed*:
-// each primitive checks the structural preconditions it can (divisibility,
-// adjacency, invariance) and trusts the schedule author for deeper legality,
+// to TVM-generated kernels (Ch. 4/5): loop splitting / strip-mining (a tile
+// is two splits), unrolling (pragma annotation) and loop-invariant code
+// motion. Like TVM's schedule primitives, these are *user-directed*: each
+// primitive checks the structural preconditions it can (divisibility,
+// invariance) and trusts the schedule author for deeper legality,
 // which the interpreter-vs-reference tests then verify numerically.
 package schedule
 
@@ -61,12 +61,12 @@ func rewrite(s ir.Stmt, v *ir.Var, repl func(*ir.For) ir.Stmt) (ir.Stmt, bool) {
 	}
 }
 
-// Split strip-mines the loop binding v by factor: `for v in [0,N)` becomes
+// split strip-mines the loop binding v by factor: `for v in [0,N)` becomes
 // `for vo in [0,N/factor) { for vi in [0,factor) }` with v := vo*factor+vi.
 // Following the thesis's factor-selection requirement 2 (§4.11), the extent
 // must be constant and evenly divisible — no epilogue loops are generated.
 // Returns the new body and the outer/inner loop variables.
-func Split(body ir.Stmt, v *ir.Var, factor int) (ir.Stmt, *ir.Var, *ir.Var, error) {
+func split(body ir.Stmt, v *ir.Var, factor int) (ir.Stmt, *ir.Var, *ir.Var, error) {
 	if factor <= 0 {
 		return nil, nil, nil, fmt.Errorf("split %s: factor %d must be positive", v.Name, factor)
 	}
@@ -91,24 +91,10 @@ func Split(body ir.Stmt, v *ir.Var, factor int) (ir.Stmt, *ir.Var, *ir.Var, erro
 	return out, vo, vi, nil
 }
 
-// Tile strip-mines two loops (the 2-D form of Split, §4.2), returning
-// (body, xo, xi, yo, yi).
-func Tile(body ir.Stmt, x, y *ir.Var, fx, fy int) (ir.Stmt, *ir.Var, *ir.Var, *ir.Var, *ir.Var, error) {
-	b1, xo, xi, err := Split(body, x, fx)
-	if err != nil {
-		return nil, nil, nil, nil, nil, err
-	}
-	b2, yo, yi, err := Split(b1, y, fy)
-	if err != nil {
-		return nil, nil, nil, nil, nil, err
-	}
-	return b2, xo, xi, yo, yi, nil
-}
-
-// Unroll annotates the loop binding v with an unroll pragma. factor -1 means
+// unroll annotates the loop binding v with an unroll pragma. factor -1 means
 // full unroll (#pragma unroll); factor > 1 first splits by factor and fully
 // unrolls the inner loop, matching AOC's partial-unroll semantics.
-func Unroll(body ir.Stmt, v *ir.Var, factor int) (ir.Stmt, error) {
+func unroll(body ir.Stmt, v *ir.Var, factor int) (ir.Stmt, error) {
 	loop := findLoop(body, v)
 	if loop == nil {
 		return nil, fmt.Errorf("unroll: loop %s not found", v.Name)
@@ -126,62 +112,11 @@ func Unroll(body ir.Stmt, v *ir.Var, factor int) (ir.Stmt, error) {
 	if factor <= 1 {
 		return nil, fmt.Errorf("unroll %s: bad factor %d", v.Name, factor)
 	}
-	b, _, vi, err := Split(body, v, factor)
+	b, _, vi, err := split(body, v, factor)
 	if err != nil {
 		return nil, err
 	}
-	return Unroll(b, vi, -1)
-}
-
-// FuseAdjacent merges the loop binding v2 into the loop binding v1 (§4.3).
-// The two loops must be adjacent statements of the same block and have equal
-// constant extents; v2's body is appended to v1's with v2 := v1. There must
-// be no backward dependence from the second loop to later iterations of the
-// first — as in TVM, the schedule author asserts this.
-func FuseAdjacent(body ir.Stmt, v1, v2 *ir.Var) (ir.Stmt, error) {
-	var out ir.Stmt
-	var applied bool
-	var visit func(s ir.Stmt) ir.Stmt
-	visit = func(s ir.Stmt) ir.Stmt {
-		switch x := s.(type) {
-		case *ir.Block:
-			for i := 0; i+1 < len(x.Stmts); i++ {
-				f1, ok1 := x.Stmts[i].(*ir.For)
-				f2, ok2 := x.Stmts[i+1].(*ir.For)
-				if ok1 && ok2 && f1.Var == v1 && f2.Var == v2 {
-					n1, c1 := ir.IsConst(f1.Extent)
-					n2, c2 := ir.IsConst(f2.Extent)
-					if !c1 || !c2 || n1 != n2 {
-						return x // handled via error below
-					}
-					fused := &ir.For{Var: f1.Var, Extent: f1.Extent, Unroll: f1.Unroll,
-						Body: ir.Seq(f1.Body, ir.SubstStmt(f2.Body, v2, v1))}
-					stmts := make([]ir.Stmt, 0, len(x.Stmts)-1)
-					stmts = append(stmts, x.Stmts[:i]...)
-					stmts = append(stmts, fused)
-					stmts = append(stmts, x.Stmts[i+2:]...)
-					applied = true
-					return ir.Seq(stmts...)
-				}
-			}
-			outStmts := make([]ir.Stmt, len(x.Stmts))
-			for i, c := range x.Stmts {
-				outStmts[i] = visit(c)
-			}
-			return ir.Seq(outStmts...)
-		case *ir.For:
-			return &ir.For{Var: x.Var, Extent: x.Extent, Body: visit(x.Body), Unroll: x.Unroll}
-		case *ir.IfThen:
-			return &ir.IfThen{Cond: x.Cond, Then: visit(x.Then), Else: visit(x.Else)}
-		default:
-			return s
-		}
-	}
-	out = visit(body)
-	if !applied {
-		return nil, fmt.Errorf("fuse: adjacent loops %s,%s with equal constant extents not found", v1.Name, v2.Name)
-	}
-	return out, nil
+	return unroll(b, vi, -1)
 }
 
 // HoistInvariant performs loop-invariant code motion (§4.4): statements in

@@ -54,7 +54,7 @@ func TestSplitPreservesSemantics(t *testing.T) {
 	k, x, y, c, _, kv := matvec(8, 12)
 	ref := append([]float32(nil), runMatvec(t, k, x, y, c, 8, 12)...)
 
-	body, ko, ki, err := Split(k.Body, kv, 4)
+	body, ko, ki, err := split(k.Body, kv, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestSplitPreservesSemantics(t *testing.T) {
 
 func TestSplitRejectsNonDivisible(t *testing.T) {
 	k, _, _, _, _, kv := matvec(8, 12)
-	if _, _, _, err := Split(k.Body, kv, 5); err == nil || !strings.Contains(err.Error(), "divisible") {
+	if _, _, _, err := split(k.Body, kv, 5); err == nil || !strings.Contains(err.Error(), "divisible") {
 		t.Fatalf("want divisibility error, got %v", err)
 	}
 }
@@ -90,21 +90,21 @@ func TestSplitRejectsSymbolic(t *testing.T) {
 	out := ir.NewBufferE("out", ir.Global, n)
 	i := ir.V("i")
 	body := ir.LoopE(i, n, &ir.Store{Buf: out, Index: []ir.Expr{i}, Value: ir.CFloat(0)})
-	if _, _, _, err := Split(body, i, 4); err == nil || !strings.Contains(err.Error(), "not constant") {
+	if _, _, _, err := split(body, i, 4); err == nil || !strings.Contains(err.Error(), "not constant") {
 		t.Fatalf("want symbolic error, got %v", err)
 	}
 }
 
 func TestSplitMissingLoop(t *testing.T) {
 	k, _, _, _, _, _ := matvec(4, 4)
-	if _, _, _, err := Split(k.Body, ir.V("ghost"), 2); err == nil {
+	if _, _, _, err := split(k.Body, ir.V("ghost"), 2); err == nil {
 		t.Fatal("want missing-loop error")
 	}
 }
 
 func TestUnrollFullAnnotates(t *testing.T) {
 	k, _, _, _, _, kv := matvec(8, 12)
-	body, err := Unroll(k.Body, kv, -1)
+	body, err := unroll(k.Body, kv, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestUnrollFullAnnotates(t *testing.T) {
 func TestUnrollPartialSplitsThenUnrolls(t *testing.T) {
 	k, x, y, c, _, kv := matvec(8, 12)
 	ref := append([]float32(nil), runMatvec(t, k, x, y, c, 8, 12)...)
-	body, err := Unroll(k.Body, kv, 4)
+	body, err := unroll(k.Body, kv, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestUnrollRejectsSymbolicFull(t *testing.T) {
 	out := ir.NewBufferE("out", ir.Global, n)
 	i := ir.V("i")
 	body := ir.LoopE(i, n, &ir.Store{Buf: out, Index: []ir.Expr{i}, Value: ir.CFloat(0)})
-	if _, err := Unroll(body, i, -1); err == nil {
+	if _, err := unroll(body, i, -1); err == nil {
 		t.Fatal("AOC cannot fully unroll non-constant loops; must error")
 	}
 }
@@ -146,7 +146,12 @@ func TestTile(t *testing.T) {
 	out := ir.NewBuffer("out", ir.Global, 8, 16)
 	i, j := ir.V("i"), ir.V("j")
 	body := ir.Loop(i, 8, ir.Loop(j, 16, &ir.Store{Buf: out, Index: []ir.Expr{i, j}, Value: ir.CFloat(1)}))
-	b2, io, ii, jo, ji, err := Tile(body, i, j, 2, 4)
+	// Tiling is two splits (§4.2).
+	b1, io, ii, err := split(body, i, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b2, jo, ji, err := split(b1, j, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,64 +174,6 @@ func TestTile(t *testing.T) {
 			t.Fatalf("tile loop order wrong at %s:\n%s", v.Name, d)
 		}
 		at = k
-	}
-}
-
-func TestFuseAdjacent(t *testing.T) {
-	// Listing 4.6 shape: loop1 computes scratch[i], loop2 applies relu into out.
-	scratch := ir.NewBuffer("scratch", ir.Global, 8)
-	in := ir.NewBuffer("in", ir.Global, 8)
-	out := ir.NewBuffer("out", ir.Global, 8)
-	i, j := ir.V("i"), ir.V("j")
-	body := ir.Seq(
-		ir.Loop(i, 8, &ir.Store{Buf: scratch, Index: []ir.Expr{i},
-			Value: ir.MulE(&ir.Load{Buf: in, Index: []ir.Expr{i}}, ir.CFloat(2))}),
-		ir.Loop(j, 8, &ir.Store{Buf: out, Index: []ir.Expr{j},
-			Value: ir.MaxE(&ir.Load{Buf: scratch, Index: []ir.Expr{j}}, ir.CFloat(0))}),
-	)
-	fused, err := FuseAdjacent(body, i, j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One loop remains.
-	loops := 0
-	ir.WalkStmt(fused, func(s ir.Stmt) {
-		if _, ok := s.(*ir.For); ok {
-			loops++
-		}
-	})
-	if loops != 1 {
-		t.Fatalf("fused body has %d loops, want 1:\n%s", loops, ir.Dump(fused))
-	}
-	mach := sim.NewMachine()
-	ind := []float32{-1, 2, -3, 4, -5, 6, -7, 8}
-	mach.Bind(in, ind)
-	mach.Bind(scratch, make([]float32, 8))
-	mach.Bind(out, make([]float32, 8))
-	k := &ir.Kernel{Name: "f", Args: []*ir.Buffer{scratch, in, out}, Body: fused}
-	if err := mach.Run(k, nil); err != nil {
-		t.Fatal(err)
-	}
-	for idx, v := range mach.Buffer(out) {
-		want := float32(0)
-		if ind[idx] > 0 {
-			want = ind[idx] * 2
-		}
-		if v != want {
-			t.Fatalf("out[%d] = %v, want %v", idx, v, want)
-		}
-	}
-}
-
-func TestFuseRejectsUnequalExtents(t *testing.T) {
-	a := ir.NewBuffer("a", ir.Global, 8)
-	i, j := ir.V("i"), ir.V("j")
-	body := ir.Seq(
-		ir.Loop(i, 8, &ir.Store{Buf: a, Index: []ir.Expr{i}, Value: ir.CFloat(0)}),
-		ir.Loop(j, 4, &ir.Store{Buf: a, Index: []ir.Expr{j}, Value: ir.CFloat(1)}),
-	)
-	if _, err := FuseAdjacent(body, i, j); err == nil {
-		t.Fatal("want unequal-extent error")
 	}
 }
 
@@ -314,7 +261,7 @@ func TestQuickSplitDivisors(t *testing.T) {
 		}
 		ref := append([]float32(nil), mach.Buffer(c)...)
 
-		body, _, _, err := Split(k.Body, kv, d)
+		body, _, _, err := split(k.Body, kv, d)
 		if err != nil {
 			return false
 		}
@@ -349,10 +296,10 @@ func TestUnrollByName(t *testing.T) {
 	if _, err := UnrollByName(k.Body, "nosuch", -1); err == nil {
 		t.Fatal("missing loop name must error")
 	}
-	if v := FindLoopVar(k.Body, "i"); v == nil || v.Name != "i" {
-		t.Fatal("FindLoopVar failed")
+	if v := findLoopVar(k.Body, "i"); v == nil || v.Name != "i" {
+		t.Fatal("findLoopVar failed")
 	}
-	if FindLoopVar(k.Body, "zz") != nil {
-		t.Fatal("FindLoopVar must return nil for unknown names")
+	if findLoopVar(k.Body, "zz") != nil {
+		t.Fatal("findLoopVar must return nil for unknown names")
 	}
 }

@@ -16,6 +16,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/trace"
 )
@@ -154,14 +155,16 @@ func (e *engine) cancel(req *Request, nowUS float64) bool {
 		if r != req {
 			continue
 		}
-		e.pending = append(e.pending[:i], e.pending[i+1:]...)
+		// slices.Delete clears the vacated slot, so the backing array keeps
+		// no pointer to a request (and its input tensor) it no longer holds.
+		e.pending = slices.Delete(e.pending, i, i+1)
 		e.queued[req.Tenant]--
 		m := e.tc.Metrics()
 		m.Counter("serve.canceled").Inc()
 		m.Gauge("serve.queue_depth").Set(float64(len(e.pending)))
 		e.respond(req, Response{
 			ID: req.ID, Tenant: req.Tenant, ArgMax: -1,
-			LatencyUS: nowUS - req.ArriveUS, Err: ErrCanceled,
+			LatencyUS: nowUS - req.ArriveUS, Err: errCanceled,
 		})
 		return true
 	}

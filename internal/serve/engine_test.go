@@ -102,7 +102,7 @@ func TestBatchFillsExactlyAtN(t *testing.T) {
 }
 
 // Cancellation before dispatch removes the request from the batch and
-// responds ErrCanceled; after dispatch it is too late and the response
+// responds errCanceled; after dispatch it is too late and the response
 // arrives normally.
 func TestCancelMidBatch(t *testing.T) {
 	eng, got := testEngine(Config{BatchN: 4, DeadlineUS: 500, Workers: 1})
@@ -115,8 +115,8 @@ func TestCancelMidBatch(t *testing.T) {
 	if !eng.cancel(r1, 100) {
 		t.Fatal("cancel of a queued request returned false")
 	}
-	if len(resps) != 1 || !errors.Is(resps[0].Err, ErrCanceled) {
-		t.Fatalf("canceled request response = %+v, want ErrCanceled", resps)
+	if len(resps) != 1 || !errors.Is(resps[0].Err, errCanceled) {
+		t.Fatalf("canceled request response = %+v, want errCanceled", resps)
 	}
 	if eng.queued["a"] != 1 {
 		t.Fatalf("tenant queue count = %d after cancel, want 1", eng.queued["a"])
@@ -131,6 +131,27 @@ func TestCancelMidBatch(t *testing.T) {
 	}
 	if eng.cancel(r2, 520) {
 		t.Fatal("cancel of a dispatched request returned true")
+	}
+}
+
+// A cancel leaves no request pointer in the pending queue's spare capacity:
+// not the canceled request, whether it was last or first, nor a duplicate of
+// the one that shifted down.
+func TestCancelClearsVacatedSlot(t *testing.T) {
+	for _, which := range []int{0, 2} {
+		eng, _ := testEngine(Config{BatchN: 8, DeadlineUS: 1e6, Workers: 1})
+		reqs := []*Request{submitOK(t, eng, "a", 0), submitOK(t, eng, "a", 1), submitOK(t, eng, "a", 2)}
+		if !eng.cancel(reqs[which], 3) {
+			t.Fatalf("cancel of queued request %d returned false", which)
+		}
+		if len(eng.pending) != 2 {
+			t.Fatalf("pending holds %d requests after a cancel, want 2", len(eng.pending))
+		}
+		for i, r := range eng.pending[len(eng.pending):cap(eng.pending)] {
+			if r != nil {
+				t.Errorf("cancel of request %d: pending[len+%d] still holds request %d", which, i, r.ID)
+			}
+		}
 	}
 }
 
@@ -174,10 +195,10 @@ func TestShedTyping(t *testing.T) {
 	if r := eng.submit(&Request{Tenant: "b"}, 4); r != ShedOverload {
 		t.Fatalf("4th pending: %v, want ShedOverload", r)
 	}
-	if ShedTenantQueue.HTTPStatus() != 429 {
-		t.Fatalf("tenant queue shed status = %d, want 429", ShedTenantQueue.HTTPStatus())
+	if ShedTenantQueue.httpStatus() != 429 {
+		t.Fatalf("tenant queue shed status = %d, want 429", ShedTenantQueue.httpStatus())
 	}
-	if ShedOverload.HTTPStatus() != 503 || ShedDraining.HTTPStatus() != 503 {
+	if ShedOverload.httpStatus() != 503 || ShedDraining.httpStatus() != 503 {
 		t.Fatal("overload/draining sheds must map to 503")
 	}
 	m := eng.tc.Metrics()

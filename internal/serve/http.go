@@ -52,7 +52,7 @@ type Server struct {
 }
 
 // NewServer builds the ladder deployment and starts the worker pool. Callers
-// serve s.Handler() and must Drain before exit.
+// call Serve (or drive it through Submit) and must Drain before exit.
 func NewServer(cfg Config, tc *trace.Collector) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if tc == nil {
@@ -94,9 +94,6 @@ func NewServerWithRunner(cfg Config, runner FrontendRunner, tc *trace.Collector)
 
 // Config returns the server's effective (defaulted) configuration.
 func (s *Server) Config() Config { return s.cfg }
-
-// Metrics returns the server's registry (the /metrics endpoint's source).
-func (s *Server) Metrics() *trace.Registry { return s.tc.Metrics() }
 
 func (s *Server) nowUS() float64 { return float64(time.Since(s.start)) / float64(time.Microsecond) }
 
@@ -157,9 +154,9 @@ func (s *Server) Submit(req *Request) (<-chan Response, ShedReason) {
 	return ch, ShedNone
 }
 
-// Cancel withdraws a still-queued request (client disconnect). Returns false
+// cancel withdraws a still-queued request (client disconnect). Returns false
 // when it already dispatched — its response will still arrive.
-func (s *Server) Cancel(req *Request) bool {
+func (s *Server) cancel(req *Request) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ok := s.eng.cancel(req, s.nowUS())
@@ -204,8 +201,8 @@ func (s *Server) outstanding() int {
 	return len(s.eng.pending) + s.eng.inflight
 }
 
-// Draining reports whether the server has begun (or finished) draining.
-func (s *Server) Draining() bool {
+// draining reports whether the server has begun (or finished) draining.
+func (s *Server) draining() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.eng.draining
@@ -227,9 +224,9 @@ type errorReply struct {
 	Reason string `json:"reason"`
 }
 
-// Handler returns the server's HTTP mux: POST /v1/infer, GET /metrics
+// handler returns the server's HTTP mux: POST /v1/infer, GET /metrics
 // (?format=json for JSON), GET /trace (Chrome trace), GET /healthz.
-func (s *Server) Handler() http.Handler {
+func (s *Server) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/infer", s.handleInfer)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -306,7 +303,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	ch, reason := s.Submit(req)
 	if reason != ShedNone {
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, reason.HTTPStatus(), errorReply{Error: reason.Err().Error(), Reason: reason.String()})
+		writeJSON(w, reason.httpStatus(), errorReply{Error: reason.err().Error(), Reason: reason.String()})
 		return
 	}
 	select {
@@ -320,7 +317,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 			BatchSize: resp.BatchSize, QueueUS: resp.QueueUS, LatencyUS: resp.LatencyUS,
 		})
 	case <-r.Context().Done():
-		if !s.Cancel(req) {
+		if !s.cancel(req) {
 			// Already dispatched: drain the response so done never blocks a
 			// GC'd channel (buffered anyway, but keep the accounting exact).
 			<-ch
@@ -350,9 +347,9 @@ func (s *Server) handleTrace(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// HealthReply is the /healthz body: overall status, drain state, and one
-// entry per runner device when the runner reports health (HealthReporter).
-type HealthReply struct {
+// healthReply is the /healthz body: overall status, drain state, and one
+// entry per runner device when the runner reports health (healthReporter).
+type healthReply struct {
 	Status      string         `json:"status"` // "ok", "degraded" or "draining"
 	Draining    bool           `json:"draining"`
 	Outstanding int            `json:"outstanding"`
@@ -360,9 +357,9 @@ type HealthReply struct {
 }
 
 // health assembles the current health report (the /healthz body).
-func (s *Server) health() HealthReply {
-	rep := HealthReply{Status: "ok", Draining: s.Draining(), Outstanding: s.outstanding()}
-	if hr, ok := s.runner.(HealthReporter); ok {
+func (s *Server) health() healthReply {
+	rep := healthReply{Status: "ok", Draining: s.draining(), Outstanding: s.outstanding()}
+	if hr, ok := s.runner.(healthReporter); ok {
 		rep.Runners = hr.RunnerHealth()
 		healthy := 0
 		for _, d := range rep.Runners {
@@ -417,7 +414,7 @@ const (
 // The cmd layer passes a signal-bound context for SIGTERM/SIGINT handling.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	hs := &http.Server{
-		Handler:           s.Handler(),
+		Handler:           s.handler(),
 		ReadHeaderTimeout: readHeaderTimeout,
 		ReadTimeout:       readTimeout,
 		WriteTimeout:      writeTimeout,

@@ -82,7 +82,7 @@ func TestConcurrentTenantsRaceForLastSlot(t *testing.T) {
 			t.Fatal("accepted request dropped by drain (no response)")
 		}
 	}
-	if got := s.Metrics().Gauge("serve.drain.dropped").Value(); got != 0 {
+	if got := s.tc.Metrics().Gauge("serve.drain.dropped").Value(); got != 0 {
 		t.Fatalf("serve.drain.dropped = %v, want 0", got)
 	}
 }
@@ -98,7 +98,7 @@ func TestHTTPDrainWithQueuedRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.Handler())
+	ts := httptest.NewServer(s.handler())
 	defer ts.Close()
 
 	done := make(chan error, 1)
@@ -119,7 +119,7 @@ func TestHTTPDrainWithQueuedRequest(t *testing.T) {
 	// Wait until the request is actually queued before draining.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if s.Metrics().Counter("serve.accepted").Value() == 1 {
+		if s.tc.Metrics().Counter("serve.accepted").Value() == 1 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -155,7 +155,7 @@ func getHealth(t *testing.T, url string, wantCode int, wantStatus string) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var h HealthReply
+	var h healthReply
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
 		t.Fatalf("GET /healthz: not JSON: %v", err)
 	}
@@ -182,7 +182,7 @@ func TestHTTPMetricsAndHealthAcrossDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.Handler())
+	ts := httptest.NewServer(s.handler())
 	defer ts.Close()
 
 	var wg sync.WaitGroup
@@ -232,7 +232,7 @@ func TestHTTPMetricsAndHealthAcrossDrain(t *testing.T) {
 	if err := s.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Metrics().Gauge("serve.drain.dropped").Value(); got != 0 {
+	if got := s.tc.Metrics().Gauge("serve.drain.dropped").Value(); got != 0 {
 		t.Fatalf("serve.drain.dropped = %v, want 0", got)
 	}
 	getHealth(t, ts.URL, http.StatusServiceUnavailable, "draining")
@@ -314,7 +314,7 @@ func TestHTTPRejectsOversizedAndTruncatedBodies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.Handler())
+	ts := httptest.NewServer(s.handler())
 	defer ts.Close()
 	for _, c := range []struct {
 		name, body string
@@ -348,7 +348,7 @@ func TestHTTPRejectsOversizedAndTruncatedBodies(t *testing.T) {
 				c.name, resp.Status, reply.Reason, reply.Error, c.status, c.reason, c.errPart)
 		}
 	}
-	if got := s.Metrics().Counter("serve.accepted").Value(); got != 0 {
+	if got := s.tc.Metrics().Counter("serve.accepted").Value(); got != 0 {
 		t.Errorf("serve.accepted = %v after refused bodies only, want 0", got)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

@@ -99,17 +99,8 @@ func (p Profile) Arrivals(input func(i int) *tensor.Tensor) []serve.Arrival {
 	return out
 }
 
-// TotalUS is the ramp's total duration.
-func (p Profile) TotalUS() float64 {
-	total := 0.0
-	for _, st := range p.Stages {
-		total += st.DurUS
-	}
-	return total
-}
-
-// OfferedQPS is the ramp's average offered rate.
-func (p Profile) OfferedQPS() float64 {
+// offeredQPS is the ramp's average offered rate.
+func (p Profile) offeredQPS() float64 {
 	total, weighted := 0.0, 0.0
 	for _, st := range p.Stages {
 		total += st.DurUS
@@ -155,7 +146,7 @@ type Summary struct {
 func Summarize(p Profile, res *serve.SimResult, reg *trace.Registry) Summary {
 	s := Summary{
 		Offered:      res.Offered,
-		OfferedQPS:   p.OfferedQPS(),
+		OfferedQPS:   p.offeredQPS(),
 		Accepted:     res.Accepted,
 		Completed:    res.Completed,
 		Canceled:     res.Canceled,

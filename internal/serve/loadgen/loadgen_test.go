@@ -41,6 +41,10 @@ func TestArrivalsDeterministicAndSorted(t *testing.T) {
 	if len(a) == 0 || len(a) != len(b) {
 		t.Fatalf("lengths differ or empty: %d vs %d", len(a), len(b))
 	}
+	end := 0.0
+	for _, st := range testProfile(7).Stages {
+		end += st.DurUS
+	}
 	for i := range a {
 		if a[i].AtUS != b[i].AtUS || a[i].Tenant != b[i].Tenant {
 			t.Fatalf("arrival %d differs across identical seeds", i)
@@ -48,7 +52,7 @@ func TestArrivalsDeterministicAndSorted(t *testing.T) {
 		if i > 0 && a[i].AtUS < a[i-1].AtUS {
 			t.Fatalf("arrivals out of order at %d", i)
 		}
-		if a[i].AtUS >= testProfile(7).TotalUS() {
+		if a[i].AtUS >= end {
 			t.Fatalf("arrival %d past the ramp end", i)
 		}
 	}
@@ -117,11 +121,8 @@ func TestZeroDurationStage(t *testing.T) {
 	if len(a) == 0 {
 		t.Fatal("non-empty middle stage produced no arrivals")
 	}
-	if got := prof.TotalUS(); got != 50_000 {
-		t.Fatalf("TotalUS = %v, want 50000", got)
-	}
-	if got := prof.OfferedQPS(); got != 2000 {
-		t.Fatalf("OfferedQPS = %v, want 2000 (zero-duration stages carry no weight)", got)
+	if got := prof.offeredQPS(); got != 2000 {
+		t.Fatalf("offeredQPS = %v, want 2000 (zero-duration stages carry no weight)", got)
 	}
 	for i, ar := range a {
 		if ar.AtUS >= 50_000 {
@@ -133,8 +134,8 @@ func TestZeroDurationStage(t *testing.T) {
 	if got := empty.Arrivals(func(i int) *tensor.Tensor { return nil }); len(got) != 0 {
 		t.Fatalf("all-zero ramp produced %d arrivals", len(got))
 	}
-	if got := empty.OfferedQPS(); got != 0 {
-		t.Fatalf("all-zero ramp OfferedQPS = %v, want 0", got)
+	if got := empty.offeredQPS(); got != 0 {
+		t.Fatalf("all-zero ramp offeredQPS = %v, want 0", got)
 	}
 	res := serve.RunSim(serve.Config{BatchN: 4, DeadlineUS: 400, Workers: 1},
 		echoRunner{serviceUS: 100}, empty.Arrivals(func(i int) *tensor.Tensor { return nil }), trace.NewCollector())

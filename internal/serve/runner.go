@@ -108,10 +108,10 @@ type DeviceHealth struct {
 	FailoversOut int `json:"failovers_out,omitempty"`
 }
 
-// HealthReporter is implemented by runners that can describe per-device
+// healthReporter is implemented by runners that can describe per-device
 // health; /healthz includes the entries when the server's runner provides
 // them.
-type HealthReporter interface {
+type healthReporter interface {
 	RunnerHealth() []DeviceHealth
 }
 

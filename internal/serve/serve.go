@@ -78,24 +78,24 @@ func (r ShedReason) String() string {
 	return fmt.Sprintf("ShedReason(%d)", int(r))
 }
 
-// HTTPStatus maps the shed reason to the response status the HTTP frontend
+// httpStatus maps the shed reason to the response status the HTTP frontend
 // returns: 429 for per-tenant backpressure, 503 for global overload/drain.
-func (r ShedReason) HTTPStatus() int {
+func (r ShedReason) httpStatus() int {
 	if r == ShedTenantQueue {
 		return http.StatusTooManyRequests
 	}
 	return http.StatusServiceUnavailable
 }
 
-// Err returns the typed sentinel for a shed reason (nil for ShedNone).
-func (r ShedReason) Err() error {
+// err returns the typed sentinel for a shed reason (nil for ShedNone).
+func (r ShedReason) err() error {
 	switch r {
 	case ShedTenantQueue:
-		return ErrTenantQueueFull
+		return errTenantQueueFull
 	case ShedOverload:
-		return ErrOverloaded
+		return errOverloaded
 	case ShedDraining:
-		return ErrDraining
+		return errDraining
 	}
 	return nil
 }
@@ -103,12 +103,12 @@ func (r ShedReason) Err() error {
 // Typed admission errors; the HTTP layer maps them to 429/503 and clients
 // (and tests) can errors.Is against them.
 var (
-	ErrTenantQueueFull = errors.New("serve: tenant queue full")
-	ErrOverloaded      = errors.New("serve: server overloaded")
-	ErrDraining        = errors.New("serve: server draining")
-	// ErrCanceled is the response error for a request canceled while still
+	errTenantQueueFull = errors.New("serve: tenant queue full")
+	errOverloaded      = errors.New("serve: server overloaded")
+	errDraining        = errors.New("serve: server draining")
+	// errCanceled is the response error for a request canceled while still
 	// queued (client disconnect, explicit cancel event in the simulation).
-	ErrCanceled = errors.New("serve: request canceled while queued")
+	errCanceled = errors.New("serve: request canceled while queued")
 )
 
 // Config parameterizes a server. The zero value is NOT usable; call
@@ -209,7 +209,7 @@ type Response struct {
 	QueueUS   float64
 	ServiceUS float64
 	LatencyUS float64
-	// Err is non-nil when the request failed (canceled while queued, or all
+	// err is non-nil when the request failed (canceled while queued, or all
 	// three ladder rungs failed).
 	Err error
 }

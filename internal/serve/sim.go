@@ -182,7 +182,7 @@ func RunSim(cfg Config, r Runner, arrivals []Arrival, tc *trace.Collector) *SimR
 			ai++
 			req := &Request{Tenant: a.Tenant, Input: a.Input}
 			req.done = func(resp Response) {
-				if resp.Err == ErrCanceled {
+				if resp.Err == errCanceled {
 					res.Canceled++
 					return
 				}

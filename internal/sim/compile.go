@@ -4,7 +4,7 @@ package sim
 // closures over a flat integer environment, replacing per-node map lookups
 // and type switches with direct calls. Semantics (bounds checks, channel
 // underflow, shadowing) are identical to the tree-walking interpreter in
-// interp.go, which tests keep as a cross-checking oracle via RunInterp.
+// interp.go, which tests keep as a cross-checking oracle via runInterp.
 
 import (
 	"fmt"
@@ -264,7 +264,7 @@ func (c *compiler) floatFn(x ir.Expr) floatFn {
 		fifo := c.m.Channel(v.Ch)
 		name := v.Ch.Name
 		return func(*cenv) float32 {
-			val, ok := fifo.Pop()
+			val, ok := fifo.pop()
 			if !ok {
 				panic(deadlockPanic{channel: name})
 			}
@@ -384,7 +384,7 @@ func (c *compiler) stmtFn(s ir.Stmt) stmtFn {
 	case *ir.ChannelWrite:
 		fifo := c.m.Channel(x.Ch)
 		val := c.floatFn(x.Value)
-		return func(e *cenv) { fifo.Push(val(e)) }
+		return func(e *cenv) { fifo.push(val(e)) }
 	case *ir.IfThen:
 		cond := c.intFn(x.Cond)
 		then := c.stmtFn(x.Then)

@@ -46,7 +46,7 @@ func TestCompiledMatchesInterpreterOnMatvec(t *testing.T) {
 			m.Bind(out, od)
 			var err error
 			if interp {
-				err = m.RunInterp(kern, nil)
+				err = m.runInterp(kern, nil)
 			} else {
 				err = m.Run(kern, nil)
 			}
@@ -79,7 +79,7 @@ func TestCompiledFaultsMatchInterpreter(t *testing.T) {
 	e1 := m1.Run(k, nil)
 	m2 := NewMachine()
 	m2.Bind(a, make([]float32, 8))
-	e2 := m2.RunInterp(k, nil)
+	e2 := m2.runInterp(k, nil)
 	if e1 == nil || e2 == nil {
 		t.Fatal("both paths must fault")
 	}
@@ -176,7 +176,7 @@ func BenchmarkCompiledVsInterp(b *testing.B) {
 	})
 	b.Run("interp", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if err := m.RunInterp(kern, nil); err != nil {
+			if err := m.runInterp(kern, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

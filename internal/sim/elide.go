@@ -24,7 +24,7 @@ package sim
 // the k-th pop at the reader's: write_channel(ch, v) becomes ch_buf[lin(iv)]
 // = v and read_channel(ch) becomes ch_buf[lin(iv')]. Every slot is written
 // by the earlier kernel before the later one reads it. Every other channel
-// is left alone, so unbalanced designs still fail with ErrChannelDeadlock.
+// is left alone, so unbalanced designs still fail with errChannelDeadlock.
 //
 // The tree-walking interpreter (TierInterp) keeps the channel semantics and
 // is the oracle the rewrite is checked against; codegen, the aoc model, clrt

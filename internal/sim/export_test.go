@@ -53,3 +53,6 @@ func CountEmitRows() (rows *EmitRows, stop func()) {
 	}
 	return rows, func() { rowHook = nil }
 }
+
+// Push appends v to the channel FIFO, as a producer kernel would.
+func (f *Fifo) Push(v float32) { f.push(v) }

@@ -15,16 +15,16 @@ func TestFifoBoundedRetention(t *testing.T) {
 	f := &Fifo{}
 	const occupancy = 16
 	for i := 0; i < occupancy; i++ {
-		f.Push(float32(i))
+		f.push(float32(i))
 	}
 	// A million interleaved push/pop cycles at constant occupancy: without
 	// compaction the slice grows to ~1e6 entries.
 	next := float32(occupancy)
 	want := float32(0)
 	for i := 0; i < 1_000_000; i++ {
-		f.Push(next)
+		f.push(next)
 		next++
-		v, ok := f.Pop()
+		v, ok := f.pop()
 		if !ok {
 			t.Fatalf("cycle %d: unexpected empty fifo", i)
 		}
@@ -33,13 +33,13 @@ func TestFifoBoundedRetention(t *testing.T) {
 		}
 		want++
 	}
-	if f.Len() != occupancy {
-		t.Fatalf("occupancy drifted: %d", f.Len())
+	if f.occupancy() != occupancy {
+		t.Fatalf("occupancy drifted: %d", f.occupancy())
 	}
 	// Capacity bound: compaction triggers once head passes both the minimum
 	// and half the slice, so the slice never exceeds ~2x(occupancy+minimum).
-	if limit := 4 * (occupancy + fifoCompactMin); f.Cap() > limit {
-		t.Fatalf("fifo retained %d cap after 1e6 cycles at occupancy %d (limit %d)", f.Cap(), occupancy, limit)
+	if limit := 4 * (occupancy + fifoCompactMin); f.backingCap() > limit {
+		t.Fatalf("fifo retained %d cap after 1e6 cycles at occupancy %d (limit %d)", f.backingCap(), occupancy, limit)
 	}
 	if f.Peak != occupancy+1 {
 		t.Fatalf("peak tracking broken: %d", f.Peak)
@@ -54,15 +54,15 @@ func TestFifoCompactionPreservesDrainSemantics(t *testing.T) {
 	for round := 0; round < 1000; round++ {
 		push := 1 + round%97
 		for i := 0; i < push; i++ {
-			f.Push(next)
+			f.push(next)
 			next++
 		}
 		pop := push
 		if round%3 == 0 {
-			pop = f.Len() // full drain
+			pop = f.occupancy() // full drain
 		}
 		for i := 0; i < pop; i++ {
-			v, ok := f.Pop()
+			v, ok := f.pop()
 			if !ok {
 				t.Fatalf("round %d: premature empty", round)
 			}
@@ -72,14 +72,14 @@ func TestFifoCompactionPreservesDrainSemantics(t *testing.T) {
 			want++
 		}
 	}
-	for f.Len() > 0 {
-		v, _ := f.Pop()
+	for f.occupancy() > 0 {
+		v, _ := f.pop()
 		if v != want {
 			t.Fatalf("drain: got %v, want %v", v, want)
 		}
 		want++
 	}
-	if _, ok := f.Pop(); ok {
+	if _, ok := f.pop(); ok {
 		t.Fatal("pop from empty fifo succeeded")
 	}
 }
@@ -99,8 +99,7 @@ func TestMachineAllocReuse(t *testing.T) {
 			Value: &ir.Load{Buf: scratch, Index: []ir.Expr{i}}}),
 	)}
 	m := NewMachine()
-	m.SetPool(&BufPool{})
-	m.Bind(out, m.Grab(128))
+	m.Bind(out, make([]float32, 128))
 	if err := m.Run(k, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -657,7 +657,7 @@ func (gl *gemmLoop) tryIm2colB(e *cenv, fb *flatAcc) bool {
 		ka *= gl.ext[r]
 	}
 	if Fx != Fy {
-		return false // Im2col gathers square windows
+		return false // im2col gathers square windows
 	}
 	f := Fx
 	// n levels: output x on the minor input dim, output y on the middle one,
@@ -815,7 +815,7 @@ func (gl *gemmLoop) execute(e *cenv) {
 	}
 	// workers=1: machines run inside RunBatch's worker pool — nesting a
 	// goroutine fan-out here would oversubscribe the host (see
-	// cpuref.Conv2DParallel).
+	// cpuref.Conv2DGEMM).
 	cpuref.Gemm(a, b, cb, int(m), int(k), int(n), 1)
 	gl.epilogue(cb)
 }

@@ -15,19 +15,18 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/ir"
 )
 
-// ErrChannelDeadlock marks executions that would hang on hardware: a kernel
+// errChannelDeadlock marks executions that would hang on hardware: a kernel
 // reading an empty channel, or a finished graph leaving undrained channel
-// values (producer/consumer trip-count mismatch, §4.6). Callers assert on it
-// with errors.Is; the static checker in internal/verify rejects most such
-// designs before they ever reach execution.
-var ErrChannelDeadlock = errors.New("channel deadlock")
+// values (producer/consumer trip-count mismatch, §4.6). *DeadlockError wraps
+// it, so callers match either; the static checker in internal/verify rejects
+// most such designs before they ever reach execution.
+var errChannelDeadlock = errors.New("channel deadlock")
 
-// DeadlockError carries the offending channel. It wraps ErrChannelDeadlock.
+// DeadlockError carries the offending channel. It wraps errChannelDeadlock.
 type DeadlockError struct {
 	Channel string
 	// Undrained is the leftover value count for drain failures; 0 means an
@@ -42,11 +41,11 @@ func (e *DeadlockError) Error() string {
 	return fmt.Sprintf("read from empty channel %s (deadlock on hardware)", e.Channel)
 }
 
-func (e *DeadlockError) Unwrap() error { return ErrChannelDeadlock }
+func (e *DeadlockError) Unwrap() error { return errChannelDeadlock }
 
 // deadlockPanic is the panic payload the interpreter and closure compiler
 // throw on channel underflow deep inside expression evaluation; Run and
-// RunInterp recover it into a typed *DeadlockError.
+// runInterp recover it into a typed *DeadlockError.
 type deadlockPanic struct{ channel string }
 
 // recoverRunErr converts an execution panic into the error Run returns:
@@ -71,10 +70,10 @@ type Fifo struct {
 	Peak int
 }
 
-// Push appends a value.
-func (f *Fifo) Push(v float32) {
+// push appends a value.
+func (f *Fifo) push(v float32) {
 	f.data = append(f.data, v)
-	if n := f.Len(); n > f.Peak {
+	if n := f.occupancy(); n > f.Peak {
 		f.Peak = n
 	}
 }
@@ -83,8 +82,8 @@ func (f *Fifo) Push(v float32) {
 // queues churn too fast for the copy to pay off.
 const fifoCompactMin = 64
 
-// Pop removes and returns the oldest value.
-func (f *Fifo) Pop() (float32, bool) {
+// pop removes and returns the oldest value.
+func (f *Fifo) pop() (float32, bool) {
 	if f.head >= len(f.data) {
 		return 0, false
 	}
@@ -105,63 +104,13 @@ func (f *Fifo) Pop() (float32, bool) {
 	return v, true
 }
 
-// Cap returns the capacity of the backing slice (tests assert the compaction
-// rule keeps it bounded across arbitrarily long push/pop sequences).
-func (f *Fifo) Cap() int { return cap(f.data) }
+// backingCap returns the capacity of the backing slice (tests assert the
+// compaction rule keeps it bounded across arbitrarily long push/pop
+// sequences).
+func (f *Fifo) backingCap() int { return cap(f.data) }
 
-// Len returns current occupancy.
-func (f *Fifo) Len() int { return len(f.data) - f.head }
-
-// BufPool recycles float32 slices across images of a batch run. Slices are
-// bucketed by ceil-power-of-two capacity so a Get never returns a slice that
-// is later outgrown by the same binding. Safe for concurrent use (it is
-// shared by every session of a deployment); returned slices are always
-// zeroed, matching the make([]float32, n) they replace.
-type BufPool struct {
-	buckets sync.Map // uint -> *sync.Pool of []float32 with cap == 1<<uint
-}
-
-func poolBucket(n int) uint {
-	b := uint(0)
-	for 1<<b < n {
-		b++
-	}
-	return b
-}
-
-// Get returns a zeroed slice of length n.
-func (p *BufPool) Get(n int) []float32 {
-	if p == nil || n == 0 {
-		return make([]float32, n)
-	}
-	b := poolBucket(n)
-	sp, ok := p.buckets.Load(b)
-	if !ok {
-		sp, _ = p.buckets.LoadOrStore(b, &sync.Pool{})
-	}
-	if v := sp.(*sync.Pool).Get(); v != nil {
-		s := v.([]float32)[:n]
-		clear(s)
-		return s
-	}
-	return make([]float32, n, 1<<b)
-}
-
-// Put returns a slice to the pool. The caller must not touch it afterwards.
-func (p *BufPool) Put(s []float32) {
-	if p == nil || cap(s) == 0 {
-		return
-	}
-	b := poolBucket(cap(s))
-	if 1<<b != cap(s) {
-		return // not one of ours; dropping it is always safe
-	}
-	sp, ok := p.buckets.Load(b)
-	if !ok {
-		sp, _ = p.buckets.LoadOrStore(b, &sync.Pool{})
-	}
-	sp.(*sync.Pool).Put(s[:0])
-}
+// occupancy returns the number of values queued.
+func (f *Fifo) occupancy() int { return len(f.data) - f.head }
 
 // Machine holds buffer and channel bindings for kernel execution.
 type Machine struct {
@@ -172,9 +121,6 @@ type Machine struct {
 	// machine across images so every kernel compiles exactly once per
 	// worker.
 	compiled map[*ir.Kernel]*compiledKernel
-	// pool, when set, backs Alloc-statement buffers and Grab calls so a
-	// reused machine stops allocating per image.
-	pool *BufPool
 	// tier selects the execution engine (tier.go); stats, when set, counts
 	// cache and lowering events (shared across a deployment's workers).
 	tier  Tier
@@ -190,18 +136,9 @@ func NewMachine() *Machine {
 	}
 }
 
-// SetPool attaches a buffer pool (shared across the worker machines of a
-// batch). A nil pool reverts to plain allocation.
-func (m *Machine) SetPool(p *BufPool) { m.pool = p }
-
-// Grab returns a zeroed slice of length n from the machine's pool (or the
-// heap when no pool is attached). Hosts use it for per-image output and
-// scratch bindings.
-func (m *Machine) Grab(n int) []float32 { return m.pool.Get(n) }
-
 // allocFor services an ir.Alloc: if the buffer already holds a binding with
 // enough capacity (the previous image's), it is truncated and zeroed in
-// place; otherwise a fresh slice comes from the pool. This is what turns the
+// place; otherwise a fresh slice is allocated. This is what turns the
 // per-image allocation storm of kernel-local scratchpads into a steady state.
 func (m *Machine) allocFor(b *ir.Buffer, n int64) {
 	if old := m.bufs[b]; int64(cap(old)) >= n {
@@ -210,7 +147,7 @@ func (m *Machine) allocFor(b *ir.Buffer, n int64) {
 		m.bufs[b] = s
 		return
 	}
-	m.bufs[b] = m.pool.Get(int(n))
+	m.bufs[b] = make([]float32, n)
 }
 
 // ResetChannels clears every channel FIFO while keeping the backing storage,
@@ -246,11 +183,11 @@ func (m *Machine) Channel(ch *ir.Channel) *Fifo {
 // argument). Execution goes through the engine the machine's tier selects:
 // the closure compiler (compile.go) with its three nest lowerings — whole
 // nests (gemm.go, window.go), pad nests (pad.go) and plain copies (copy.go)
-// — or the tree-walking interpreter. RunInterp is kept as a cross-checking
+// — or the tree-walking interpreter. runInterp is kept as a cross-checking
 // oracle.
 func (m *Machine) Run(k *ir.Kernel, scalars map[*ir.Var]int64) (err error) {
 	if m.tier == TierInterp {
-		return m.RunInterp(k, scalars)
+		return m.runInterp(k, scalars)
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -302,9 +239,9 @@ func (m *Machine) Run(k *ir.Kernel, scalars map[*ir.Var]int64) (err error) {
 	return nil
 }
 
-// RunInterp executes k on the tree-walking interpreter (identical semantics
+// runInterp executes k on the tree-walking interpreter (identical semantics
 // to Run; used by tests to cross-check the compiler).
-func (m *Machine) RunInterp(k *ir.Kernel, scalars map[*ir.Var]int64) (err error) {
+func (m *Machine) runInterp(k *ir.Kernel, scalars map[*ir.Var]int64) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = recoverRunErr(k.Name, r)
@@ -358,8 +295,8 @@ func (m *Machine) RunGraph(ks []*ir.Kernel, scalars map[*ir.Var]int64) error {
 	// A finished pipelined pass must drain every channel; leftovers mean a
 	// producer/consumer count mismatch (a hang on hardware).
 	for ch, f := range m.chans {
-		if f.Len() != 0 {
-			return &DeadlockError{Channel: ch.Name, Undrained: f.Len()}
+		if f.occupancy() != 0 {
+			return &DeadlockError{Channel: ch.Name, Undrained: f.occupancy()}
 		}
 	}
 	return nil
@@ -414,7 +351,7 @@ func (e *env) exec(s ir.Stmt) {
 		}
 		data[e.offset(x.Buf, x.Index)] = e.evalF(x.Value)
 	case *ir.ChannelWrite:
-		e.m.Channel(x.Ch).Push(e.evalF(x.Value))
+		e.m.Channel(x.Ch).push(e.evalF(x.Value))
 	case *ir.IfThen:
 		if e.evalI(x.Cond) != 0 {
 			e.exec(x.Then)
@@ -490,7 +427,7 @@ func (e *env) evalF(x ir.Expr) float32 {
 		}
 		return data[e.offset(v.Buf, v.Index)]
 	case *ir.ChannelRead:
-		val, ok := e.m.Channel(v.Ch).Pop()
+		val, ok := e.m.Channel(v.Ch).pop()
 		if !ok {
 			panic(deadlockPanic{channel: v.Ch.Name})
 		}

@@ -192,8 +192,8 @@ func TestChannelUnderflow(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "empty channel") {
 		t.Fatalf("want underflow error, got %v", err)
 	}
-	if !errors.Is(err, ErrChannelDeadlock) {
-		t.Fatalf("underflow must wrap ErrChannelDeadlock, got %v", err)
+	if !errors.Is(err, errChannelDeadlock) {
+		t.Fatalf("underflow must wrap errChannelDeadlock, got %v", err)
 	}
 	var de *DeadlockError
 	if !errors.As(err, &de) || de.Channel != "c" || de.Undrained != 0 {
@@ -218,8 +218,8 @@ func TestGraphUndrainedChannel(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "undrained") {
 		t.Fatalf("want undrained error, got %v", err)
 	}
-	if !errors.Is(err, ErrChannelDeadlock) {
-		t.Fatalf("undrained channels must wrap ErrChannelDeadlock, got %v", err)
+	if !errors.Is(err, errChannelDeadlock) {
+		t.Fatalf("undrained channels must wrap errChannelDeadlock, got %v", err)
 	}
 	var de *DeadlockError
 	if !errors.As(err, &de) || de.Channel != "c" || de.Undrained != 2 {
@@ -276,15 +276,15 @@ func TestIntrinsics(t *testing.T) {
 func TestFifoOrder(t *testing.T) {
 	f := &Fifo{}
 	for i := 0; i < 100; i++ {
-		f.Push(float32(i))
+		f.push(float32(i))
 	}
 	for i := 0; i < 100; i++ {
-		v, ok := f.Pop()
+		v, ok := f.pop()
 		if !ok || v != float32(i) {
 			t.Fatalf("pop %d = %v,%v", i, v, ok)
 		}
 	}
-	if _, ok := f.Pop(); ok {
+	if _, ok := f.pop(); ok {
 		t.Fatal("pop from empty must fail")
 	}
 	if f.Peak != 100 {

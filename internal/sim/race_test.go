@@ -1,9 +1,9 @@
 package sim_test
 
 // Run under `go test -race ./internal/sim/`: RunBatch-style concurrency.
-// Worker machines are private, but the BufPool and the ExecStats sink are
-// shared across all of them, and the stats are read (Snapshot) while workers
-// are still running — exactly what the host's metrics drain does.
+// Worker machines are private, but the ExecStats sink is shared across all of
+// them, and the stats are read (Snapshot) while workers are still running —
+// exactly what the host's metrics drain does.
 
 import (
 	"sync"
@@ -14,13 +14,12 @@ import (
 	"repro/internal/topi"
 )
 
-func TestSharedPoolAndStatsUnderConcurrency(t *testing.T) {
+func TestSharedStatsUnderConcurrency(t *testing.T) {
 	op, err := topi.Conv2D(topi.ConvSpec{Name: "rc", C1: 3, H: 10, W: 10, C2: 4, F: 3, S: 1, Relu: true, Bias: true},
 		topi.OptSched(4, 2, 1), topi.ConvIO{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := &sim.BufPool{}
 	stats := &sim.ExecStats{}
 	const workers = 8
 	const iters = 25
@@ -30,11 +29,10 @@ func TestSharedPoolAndStatsUnderConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func(seed uint64) {
 			defer wg.Done()
-			// One warm machine per worker, like NewArena; pool and stats
-			// are the shared state under test.
+			// One warm machine per worker, like a host session; stats are
+			// the shared state under test.
 			m := sim.NewMachine()
 			m.SetTier(sim.TierVector)
-			m.SetPool(pool)
 			m.SetStats(stats)
 			in := seeded(seed, 3, 10, 10)
 			wt := seeded(seed+1, 4, 3, 3, 3)
@@ -42,14 +40,12 @@ func TestSharedPoolAndStatsUnderConcurrency(t *testing.T) {
 			m.Bind(op.In, in.Data)
 			m.Bind(op.Weights, wt.Data)
 			m.Bind(op.Bias, b.Data)
+			m.Bind(op.Out, make([]float32, 4*8*8))
 			for i := 0; i < iters; i++ {
-				out := pool.Get(4 * 8 * 8)
-				m.Bind(op.Out, out)
 				if err := m.Run(op.Kernel, nil); err != nil {
 					t.Error(err)
 					return
 				}
-				pool.Put(out)
 			}
 		}(uint64(w) * 17)
 	}
@@ -73,7 +69,7 @@ func TestSharedPoolAndStatsUnderConcurrency(t *testing.T) {
 
 // TestCompiledCacheSingleMachineSequential pins down the documented contract:
 // the compiled-kernel cache is per-machine and machines are not safe for
-// concurrent Run; workers get their own machine and share only pool + stats.
+// concurrent Run; workers get their own machine and share only stats.
 // This test exists so the contract is written down next to the race tests.
 func TestCompiledCacheSingleMachineSequential(t *testing.T) {
 	src := ir.NewBuffer("s", ir.Global, 16)

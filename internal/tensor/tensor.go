@@ -34,15 +34,6 @@ func New(shape ...int) *Tensor {
 	return &Tensor{Shape: append([]int(nil), shape...), Data: make([]float32, n)}
 }
 
-// FromData wraps an existing buffer. The buffer length must match the shape.
-func FromData(data []float32, shape ...int) *Tensor {
-	t := &Tensor{Shape: append([]int(nil), shape...), Data: data}
-	if len(data) != t.Len() {
-		panic(fmt.Sprintf("tensor: data length %d does not match shape %v", len(data), shape))
-	}
-	return t
-}
-
 // Len returns the number of elements.
 func (t *Tensor) Len() int {
 	n := 1
@@ -51,9 +42,6 @@ func (t *Tensor) Len() int {
 	}
 	return n
 }
-
-// Rank returns the number of dimensions.
-func (t *Tensor) Rank() int { return len(t.Shape) }
 
 // Bytes returns the size of the tensor payload in bytes (float32 elements).
 func (t *Tensor) Bytes() int { return 4 * t.Len() }
@@ -95,13 +83,6 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 		panic(fmt.Sprintf("tensor: cannot reshape %v to %v", t.Shape, shape))
 	}
 	return v
-}
-
-// Fill sets every element to v.
-func (t *Tensor) Fill(v float32) {
-	for i := range t.Data {
-		t.Data[i] = v
-	}
 }
 
 // FillSeq fills with a deterministic, well-conditioned pseudo-pattern. Used to

@@ -8,8 +8,8 @@ import (
 
 func TestNewZeroes(t *testing.T) {
 	x := New(2, 3, 4)
-	if x.Len() != 24 || x.Rank() != 3 || x.Bytes() != 96 {
-		t.Fatalf("unexpected metadata: len=%d rank=%d bytes=%d", x.Len(), x.Rank(), x.Bytes())
+	if x.Len() != 24 || len(x.Shape) != 3 || x.Bytes() != 96 {
+		t.Fatalf("unexpected metadata: len=%d rank=%d bytes=%d", x.Len(), len(x.Shape), x.Bytes())
 	}
 	for _, v := range x.Data {
 		if v != 0 {
@@ -74,15 +74,6 @@ func TestBadShapePanics(t *testing.T) {
 	New(2, 0)
 }
 
-func TestFromDataLengthCheck(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on mismatched data length")
-		}
-	}()
-	FromData(make([]float32, 5), 2, 3)
-}
-
 func TestReshapeSharesData(t *testing.T) {
 	x := New(2, 6)
 	y := x.Reshape(3, 4)
@@ -103,7 +94,7 @@ func TestReshapeSizeMismatchPanics(t *testing.T) {
 
 func TestCloneIndependent(t *testing.T) {
 	x := New(4)
-	x.Fill(2)
+	x.Data[0] = 2
 	y := x.Clone()
 	y.Set(5, 0)
 	if x.At(0) != 2 {
@@ -161,14 +152,16 @@ func TestAllCloseNaN(t *testing.T) {
 }
 
 func TestArgMax(t *testing.T) {
-	x := FromData([]float32{-1, 3, 2, 3}, 4)
+	x := New(4)
+	copy(x.Data, []float32{-1, 3, 2, 3})
 	if x.ArgMax() != 1 {
 		t.Fatalf("ArgMax = %d, want first maximum (1)", x.ArgMax())
 	}
 }
 
 func TestSum(t *testing.T) {
-	x := FromData([]float32{1, 2, 3.5}, 3)
+	x := New(3)
+	copy(x.Data, []float32{1, 2, 3.5})
 	if s := x.Sum(); math.Abs(s-6.5) > 1e-9 {
 		t.Fatalf("Sum = %v", s)
 	}

@@ -23,14 +23,14 @@ type ConvSpec struct {
 	Residual bool
 }
 
-// OutDims returns the output feature-map spatial dims.
-func (s ConvSpec) OutDims() (h2, w2 int) {
+// outDims returns the output feature-map spatial dims.
+func (s ConvSpec) outDims() (h2, w2 int) {
 	return (s.H-s.F)/s.S + 1, (s.W-s.F)/s.S + 1
 }
 
-// FLOPCount returns multiply+add ops for the convolution (2 per MAC).
-func (s ConvSpec) FLOPCount() int64 {
-	h2, w2 := s.OutDims()
+// flopCount returns multiply+add ops for the convolution (2 per MAC).
+func (s ConvSpec) flopCount() int64 {
+	h2, w2 := s.outDims()
 	return 2 * int64(s.C2) * int64(h2) * int64(w2) * int64(s.C1) * int64(s.F) * int64(s.F)
 }
 
@@ -63,7 +63,7 @@ func Conv2D(spec ConvSpec, sched ConvSched, io ConvIO) (*Op, error) {
 	if spec.F < 1 || spec.S < 1 || spec.C1 < 1 || spec.C2 < 1 {
 		return nil, fmt.Errorf("topi: bad conv spec %+v", spec)
 	}
-	h2, w2 := spec.OutDims()
+	h2, w2 := spec.outDims()
 	if h2 < 1 || w2 < 1 {
 		return nil, fmt.Errorf("topi: conv %s output is empty (%dx%d)", spec.Name, h2, w2)
 	}
@@ -101,13 +101,13 @@ func Conv2D(spec ConvSpec, sched ConvSched, io ConvIO) (*Op, error) {
 
 // convNaive emits Listing 5.1: global scratchpad, serial activation loop.
 func convNaive(spec ConvSpec) (*Op, error) {
-	h2, w2 := spec.OutDims()
+	h2, w2 := spec.outDims()
 	scratch := ir.NewBuffer(spec.Name+"_scratch", ir.Global, h2, w2)
 	in := ir.NewBuffer(spec.Name+"_in", ir.Global, spec.C1, spec.H, spec.W)
 	wt := ir.NewBuffer(spec.Name+"_w", ir.Global, spec.C2, spec.C1, spec.F, spec.F)
 	out := ir.NewBuffer(spec.Name+"_out", ir.Global, spec.C2, h2, w2)
 	op := &Op{In: in, Out: out, Weights: wt, Scratches: []*ir.Buffer{scratch},
-		OutShape: []int{spec.C2, h2, w2}, FLOPs: spec.FLOPCount()}
+		OutShape: []int{spec.C2, h2, w2}, FLOPs: spec.flopCount()}
 	args := []*ir.Buffer{scratch, in, wt}
 	var bias, skip *ir.Buffer
 	if spec.Bias {
@@ -156,8 +156,8 @@ func convNaive(spec ConvSpec) (*Op, error) {
 // fused activation, private write cache, F×F unroll, and tiling/unrolling
 // along xx (W2vec), ax1 (C2vec) and rc (C1vec).
 func convOpt(spec ConvSpec, sched ConvSched, io ConvIO) (*Op, error) {
-	h2, w2 := spec.OutDims()
-	op := &Op{OutShape: []int{spec.C2, h2, w2}, FLOPs: spec.FLOPCount(),
+	h2, w2 := spec.outDims()
+	op := &Op{OutShape: []int{spec.C2, h2, w2}, FLOPs: spec.flopCount(),
 		InCh: io.InCh, OutCh: io.OutCh}
 
 	wt := ir.NewBuffer(spec.Name+"_w", ir.Global, spec.C2, spec.C1, spec.F, spec.F)
@@ -270,21 +270,21 @@ type DepthwiseSpec struct {
 	Bias  bool
 }
 
-// OutDims returns the output spatial dims.
-func (s DepthwiseSpec) OutDims() (int, int) {
+// outDims returns the output spatial dims.
+func (s DepthwiseSpec) outDims() (int, int) {
 	return (s.H-s.F)/s.S + 1, (s.W-s.F)/s.S + 1
 }
 
-// FLOPCount returns multiply+add ops (complexity C·H2·W2·F·F, §2.1.2).
-func (s DepthwiseSpec) FLOPCount() int64 {
-	h2, w2 := s.OutDims()
+// flopCount returns multiply+add ops (complexity C·H2·W2·F·F, §2.1.2).
+func (s DepthwiseSpec) flopCount() int64 {
+	h2, w2 := s.outDims()
 	return 2 * int64(s.C) * int64(h2) * int64(w2) * int64(s.F) * int64(s.F)
 }
 
 // DepthwiseConv2D generates a depthwise convolution kernel. The optimized
 // schedule tiles W2 and unrolls F×F (Table 6.7: 7×3×3).
 func DepthwiseConv2D(spec DepthwiseSpec, naive bool, w2vec int, io ConvIO) (*Op, error) {
-	h2, w2 := spec.OutDims()
+	h2, w2 := spec.outDims()
 	if h2 < 1 || w2 < 1 {
 		return nil, fmt.Errorf("topi: depthwise %s output is empty", spec.Name)
 	}
@@ -296,7 +296,7 @@ func DepthwiseConv2D(spec DepthwiseSpec, naive bool, w2vec int, io ConvIO) (*Op,
 			return nil, err
 		}
 	}
-	op := &Op{OutShape: []int{spec.C, h2, w2}, FLOPs: spec.FLOPCount(), InCh: io.InCh, OutCh: io.OutCh}
+	op := &Op{OutShape: []int{spec.C, h2, w2}, FLOPs: spec.flopCount(), InCh: io.InCh, OutCh: io.OutCh}
 	wt := ir.NewBuffer(spec.Name+"_w", ir.Global, spec.C, spec.F, spec.F)
 	op.Weights = wt
 	args := []*ir.Buffer{}

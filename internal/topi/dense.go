@@ -15,8 +15,8 @@ type DenseSpec struct {
 	Bias  bool
 }
 
-// FLOPCount returns multiply+add ops.
-func (s DenseSpec) FLOPCount() int64 { return 2 * int64(s.M) * int64(s.N) }
+// flopCount returns multiply+add ops.
+func (s DenseSpec) flopCount() int64 { return 2 * int64(s.M) * int64(s.N) }
 
 // Dense generates a fully-connected kernel. naive follows Listing 5.5
 // (global dot scratchpad, serial row loop); otherwise the Listing 5.6
@@ -31,7 +31,7 @@ func Dense(spec DenseSpec, naive bool, kvec int, io ConvIO) (*Op, error) {
 			return nil, err
 		}
 	}
-	op := &Op{OutShape: []int{spec.M}, FLOPs: spec.FLOPCount(), InCh: io.InCh, OutCh: io.OutCh}
+	op := &Op{OutShape: []int{spec.M}, FLOPs: spec.flopCount(), InCh: io.InCh, OutCh: io.OutCh}
 	wt := ir.NewBuffer(spec.Name+"_w", ir.Global, spec.M, spec.N)
 	op.Weights = wt
 	args := []*ir.Buffer{}

@@ -29,7 +29,7 @@ type Op struct {
 	// OutShape is the constant output shape (nil for symbolic kernels).
 	OutShape []int
 	// FLOPs counts multiply+add floating operations for one invocation
-	// (constant-shape kernels only; symbolic kernels report via FLOPsFor).
+	// (constant-shape kernels only; zero for symbolic kernels).
 	FLOPs int64
 }
 

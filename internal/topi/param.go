@@ -36,13 +36,6 @@ func (p *ParamConv) Bind(c1, h, w, c2 int) (map[*ir.Var]int64, error) {
 	}, nil
 }
 
-// FLOPsFor counts multiply+add ops for one bound invocation.
-func (p *ParamConv) FLOPsFor(c1, h, w, c2 int) int64 {
-	h2 := (h-p.F)/p.S + 1
-	w2 := (w-p.F)/p.S + 1
-	return 2 * int64(c2) * int64(h2) * int64(w2) * int64(c1) * int64(p.F) * int64(p.F)
-}
-
 // ConvParam builds a parameterized convolution kernel for a (F, S) group.
 // workaround toggles the Listing 5.11 stride-1 fix that lets AOC coalesce.
 func ConvParam(name string, f, s int, sched ConvSched, relu, bias, residual, workaround bool) (*ParamConv, error) {
@@ -171,20 +164,9 @@ func (p *ParamDepthwise) Bind(c, h, w int) (map[*ir.Var]int64, error) {
 	return map[*ir.Var]int64{p.C: int64(c), p.H: int64(h), p.W: int64(w)}, nil
 }
 
-// FLOPsFor counts multiply+add ops for one bound invocation.
-func (p *ParamDepthwise) FLOPsFor(c, h, w int) int64 {
-	h2 := (h-p.F)/p.S + 1
-	w2 := (w-p.F)/p.S + 1
-	return 2 * int64(c) * int64(h2) * int64(w2) * int64(p.F) * int64(p.F)
-}
-
-// DepthwiseParam builds a parameterized depthwise kernel for an (F, S) group
-// with the W2×F×F unrolling of Table 6.7.
-func DepthwiseParam(name string, f, s, w2vec int, relu, bias, workaround bool) (*ParamDepthwise, error) {
-	return DepthwiseParamAct(name, f, s, w2vec, relu, false, bias, workaround)
-}
-
-// DepthwiseParamAct is DepthwiseParam with an explicit ReLU6 selector.
+// DepthwiseParamAct builds a parameterized depthwise kernel for an (F, S)
+// group with the W2×F×F unrolling of Table 6.7; relu6 selects ReLU6 over
+// ReLU.
 func DepthwiseParamAct(name string, f, s, w2vec int, relu, relu6, bias, workaround bool) (*ParamDepthwise, error) {
 	if w2vec == 0 {
 		w2vec = 1
@@ -259,9 +241,6 @@ func (p *ParamDense) Bind(n, m int) (map[*ir.Var]int64, error) {
 	}
 	return map[*ir.Var]int64{p.N: int64(n), p.M: int64(m)}, nil
 }
-
-// FLOPsFor counts multiply+add ops.
-func (p *ParamDense) FLOPsFor(n, m int) int64 { return 2 * int64(n) * int64(m) }
 
 // DenseParam builds a parameterized dense kernel with the reduction unrolled
 // by kvec (Table 6.7: 32).

@@ -15,8 +15,8 @@ type PoolSpec struct {
 	Avg  bool // average pooling instead of max
 }
 
-// OutDims returns the output spatial dims.
-func (s PoolSpec) OutDims() (int, int) {
+// outDims returns the output spatial dims.
+func (s PoolSpec) outDims() (int, int) {
 	return (s.H-s.F)/s.S + 1, (s.W-s.F)/s.S + 1
 }
 
@@ -24,7 +24,7 @@ func (s PoolSpec) OutDims() (int, int) {
 // channelized form can be autorun (§4.7, Table 6.4). The F×F window is fully
 // unrolled in the optimized schedule.
 func Pool2D(spec PoolSpec, naive bool, io ConvIO, autorun bool) (*Op, error) {
-	h2, w2 := spec.OutDims()
+	h2, w2 := spec.outDims()
 	if h2 < 1 || w2 < 1 {
 		return nil, fmt.Errorf("topi: pool %s output is empty", spec.Name)
 	}

@@ -363,7 +363,7 @@ func TestParamConvMatchesReferenceAcrossLayers(t *testing.T) {
 }
 
 func TestParamDepthwiseAndDense(t *testing.T) {
-	pd, err := DepthwiseParam("pdw", 3, 2, 1, true, false, true)
+	pd, err := DepthwiseParamAct("pdw", 3, 2, 1, true, false, false, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,15 +487,15 @@ func TestParamConvResidual(t *testing.T) {
 func TestFLOPCounts(t *testing.T) {
 	c := ConvSpec{C1: 64, H: 58, W: 58, C2: 64, F: 3, S: 1}
 	// 2 * 64*56*56*64*9
-	if got, want := c.FLOPCount(), int64(2*64*56*56*64*9); got != want {
+	if got, want := c.flopCount(), int64(2*64*56*56*64*9); got != want {
 		t.Fatalf("conv FLOPs = %d, want %d", got, want)
 	}
 	d := DenseSpec{N: 400, M: 120}
-	if d.FLOPCount() != 96000 {
-		t.Fatalf("dense FLOPs = %d", d.FLOPCount())
+	if d.flopCount() != 96000 {
+		t.Fatalf("dense FLOPs = %d", d.flopCount())
 	}
 	dw := DepthwiseSpec{C: 32, H: 114, W: 114, F: 3, S: 1}
-	if got, want := dw.FLOPCount(), int64(2*32*112*112*9); got != want {
+	if got, want := dw.flopCount(), int64(2*32*112*112*9); got != want {
 		t.Fatalf("dw FLOPs = %d, want %d", got, want)
 	}
 }

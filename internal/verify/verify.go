@@ -67,9 +67,6 @@ type Result struct {
 	Diags []Diagnostic
 }
 
-// OK reports whether no error-severity diagnostics were found.
-func (r *Result) OK() bool { return len(r.Errors()) == 0 }
-
 // Errors returns the error-severity diagnostics.
 func (r *Result) Errors() []Diagnostic { return r.filter(Error) }
 

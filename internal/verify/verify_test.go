@@ -32,7 +32,7 @@ func diag(res *Result, check string) *Diagnostic {
 
 func TestBalancedPipelinePasses(t *testing.T) {
 	res := Kernels(prodCons(64, 64, 16))
-	if !res.OK() {
+	if len(res.Errors()) != 0 {
 		t.Fatalf("balanced pipeline must verify clean, got: %v", res.Err())
 	}
 	if res.Err() != nil {
@@ -48,7 +48,8 @@ func TestTripCountMismatchRejected(t *testing.T) {
 	m := sim.NewMachine()
 	m.Bind(ks[0].Args[0], make([]float32, 64))
 	m.Bind(ks[1].Args[0], make([]float32, 65))
-	if err := m.RunGraph(ks, nil); !errors.Is(err, sim.ErrChannelDeadlock) {
+	var deadlock *sim.DeadlockError
+	if err := m.RunGraph(ks, nil); !errors.As(err, &deadlock) {
 		t.Fatalf("expected the simulator to deadlock on this set, got %v", err)
 	}
 
@@ -113,7 +114,7 @@ func TestBranchGuardedCountsDemoteToWarning(t *testing.T) {
 	if dg.Severity != Warning {
 		t.Fatalf("branch-guarded mismatch must be a warning, got %s", dg)
 	}
-	if !res.OK() {
+	if len(res.Errors()) != 0 {
 		t.Fatalf("warnings alone must not fail verification: %v", res.Err())
 	}
 }
