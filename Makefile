@@ -59,9 +59,9 @@ lint:
 # Each of those must be in the amd64 listing too. The portable folds the
 # contract rests on (the window's per-point fold and its four-point GEMV
 # fold dot4, the write-back's scalar twin emitScalar, whose scaled value
-# float32(v*scale) must round before a chain adds to it, cpuref's gemmRows,
-# relay's foldBN) must appear in the listings, so a rename cannot take them
-# out of the check.
+# float32(v*scale) must round before a chain adds to it, cpuref's block
+# twin gemmTwin, relay's foldBN) must appear in the listings, so a rename
+# cannot take them out of the check.
 fma-check:
 	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	for arch in arm64 amd64; do \
@@ -71,8 +71,8 @@ fma-check:
 				./internal/$$pkg > "$$dir/$$pkg.$$arch.s" 2>&1 || { cat "$$dir/$$pkg.$$arch.s"; exit 1; }; \
 		done; \
 	done; \
-	grep -q 'TEXT.*repro/internal/cpuref\.gemmRows(SB)' "$$dir/cpuref.arm64.s" || { echo "fma-check: gemmRows not listed"; exit 1; }; \
 	for arch in arm64 amd64; do \
+		grep -q 'TEXT.*repro/internal/cpuref\.gemmTwin(SB)' "$$dir/cpuref.$$arch.s" || { echo "fma-check: gemmTwin not listed on $$arch"; exit 1; }; \
 		for sym in '(\*windowLoop)\.fold' dot4 '(\*tileNest)\.emitScalar'; do \
 			grep -q "TEXT.*repro/internal/sim\.$$sym(SB)" "$$dir/sim.$$arch.s" || { echo "fma-check: sim.$$sym not listed on $$arch"; exit 1; }; \
 		done; \

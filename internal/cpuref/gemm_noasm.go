@@ -2,7 +2,7 @@
 
 package cpuref
 
-// useAVX is always false off amd64: Gemm runs gemmRows alone.
+// useAVX is always false off amd64: gemmTwin runs every block.
 var useAVX = false
 
 func gemm4x16(a, b, c *float32, kc, lda, ldb, ldc int) {

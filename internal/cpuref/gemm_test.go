@@ -83,30 +83,38 @@ func TestConv2DGEMMDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestIm2colShape spot-checks the patch matrix against direct indexing.
+// TestIm2colShape spot-checks every strip the image source packs against
+// direct indexing, padded taps reading +0: strips that are one contiguous
+// run of the input (stride 1 inside an output row), strips that straddle two
+// output rows, and strided ones.
 func TestIm2colShape(t *testing.T) {
-	tc := convCase{c1: 2, h: 5, w: 5, f: 3, s: 1, p: 1}
-	in := tensor.New(tc.c1, tc.h, tc.w)
-	in.FillSeq(7)
-	h2 := (tc.h-tc.f+2*tc.p)/tc.s + 1
-	w2 := (tc.w-tc.f+2*tc.p)/tc.s + 1
-	m := im2col(in, tc.f, tc.s, tc.p, nil)
-	if len(m) != tc.c1*tc.f*tc.f*h2*w2 {
-		t.Fatalf("im2col size %d", len(m))
-	}
-	for c := 0; c < tc.c1; c++ {
-		for fy := 0; fy < tc.f; fy++ {
-			for fx := 0; fx < tc.f; fx++ {
-				for y := 0; y < h2; y++ {
-					for x := 0; x < w2; x++ {
+	for _, tc := range []convCase{
+		{c1: 2, h: 5, w: 5, f: 3, s: 1, p: 1},
+		{c1: 1, h: 20, w: 20, f: 3, s: 1},
+		{c1: 2, h: 9, w: 9, f: 3, s: 2, p: 1},
+	} {
+		in := tensor.New(tc.c1, tc.h, tc.w)
+		in.FillSeq(7)
+		im := convImage(in, tc.f, tc.s, tc.p)
+		k, n := im.tables()
+		im.strip = make([]float32, stripLen)
+		w2 := (tc.w-tc.f+2*tc.p)/tc.s + 1
+		for kb := 0; kb < k; kb += gemmKC {
+			kc := min(k-kb, gemmKC)
+			for j := 0; j < n; j += 16 {
+				cols := min(n-j, 16)
+				im.pack(im.strip, kb, kc, j, cols)
+				for kk := 0; kk < kc; kk++ {
+					c, fy, fx := (kb+kk)/(tc.f*tc.f), (kb+kk)/tc.f%tc.f, (kb+kk)%tc.f
+					for jj := 0; jj < cols; jj++ {
+						y, x := (j+jj)/w2, (j+jj)%w2
 						iy, ix := tc.s*y+fy-tc.p, tc.s*x+fx-tc.p
 						want := float32(0)
 						if iy >= 0 && iy < tc.h && ix >= 0 && ix < tc.w {
 							want = in.At(c, iy, ix)
 						}
-						got := m[((c*tc.f+fy)*tc.f+fx)*h2*w2+y*w2+x]
-						if got != want {
-							t.Fatalf("patch (%d,%d,%d) pixel (%d,%d): got %v want %v", c, fy, fx, y, x, got, want)
+						if got := im.strip[kk*16+jj]; got != want {
+							t.Fatalf("%+v: patch (%d,%d,%d) pixel (%d,%d): got %v want %v", tc, c, fy, fx, y, x, got, want)
 						}
 					}
 				}
@@ -115,14 +123,16 @@ func TestIm2colShape(t *testing.T) {
 	}
 }
 
-// TestIm2colReusesScratch asserts the dst-threading contract.
+// TestIm2colReusesScratch asserts the scratch contract: a GemmImage call on a
+// reused Image allocates nothing.
 func TestIm2colReusesScratch(t *testing.T) {
 	in := tensor.New(3, 8, 8)
 	in.FillSeq(3)
-	scratch := im2col(in, 3, 1, 0, nil)
-	again := im2col(in, 3, 1, 0, scratch)
-	if &again[0] != &scratch[0] {
-		t.Fatal("im2col allocated despite sufficient scratch")
+	im := convImage(in, 3, 1, 0)
+	a := make([]float32, 5*27)
+	c := make([]float32, 5*36)
+	if allocs := testing.AllocsPerRun(10, func() { GemmImage(a, im, c, 5, 1) }); allocs != 0 {
+		t.Fatalf("GemmImage on a reused Image: %v allocations per call, want 0", allocs)
 	}
 }
 
@@ -211,8 +221,17 @@ func BenchmarkNestedFanout(b *testing.B) {
 	}
 }
 
-// im2colGather is the obvious per-element gather — the oracle for the
-// stride-1 fast path's fringe arithmetic.
+// convImage is the image source of an (f,s,p) convolution over in, padded
+// as Conv2DGEMM pads it.
+func convImage(in *tensor.Tensor, f, s, p int) *Image {
+	if p > 0 {
+		in = Pad2D(in, p)
+	}
+	return &Image{Data: in.Data, C: in.Shape[0], H: in.Shape[1], W: in.Shape[2], F: f, S: s}
+}
+
+// im2colGather is the obvious per-element gather: the whole patch matrix the
+// image source never builds, the oracle's B operand.
 func im2colGather(data []float32, c1, h1, w1, f, s, p int) []float32 {
 	h2 := (h1-f+2*p)/s + 1
 	w2 := (w1-f+2*p)/s + 1
@@ -236,10 +255,48 @@ func im2colGather(data []float32, c1, h1, w1, f, s, p int) []float32 {
 	return out
 }
 
-// TestIm2colFringesMatchGather drives the stride-1 fast path through its
-// fringe cases — taps hanging off both edges (p > 0), a filter nearly as wide
-// as the input, the degenerate single-column output, and the s > 1 fallback —
-// and diffs every element against the naive gather.
+// checkImageSource requires GemmImage over the (f,s,p) convolution of a
+// random [c1,h1,w1] activation to be bit-identical to gemmOracle over
+// im2colGather's patches, with AVX on and off, serial and row-split. A and C
+// carry gemmOracleCase's NaN, ±Inf, -0 and subnormals; the activation
+// carries -0 and subnormals (an Inf there would meet the Inf in A's row 0).
+func checkImageSource(t *testing.T, r *rand.Rand, c1, h1, w1, f, s, p, m int) {
+	t.Helper()
+	in := tensor.New(c1, h1, w1)
+	for i := range in.Data {
+		switch x := r.IntN(16); {
+		case x == 0:
+			in.Data[i] = gemmTiny[r.IntN(len(gemmTiny))]
+		case x == 1:
+			in.Data[i] = float32(math.Copysign(0, -1))
+		default:
+			in.Data[i] = float32(r.Float32()*4) - 2
+		}
+	}
+	k, n := c1*f*f, ((h1-f+2*p)/s+1)*((w1-f+2*p)/s+1)
+	a, _, c0 := gemmOracleCase(r, m, k, n)
+	want := append([]float32(nil), c0...)
+	gemmOracle(a, im2colGather(in.Data, c1, h1, w1, f, s, p), want, m, k, n)
+	for _, avx := range []bool{true, false} {
+		for _, workers := range []int{1, 3} {
+			got := append([]float32(nil), c0...)
+			if !withAVX(avx, func() { GemmImage(a, convImage(in, f, s, p), got, m, workers) }) {
+				continue
+			}
+			for i := range want {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("c1=%d h=%d w=%d f=%d s=%d p=%d m=%d avx=%v workers=%d: c[%d] = %#08x, oracle %#08x",
+						c1, h1, w1, f, s, p, m, avx, workers, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+				}
+			}
+		}
+	}
+}
+
+// TestIm2colFringesMatchGather drives the image source through its fringe
+// cases — taps hanging off both edges (p > 0), a filter nearly as wide as
+// the input, the degenerate single-column output, strided gathers — against
+// the oracle over the naive gather.
 func TestIm2colFringesMatchGather(t *testing.T) {
 	cases := []struct {
 		name                string
@@ -252,23 +309,26 @@ func TestIm2colFringesMatchGather(t *testing.T) {
 		{"strided-fallback", 2, 9, 9, 3, 2, 1},
 		{"strided-padded", 1, 8, 8, 5, 3, 2},
 	}
+	r := rand.New(rand.NewPCG(52, 1))
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			data := make([]float32, tc.c1*tc.h1*tc.w1)
-			for i := range data {
-				data[i] = float32(i%19-8) * 0.5
-			}
-			got := Im2colSlice(data, tc.c1, tc.h1, tc.w1, tc.f, tc.s, tc.p, nil)
-			want := im2colGather(data, tc.c1, tc.h1, tc.w1, tc.f, tc.s, tc.p)
-			if len(got) != len(want) {
-				t.Fatalf("length: got %d want %d", len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("patch[%d]: got %v want %v", i, got[i], want[i])
-				}
+			for _, m := range []int{1, 4, 7} {
+				checkImageSource(t, r, tc.c1, tc.h1, tc.w1, tc.f, tc.s, tc.p, m)
 			}
 		})
+	}
+}
+
+// TestImageSourceMatchesOracle is the property over random convolutions:
+// channel counts whose reductions cross the gemmKC block edge, filters up to
+// 7, strides up to 3, padding up to 3 and outputs narrower and wider than a
+// 16-column strip.
+func TestImageSourceMatchesOracle(t *testing.T) {
+	r := rand.New(rand.NewPCG(52, 2))
+	for i := 0; i < 150; i++ {
+		f, s, p := 1+r.IntN(7), 1+r.IntN(3), r.IntN(4)
+		h, w := max(f-2*p, 1)+r.IntN(24), max(f-2*p, 1)+r.IntN(24)
+		checkImageSource(t, r, 1+r.IntN(6), h, w, f, s, p, 1+r.IntN(9))
 	}
 }
 
@@ -308,7 +368,7 @@ func TestGemmDegenerateWorkers(t *testing.T) {
 // gemmOracle is the plain triple loop C += A*B: one output at a time, k
 // ascending, each product converted to float32 before it is added (the only
 // form the Go spec guarantees is not fused into an FMA). It is the scalar
-// oracle the register-accumulated gemmRows must match bit for bit.
+// oracle the register-accumulated gemmTwin must match bit for bit.
 func gemmOracle(a, b, c []float32, m, k, n int) {
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
@@ -379,7 +439,7 @@ func withAVX(on bool, f func()) bool {
 }
 
 // TestGemmRowsBitIdenticalToScalarOracle pins both Gemm paths — the AVX
-// kernels (gemm4x16 tiles and gemmEdge fringe blocks), and gemmRows alone —
+// kernels (gemm4x16 tiles and gemmEdge fringe blocks), and gemmTwin alone —
 // to the scalar oracle by math.Float32bits across the unroll remainders (k
 // mod 4), the gemmKC block edges, every (m mod 4, n mod 16) pair, each
 // fringe alone (m < 4, n < 16) and beside full tiles, and serial and
@@ -420,7 +480,7 @@ func TestGemmRowsBitIdenticalToScalarOracle(t *testing.T) {
 			}
 		})
 		if !ran {
-			t.Log("CPU has no AVX: the AVX half skipped, portable gemmRows checked alone")
+			t.Log("CPU has no AVX: the AVX half skipped, portable gemmTwin checked alone")
 		}
 	}
 }
@@ -458,11 +518,49 @@ func TestGemmShortSlicePanics(t *testing.T) {
 	}
 }
 
+// imageShape is an image-source convolution at a deployed shape: m output
+// channels over the F×F, stride-S gather of a [C,H,W] activation (already
+// padded, as the folded networks' pad kernels leave it).
+type imageShape struct {
+	name          string
+	m             int
+	c, h, w, f, s int
+}
+
+// deployedImages are the convolutions the deployed networks run on the image
+// source: ResNet-18's 7x7 stem, a conv2_x, the stride-2 3x3 and 1x1
+// projection that open conv3_x, a conv5_x, LeNet-5's two convs and
+// MobileNetV1's conv_1.
+var deployedImages = []imageShape{
+	{"resnet18/conv1", 64, 3, 230, 230, 7, 2},
+	{"resnet18/conv2_x", 64, 64, 58, 58, 3, 1},
+	{"resnet18/conv3_x-first", 128, 64, 58, 58, 3, 2},
+	{"resnet18/conv3_x-down", 128, 64, 56, 56, 1, 2},
+	{"resnet18/conv5_x", 512, 512, 9, 9, 3, 1},
+	{"lenet/conv1", 6, 1, 28, 28, 3, 1},
+	{"lenet/conv2", 16, 6, 13, 13, 3, 1},
+	{"mobilenet/conv_1", 32, 3, 226, 226, 3, 2},
+}
+
+// operands builds the image and A and C for one shape, and returns its MACs.
+func (sh imageShape) operands(r *rand.Rand) (im *Image, a, c []float32, macs int64) {
+	im = &Image{Data: make([]float32, sh.c*sh.h*sh.w), C: sh.c, H: sh.h, W: sh.w, F: sh.f, S: sh.s}
+	k, n := sh.c*sh.f*sh.f, ((sh.h-sh.f)/sh.s+1)*((sh.w-sh.f)/sh.s+1)
+	a, c = make([]float32, sh.m*k), make([]float32, sh.m*n)
+	for i := range im.Data {
+		im.Data[i] = float32(r.Float32()) - 0.5
+	}
+	for i := range a {
+		a[i] = float32(r.Float32()) - 0.5
+	}
+	return im, a, c, int64(sh.m) * int64(k) * int64(n)
+}
+
 // TestGemmRowsIdleWithAVX pins which products leave the AVX kernels: none of
 // the GEMM shapes the folded MobileNetV1 and ResNet-18/34 and LeNet-5 deploy
-// with a fringe (the rest are whole 4x16 tiles) runs a multiply-accumulate
-// on gemmRows when AVX is on, serial or row-split, and with AVX off gemmRows
-// runs all of them.
+// with a fringe (the rest are whole 4x16 tiles), nor any image-source
+// convolution they deploy, runs a multiply-accumulate on gemmTwin when AVX
+// is on, serial or row-split, and with AVX off gemmTwin runs all of them.
 func TestGemmRowsIdleWithAVX(t *testing.T) {
 	// m output channels x k reduction x n output pixels.
 	shapes := []struct {
@@ -483,25 +581,33 @@ func TestGemmRowsIdleWithAVX(t *testing.T) {
 		{"lenet/conv2", 16, 54, 121},
 	}
 	var macs atomic.Int64
-	gemmRowsMACs = &macs
-	defer func() { gemmRowsMACs = nil }()
-	for _, sh := range shapes {
-		a := make([]float32, sh.m*sh.k)
-		b := make([]float32, sh.k*sh.n)
-		c := make([]float32, sh.m*sh.n)
+	gemmTwinMACs = &macs
+	defer func() { gemmTwinMACs = nil }()
+	check := func(name string, all int64, gemm func(workers int)) {
 		for _, run := range []struct {
 			avx     bool
 			workers int
 			want    int64
-		}{{true, 1, 0}, {true, 3, 0}, {false, 1, int64(sh.m) * int64(sh.k) * int64(sh.n)}} {
+		}{{true, 1, 0}, {true, 3, 0}, {false, 1, all}} {
 			macs.Store(0)
-			if !withAVX(run.avx, func() { Gemm(a, b, c, sh.m, sh.k, sh.n, run.workers) }) {
+			if !withAVX(run.avx, func() { gemm(run.workers) }) {
 				continue
 			}
 			if got := macs.Load(); got != run.want {
-				t.Errorf("%s avx=%v workers=%d: gemmRows ran %d MACs, want %d", sh.name, run.avx, run.workers, got, run.want)
+				t.Errorf("%s avx=%v workers=%d: gemmTwin ran %d MACs, want %d", name, run.avx, run.workers, got, run.want)
 			}
 		}
+	}
+	for _, sh := range shapes {
+		a := make([]float32, sh.m*sh.k)
+		b := make([]float32, sh.k*sh.n)
+		c := make([]float32, sh.m*sh.n)
+		check(sh.name, int64(sh.m)*int64(sh.k)*int64(sh.n), func(workers int) { Gemm(a, b, c, sh.m, sh.k, sh.n, workers) })
+	}
+	r := rand.New(rand.NewPCG(52, 3))
+	for _, sh := range deployedImages {
+		im, a, c, all := sh.operands(r)
+		check("image/"+sh.name, all, func(workers int) { GemmImage(a, im, c, sh.m, workers) })
 	}
 }
 
@@ -510,10 +616,12 @@ func TestGemmRowsIdleWithAVX(t *testing.T) {
 // ResNet-18's 3x3 convs at each stage and its 7x7 stem, MobileNetV1's widest
 // and narrowest pointwise layers and its deepest (pw1024, n = 49: one
 // fringe column per 48), and LeNet-5's two convs (m = 6 rows, n = 676 and
-// 121: row and column fringes). Each shape runs twice, on the AVX kernels
-// ("avx") and on the portable gemmRows alone ("portable"), and reports
-// GFLOP/s (2 FLOPs per MAC); run it with -cpu 1 to size the microkernels
-// without worker fan-out.
+// 121: row and column fringes), with B a ready [k, n] matrix; then the
+// image-source convolutions they deploy (deployedImages), whose B strips are
+// gathered from the activation inside the timing. Each shape runs twice, on
+// the AVX kernels ("avx") and on the portable gemmTwin alone ("portable"),
+// and reports GFLOP/s (2 FLOPs per MAC); run it with -cpu 1 to size the
+// microkernels without worker fan-out.
 func BenchmarkGemmDeployedShapes(b *testing.B) {
 	shapes := []struct {
 		name    string
@@ -530,6 +638,26 @@ func BenchmarkGemmDeployedShapes(b *testing.B) {
 		{"lenet/conv1", 6, 9, 676},
 		{"lenet/conv2", 16, 54, 121},
 	}
+	kernels := []struct {
+		name string
+		avx  bool
+	}{{"avx", true}, {"portable", false}}
+	bench := func(name string, macs int64, gemm func()) {
+		for _, kernel := range kernels {
+			b.Run(name+"/"+kernel.name, func(b *testing.B) {
+				ran := withAVX(kernel.avx, func() {
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						gemm()
+					}
+				})
+				if !ran {
+					b.Skip("CPU has no AVX")
+				}
+				b.ReportMetric(2*float64(macs)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
+	}
 	for _, sh := range shapes {
 		r := rand.New(rand.NewPCG(1, 2))
 		a := make([]float32, sh.m*sh.k)
@@ -541,23 +669,10 @@ func BenchmarkGemmDeployedShapes(b *testing.B) {
 		for i := range bb {
 			bb[i] = float32(r.Float32()) - 0.5
 		}
-		for _, kernel := range []struct {
-			name string
-			avx  bool
-		}{{"avx", true}, {"portable", false}} {
-			b.Run(sh.name+"/"+kernel.name, func(b *testing.B) {
-				ran := withAVX(kernel.avx, func() {
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						Gemm(a, bb, c, sh.m, sh.k, sh.n, 1)
-					}
-				})
-				if !ran {
-					b.Skip("CPU has no AVX")
-				}
-				flops := 2 * float64(sh.m) * float64(sh.k) * float64(sh.n) * float64(b.N)
-				b.ReportMetric(flops/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-			})
-		}
+		bench(sh.name, int64(sh.m)*int64(sh.k)*int64(sh.n), func() { Gemm(a, bb, c, sh.m, sh.k, sh.n, 1) })
+	}
+	for _, sh := range deployedImages {
+		im, a, c, macs := sh.operands(rand.New(rand.NewPCG(1, 2)))
+		bench("image/"+sh.name, macs, func() { GemmImage(a, im, c, sh.m, 1) })
 	}
 }

@@ -21,8 +21,9 @@ import (
 // Conv2D computes a NCHW 2-D convolution (cross-correlation) with square
 // filter f, stride s and zero padding p, with optional fused bias and ReLU —
 // Eq. 2.1 of the thesis. in: [C1,H1,W1]; w: [C2,C1,F,F]; bias: [C2] or nil.
-// Execution is lowered to im2col + cache-blocked GEMM (gemm.go); the direct
-// loop nest survives as conv2DNaive, the test oracle.
+// Execution is lowered to an implicit GEMM on the cache-blocked kernel
+// (gemm.go), which gathers the patch matrix strip by strip and never builds
+// it; the direct loop nest survives as conv2DNaive, the test oracle.
 func Conv2D(in, w, bias *tensor.Tensor, s, p int, relu bool) *tensor.Tensor {
 	return Conv2DGEMM(in, w, bias, s, p, relu, 1)
 }

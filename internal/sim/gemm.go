@@ -22,8 +22,9 @@ package sim
 //     contiguous minor axis and the m levels tiling A's rows exactly;
 //   - the B operand is either already the row-major [K,N] matrix (pointwise
 //     conv, dense — zero copy) or a [C1,H,W] input whose k/n strides spell
-//     out an (F,s) im2col gather, in which case cpuref.Im2colSlice builds the
-//     patch matrix into persistent scratch;
+//     out the patch matrix of an (F,s) convolution, in which case
+//     cpuref.GemmImage gathers it one 16-column strip at a time straight
+//     from the input (implicit GEMM: the patch matrix is never built);
 //   - the write-back nest walks a contiguous column range of each output row
 //     and the destination is injective over the nest (no write ever lands on
 //     another write's slot), so epilogue order cannot be observed;
@@ -38,10 +39,10 @@ package sim
 // and the activation helpers are bit-identical to the scalar closures'
 // math.Max/math.Min round trips (including NaN and signed-zero behavior).
 //
-// The compiled executors, their scratch (C tile, im2col patches, window
-// tables) and the verified lowering live with the per-machine compiled
-// kernel, so a host.RunBatch worker pays the lowering once and reuses the
-// scratch for every image in the batch.
+// The compiled executors, their scratch (C tile, the image source's strip
+// and offset tables, window tables) and the verified lowering live with the
+// per-machine compiled kernel, so a host.RunBatch worker pays the lowering
+// once and reuses the scratch for every image in the batch.
 
 import (
 	"math"
@@ -398,17 +399,17 @@ type gemmLoop struct {
 	cls                          []int8
 	sDr                          []int64 // destination stride per reduction-list var
 	nrs                          []int64 // column radix per n-classified var
-	bc0, bc1, bc2                []int64 // per-dim B coefficients (im2col probe)
+	bc0, bc1, bc2                []int64 // per-dim B coefficients (image probe)
 	kIdx, mIdx, nIdx, eIdx, dIdx []int
 
-	gA, gB                   *flatAcc
-	M, K, N, nCov            int64
-	direct                   bool
-	icC1, icH, icW, icF, icS int64
+	gA, gB        *flatAcc
+	M, K, N, nCov int64
+	direct        bool
+	img           cpuref.Image // the image source when !direct, with its strip
 
 	chRow []int64 // each chain's stride along a row: 1 column-shaped, 0 row-invariant
 
-	cbuf, patches []float32
+	cbuf []float32
 }
 
 func newGemmLoop(tn *tileNest) *gemmLoop {
@@ -558,7 +559,7 @@ func (gl *gemmLoop) verifyAssign(e *cenv, fa, fb *flatAcc) bool {
 	}
 	gl.M, gl.K = M, K
 	gl.kIdx, gl.mIdx, gl.nIdx = kIdx, mIdx, nIdx
-	if gl.tryDirectB(fa, fb) || gl.tryIm2colB(e, fb) {
+	if gl.tryDirectB(fa, fb) || gl.tryImageB(e, fb) {
 		gl.gA, gl.gB = fa, fb
 		return true
 	}
@@ -590,12 +591,13 @@ func (gl *gemmLoop) tryDirectB(fa, fb *flatAcc) bool {
 	return true
 }
 
-// tryIm2colB checks whether fb is a rank-3 [C1,H,W] input addressed as
+// tryImageB checks whether fb is a rank-3 [C1,H,W] input addressed as
 // in[c, s·y+fy, s·x+fx]: the k levels decompose into (channel, fy, fx)
 // phases with the patch-row radix (c·F+fy)·F+fx, and the n levels walk the
-// output pixels with uniform stride s. On success the operand is lowered by
-// cpuref.Im2colSlice into the [C1·F·F, h2·w2] patch matrix.
-func (gl *gemmLoop) tryIm2colB(e *cenv, fb *flatAcc) bool {
+// output pixels with uniform stride s. On success the operand becomes the
+// image source of cpuref.GemmImage over the first Kc channels, whose
+// [Kc·F·F, h2·w2] patch matrix the GEMM gathers strip by strip.
+func (gl *gemmLoop) tryImageB(e *cenv, fb *flatAcc) bool {
 	a := fb.acc
 	if len(a.dims) != 3 {
 		return false
@@ -657,7 +659,7 @@ func (gl *gemmLoop) tryIm2colB(e *cenv, fb *flatAcc) bool {
 		ka *= gl.ext[r]
 	}
 	if Fx != Fy {
-		return false // im2col gathers square windows
+		return false // the image source gathers square windows
 	}
 	f := Fx
 	// n levels: output x on the minor input dim, output y on the middle one,
@@ -703,15 +705,16 @@ func (gl *gemmLoop) tryIm2colB(e *cenv, fb *flatAcc) bool {
 	}
 	w2 := (dims[2]-f)/s + 1
 	h2 := (dims[1]-f)/s + 1
-	// The x levels must cover a full output row (columns are contiguous in
-	// the patch matrix); partial y coverage just reads fewer rows.
+	// The x levels must cover a full output row (the patch matrix's columns
+	// are output pixels in row-major order); partial y coverage just reads
+	// fewer of its columns.
 	if w2x != w2 || h2y > h2 || Kc > dims[0] {
 		return false
 	}
-	// Im2colSlice reads the whole [C1,H,W] box, which may exceed the
-	// scalar-touched region the bounds box proved — require the binding to
-	// cover it.
-	if dims[0]*dims[1]*dims[2] > int64(len(fb.data)) {
+	// The image source reads all h2 output rows of the first Kc channels,
+	// which may exceed the scalar-touched region the bounds box proved —
+	// require the binding to cover them.
+	if Kc*dims[1]*dims[2] > int64(len(fb.data)) {
 		return false
 	}
 	for _, r := range gl.nIdx {
@@ -723,7 +726,8 @@ func (gl *gemmLoop) tryIm2colB(e *cenv, fb *flatAcc) bool {
 	}
 	gl.N = h2 * w2
 	gl.direct = false
-	gl.icC1, gl.icH, gl.icW, gl.icF, gl.icS = dims[0], dims[1], dims[2], f, s
+	gl.img.Data = fb.data
+	gl.img.C, gl.img.H, gl.img.W, gl.img.F, gl.img.S = int(Kc), int(dims[1]), int(dims[2]), int(f), int(s)
 	return true
 }
 
@@ -805,18 +809,14 @@ func (gl *gemmLoop) execute(e *cenv) {
 		}
 	}
 	a := gl.gA.data[gl.gA.base:]
-	var b []float32
-	if gl.direct {
-		b = gl.gB.data[gl.gB.base:]
-	} else {
-		gl.patches = cpuref.Im2colSlice(gl.gB.data,
-			int(gl.icC1), int(gl.icH), int(gl.icW), int(gl.icF), int(gl.icS), 0, gl.patches)
-		b = gl.patches
-	}
 	// workers=1: machines run inside RunBatch's worker pool — nesting a
 	// goroutine fan-out here would oversubscribe the host (see
 	// cpuref.Conv2DGEMM).
-	cpuref.Gemm(a, b, cb, int(m), int(k), int(n), 1)
+	if gl.direct {
+		cpuref.Gemm(a, gl.gB.data[gl.gB.base:], cb, int(m), int(k), int(n), 1)
+	} else {
+		cpuref.GemmImage(a, &gl.img, cb, int(m), 1)
+	}
 	gl.epilogue(cb)
 }
 

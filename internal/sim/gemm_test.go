@@ -228,3 +228,106 @@ func TestGemmReluEpilogueNaNBits(t *testing.T) {
 		}
 	}
 }
+
+// im2colShape is a hand-built convolution nest: per (m, y, x), T = 0,
+// T += wt[m, c, fy, fx] · in[c, sy·y+fy+by, sx·x+fx] over the reduction
+// loops c, fy, fx (c, fx, fy when swapped, with wt's last two axes swapped
+// too, so A's rows stay contiguous), out[m, y, x] = T + bias[m].
+type im2colShape struct {
+	name       string
+	m, c, h, w int // output channels; the [C,H,W] activation
+	cExt       int // the reduction's channel extent
+	fy, fx     int // the window
+	sy, sx, by int // the strides and the base row
+	yExt, xExt int // the output extents
+	swap       bool
+	want       string // "gemm", or "twin" (one counted bailout)
+}
+
+// kernel builds the nest and returns it with its arguments in binding order
+// (output last) and their lengths.
+func (sh im2colShape) kernel() (*ir.Kernel, []*ir.Buffer, []int) {
+	in := ir.NewBuffer("in", ir.Global, sh.c, sh.h, sh.w)
+	wt := ir.NewBuffer("wt", ir.Global, sh.m, sh.cExt, sh.fy, sh.fx)
+	bias := ir.NewBuffer("bias", ir.Global, sh.m)
+	out := ir.NewBuffer("out", ir.Global, sh.m, sh.yExt, sh.xExt)
+	acc := ir.NewBuffer("acc", ir.Private, 1)
+	z := []ir.Expr{ir.CInt(0)}
+	m, y, x, c, fy, fx := ir.V("m"), ir.V("y"), ir.V("x"), ir.V("c"), ir.V("fy"), ir.V("fx")
+	cs := func(v int) ir.Expr { return ir.CInt(int64(v)) }
+	ld := &ir.Load{Buf: in, Index: []ir.Expr{c,
+		ir.AddE(ir.AddE(ir.MulE(cs(sh.sy), y), fy), cs(sh.by)), ir.AddE(ir.MulE(cs(sh.sx), x), fx)}}
+	lw := &ir.Load{Buf: wt, Index: []ir.Expr{m, c, fy, fx}}
+	T := &ir.Load{Buf: acc, Index: z}
+	red := ir.Stmt(&ir.Store{Buf: acc, Index: z, Value: ir.AddE(T, ir.MulE(lw, ld))})
+	if sh.swap {
+		wt.Shape[2], wt.Shape[3] = wt.Shape[3], wt.Shape[2]
+		lw.Index[2], lw.Index[3] = fx, fy
+		red = ir.Loop(c, sh.cExt, ir.Loop(fx, sh.fx, ir.Loop(fy, sh.fy, red)))
+	} else {
+		red = ir.Loop(c, sh.cExt, ir.Loop(fy, sh.fy, ir.Loop(fx, sh.fx, red)))
+	}
+	body := ir.Loop(m, sh.m, ir.Loop(y, sh.yExt, ir.Loop(x, sh.xExt, ir.Seq(
+		&ir.Store{Buf: acc, Index: z, Value: ir.CFloat(0)},
+		red,
+		&ir.Store{Buf: out, Index: []ir.Expr{m, y, x}, Value: ir.AddE(T, &ir.Load{Buf: bias, Index: []ir.Expr{m}})},
+	))))
+	args := []*ir.Buffer{in, wt, bias, out}
+	lens := []int{sh.c * sh.h * sh.w, sh.m * sh.cExt * sh.fy * sh.fx, sh.m, sh.m * sh.yExt * sh.xExt}
+	return &ir.Kernel{Name: "im2col", Args: args, Body: ir.Seq(&ir.Alloc{Buf: acc}, body)}, args, lens
+}
+
+// TestIm2colNearMissesStayExact: the GEMM's image source takes exactly the
+// convolution nests it can gather — F = 3 at s = 1 and 2, ResNet's 1×1
+// projection and the 7×7 stem at s = 2, a reduction over a prefix of the
+// activation's channels, and outputs covering some of its rows — and every
+// near miss falls to the twin with one counted bailout, never to a wrong
+// GEMM: a non-square window, x and y strides that differ, the fx and fy
+// k-phases swapped, an x range covering part of an output row, a nonzero
+// base row, and a channel extent past the activation's C1 (out of bounds,
+// so both tiers fail the same way). A stride-2 nest cannot be the zero-copy
+// [K,N] source, whose columns are unit-stride, so its GEMM run is the image
+// source's. All are bit-identical to the interpreter on data carrying -0
+// and subnormals.
+func TestIm2colNearMissesStayExact(t *testing.T) {
+	specials := []float32{float32(math.Copysign(0, -1)), math.Float32frombits(1), -math.Float32frombits(0x007fffff)}
+	cases := []im2colShape{
+		{name: "f3_s1", m: 8, c: 3, h: 12, w: 12, cExt: 3, fy: 3, fx: 3, sy: 1, sx: 1, yExt: 10, xExt: 10, want: "gemm"},
+		{name: "f3_s2", m: 8, c: 3, h: 13, w: 13, cExt: 3, fy: 3, fx: 3, sy: 2, sx: 2, yExt: 6, xExt: 6, want: "gemm"},
+		{name: "proj_f1_s2", m: 8, c: 16, h: 14, w: 14, cExt: 16, fy: 1, fx: 1, sy: 2, sx: 2, yExt: 7, xExt: 7, want: "gemm"},
+		{name: "stem_f7_s2", m: 8, c: 3, h: 21, w: 21, cExt: 3, fy: 7, fx: 7, sy: 2, sx: 2, yExt: 8, xExt: 8, want: "gemm"},
+		{name: "channel_prefix", m: 8, c: 4, h: 12, w: 12, cExt: 3, fy: 3, fx: 3, sy: 1, sx: 1, yExt: 10, xExt: 10, want: "gemm"},
+		{name: "partial_y", m: 8, c: 3, h: 12, w: 12, cExt: 3, fy: 3, fx: 3, sy: 1, sx: 1, yExt: 7, xExt: 10, want: "gemm"},
+		{name: "non_square", m: 8, c: 3, h: 12, w: 12, cExt: 3, fy: 3, fx: 2, sy: 1, sx: 1, yExt: 10, xExt: 11, want: "twin"},
+		{name: "strides_differ", m: 8, c: 3, h: 13, w: 13, cExt: 3, fy: 3, fx: 3, sy: 2, sx: 1, yExt: 6, xExt: 11, want: "twin"},
+		{name: "phases_swapped", m: 8, c: 3, h: 12, w: 12, cExt: 3, fy: 3, fx: 3, sy: 1, sx: 1, yExt: 10, xExt: 10, swap: true, want: "twin"},
+		{name: "partial_x", m: 8, c: 3, h: 12, w: 12, cExt: 3, fy: 3, fx: 3, sy: 1, sx: 1, yExt: 10, xExt: 9, want: "twin"},
+		{name: "partial_x_one_row", m: 8, c: 8, h: 12, w: 12, cExt: 8, fy: 3, fx: 3, sy: 1, sx: 1, yExt: 1, xExt: 9, want: "twin"},
+		{name: "nonzero_base", m: 8, c: 3, h: 12, w: 12, cExt: 3, fy: 3, fx: 3, sy: 1, sx: 1, by: 1, yExt: 9, xExt: 10, want: "twin"},
+		{name: "channel_past_c1", m: 8, c: 3, h: 12, w: 12, cExt: 4, fy: 3, fx: 3, sy: 1, sx: 1, yExt: 10, xExt: 10, want: "twin"},
+	}
+	for _, sh := range cases {
+		kern, args, lens := sh.kernel()
+		run := func(tier sim.Tier) ([]float32, error, sim.StatsSnapshot) {
+			binds := map[*ir.Buffer][]float32{}
+			for i, b := range args[:3] {
+				binds[b] = windowInput(uint64(i+1), lens[i], specials)
+			}
+			out := make([]float32, lens[3])
+			binds[args[3]] = out
+			err, st := runKernelTier(t, kern, tier, binds, nil)
+			return out, err, st
+		}
+		want, wantErr := func() ([]float32, error) { o, e, _ := run(sim.TierInterp); return o, e }()
+		got, err, st := run(sim.TierVector)
+		if (err == nil) != (wantErr == nil) || (err == nil) != (sh.name != "channel_past_c1") {
+			t.Fatalf("%s: vector tier error %v, interpreter error %v", sh.name, err, wantErr)
+		}
+		assertBitEqual(t, sh.name, got, want)
+		path := map[bool]string{true: "gemm", false: "twin"}[st.GemmRuns == 1]
+		if st.GemmLoops != 1 || st.GemmRuns+st.GemmBailouts != 1 || st.WindowRuns != 0 || path != sh.want {
+			t.Errorf("%s: gemm_loops %d, gemm_runs %d, gemm_bailouts %d, window_runs %d: ran on the %s, want the %s",
+				sh.name, st.GemmLoops, st.GemmRuns, st.GemmBailouts, st.WindowRuns, path, sh.want)
+		}
+	}
+}

@@ -31,7 +31,7 @@ func gemvNest(m, n, kvec int, wFirst, relu bool) (*ir.Kernel, []*ir.Buffer) {
 // convGemvNest builds a convolution with one output pixel, a GEMV over
 // T += in[c,fy,fx] · wt[j,c,fy,fx]: in is C×(F+1)×F and the window never
 // reads its last row, so the input's taps are not contiguous and the
-// four-point plan declines it. The GEMM's im2col check accepts the layout
+// four-point plan declines it. The GEMM's image-source check accepts the layout
 // and declines the one output column.
 func convGemvNest(m, c, f int, wFirst, relu bool) (*ir.Kernel, []*ir.Buffer) {
 	in := ir.NewBuffer("in", ir.Global, c, f+1, f)
