@@ -108,7 +108,7 @@ bench-serve:
 # Fleet benchmark: single board vs data-parallel replication vs pipeline
 # sharding, plus a kill-mid-stream point. Fully modeled on the virtual clock,
 # so BENCH_fleet.json is byte-deterministic and CI diffs it against the
-# checked-in copy; bench-gates asserts the replication speedup floor.
+# checked-in copy; bench-gates asserts the replication and shard speedup floors.
 bench-fleet:
 	$(GO) run ./cmd/fpgacnn bench-fleet -o BENCH_fleet.json
 

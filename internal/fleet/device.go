@@ -15,7 +15,6 @@ import (
 	"sort"
 
 	"repro/internal/fault"
-	"repro/internal/fpga"
 	"repro/internal/host"
 	"repro/internal/relay"
 	"repro/internal/serve"
@@ -213,7 +212,8 @@ func (d *device) noteDispatchFailure(f *Fleet, atUS float64, bf fault.BoardFault
 }
 
 // execResult is one device service window. A failed run returns it with the
-// error, carrying only the retries and faults the attempt absorbed.
+// error, carrying only the retries and faults the attempt absorbed and, in
+// endUS, when the attempt gave up.
 type execResult struct {
 	outs            []*tensor.Tensor
 	startUS, endUS  float64
@@ -223,16 +223,18 @@ type execResult struct {
 // executor is the device's execution engine. run executes inputs starting
 // no earlier than readyUS (internal busy time may push the start later) and
 // advances the device's modeled busy horizon; stretch inflates the service
-// duration (brownout). Implementations are driven under the fleet mutex.
+// duration (brownout). run always returns a result, failed or not.
+// Implementations are driven under the fleet mutex.
 type executor interface {
 	run(inputs []*tensor.Tensor, readyUS float64, seq int64, stretch float64) (*execResult, error)
 	availableAt() float64
 	estUS() float64
 }
 
-// simExec executes batches through the full batch engine (host.RunBatch):
-// real functional simulation, image-level fault injection, modeled device
-// time. Viable for LeNet-class nets; heavier nets use refExec.
+// simExec executes batches through one deployment's batch engine
+// (RunBatch): the deployed kernels' functional simulation, image-level
+// fault injection, modeled device time. Every FPGA device and each shard
+// stage is one.
 type simExec struct {
 	dep       serve.Deployment
 	busyUntil float64
@@ -241,19 +243,16 @@ type simExec struct {
 	faultRate float64
 }
 
-func newSimExec(cfg Config, board *fpga.Board) (*simExec, error) {
-	dep, layers, err := serve.BuildDeployment(cfg.Net, board)
-	if err != nil {
-		return nil, err
-	}
+// newSimExec wraps dep, whose input is one tensor of inShape.
+func newSimExec(dep serve.Deployment, inShape []int, faultSeed int64, faultRate float64) (*simExec, error) {
 	// Calibrate the routing estimate with one fault-free probe batch at
 	// construction (zero input, deterministic): a cold device must not look
 	// slower than its siblings or the scheduler never tries it.
-	probe, err := dep.RunBatch([]*tensor.Tensor{tensor.New(layers[0].InShape...)}, host.BatchOptions{Workers: 1})
+	probe, err := dep.RunBatch([]*tensor.Tensor{tensor.New(inShape...)}, host.BatchOptions{Workers: 1})
 	if err != nil {
-		return nil, fmt.Errorf("fleet: calibration probe for %s on %s: %w", cfg.Net, board.Name, err)
+		return nil, fmt.Errorf("calibration probe: %w", err)
 	}
-	return &simExec{dep: dep, est: probe.ModeledUS, faultSeed: cfg.FaultSeed, faultRate: cfg.FaultRate}, nil
+	return &simExec{dep: dep, est: probe.ModeledUS, faultSeed: faultSeed, faultRate: faultRate}, nil
 }
 
 func (e *simExec) availableAt() float64 { return e.busyUntil }
@@ -273,7 +272,7 @@ func (e *simExec) run(inputs []*tensor.Tensor, readyUS float64, seq int64, stret
 		// The failed attempt burned a slot: the device was busy while the
 		// batch engine retried and gave up.
 		e.busyUntil = start + e.est*float64(len(inputs))*stretch
-		return &execResult{retries: res.Retries, faults: len(res.Faults)}, err
+		return &execResult{endUS: e.busyUntil, retries: res.Retries, faults: len(res.Faults)}, err
 	}
 	dur := res.ModeledUS * stretch
 	e.busyUntil = start + dur
@@ -286,39 +285,12 @@ func (e *simExec) run(inputs []*tensor.Tensor, readyUS float64, seq int64, stret
 	}, nil
 }
 
-// refExec is the analytic executor: functional output via the CPU reference
-// chain (bit-identical to ground truth by construction) and timing via a
-// fixed modeled per-image cost — the folded deployment's analytic forward
-// time for FPGA devices, CPURefUS for the cpuref tier. Nets whose
-// functional simulation costs seconds per image serve through this.
+// refExec is the cpuref tier: output from the CPU reference chain, at a
+// fixed modeled cost per image (serve.CPURefUS).
 type refExec struct {
 	layers     []*relay.Layer
 	perImageUS float64
 	busyUntil  float64
-}
-
-// newRefExec builds the analytic executor for net on board: the deployment
-// is built once for its modeled per-image time, then discarded from the
-// execution path. A folded deployment reports its analytic forward time; a
-// pipelined one (LeNet-5) calibrates the time with one probe batch instead —
-// still deterministic, the probe input is all zeros.
-func newRefExec(net string, layers []*relay.Layer, board *fpga.Board) (*refExec, error) {
-	dep, _, err := serve.BuildDeployment(net, board)
-	if err != nil {
-		return nil, err
-	}
-	if f, ok := dep.(*host.Folded); ok {
-		t, err := f.ForwardTimeUS()
-		if err != nil {
-			return nil, err
-		}
-		return &refExec{layers: layers, perImageUS: t}, nil
-	}
-	probe, err := dep.RunBatch([]*tensor.Tensor{tensor.New(layers[0].InShape...)}, host.BatchOptions{Workers: 1})
-	if err != nil {
-		return nil, fmt.Errorf("fleet: timing probe for %s on %s: %w", net, board.Name, err)
-	}
-	return &refExec{layers: layers, perImageUS: probe.ModeledUS}, nil
 }
 
 func (e *refExec) availableAt() float64 { return e.busyUntil }
@@ -333,7 +305,7 @@ func (e *refExec) run(inputs []*tensor.Tensor, readyUS float64, _ int64, stretch
 	for i, in := range inputs {
 		out, err := relay.Execute(e.layers, in)
 		if err != nil {
-			return nil, err
+			return &execResult{endUS: start}, err
 		}
 		outs[i] = out
 	}
@@ -381,7 +353,7 @@ func (f *Fleet) dispatchOn(d *device, inputs []*tensor.Tensor, readyUS float64, 
 	if err != nil {
 		// Image-level device fault that survived the batch engine's own
 		// retries: not a board failure, but the batch must reroute.
-		failAt = d.exec.availableAt()
+		failAt = r.endUS
 		f.tc.Instant("fleet", d.Name, "dispatch-failed", "failover", failAt,
 			map[string]string{"cause": "device-fault", "images": fmt.Sprint(len(inputs)), "err": err.Error()})
 		return r, failAt, "device-fault"

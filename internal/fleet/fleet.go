@@ -21,7 +21,7 @@
 //   - Throughput composes two parallelism shapes: data-parallel replication
 //     (identical deployments on several boards) and pipeline-parallel
 //     sharding (a folded ResNet split at a cut layer across two boards,
-//     inter-board transfers costed with the Appendix A PCIe model).
+//     each half its own deployment).
 //
 // Everything is deterministic on the virtual clock: routing ties break by
 // device name, fault schedules are explicit timestamps, and per-dispatch
@@ -124,33 +124,22 @@ type Config struct {
 	// <board>-<i> (lowercase).
 	Boards []BoardSpec
 	// Shard folds the first two FPGA devices into one pipeline-parallel
-	// device: the net is split at a cut layer, each half deployed on its
-	// board, and the cut activation crosses PCIe at the Appendix A cost.
+	// device: the net is split at the FLOP-balanced cut layer and each half
+	// deployed on its board.
 	Shard bool
-	// ShardCut overrides the automatically balanced cut layer index (0 =
-	// pick the valid cut that best balances modeled per-stage time).
-	ShardCut int
-	// Analytic forces the analytic executor (functional output via the CPU
-	// reference chain, timing via the folded deployment's modeled forward
-	// time) even for nets with a full batch-engine simulation. Non-LeNet
-	// nets always use the analytic executor — their functional simulation
-	// costs seconds per image, unusable under a load stream.
-	Analytic bool
 
 	// Faults is the scheduled board-level chaos plan.
 	Faults []fault.BoardFault
-	// FaultSeed/FaultRate inject image-level device faults into sim-executor
-	// dispatches (as in serve); requires the sim executor.
+	// FaultSeed/FaultRate inject image-level device faults into every FPGA
+	// dispatch (as in serve).
 	FaultSeed int64
 	FaultRate float64
 
 	// SLAUS is the latency target: Suspect devices are penalized by one SLA
 	// in the routing score, and completions past it count as SLA misses.
 	SLAUS float64
-	// DispatchUS is the modeled host overhead per dispatch; CPURefUS the
-	// per-image cost of the cpuref tier.
+	// DispatchUS is the modeled host overhead per dispatch.
 	DispatchUS float64
-	CPURefUS   float64
 }
 
 // The health watchdog's timing. A device is Suspect after suspectBeats
@@ -176,14 +165,8 @@ func (c Config) withDefaults() Config {
 	if c.DispatchUS <= 0 {
 		c.DispatchUS = 150
 	}
-	// CPURefUS == 0 means "derive from the net's FLOPs" — resolved in New,
-	// where the lowered chain is available.
 	return c
 }
-
-// cpuRefFLOPsPerUS models the scalar CPU reference executor's throughput
-// (2000 FLOPs/us = 2 GFLOP/s) for pricing the cpuref tier's service time.
-const cpuRefFLOPsPerUS = 2000
 
 // Failover is one ledger entry: one image rerouted off a failed device.
 type Failover struct {
@@ -220,7 +203,11 @@ func New(cfg Config, tc *trace.Collector) (*Fleet, error) {
 	if tc == nil {
 		tc = trace.NewCollector()
 	}
-	if len(cfg.Boards) == 0 {
+	slots, err := expandSlots(cfg.Boards)
+	if err != nil {
+		return nil, err
+	}
+	if len(slots) == 0 {
 		return nil, fmt.Errorf("fleet: no boards configured")
 	}
 	g, err := nn.ByName(cfg.Net)
@@ -231,42 +218,9 @@ func New(cfg Config, tc *trace.Collector) (*Fleet, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.CPURefUS <= 0 {
-		// The cpuref tier must price like a CPU, not a constant: a modeled
-		// ~2 GFLOP/s scalar reference (floor 20 ms) keeps it the genuine
-		// last resort — slower than any board — for heavy nets too.
-		cfg.CPURefUS = float64(chainFLOPs(layers)) / cpuRefFLOPsPerUS
-		if cfg.CPURefUS < 20_000 {
-			cfg.CPURefUS = 20_000
-		}
-	}
 	f := &Fleet{cfg: cfg, tc: tc, layers: layers, inLen: 1}
 	for _, d := range layers[0].InShape {
 		f.inLen *= d
-	}
-
-	// Expand the board mix into device slots.
-	type slot struct {
-		board *fpga.Board
-		name  string
-	}
-	var slots []slot
-	index := map[string]int{}
-	for _, spec := range cfg.Boards {
-		b, err := fpga.ByName(spec.Board)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < spec.Count; i++ {
-			name := fmt.Sprintf("%s-%d", strings.ToLower(b.Name), index[b.Name])
-			index[b.Name]++
-			slots = append(slots, slot{board: b, name: name})
-		}
-	}
-
-	useSim := cfg.Net == "lenet5" && !cfg.Analytic
-	if cfg.FaultRate > 0 && !useSim {
-		return nil, fmt.Errorf("fleet: image-level fault injection (-fault-rate) requires the sim executor (lenet5, non-analytic)")
 	}
 
 	if cfg.Shard {
@@ -274,12 +228,12 @@ func New(cfg Config, tc *trace.Collector) (*Fleet, error) {
 			return nil, fmt.Errorf("fleet: -shard needs at least two FPGA devices, have %d", len(slots))
 		}
 		a, b := slots[0], slots[1]
-		ex, err := newShardExec(cfg.Net, layers, a.board, b.board, cfg.ShardCut)
+		ex, err := newShardExec(cfg, layers, a.board, b.board)
 		if err != nil {
 			return nil, err
 		}
 		f.devs = append(f.devs, &device{
-			Name:       fmt.Sprintf("shard-%s+%s", a.name, b.name),
+			Name:       shardName(a, b),
 			Board:      a.board.Name + "+" + b.board.Name,
 			Components: []string{a.name, b.name},
 			exec:       ex,
@@ -287,14 +241,13 @@ func New(cfg Config, tc *trace.Collector) (*Fleet, error) {
 		slots = slots[2:]
 	}
 	for _, s := range slots {
-		var ex executor
-		if useSim {
-			ex, err = newSimExec(cfg, s.board)
-		} else {
-			ex, err = newRefExec(cfg.Net, layers, s.board)
-		}
+		dep, _, err := serve.BuildDeployment(cfg.Net, s.board)
 		if err != nil {
 			return nil, err
+		}
+		ex, err := newSimExec(dep, layers[0].InShape, cfg.FaultSeed, cfg.FaultRate)
+		if err != nil {
+			return nil, fmt.Errorf("fleet: %s on %s: %w", cfg.Net, s.board.Name, err)
 		}
 		f.devs = append(f.devs, &device{Name: s.name, Board: s.board.Name, exec: ex})
 	}
@@ -302,7 +255,7 @@ func New(cfg Config, tc *trace.Collector) (*Fleet, error) {
 	f.devs = append(f.devs, &device{
 		Name:  "cpuref",
 		Board: "cpu",
-		exec:  &refExec{layers: layers, perImageUS: cfg.CPURefUS},
+		exec:  &refExec{layers: layers, perImageUS: serve.CPURefUS(layers)},
 	})
 
 	// Bind the chaos plan to devices and precompute time-driven transitions.
@@ -343,26 +296,50 @@ func (f *Fleet) deviceForFault(name string) *device {
 	return nil
 }
 
+// slot is one board of the mix before anything is deployed on it.
+type slot struct {
+	board *fpga.Board
+	name  string
+}
+
+// expandSlots expands the board mix, in order, into one slot per board,
+// named <board>-<i> (lowercase; i counts per board type).
+func expandSlots(specs []BoardSpec) ([]slot, error) {
+	var slots []slot
+	index := map[string]int{}
+	for _, spec := range specs {
+		b, err := fpga.ByName(spec.Board)
+		if err != nil {
+			return nil, err
+		}
+		for i := 0; i < spec.Count; i++ {
+			slots = append(slots, slot{board: b, name: fmt.Sprintf("%s-%d", strings.ToLower(b.Name), index[b.Name])})
+			index[b.Name]++
+		}
+	}
+	return slots, nil
+}
+
+// shardName names the pipeline composite over two slots.
+func shardName(a, b slot) string { return "shard-" + a.name + "+" + b.name }
+
 // ExpandDeviceNames computes the device names a Config would produce
 // without building any deployment — the CLI validates chaos targets against
 // this before paying for construction. Shard composites list both the
 // composite name and the component names (either is a valid chaos target).
-func ExpandDeviceNames(cfg Config) []string {
-	cfg = cfg.withDefaults()
+func ExpandDeviceNames(cfg Config) ([]string, error) {
+	slots, err := expandSlots(cfg.Boards)
+	if err != nil {
+		return nil, err
+	}
 	var names []string
-	index := map[string]int{}
-	for _, spec := range cfg.Boards {
-		for i := 0; i < spec.Count; i++ {
-			lower := strings.ToLower(spec.Board)
-			names = append(names, fmt.Sprintf("%s-%d", lower, index[spec.Board]))
-			index[spec.Board]++
-		}
+	if cfg.Shard && len(slots) >= 2 {
+		names = append(names, shardName(slots[0], slots[1]))
 	}
-	if cfg.Shard && len(names) >= 2 {
-		composite := fmt.Sprintf("shard-%s+%s", names[0], names[1])
-		names = append([]string{composite, names[0], names[1]}, names[2:]...)
+	for _, s := range slots {
+		names = append(names, s.name)
 	}
-	return append(names, "cpuref")
+	return append(names, "cpuref"), nil
 }
 
 // deviceNames lists the fleet's device names in routing order.
@@ -384,8 +361,8 @@ func (f *Fleet) InShape() []int { return f.layers[0].InShape }
 // InputLen returns the flat input element count.
 func (f *Fleet) InputLen() int { return f.inLen }
 
-// Reference runs the CPU reference chain on one input — the bit-exact
-// ground truth every device must match.
+// Reference runs the CPU reference chain on one input: the ground truth a
+// LeNet-5 device matches bit for bit and a folded device in argmax.
 func (f *Fleet) Reference(in *tensor.Tensor) (*tensor.Tensor, error) {
 	return relay.Execute(f.layers, in)
 }

@@ -1,12 +1,15 @@
 package fleet
 
 import (
+	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/fault"
 	"repro/internal/nn"
 	"repro/internal/relay"
 	"repro/internal/serve"
+	"repro/internal/tensor"
 	"repro/internal/trace"
 )
 
@@ -249,7 +252,6 @@ func TestFaultValidationAtConstruction(t *testing.T) {
 		{Faults: []fault.BoardFault{{Device: "nope", Kind: fault.DeviceLoss}}},
 		{Faults: []fault.BoardFault{{Device: "cpuref", Kind: fault.DeviceLoss}}},
 		{Faults: []fault.BoardFault{{Device: "s10sx-0", Kind: fault.Brownout, DurUS: 10, Factor: 0.5}}},
-		{FaultRate: 0.1, Analytic: true}, // image faults need the sim executor
 	}
 	for i, cfg := range cases {
 		cfg.Net = "lenet5"
@@ -326,37 +328,88 @@ func TestSplitLayersBitIdentical(t *testing.T) {
 	}
 }
 
+// stageFake is a shard stage at a fixed modeled time per image that
+// absorbs a fixed ledger per run and fails on command.
+type stageFake struct {
+	perImageUS      float64
+	busyUntil       float64
+	retries, faults int
+	fail            bool
+	runs            int
+}
+
+func (s *stageFake) availableAt() float64 { return s.busyUntil }
+func (s *stageFake) estUS() float64       { return s.perImageUS }
+
+func (s *stageFake) run(inputs []*tensor.Tensor, readyUS float64, _ int64, stretch float64) (*execResult, error) {
+	s.runs++
+	start := math.Max(readyUS, s.busyUntil)
+	s.busyUntil = start + float64(len(inputs))*s.perImageUS*stretch
+	r := &execResult{endUS: s.busyUntil, retries: s.retries, faults: s.faults}
+	if s.fail {
+		return r, errors.New("stage fake: retries exhausted")
+	}
+	r.outs, r.startUS = inputs, start
+	return r, nil
+}
+
 func TestShardPipelineOverlap(t *testing.T) {
-	ex := &shardExec{
-		tAUS: 100, tBUS: 80, cutBytes: 1000,
+	a, b := &stageFake{perImageUS: 100}, &stageFake{perImageUS: 80}
+	ex := &shardExec{a: a, b: b}
+	if got := ex.estUS(); got != 180 {
+		t.Fatalf("estUS = %g, want 180 (stage A + stage B)", got)
 	}
-	// Zero-latency PCIe for arithmetic clarity is not possible (models have
-	// latency terms), so use explicit small models.
-	ex.pcieA.ReadLatencyUS, ex.pcieA.ReadGBps = 10, 1
-	ex.pcieB.WriteLatencyUS, ex.pcieB.WriteGBps = 10, 1
-	xfer1 := ex.xferUS(1)
-	if xfer1 != 10+1+10+1 {
-		t.Fatalf("xferUS(1) = %g, want 22", xfer1)
-	}
+	in := []*tensor.Tensor{tensor.New(1)}
 	// Two 1-image batches back to back: the second enters stage A as soon
-	// as the first leaves it, so its completion is gated by stage A + xfer +
-	// stage B, with stage B queueing behind the first.
-	s1, e1 := ex.advanceTiming(1, 0, 1)
-	s2, e2 := ex.advanceTiming(1, 0, 1)
-	if s1 != 0 || e1 != 100+22+80 {
-		t.Fatalf("first batch window [%g, %g], want [0, 202]", s1, e1)
+	// as the first leaves it, and stage B starts each batch when stage A
+	// hands it over (or B frees, whichever is later).
+	r1, err := ex.run(in, 0, 1, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s2 != 100 {
-		t.Fatalf("second batch entered stage A at %g, want 100 (pipeline overlap)", s2)
+	r2, err := ex.run(in, 0, 2, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Second batch: stage A 100..200, xfer lands at 222, stage B free at
-	// 202 — so stage B runs 222..302, gated by the transfer, not the queue.
-	if e2 != 100+100+22+80 {
-		t.Fatalf("second batch end %g, want 302", e2)
+	if r1.startUS != 0 || r1.endUS != 180 {
+		t.Fatalf("first batch window [%g, %g], want [0, 180]", r1.startUS, r1.endUS)
 	}
-	// availableAt exposes stage A's horizon (admission point), not e2.
-	if ex.availableAt() != 200 {
-		t.Fatalf("availableAt = %g, want 200", ex.availableAt())
+	if r2.startUS != 100 {
+		t.Fatalf("second batch entered stage A at %g, want 100 (pipeline overlap)", r2.startUS)
+	}
+	// Stage A frees at 200 and hands over; stage B, free since 180, runs
+	// 200..280.
+	if r2.endUS != 280 {
+		t.Fatalf("second batch end %g, want 280", r2.endUS)
+	}
+	// availableAt exposes stage A's horizon (admission point), not B's.
+	if got := ex.availableAt(); got != 200 {
+		t.Fatalf("availableAt = %g, want 200", got)
+	}
+}
+
+// A failed stage fails the shard run, and the result still carries every
+// retry and fault either stage absorbed.
+func TestShardStageFailureKeepsLedger(t *testing.T) {
+	a := &stageFake{perImageUS: 100, retries: 2, faults: 1}
+	b := &stageFake{perImageUS: 80, retries: 3, faults: 2, fail: true}
+	ex := &shardExec{a: a, b: b}
+	r, err := ex.run([]*tensor.Tensor{tensor.New(1)}, 0, 1, 1)
+	if err == nil {
+		t.Fatal("stage B failed but the shard run succeeded")
+	}
+	if r.retries != 5 || r.faults != 3 {
+		t.Fatalf("retries %d faults %d, want 5 and 3 (both stages)", r.retries, r.faults)
+	}
+	if r.endUS != 180 {
+		t.Fatalf("failure noticed at %g, want 180 (when stage B gave up)", r.endUS)
+	}
+	// Stage A failing stops the batch before stage B.
+	a.fail, b.fail, b.runs = true, false, 0
+	r, err = ex.run([]*tensor.Tensor{tensor.New(1)}, 0, 2, 1)
+	if err == nil || r.retries != 2 || r.faults != 1 || b.runs != 0 {
+		t.Fatalf("stage A failure: err %v retries %d faults %d, stage B runs %d; want an error, 2, 1, 0",
+			err, r.retries, r.faults, b.runs)
 	}
 }
 

@@ -1,19 +1,14 @@
 package fleet
 
 // Pipeline-parallel sharding: a folded net split at a cut layer across two
-// boards. Stage A runs layers [0, cut) on board A, the cut activation
-// crosses PCIe (device A readback + device B write, the Appendix A model),
-// and stage B runs layers [cut, n) on board B. Consecutive batches overlap:
-// each stage keeps its own busy horizon, so steady-state throughput is
-// bounded by the slower stage plus transfer, not the sum — the point of
-// sharding a net too big (or too slow) for one board.
-//
-// Functional execution composes the CPU reference over the two rebased
-// half-chains, which keeps the bit-identity contract trivially exact and
-// also proves the split itself is semantics-preserving (the shard test
-// checks half∘half against the unsplit chain). Timing is analytic: each
-// half is built as a real folded deployment on its board and contributes
-// its modeled forward time.
+// boards. Stage A runs layers [0, cut) as its own folded deployment on board
+// A; stage B runs layers [cut, n) as another on board B, on stage A's
+// outputs. Each stage's batch engine models its own transfers, so the
+// inter-board hop is stage A's readback plus stage B's write, both at the
+// board's Appendix A PCIe cost. Consecutive batches overlap: each stage
+// keeps its own busy horizon, so steady-state throughput is bounded by the
+// slower stage, not the sum — the point of sharding a net too big (or too
+// slow) for one board.
 
 import (
 	"fmt"
@@ -121,109 +116,69 @@ func pickCut(layers []*relay.Layer) (int, error) {
 	return best, nil
 }
 
-// shardExec is the two-stage pipeline executor. Each stage owns a busy
-// horizon; a batch occupies stage A, then the PCIe hop, then stage B, and
-// the next batch may enter stage A as soon as it frees.
+// shardExec is the two-stage pipeline executor. A batch occupies stage A,
+// then stage B from the moment A finishes; the next batch may enter stage A
+// as soon as it frees.
 type shardExec struct {
-	headLayers, tailLayers []*relay.Layer
-	tAUS, tBUS             float64 // per-image modeled stage times
-	cutBytes               int     // cut activation size per image
-	pcieA, pcieB           fpga.PCIeModel
-	busyA, busyB           float64
+	a, b executor
 }
 
-// newShardExec splits net's chain (auto-balancing the cut unless forced),
-// builds each half as a folded deployment on its board for modeled timing,
-// and prices the inter-board hop from the cut activation size.
-func newShardExec(net string, layers []*relay.Layer, boardA, boardB *fpga.Board, forceCut int) (*shardExec, error) {
-	cut := forceCut
-	if cut == 0 {
-		var err error
-		cut, err = pickCut(layers)
-		if err != nil {
-			return nil, err
-		}
+// newShardExec splits cfg.Net's chain at the balanced cut and builds each
+// half as a folded deployment on its board.
+func newShardExec(cfg Config, layers []*relay.Layer, boardA, boardB *fpga.Board) (*shardExec, error) {
+	cut, err := pickCut(layers)
+	if err != nil {
+		return nil, err
 	}
 	head, tail, err := splitLayers(layers, cut)
 	if err != nil {
 		return nil, err
 	}
-	buildTime := func(half []*relay.Layer, board *fpga.Board) (float64, error) {
-		fcfg, err := host.FoldedConfigFor(net, board)
+	stage := func(half []*relay.Layer, board *fpga.Board) (*simExec, error) {
+		fcfg, err := host.FoldedConfigFor(cfg.Net, board)
 		if err != nil {
-			return 0, fmt.Errorf("fleet: shard stage for %s on %s: %w", net, board.Name, err)
+			return nil, fmt.Errorf("fleet: shard stage for %s on %s: %w", cfg.Net, board.Name, err)
 		}
-		f, err := host.BuildFolded(half, fcfg, board, aoc.DefaultOptions)
+		dep, err := host.BuildFolded(half, fcfg, board, aoc.DefaultOptions)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		return f.ForwardTimeUS()
+		ex, err := newSimExec(dep, half[0].InShape, cfg.FaultSeed, cfg.FaultRate)
+		if err != nil {
+			return nil, fmt.Errorf("fleet: shard stage for %s on %s: %w", cfg.Net, board.Name, err)
+		}
+		return ex, nil
 	}
-	tA, err := buildTime(head, boardA)
+	a, err := stage(head, boardA)
 	if err != nil {
 		return nil, err
 	}
-	tB, err := buildTime(tail, boardB)
+	b, err := stage(tail, boardB)
 	if err != nil {
 		return nil, err
 	}
-	bytes := 4
-	for _, dim := range head[len(head)-1].OutShape {
-		bytes *= dim
-	}
-	return &shardExec{
-		headLayers: head, tailLayers: tail,
-		tAUS: tA, tBUS: tB, cutBytes: bytes,
-		pcieA: boardA.PCIe, pcieB: boardB.PCIe,
-	}, nil
-}
-
-// xferUS prices moving n cut activations between the boards: device A
-// readback plus device B write, each one command (latency) plus bandwidth.
-func (e *shardExec) xferUS(n int) float64 {
-	return e.pcieA.ReadTimeUS(n*e.cutBytes) + e.pcieB.WriteTimeUS(n*e.cutBytes)
+	return &shardExec{a: a, b: b}, nil
 }
 
 // availableAt is stage A's next free slot: the pipeline admits a new batch
 // as soon as its first stage frees, which is what lets batches overlap.
-func (e *shardExec) availableAt() float64 { return e.busyA }
+func (e *shardExec) availableAt() float64 { return e.a.availableAt() }
 
 // estUS is the one-image pipeline latency (routing cost of the device).
-func (e *shardExec) estUS() float64 { return e.tAUS + e.xferUS(1) + e.tBUS }
+func (e *shardExec) estUS() float64 { return e.a.estUS() + e.b.estUS() }
 
-// advanceTiming books one batch of n images through both stage horizons
-// and returns its service window (separated from run so timing is testable
-// without functional execution).
-func (e *shardExec) advanceTiming(n int, readyUS, stretch float64) (startUS, endUS float64) {
-	aStart := readyUS
-	if e.busyA > aStart {
-		aStart = e.busyA
+// run books the batch through stage A, then stage B on A's outputs. The
+// result carries both stages' retries and faults, failed or not.
+func (e *shardExec) run(inputs []*tensor.Tensor, readyUS float64, seq int64, stretch float64) (*execResult, error) {
+	a, err := e.a.run(inputs, readyUS, seq, stretch)
+	if err != nil {
+		return a, err
 	}
-	aEnd := aStart + float64(n)*e.tAUS*stretch
-	e.busyA = aEnd
-	bStart := aEnd + e.xferUS(n)
-	if e.busyB > bStart {
-		bStart = e.busyB
+	b, err := e.b.run(a.outs, a.endUS, seq, stretch)
+	b.retries += a.retries
+	b.faults += a.faults
+	if err == nil {
+		b.startUS = a.startUS
 	}
-	bEnd := bStart + float64(n)*e.tBUS*stretch
-	e.busyB = bEnd
-	return aStart, bEnd
-}
-
-func (e *shardExec) run(inputs []*tensor.Tensor, readyUS float64, _ int64, stretch float64) (*execResult, error) {
-	aStart, bEnd := e.advanceTiming(len(inputs), readyUS, stretch)
-
-	outs := make([]*tensor.Tensor, len(inputs))
-	for i, in := range inputs {
-		mid, err := relay.Execute(e.headLayers, in)
-		if err != nil {
-			return nil, err
-		}
-		out, err := relay.Execute(e.tailLayers, mid)
-		if err != nil {
-			return nil, err
-		}
-		outs[i] = out
-	}
-	return &execResult{outs: outs, startUS: aStart, endUS: bEnd}, nil
+	return b, err
 }

@@ -10,6 +10,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"repro/internal/aoc"
@@ -87,6 +88,19 @@ func BuildDeployment(net string, board *fpga.Board) (Deployment, []*relay.Layer,
 		return nil, nil, err
 	}
 	return f, layers, nil
+}
+
+// CPURefUS is the modeled per-image service time of the CPU reference
+// executor on the lowered chain: its FLOPs at 2 GFLOP/s, never under 20 ms.
+// Pricing it like a CPU rather than a constant keeps it the genuine last
+// resort, slower than any board, for heavy nets too. The ladder's cpuref
+// rung and the fleet's cpuref tier both charge it.
+func CPURefUS(layers []*relay.Layer) float64 {
+	var flops int64
+	for _, l := range layers {
+		flops += l.FLOPs()
+	}
+	return math.Max(float64(flops)/2000, 20_000)
 }
 
 // DeviceHealth is one runner- or device-level health entry reported by
@@ -226,7 +240,7 @@ func (r *LadderRunner) Run(b *Batch) *BatchOutcome {
 			continue
 		}
 		out.Outcomes[i] = Outcome{ArgMax: want.ArgMax(), Rung: RungCPURef}
-		out.ServiceUS += r.cfg.CPURefUS
+		out.ServiceUS += CPURefUS(r.layers)
 	}
 	return out
 }

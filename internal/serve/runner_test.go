@@ -100,7 +100,7 @@ func TestLadderRungsUnderInjectedFailures(t *testing.T) {
 	if out.Degraded != len(b.Reqs) {
 		t.Errorf("Degraded = %d, want %d (every rider left the batch rung)", out.Degraded, len(b.Reqs))
 	}
-	wantService := cfg.DispatchUS*float64(1+len(b.Reqs)) + perImageUS*float64(solo) + cfg.CPURefUS*float64(cpuref)
+	wantService := cfg.DispatchUS*float64(1+len(b.Reqs)) + perImageUS*float64(solo) + CPURefUS(r.layers)*float64(cpuref)
 	if out.ServiceUS != wantService {
 		t.Errorf("ServiceUS = %v, want %v", out.ServiceUS, wantService)
 	}

@@ -138,9 +138,6 @@ type Config struct {
 	// (clEnqueue/clFinish round trip, the per-invocation cost dynamic
 	// batching amortizes). Default 150.
 	DispatchUS float64
-	// CPURefUS is the modeled per-image service time of the CPU reference
-	// rung — the price of full degradation. Default 20000 (20 ms).
-	CPURefUS float64
 	// FaultSeed/FaultRate inject deterministic device faults into every
 	// batch dispatch (see internal/fault). Rate 0 disables injection.
 	FaultSeed int64
@@ -171,9 +168,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DispatchUS <= 0 {
 		c.DispatchUS = 150
-	}
-	if c.CPURefUS <= 0 {
-		c.CPURefUS = 20000
 	}
 	return c
 }
